@@ -208,6 +208,13 @@ class _PhaseScope:
         return False
 
 
+def _require_finite(values, what):
+    """Reject NaN or infinite input, naming the first offending entry."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"{what} {int(np.argwhere(bad)[0][0])} is not finite")
+
+
 def _global_cube(comm, points, margin):
     if len(points):
         lo, hi = points.min(axis=0), points.max(axis=0)
@@ -273,6 +280,8 @@ def setup(comm, points, charges, config):
     charges = np.asarray(charges, dtype=np.float64).reshape(-1)
     if len(charges) != len(points):
         raise ValueError("charges length does not match points")
+    _require_finite(points, "point")
+    _require_finite(charges, "charge")
     leaf_level = config.leaf_level
 
     with phase("sort_tree"):
@@ -585,6 +594,7 @@ def update_charges(state, new_charges):
     new_charges = np.asarray(new_charges, dtype=np.float64).reshape(-1)
     if len(new_charges) != state.tree.n_points:
         raise ValueError("charge length mismatch for update")
+    _require_finite(new_charges, "charge")
     state.charges = new_charges
     tree = state.tree
     send = []

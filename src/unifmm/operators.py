@@ -11,6 +11,20 @@ The 1/r kernel is homogeneous, so the source-to-up solve is the only
 level-dependent factor (it scales linearly with the box side); the
 up-to-up, transfer (M2L), and down-to-down matrices are shared by every
 level, which is what lets the 316 transfer matrices be precomputed once.
+
+The build makes exactly two SVDs, one per check-surface system. A
+child's downward check system is the parent's halved in size and moved,
+so by homogeneity and translation invariance it is twice the parent's
+matrix and its solve is ``0.5 * dc2e_inv``. The source equivalent and
+target check surfaces of M2L are the same origin-symmetric lattice, and
+it maps onto itself under the 48 axis permutations and sign flips of the
+cube. Such a map ``g`` permutes the lattice points, so
+``m2l[g t] = m2l[t][rho][:, rho]`` with ``rho`` its index permutation
+(the solve commutes with it because the check system is invariant).
+The 316 transfer vectors fall into 16 classes under these maps; only a
+canonical vector of each class (its sorted absolute components) gets a
+kernel matrix and a product with the solve, and the other 300 matrices
+are index gathers of those 16.
 """
 
 from __future__ import annotations
@@ -67,6 +81,16 @@ def expansion_length(order):
     return 6 * (order - 1) ** 2 + 2
 
 
+def _surface_lattice(order):
+    """Integer indices (n, 3) into the order**3 lattice of its outer shell,
+    in the point order of :func:`surface_grid`."""
+    ii, jj, kk = np.meshgrid(np.arange(order), np.arange(order), np.arange(order), indexing="ij")
+    on_surface = (
+        (ii == 0) | (ii == order - 1) | (jj == 0) | (jj == order - 1) | (kk == 0) | (kk == order - 1)
+    )
+    return np.stack([ii, jj, kk], axis=-1)[on_surface]
+
+
 def surface_grid(order, center=(0.0, 0.0, 0.0), side=1.0, scale=1.0):
     """Points on the boundary lattice of a cube of side ``side * scale``.
 
@@ -74,12 +98,7 @@ def surface_grid(order, center=(0.0, 0.0, 0.0), side=1.0, scale=1.0):
     order**3 lattice is kept, giving 6*(order-1)**2 + 2 points.
     """
     n = expansion_length(order)
-    lin = np.linspace(-0.5, 0.5, order)
-    ii, jj, kk = np.meshgrid(np.arange(order), np.arange(order), np.arange(order), indexing="ij")
-    on_surface = (
-        (ii == 0) | (ii == order - 1) | (jj == 0) | (jj == order - 1) | (kk == 0) | (kk == order - 1)
-    )
-    pts = np.stack([lin[ii], lin[jj], lin[kk]], axis=-1)[on_surface]
+    pts = np.linspace(-0.5, 0.5, order)[_surface_lattice(order)]
     assert pts.shape[0] == n
     return np.asarray(center, dtype=np.float64) + pts * (side * scale)
 
@@ -146,12 +165,38 @@ class OperatorSet:
         return expansion_length(self.order)
 
 
+def _transfer_symmetries(order):
+    """Reduce :data:`TRANSFER_VECTORS` by the symmetries of the cube.
+
+    Returns ``(classes, cls, rho)``: the 16 canonical vectors (sorted
+    absolute components), the class of every transfer vector, and per
+    vector the surface-lattice permutation ``rho`` of a map ``g`` with
+    ``g classes[cls[i]] == TRANSFER_VECTORS[i]``; ``rho[i][k]`` is the
+    index of the point ``g^-1`` sends lattice point ``k`` to.
+    """
+    tv = TRANSFER_VECTORS
+    sort_axes = np.argsort(np.abs(tv), axis=1, kind="stable")
+    classes, cls = np.unique(
+        np.take_along_axis(np.abs(tv), sort_axes, axis=1), axis=0, return_inverse=True
+    )
+    # g: t[a] = sign(t[a]) * t0[perm[a]], perm the inverse of sort_axes, so
+    # g^-1 reads axis sort_axes[b] of a point and flips it where t is negative.
+    flip = np.take_along_axis(tv < 0, sort_axes, axis=1)
+    lattice = _surface_lattice(order)
+    lookup = np.empty((order,) * 3, dtype=np.int64)
+    lookup[tuple(lattice.T)] = np.arange(len(lattice))
+    moved = lattice[:, sort_axes]                      # (n, 316, 3)
+    moved = np.where(flip, order - 1 - moved, moved)
+    rho = lookup[moved[..., 0], moved[..., 1], moved[..., 2]].T
+    return classes, cls.reshape(-1), rho
+
+
 def precompute_operators(order, dtype=np.float64, equiv_scale=UPWARD_EQUIV_SCALE,
                          check_scale=UPWARD_CHECK_SCALE, svd_cutoff=None):
     """Build the complete operator set for ``order`` at working ``dtype``.
 
-    Matrices are assembled and factorized in float64 and cast to the
-    working precision afterwards.
+    Matrices are assembled and factorized in float64 and stored at the
+    working precision; at float64 no copy is made.
     """
     dtype = np.dtype(dtype)
     if svd_cutoff is None:
@@ -164,6 +209,7 @@ def precompute_operators(order, dtype=np.float64, equiv_scale=UPWARD_EQUIV_SCALE
 
     uc2e_inv = _tsvd_pinv(_kernel_matrix(up_check, up_equiv), svd_cutoff)
     dc2e_inv = _tsvd_pinv(_kernel_matrix(down_check, down_equiv), svd_cutoff)
+    child_inv = 0.5 * dc2e_inv
 
     n = expansion_length(order)
     u2u = np.empty((8, n, n))
@@ -172,14 +218,13 @@ def precompute_operators(order, dtype=np.float64, equiv_scale=UPWARD_EQUIV_SCALE
         child_equiv = _OCTANT_CENTERS[o] + up_equiv * 0.5
         u2u[o] = uc2e_inv @ _kernel_matrix(up_check, child_equiv)
         child_check = _OCTANT_CENTERS[o] + down_check * 0.5
-        child_dequiv = _OCTANT_CENTERS[o] + down_equiv * 0.5
-        child_inv = _tsvd_pinv(_kernel_matrix(child_check, child_dequiv), svd_cutoff)
         d2d[o] = child_inv @ _kernel_matrix(child_check, down_equiv)
 
-    m2l = np.empty((len(TRANSFER_VECTORS), n, n))
-    for i, t in enumerate(TRANSFER_VECTORS):
-        src_equiv = t.astype(np.float64) + up_equiv
-        m2l[i] = dc2e_inv @ _kernel_matrix(down_check, src_equiv)
+    classes, cls, rho = _transfer_symmetries(order)
+    class_m2l = [dc2e_inv @ _kernel_matrix(down_check, t0 + up_equiv) for t0 in classes]
+    m2l = np.empty((len(TRANSFER_VECTORS), n, n), dtype=dtype)
+    for i, (c, r) in enumerate(zip(cls, rho)):
+        m2l[i] = class_m2l[c][np.ix_(r, r)]
 
     return OperatorSet(
         order=order,
@@ -187,11 +232,11 @@ def precompute_operators(order, dtype=np.float64, equiv_scale=UPWARD_EQUIV_SCALE
         equiv_scale=equiv_scale,
         check_scale=check_scale,
         svd_cutoff=svd_cutoff,
-        uc2e_inv=uc2e_inv.astype(dtype),
-        dc2e_inv=dc2e_inv.astype(dtype),
-        u2u=u2u.astype(dtype),
-        d2d=d2d.astype(dtype),
-        m2l=m2l.astype(dtype),
+        uc2e_inv=uc2e_inv.astype(dtype, copy=False),
+        dc2e_inv=dc2e_inv.astype(dtype, copy=False),
+        u2u=u2u.astype(dtype, copy=False),
+        d2d=d2d.astype(dtype, copy=False),
+        m2l=m2l,
         up_equiv_grid=up_equiv,
         up_check_grid=up_check,
         down_equiv_grid=down_equiv,
@@ -214,27 +259,6 @@ def get_operator_set(order, dtype=np.float64, equiv_scale=UPWARD_EQUIV_SCALE,
             ops = precompute_operators(order, dtype, equiv_scale, check_scale)
             _OP_CACHE[key] = ops
     return ops
-
-
-def build_m2l_at_level(order, cube, level, equiv_scale=UPWARD_EQUIV_SCALE,
-                       check_scale=UPWARD_CHECK_SCALE, svd_cutoff=None):
-    """Transfer matrices built from the real geometry of one tree level.
-
-    Exists to cross-check the level-shared matrices: for the 1/r kernel
-    the result must match :func:`precompute_operators` to rounding.
-    """
-    if svd_cutoff is None:
-        svd_cutoff = SVD_CUTOFF["f64"]
-    side = cube.side / (1 << level)
-    down_check = surface_grid(order, scale=equiv_scale, side=side)
-    down_equiv = surface_grid(order, scale=check_scale, side=side)
-    dc2e_inv = _tsvd_pinv(_kernel_matrix(down_check, down_equiv), svd_cutoff)
-    up_equiv = surface_grid(order, scale=equiv_scale, side=side)
-    n = expansion_length(order)
-    m2l = np.empty((len(TRANSFER_VECTORS), n, n))
-    for i, t in enumerate(TRANSFER_VECTORS):
-        m2l[i] = dc2e_inv @ _kernel_matrix(down_check, t * side + up_equiv)
-    return m2l
 
 
 class ExpansionStore:
@@ -288,7 +312,7 @@ def s2u(tree, ops, leaf, charges):
             parallel=False,
         )
         scale = box_side(tree.cube, tree.leaf_level)
-        u[:] = scale * (ops.uc2e_inv.astype(np.float64) @ q)
+        u[:] = scale * (ops.uc2e_inv.astype(np.float64, copy=False) @ q)
     return u
 
 
@@ -296,7 +320,7 @@ def leaf_s2u_all(tree, ops, charges, out):
     """S2U over every nonempty leaf of the tree, into ``out`` (n_leaves, n_e)."""
     leaf_level = tree.leaf_level
     scale = box_side(tree.cube, leaf_level)
-    inv_t = ops.uc2e_inv.astype(np.float64).T
+    inv_t = ops.uc2e_inv.astype(np.float64, copy=False).T
     check_template = ops.up_check_grid * scale
     half = 0.5 * scale
     anchors = morton.anchor_lattice(tree.leaves) * scale + np.asarray(tree.cube.origin)
@@ -408,18 +432,8 @@ def d2t(tree, ops, store, out=None):
         laplace_potential(
             tree.points[start:end],
             eq_pts,
-            d[pos].astype(np.float64),
+            d[pos].astype(np.float64, copy=False),
             out=out[start:end],
             parallel=False,
         )
     return out
-
-
-def evaluate_u_field(ops, cube, key, u, points):
-    """Field of an outgoing expansion at arbitrary points (test helper)."""
-    return laplace_potential(points, up_equiv_points(ops, cube, key), u.astype(np.float64))
-
-
-def evaluate_d_field(ops, cube, key, d, points):
-    """Field of an incoming expansion at arbitrary points (test helper)."""
-    return laplace_potential(points, down_equiv_points(ops, cube, key), d.astype(np.float64))

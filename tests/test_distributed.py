@@ -259,6 +259,37 @@ def test_update_charges_length_mismatch():
     assert run_spmd(world, program) == [True]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_setup_rejects_non_finite_point(bad):
+    pts, chg = raw_instance(300, seed=12)
+    pts[200, 1] = bad
+    # Rank 1 holds the bad point; its local raise aborts rank 0's collective.
+    with pytest.raises(ValueError, match="point 50 is not finite"):
+        distributed_run(pts, chg, 2, cfg(local_depth=1))
+
+
+def test_setup_rejects_non_finite_charge():
+    pts, chg = raw_instance(300, seed=12)
+    chg[7] = np.nan
+    with pytest.raises(ValueError, match="charge 7 is not finite"):
+        distributed_run(pts, chg, 2, cfg(local_depth=1))
+
+
+def test_update_charges_rejects_non_finite_charge():
+    pts, chg = raw_instance(300, seed=12)
+    world = create_world(1, seed=0)
+
+    def program(comm):
+        state = setup(comm, pts, chg, cfg(local_depth=1))
+        bad = np.ones(len(pts))
+        bad[3] = np.nan
+        with pytest.raises(ValueError, match="charge 3 is not finite"):
+            update_charges(state, bad)
+        return True
+
+    assert run_spmd(world, program) == [True]
+
+
 def test_overlap_flag_is_bitwise_equivalent():
     pts, chg = raw_instance(900, seed=13)
     _, _, ev_a = distributed_run(pts, chg, 8, cfg(overlap_near_field=True))

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from conftest import local_fmm, rel_l2, sorted_instance
 
-from unifmm import morton
+from unifmm import morton, operators
 from unifmm.kernels import direct_sum, laplace_potential
 from unifmm.morton import BoundingCube, make_key
 from unifmm.operators import (
-    build_m2l_at_level,
-    evaluate_d_field,
-    evaluate_u_field,
+    SVD_CUTOFF,
+    UPWARD_CHECK_SCALE,
+    UPWARD_EQUIV_SCALE,
+    _kernel_matrix,
+    _tsvd_pinv,
+    down_equiv_points,
     expansion_length,
     get_operator_set,
     precompute_operators,
@@ -28,6 +31,33 @@ UNIT = BoundingCube(origin=(0.0, 0.0, 0.0), side=1.0)
 # Far-field tolerances for single-operator checks, an order of magnitude
 # above typical observed errors so they stay regression bounds, not flakes.
 OP_TOL = {2: 5e-2, 3: 5e-3, 4: 2e-3, 6: 5e-5, 8: 5e-7}
+
+
+def build_m2l_at_level(order, cube, level, equiv_scale=UPWARD_EQUIV_SCALE,
+                       check_scale=UPWARD_CHECK_SCALE, svd_cutoff=SVD_CUTOFF["f64"]):
+    """Reference transfer matrices: one kernel matrix and solve per vector,
+    from the real geometry of one tree level. For the 1/r kernel the
+    result must match the level-shared symmetry-built set to rounding."""
+    side = cube.side / (1 << level)
+    down_check = surface_grid(order, scale=equiv_scale, side=side)
+    down_equiv = surface_grid(order, scale=check_scale, side=side)
+    dc2e_inv = _tsvd_pinv(_kernel_matrix(down_check, down_equiv), svd_cutoff)
+    up_equiv = surface_grid(order, scale=equiv_scale, side=side)
+    n = expansion_length(order)
+    m2l = np.empty((len(TRANSFER_VECTORS), n, n))
+    for i, t in enumerate(TRANSFER_VECTORS):
+        m2l[i] = dc2e_inv @ _kernel_matrix(down_check, t * side + up_equiv)
+    return m2l
+
+
+def evaluate_u_field(ops, cube, key, u, points):
+    """Field of an outgoing expansion at arbitrary points."""
+    return laplace_potential(points, up_equiv_points(ops, cube, key), u.astype(np.float64))
+
+
+def evaluate_d_field(ops, cube, key, d, points):
+    """Field of an incoming expansion at arbitrary points."""
+    return laplace_potential(points, down_equiv_points(ops, cube, key), d.astype(np.float64))
 
 
 def test_expansion_length_formula():
@@ -196,33 +226,79 @@ def test_u2u_accumulation_order_insensitive():
         assert rel_l2(alt, u_parent[0]) <= 1e-12
 
 
-@pytest.mark.parametrize("order", [3, 6])
+@pytest.mark.parametrize("order", [3, 4, 6, 8])
 def test_m2l_two_separated_boxes(order):
-    # Source box at transfer vector (3, 0, 0) from the target: the local
-    # expansion must reproduce the direct field inside the target box.
+    # A source box at each of the 316 transfer vectors from the target: the
+    # local expansion must reproduce the direct field inside the target box.
     rng = np.random.default_rng(17)
     ops = get_operator_set(order)
-    level = 2
+    level = 3
     side = UNIT.side / (1 << level)
-    tgt_key = make_key(0, 1, 1, level)
-    src_key = make_key(3, 1, 1, level)
-    t = np.asarray([3, 0, 0])
-    tv_idx = int(np.nonzero((TRANSFER_VECTORS == t).all(axis=1))[0][0])
-
-    src_anchor, _ = morton.decode(src_key, UNIT)
-    src_pts = src_anchor + rng.random((20, 3)) * side
-    chg = rng.random(20)
-    q = laplace_potential(
-        morton.box_center(src_key, UNIT) + ops.up_check_grid * side, src_pts, chg
-    )
-    u_src = side * (ops.uc2e_inv @ q)
-    d_tgt = ops.m2l[tv_idx] @ u_src
-
+    tgt_key = make_key(3, 3, 3, level)
     tgt_anchor, _ = morton.decode(tgt_key, UNIT)
-    inside = tgt_anchor + rng.random((10, 3)) * side
-    got = evaluate_d_field(ops, UNIT, int(tgt_key), d_tgt, inside)
-    want = direct_sum(inside, src_pts, chg)
-    assert rel_l2(got, want) <= OP_TOL[order]
+    worst = 0.0
+    for tv_idx, t in enumerate(TRANSFER_VECTORS):
+        src_key = make_key(*(3 + t), level)
+        src_anchor, _ = morton.decode(src_key, UNIT)
+        src_pts = src_anchor + rng.random((20, 3)) * side
+        chg = rng.random(20)
+        q = laplace_potential(
+            morton.box_center(src_key, UNIT) + ops.up_check_grid * side, src_pts, chg
+        )
+        u_src = side * (ops.uc2e_inv @ q)
+        d_tgt = ops.m2l[tv_idx] @ u_src
+
+        inside = tgt_anchor + rng.random((10, 3)) * side
+        got = evaluate_d_field(ops, UNIT, int(tgt_key), d_tgt, inside)
+        want = direct_sum(inside, src_pts, chg)
+        worst = max(worst, rel_l2(got, want))
+    assert worst <= OP_TOL[order]
+
+
+@pytest.mark.parametrize("order", [4, 6, 8])
+def test_d2d_reproduces_parent_field_in_every_child(order):
+    # Parent local expansion from sources two boxes away; each child's
+    # expansion after D2D must reproduce the parent's field inside it.
+    rng = np.random.default_rng(23)
+    ops = get_operator_set(order)
+    cube = BoundingCube((0.0, 0.0, 0.0), 8.0)
+    parent = make_key(2, 2, 2, 3)
+    src_anchor, side = morton.decode(make_key(4, 3, 1, 3), cube)
+    src_pts = src_anchor + rng.random((30, 3)) * side
+    chg = rng.random(30)
+    check = morton.box_center(parent, cube) + ops.down_check_grid * side
+    d_parent = side * (ops.dc2e_inv @ laplace_potential(check, src_pts, chg))
+    for o, child in enumerate(morton.children(parent)):
+        d_child = ops.d2d[o] @ d_parent
+        anchor, child_side = morton.decode(int(child), cube)
+        inside = anchor + rng.random((10, 3)) * child_side
+        got = evaluate_d_field(ops, cube, int(child), d_child, inside)
+        want = evaluate_d_field(ops, cube, int(parent), d_parent, inside)
+        assert rel_l2(got, want) <= OP_TOL[order]
+
+
+def test_build_solves_twice_and_forms_16_m2l_products(monkeypatch):
+    # Two SVDs (up and down check systems) and one kernel matrix per
+    # transfer-vector class (16); D2D reuses the down solve and the other
+    # 300 transfer matrices are index gathers.
+    svds, m2l_centers = [], []
+    kernel_matrix = operators._kernel_matrix
+
+    def counting_svd(mat, cutoff):
+        svds.append(mat.shape)
+        return _tsvd_pinv(mat, cutoff)
+
+    def recording_kernel(targets, sources):
+        center = sources.mean(axis=0)
+        if np.abs(center).max() >= 1.5:     # translated by a transfer vector
+            m2l_centers.append(tuple(np.rint(center).astype(int)))
+        return kernel_matrix(targets, sources)
+
+    monkeypatch.setattr(operators, "_tsvd_pinv", counting_svd)
+    monkeypatch.setattr(operators, "_kernel_matrix", recording_kernel)
+    precompute_operators(4)
+    assert len(svds) == 2
+    assert len(m2l_centers) == len(set(m2l_centers)) == 16
 
 
 def test_full_pipeline_matches_direct_sum():
