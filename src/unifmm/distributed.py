@@ -23,7 +23,7 @@ handled on the nominated rank, where all root expansions are present.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -91,19 +91,6 @@ class FmmConfig:
     @property
     def leaf_level(self):
         return self.global_depth + self.local_depth
-
-    def as_dict(self):
-        return {
-            "global_depth": self.global_depth,
-            "local_depth": self.local_depth,
-            "order": self.order,
-            "precision": self.precision,
-            "seed": self.seed,
-            "margin": self.margin,
-            "balance_mode": self.balance_mode,
-            "samples_per_rank": self.samples_per_rank,
-            "overlap_near_field": self.overlap_near_field,
-        }
 
 
 def global_message_size(n_roots, order, precision_bits):
@@ -630,7 +617,7 @@ def run_manifest(state, world):
     return {
         "package": "unifmm",
         "version": __version__,
-        "config": state.config.as_dict(),
+        "config": asdict(state.config),
         "world_size": world.size,
         "world_seed": world.seed,
         "transport_backend": transport_backend(),

@@ -10,6 +10,15 @@ environment flag and used automatically when numba is missing.
 The kernel is 1/r with no 1/(4*pi) factor. Coincident points evaluate
 to 0, which also covers the self-interaction when one point set serves
 as both sources and targets.
+
+The numpy path has one kernel contract for all of these callers. Squared
+distances are summed per axis (dx*dx + dy*dy + dz*dz) in place, without
+an (n, m, 3) temporary; the root is taken in place, coincident pairs are
+set to inf so the reciprocal gives exactly 0, and the charges are applied
+with one matrix-vector product. Targets go in blocks of at most 2**16
+(target, source) entries (at least 4 targets, so a block over more than
+2**14 sources is larger). The near-field sweep makes one such call per
+nonempty target leaf, over the gathered points of its whole U list.
 """
 
 from __future__ import annotations
@@ -47,19 +56,29 @@ def laplace_kernel(x, y):
     return 0.0 if r == 0.0 else 1.0 / r
 
 
+# Entries of one (targets, sources) distance block. Blocks hold a multiple
+# of 4 targets: OpenBLAS's matrix-vector product sums rows in groups of 4,
+# so aligned blocks give each target the sum one unblocked product gives.
+_BLOCK_ENTRIES = 1 << 16
+
+
 def _potential_numpy(targets, sources, charges, out):
-    # Chunk targets to bound the (chunk, m) distance matrix.
     m = sources.shape[0]
     if m == 0:
         return out
-    chunk = max(1, int(4e6) // max(m, 1))
+    chunk = max(4, _BLOCK_ENTRIES // m // 4 * 4)
     for lo in range(0, targets.shape[0], chunk):
         t = targets[lo : lo + chunk]
-        d2 = ((t[:, None, :] - sources[None, :, :]) ** 2).sum(axis=2)
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / np.sqrt(d2)
-        inv[d2 == 0.0] = 0.0
-        out[lo : lo + chunk] += inv @ charges
+        r = np.subtract.outer(t[:, 0], sources[:, 0])
+        r *= r
+        for axis in (1, 2):
+            d = np.subtract.outer(t[:, axis], sources[:, axis])
+            d *= d
+            r += d
+        np.sqrt(r, out=r)
+        r[r == 0.0] = np.inf
+        np.reciprocal(r, out=r)
+        out[lo : lo + chunk] += r @ charges
     return out
 
 
@@ -113,16 +132,17 @@ if HAVE_NUMBA:
 
 
 def _uli_numpy(tgt_pts, src_pts, src_chg, leaf_tgt, seg_ptr, seg_bounds, out):
-    for leaf in range(leaf_tgt.shape[0]):
-        t0, t1 = leaf_tgt[leaf, 0], leaf_tgt[leaf, 1]
-        if t1 <= t0:
-            continue
-        t = tgt_pts[t0:t1]
-        for s in range(seg_ptr[leaf], seg_ptr[leaf + 1]):
-            a, b = seg_bounds[s, 0], seg_bounds[s, 1]
-            if b <= a:
-                continue
-            _potential_numpy(t, src_pts[a:b], src_chg[a:b], out[t0:t1])
+    # Expand the segments into one source-index array; leaf i's sources
+    # are src_idx[src_ptr[i]:src_ptr[i + 1]].
+    lens = seg_bounds[:, 1] - seg_bounds[:, 0]
+    starts = np.cumsum(lens) - lens
+    src_idx = np.repeat(seg_bounds[:, 0] - starts, lens) + np.arange(lens.sum())
+    src_ptr = np.append(starts, lens.sum())[seg_ptr]
+    has_work = (leaf_tgt[:, 1] > leaf_tgt[:, 0]) & (src_ptr[1:] > src_ptr[:-1])
+    for leaf in np.nonzero(has_work)[0]:
+        t0, t1 = leaf_tgt[leaf]
+        idx = src_idx[src_ptr[leaf] : src_ptr[leaf + 1]]
+        _potential_numpy(tgt_pts[t0:t1], src_pts[idx], src_chg[idx], out[t0:t1])
     return out
 
 
@@ -178,51 +198,44 @@ def p2p_uli(tree, lists, charges, ghosts=None, out=None):
         ghosts = NearFieldGhosts()
 
     leaf_level = tree.leaf_level
-    leaf_index = tree.key_to_index(leaf_level)
-    nonempty = tree.level_nonempty[leaf_level]
-
     src_blocks = [tree.points]
     chg_blocks = [charges]
-    ghost_offset = {}
+    ghost_keys = np.asarray(sorted(ghosts.points), dtype=np.uint64)
+    ghost_bounds = np.empty((len(ghost_keys), 2), dtype=np.int64)
     offset = tree.n_points
-    for key in sorted(ghosts.points):
+    for i, key in enumerate(ghost_keys.tolist()):
         pts = np.asarray(ghosts.points[key], dtype=np.float64).reshape(-1, 3)
         chg = np.asarray(ghosts.charges[key], dtype=np.float64).reshape(-1)
         if len(chg) != len(pts):
             raise ValueError("ghost charges length does not match ghost points")
-        ghost_offset[key] = (offset, offset + len(pts))
+        ghost_bounds[i] = offset, offset + len(pts)
         src_blocks.append(pts)
         chg_blocks.append(chg)
         offset += len(pts)
     src_pts = np.concatenate(src_blocks, axis=0) if len(src_blocks) > 1 else tree.points
     src_chg = np.concatenate(chg_blocks) if len(chg_blocks) > 1 else charges
 
-    seg_ptr = np.zeros(len(tree.leaves) + 1, dtype=np.int64)
-    bounds = []
-    for pos in range(len(tree.leaves)):
-        n_segs = 0
-        for key in lists.u_members(pos):
-            k = int(key)
-            local = leaf_index.get(k)
-            if local is not None:
-                if nonempty[local]:
-                    bounds.append(tree.leaf_ranges[local])
-                    n_segs += 1
-            elif k in ghost_offset:
-                bounds.append(ghost_offset[k])
-                n_segs += 1
-            elif k not in ghosts.confirmed_absent:
-                raise UnresolvedDependencyError(
-                    f"unresolved dependency: no ghost data for U-list box {k:#x}"
-                )
-        seg_ptr[pos + 1] = seg_ptr[pos] + n_segs
-    seg_bounds = (
-        np.asarray(bounds, dtype=np.int64)
-        if bounds
-        else np.empty((0, 2), dtype=np.int64)
-    )
+    # Resolve every U member, in leaf order, to a segment of the sources:
+    # a local leaf, else a ghost leaf. Empty and confirmed-absent members
+    # keep the empty segment (0, 0); any other member is unresolved.
+    keys = lists.u_member_keys
+    bounds = np.zeros((len(keys), 2), dtype=np.int64)
+    local = tree.contains(leaf_level, keys)
+    bounds[local] = tree.leaf_ranges[tree.index_of(leaf_level, keys[local])]
+    remote = np.nonzero(~local)[0]
+    is_ghost = np.isin(keys[remote], ghost_keys)
+    ghost = remote[is_ghost]
+    bounds[ghost] = ghost_bounds[np.searchsorted(ghost_keys, keys[ghost])]
+    missing = remote[~is_ghost]
+    absent = np.fromiter(ghosts.confirmed_absent, dtype=np.uint64)
+    unresolved = missing[~np.isin(keys[missing], absent)]
+    if len(unresolved):
+        k = int(keys[unresolved[0]])
+        raise UnresolvedDependencyError(
+            f"unresolved dependency: no ghost data for U-list box {k:#x}"
+        )
 
     if out is None:
         out = np.zeros(tree.n_points, dtype=np.float64)
     fn = _uli_numba if HAVE_NUMBA else _uli_numpy
-    return fn(tree.points, src_pts, src_chg, tree.leaf_ranges, seg_ptr, seg_bounds, out)
+    return fn(tree.points, src_pts, src_chg, tree.leaf_ranges, lists.u_member_ptr, bounds, out)

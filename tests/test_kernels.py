@@ -184,3 +184,67 @@ def test_p2p_uli_ghosts_resolve_remote_members():
     f = p2p_uli(tree, lists, np.ones(1), ghosts)
     want = 2.0 / np.linalg.norm(pts[0] - gpt)
     np.testing.assert_allclose(f, [want], rtol=1e-14)
+
+
+def _points_with_duplicates(rng, n_t, n_s):
+    """Random targets and sources with coincident pairs, and positive
+    charges, so sums do not cancel and rtol measures rounding alone."""
+    t = rng.random((n_t, 3))
+    s = rng.random((n_s, 3))
+    s[:5] = t[:5]         # coincident target/source pairs
+    s[5:8] = s[8:11]      # duplicated sources
+    t[-2:] = t[:2]        # duplicated targets
+    return t, s, rng.random(n_s)
+
+
+@pytest.mark.parametrize("n_t, n_s", [(37, 53), (200, 300), (8, 11)])
+def test_laplace_potential_bitwise_equals_plain_formula(n_t, n_s):
+    rng = np.random.default_rng(6)
+    t, s, q = _points_with_duplicates(rng, n_t, n_s)
+    d2 = ((t[:, None, :] - s[None, :, :]) ** 2).sum(2)
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / np.sqrt(d2)
+    inv[d2 == 0.0] = 0.0
+    assert np.array_equal(laplace_potential(t, s, q), inv @ q)
+
+
+def test_laplace_potential_blocks_match_per_target_calls():
+    # 1500 sources give blocks of 40 targets: 203 targets span 6 blocks.
+    rng = np.random.default_rng(7)
+    t, s, q = _points_with_duplicates(rng, 203, 1500)
+    got = laplace_potential(t, s, q)
+    want = np.array([laplace_potential(t[i : i + 1], s, q)[0] for i in range(len(t))])
+    np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
+def test_p2p_uli_matches_direct_sum_on_clustered_leaves_with_ghost():
+    # Own root octant 0 only (leaf lattice {0,1}^3 at level 2). Points
+    # cluster in 4 of its 8 leaves; the other 4 are empty. Each clustered
+    # leaf holds a coincident pair, and the clustered leaves are mutually
+    # adjacent. One remote leaf, lattice (2,1,1), arrives as ghost data;
+    # it is adjacent exactly to the x=1 leaves.
+    rng = np.random.default_rng(8)
+    cells = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1]])
+    cell = np.concatenate([cells, cells[rng.integers(0, len(cells), 116)]])
+    pts = (cell + 0.5 + np.clip(rng.normal(0.0, 0.15, (120, 3)), -0.45, 0.45)) / 4
+    pts = np.concatenate([pts, pts[:4]])
+    keys = morton.encode_points(pts, 2, UNIT)
+    pts = pts[np.argsort(keys, kind="stable")]
+    tree = build_tree(pts, UNIT, 1, 1, local_roots=[morton.make_key(0, 0, 0, 1)])
+    lists = build_interaction_lists(tree)
+    assert (~tree.level_nonempty[2]).sum() == 4
+
+    gkey = int(morton.make_key(2, 1, 1, 2))
+    gpts = (np.array([2.0, 1.0, 1.0]) + rng.random((9, 3))) / 4
+    gchg = rng.standard_normal(9)
+    remote = {int(k) for k in lists.u_member_keys
+              if not tree.contains(2, np.asarray([k], dtype=np.uint64))[0]}
+    assert gkey in remote
+    ghosts = NearFieldGhosts(points={gkey: gpts}, charges={gkey: gchg},
+                             confirmed_absent=remote - {gkey})
+    charges = rng.standard_normal(len(pts))
+    f = p2p_uli(tree, lists, charges, ghosts)
+
+    sees_ghost = np.floor(pts[:, 0] * 4) == 1
+    ref = direct_sum(pts, pts, charges) + sees_ghost * direct_sum(pts, gpts, gchg)
+    np.testing.assert_allclose(f, ref, rtol=1e-12)
