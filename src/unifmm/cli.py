@@ -90,25 +90,34 @@ def _write_binary(path, magic, array, precision):
         f.write(np.ascontiguousarray(array, dtype=dtype).tobytes())
 
 
-def _read_binary(path, magic):
+def _read_binary(path, magic, width):
+    """Body of a point or charge file as ``count`` rows of ``width`` floats."""
     with open(path, "rb") as f:
         got = f.read(8)
         if got != magic:
             raise ValueError(f"{path}: bad magic {got!r}, expected {magic!r}")
-        bits, count = struct.unpack("<IQ", f.read(12))
-        dtype = np.float32 if bits == 32 else np.float64
-        body = np.frombuffer(f.read(), dtype=dtype)
-    return body, count
+        header = f.read(12)
+        if len(header) != 12:
+            raise ValueError(f"{path}: header truncated")
+        bits, count = struct.unpack("<IQ", header)
+        if bits not in (32, 64):
+            raise ValueError(f"{path}: precision field is {bits}, expected 32 or 64")
+        raw = f.read()
+    if len(raw) != count * width * (bits // 8):
+        raise ValueError(
+            f"{path}: body holds {len(raw)} bytes, expected {count} x {width} "
+            f"values of {bits // 8} bytes"
+        )
+    body = np.frombuffer(raw, dtype=np.float32 if bits == 32 else np.float64)
+    return body.reshape(count, width).astype(np.float64)
 
 
 def read_points(path):
-    body, count = _read_binary(path, POINTS_MAGIC)
-    return body.reshape(count, 3).astype(np.float64)
+    return _read_binary(path, POINTS_MAGIC, 3)
 
 
 def read_charges(path):
-    body, count = _read_binary(path, CHARGES_MAGIC)
-    return body.reshape(count).astype(np.float64)
+    return _read_binary(path, CHARGES_MAGIC, 1).reshape(-1)
 
 
 def _config_from_args(args):
@@ -204,15 +213,22 @@ def _sweep_points(args, p, mode):
 
 def cmd_sweep(args):
     p_list = [int(s) for s in args.p.split(",")]
-    stats_rows = []
-    timing_rows = []
-    manifest = None
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    depths = []
     for p in p_list:
+        if p < 1:
+            raise ValueError(f"--p entries must be >= 1, got {p}")
         d_g = round(np.log2(p) / 3)
         if 8**d_g != p or d_g < 1:
             raise ValueError(
                 f"infeasible config: P = {p} is not 8^d_g for a global depth >= 1"
             )
+        depths.append(d_g)
+    stats_rows = []
+    timing_rows = []
+    manifest = None
+    for p, d_g in zip(p_list, depths):
         config = FmmConfig(
             global_depth=d_g,
             local_depth=args.local_depth,
@@ -234,8 +250,8 @@ def cmd_sweep(args):
                         "n_points": state.point_count(),
                         "n_roots": state.n_local_roots,
                         "v_ghost_boxes": state.v_ghost_count(),
-                        "u_degree": len(state.u_graph),
-                        "v_degree": len(state.v_graph),
+                        "u_degree": len(state.graph),
+                        "v_degree": len(state.graph),
                         "collective": kind,
                     }
                     row.update(ev.stats[kind])

@@ -3,7 +3,7 @@
 Setup runs once per point set and resolves every data dependency ahead
 of time: the distributed sort and per-rank tree build, the global layout
 allgather, U/V query identification against the layout, the static
-neighbor communication graphs, the existence exchange, the near-field
+neighbor communication graph, the existence exchange, the near-field
 point/charge exchange, and the far-field ghost buffer allocation.
 
 Each evaluation then needs exactly three collectives per rank: one
@@ -15,14 +15,16 @@ runtime; charge-only updates re-run just the near-field data exchange.
 
 Local V lists only ever reference boxes below the root level, whose
 owners are adjacent subdomains: with contiguous Morton runs of roots per
-rank, both communication graphs are bounded by the 26 possible neighbor
-subdomains no matter how many ranks run. Root-level V interactions are
-handled on the nominated rank, where all root expansions are present.
+rank, the one communication graph, shared by the U and V exchanges, is
+bounded by the 26 possible neighbor subdomains no matter how many ranks
+run. Root-level V interactions are handled on the nominated rank, where
+all root expansions are present.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -71,7 +73,6 @@ class FmmConfig:
     margin: float = morton.DEFAULT_MARGIN
     balance_mode: str = "roots"      # "roots": equal Morton runs of roots;
     samples_per_rank: int = 200      # "sampled": splitters from key samples
-    overlap_near_field: bool = True
 
     def __post_init__(self):
         if self.global_depth < 1 or self.local_depth < 1:
@@ -134,11 +135,10 @@ class DistributedFmm:
     charges: np.ndarray
     orig_index: np.ndarray
     splitters: np.ndarray
-    u_graph: np.ndarray
-    v_graph: np.ndarray
+    graph: np.ndarray             # sorted neighbor ranks: adjacent subdomains
     near_ghosts: NearFieldGhosts
-    u_serve: list                 # per U-neighbor: leaf keys served with data
-    u_confirmed: list             # per U-neighbor: ghost leaf keys received
+    u_serve: list                 # per neighbor: leaf keys served with data
+    u_confirmed: list             # per neighbor: ghost leaf keys received
     v_ghosts: _VGhosts
     v_plan: VListPlan
     global_plan: object           # nominated rank only, else None
@@ -147,6 +147,15 @@ class DistributedFmm:
     @property
     def rank(self):
         return self.comm.rank
+
+    # The U and V exchanges both run on ``graph``; these names read it.
+    @property
+    def u_graph(self):
+        return self.graph
+
+    @property
+    def v_graph(self):
+        return self.graph
 
     @property
     def n_local_roots(self):
@@ -168,31 +177,20 @@ class DistributedFmm:
         return None
 
 
-class _PhaseTimer:
-    def __init__(self, timings):
-        self.timings = timings
-
-    def __call__(self, name):
-        return _PhaseScope(self.timings, name)
-
-
-class _PhaseScope:
-    def __init__(self, timings, name):
-        self.timings = timings
-        self.name = name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.timings[self.name] = self.timings.get(self.name, 0.0) + (
-            time.perf_counter() - self.t0
-        )
-        if exc is not None and not getattr(exc, "_fmm_phase", None):
-            exc._fmm_phase = self.name
-            exc.args = (f"[{self.name}] {exc.args[0]}" if exc.args else f"[{self.name}]",) + exc.args[1:]
-        return False
+@contextmanager
+def _phase(timings, name):
+    """Add the block's wall time to ``timings[name]``; prefix the message
+    of an exception leaving it with ``[name]``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except BaseException as exc:
+        if not getattr(exc, "_fmm_phase", None):
+            exc._fmm_phase = name
+            exc.args = (f"[{name}] {exc.args[0]}" if exc.args else f"[{name}]",) + exc.args[1:]
+        raise
+    finally:
+        timings[name] = timings.get(name, 0.0) + (time.perf_counter() - t0)
 
 
 def _require_finite(values, what):
@@ -262,7 +260,6 @@ def _exchange_queries(comm, graph, packets, tree):
 def setup(comm, points, charges, config):
     """Run the full setup pipeline; returns per-rank solver state."""
     timings = {}
-    phase = _PhaseTimer(timings)
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     charges = np.asarray(charges, dtype=np.float64).reshape(-1)
     if len(charges) != len(points):
@@ -271,7 +268,7 @@ def setup(comm, points, charges, config):
     _require_finite(charges, "charge")
     leaf_level = config.leaf_level
 
-    with phase("sort_tree"):
+    with _phase(timings, "sort_tree"):
         cube = _global_cube(comm, points, config.margin)
         keys = (
             morton.encode_points(points, leaf_level, cube)
@@ -299,10 +296,10 @@ def setup(comm, points, charges, config):
         tree = build_tree(pts, cube, config.global_depth, config.local_depth,
                           local_roots=my_roots)
 
-    with phase("layout"):
+    with _phase(timings, "layout"):
         layout = build_layout(comm, config.global_depth, my_roots)
 
-    with phase("communicators"):
+    with _phase(timings, "communicators"):
         nbr_roots = (
             np.unique(np.concatenate([morton.neighbors(int(r)) for r in my_roots]))
             if len(my_roots)
@@ -310,18 +307,16 @@ def setup(comm, points, charges, config):
         )
         owners = np.unique(layout.owner_of_roots(nbr_roots)) if len(nbr_roots) else np.empty(0, np.int64)
         graph = np.asarray([int(r) for r in owners if r != comm.rank], dtype=np.int64)
-        u_graph = graph.copy()
-        v_graph = graph.copy()
         lists = build_interaction_lists(tree)
 
-    with phase("u_list"):
+    with _phase(timings, "u_list"):
         u_keys = np.unique(lists.u_member_keys)
         u_local = tree.contains(leaf_level, u_keys)
         u_packets = _query_packets(layout, comm.rank, u_keys[~u_local])
-        assert all(j in set(u_graph.tolist()) for j in u_packets), "query outside halo"
-        u_confirmed, u_serve = _exchange_queries(comm, u_graph, u_packets, tree)
+        assert all(j in set(graph.tolist()) for j in u_packets), "query outside halo"
+        u_confirmed, u_serve = _exchange_queries(comm, graph, u_packets, tree)
         near = NearFieldGhosts()
-        for j, queried in enumerate(u_graph):
+        for j, queried in enumerate(graph):
             asked = u_packets.get(int(queried), np.empty(0, np.uint64))
             near.confirmed_absent |= set(
                 int(k) for k in np.setdiff1d(asked, u_confirmed[j])
@@ -341,9 +336,9 @@ def setup(comm, points, charges, config):
                 for a, b in tree.leaf_ranges[idx]
             ]
             rows_out.append(np.concatenate(chunks) if chunks else np.empty(0, np.float64))
-        counts_in = comm.neighbor_alltoallv(u_graph, counts_out)
-        rows_in = comm.neighbor_alltoallv(u_graph, rows_out)
-        for j in range(len(u_graph)):
+        counts_in = comm.neighbor_alltoallv(graph, counts_out)
+        rows_in = comm.neighbor_alltoallv(graph, rows_out)
+        for j in range(len(graph)):
             rows = rows_in[j].reshape(-1, 4)
             pos = 0
             for key, cnt in zip(u_confirmed[j], counts_in[j]):
@@ -351,20 +346,12 @@ def setup(comm, points, charges, config):
                 near.charges[int(key)] = rows[pos : pos + cnt, 3].copy()
                 pos += int(cnt)
 
-    with phase("v_list"):
-        v_packets = {}
-        v_remote_by_level = {}
-        for level, (tgt, mkeys, tv_idx) in lists.v_pairs.items():
-            local = tree.contains(level, mkeys)
-            v_remote_by_level[level] = np.unique(mkeys[~local])
-        all_remote = (
-            np.concatenate(list(v_remote_by_level.values()))
-            if v_remote_by_level
-            else np.empty(0, np.uint64)
-        )
-        v_packets = _query_packets(layout, comm.rank, all_remote)
-        assert all(j in set(v_graph.tolist()) for j in v_packets), "query outside halo"
-        v_confirmed, v_serve = _exchange_queries(comm, v_graph, v_packets, tree)
+    with _phase(timings, "v_list"):
+        remote_keys = [mkeys[~tree.contains(level, mkeys)]
+                       for level, (_, mkeys, _) in lists.v_pairs.items()]
+        v_packets = _query_packets(layout, comm.rank, np.concatenate(remote_keys))
+        assert all(j in set(graph.tolist()) for j in v_packets), "query outside halo"
+        v_confirmed, v_serve = _exchange_queries(comm, graph, v_packets, tree)
 
         ghosts = _VGhosts()
         confirmed_all = (
@@ -372,23 +359,20 @@ def setup(comm, points, charges, config):
             if any(len(c) for c in v_confirmed)
             else np.empty(0, np.uint64)
         )
-        ghost_rows = {}
         for level, lvl_keys in _split_by_level(confirmed_all).items():
             ghosts.keys[level] = lvl_keys
             ghosts.buffers[level] = np.zeros(
                 (len(lvl_keys), expansion_length(config.order)), dtype=config.dtype
             )
-            ghost_rows[level] = {int(k): i for i, k in enumerate(lvl_keys)}
-        for j in range(len(v_graph)):
-            send_j, recv_j = [], []
-            for level, lvl_keys in _split_by_level(v_serve[j]).items():
-                send_j.append((level, tree.index_of(level, lvl_keys)))
-            for level, lvl_keys in _split_by_level(v_confirmed[j]).items():
-                recv_j.append(
-                    (level, np.asarray([ghost_rows[level][int(k)] for k in lvl_keys]))
-                )
-            ghosts.send_plan.append(send_j)
-            ghosts.recv_plan.append(recv_j)
+        for j in range(len(graph)):
+            ghosts.send_plan.append([
+                (level, tree.index_of(level, lvl_keys))
+                for level, lvl_keys in _split_by_level(v_serve[j]).items()
+            ])
+            ghosts.recv_plan.append([
+                (level, np.searchsorted(ghosts.keys[level], lvl_keys))
+                for level, lvl_keys in _split_by_level(v_confirmed[j]).items()
+            ])
 
         # V application plan: local members by tree index, remote existing
         # members by ghost row appended after the local rows, absent ones
@@ -397,19 +381,16 @@ def setup(comm, points, charges, config):
         n_ghost_rows = {}
         for level, (tgt, mkeys, tv_idx) in lists.v_pairs.items():
             n_local = len(tree.level_keys[level])
+            gkeys = ghosts.keys.get(level, np.empty(0, np.uint64))
             local = tree.contains(level, mkeys)
             rows = np.full(len(mkeys), -1, dtype=np.int64)
             rows[local] = tree.index_of(level, mkeys[local])
-            if level in ghost_rows and ghost_rows[level]:
-                table = ghost_rows[level]
-                remote_idx = np.nonzero(~local)[0]
-                for i in remote_idx:
-                    row = table.get(int(mkeys[i]))
-                    if row is not None:
-                        rows[i] = n_local + row
+            remote = np.nonzero(~local)[0]
+            remote = remote[np.isin(mkeys[remote], gkeys)]
+            rows[remote] = n_local + np.searchsorted(gkeys, mkeys[remote])
             keep = rows >= 0
             grouped[level] = group_pairs_by_transfer(tgt[keep], rows[keep], tv_idx[keep])
-            n_ghost_rows[level] = len(ghosts.keys.get(level, ()))
+            n_ghost_rows[level] = len(gkeys)
         v_plan = VListPlan(grouped=grouped, n_ghost_rows=n_ghost_rows)
 
         global_plan = (
@@ -431,8 +412,7 @@ def setup(comm, points, charges, config):
         charges=chg,
         orig_index=orig_idx,
         splitters=np.asarray(splitters, dtype=np.uint64),
-        u_graph=u_graph,
-        v_graph=v_graph,
+        graph=graph,
         near_ghosts=near,
         u_serve=u_serve,
         u_confirmed=u_confirmed,
@@ -481,7 +461,7 @@ def _exchange_ghost_u(state):
         send.append(
             np.concatenate(blocks).ravel() if blocks else np.empty(0, state.config.dtype)
         )
-    recv = comm.neighbor_alltoallv(state.v_graph, send)
+    recv = comm.neighbor_alltoallv(state.graph, send)
     for j, buf in enumerate(recv):
         rows = buf.reshape(-1, n_e).astype(state.config.dtype, copy=False)
         pos = 0
@@ -532,11 +512,9 @@ def evaluate(state):
 
     state.store.reset()
     state.v_ghosts.reset()
-    near = None
 
     t0 = time.perf_counter()
-    if config.overlap_near_field:
-        near = p2p_uli(tree, state.lists, state.charges, state.near_ghosts)
+    near = p2p_uli(tree, state.lists, state.charges, state.near_ghosts)
     upward_pass(tree, ops, state.store, state.charges)
     seconds["computation"] += time.perf_counter() - t0
 
@@ -560,8 +538,6 @@ def evaluate(state):
     state.store.d[config.global_depth][:] = mine.reshape(-1, n_e)
     vli_downward(tree, ops, state.store, state.v_plan, state.v_ghosts.buffers)
     far = d2t(tree, ops, state.store)
-    if near is None:
-        near = p2p_uli(tree, state.lists, state.charges, state.near_ghosts)
     potentials = near + far
     seconds["computation"] += time.perf_counter() - t0
 
@@ -589,7 +565,7 @@ def update_charges(state, new_charges):
         idx = tree.index_of(tree.leaf_level, served) if len(served) else np.empty(0, np.int64)
         chunks = [new_charges[a:b] for a, b in tree.leaf_ranges[idx]]
         send.append(np.concatenate(chunks) if chunks else np.empty(0, np.float64))
-    recv = state.comm.neighbor_alltoallv(state.u_graph, send)
+    recv = state.comm.neighbor_alltoallv(state.graph, send)
     for j, buf in enumerate(recv):
         # Charges arrive in the same key order the point rows did at setup.
         pos = 0
@@ -600,11 +576,6 @@ def update_charges(state, new_charges):
     state.store.reset()
     state.v_ghosts.reset()
     return state
-
-
-def gather_world_potentials(results):
-    """Concatenate per-rank evaluation results in rank order."""
-    return np.concatenate([r.potentials for r in results])
 
 
 def run_manifest(state, world):

@@ -284,38 +284,6 @@ def box_side(cube, level):
     return cube.side / (1 << level)
 
 
-def up_check_points(ops, cube, key):
-    center = morton.box_center(key, cube)
-    return center + ops.up_check_grid * box_side(cube, morton.key_level(key))
-
-
-def up_equiv_points(ops, cube, key):
-    center = morton.box_center(key, cube)
-    return center + ops.up_equiv_grid * box_side(cube, morton.key_level(key))
-
-
-def down_equiv_points(ops, cube, key):
-    center = morton.box_center(key, cube)
-    return center + ops.down_equiv_grid * box_side(cube, morton.key_level(key))
-
-
-def s2u(tree, ops, leaf, charges):
-    """Equivalent densities of one leaf from its own points; zero if empty."""
-    pos = int(tree.index_of(tree.leaf_level, np.asarray([int(leaf)], dtype=np.uint64))[0])
-    start, end = tree.leaf_ranges[pos]
-    u = np.zeros(ops.n_coeff, dtype=ops.dtype)
-    if end > start:
-        q = laplace_potential(
-            up_check_points(ops, tree.cube, int(leaf)),
-            tree.points[start:end],
-            np.asarray(charges[start:end], dtype=np.float64),
-            parallel=False,
-        )
-        scale = box_side(tree.cube, tree.leaf_level)
-        u[:] = scale * (ops.uc2e_inv.astype(np.float64, copy=False) @ q)
-    return u
-
-
 def leaf_s2u_all(tree, ops, charges, out):
     """S2U over every nonempty leaf of the tree, into ``out`` (n_leaves, n_e)."""
     leaf_level = tree.leaf_level
@@ -388,16 +356,7 @@ class VListPlan:
     n_ghost_rows: dict       # level -> rows appended below the local u
 
 
-def make_local_v_plan(tree, lists):
-    """Plan for a tree whose V-list sources are all locally owned."""
-    grouped = {}
-    for level, (tgt, keys, tv_idx) in lists.v_pairs.items():
-        src = tree.index_of(level, keys)
-        grouped[level] = group_pairs_by_transfer(tgt, src, tv_idx)
-    return VListPlan(grouped=grouped, n_ghost_rows={lvl: 0 for lvl in grouped})
-
-
-def vli_downward(tree, ops, store, plan, ghost_u=None):
+def vli_downward(tree, ops, store, plan, ghost_u):
     """Pre-order pass over the local levels: inherit the parent local
     expansion (D2D), then apply the level's V-list interactions. Remote
     sources come from ``ghost_u[level]`` rows appended below the local u.
@@ -417,10 +376,9 @@ def vli_downward(tree, ops, store, plan, ghost_u=None):
     return store
 
 
-def d2t(tree, ops, store, out=None):
+def d2t(tree, ops, store):
     """Evaluate leaf local expansions at the targets inside each leaf."""
-    if out is None:
-        out = np.zeros(tree.n_points, dtype=np.float64)
+    out = np.zeros(tree.n_points, dtype=np.float64)
     leaf_level = tree.leaf_level
     d = store.d[leaf_level]
     side = box_side(tree.cube, leaf_level)

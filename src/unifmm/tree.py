@@ -98,21 +98,17 @@ class UniformTree:
         return (idx < arr.size) & (arr[np.minimum(idx, arr.size - 1)] == keys)
 
 
-def build_tree(points, cube, global_depth, local_depth, local_roots=None, charges=None):
+def build_tree(points, cube, global_depth, local_depth, local_roots=None):
     """Build the rank-local uniform tree over ``points`` sorted by leaf key.
 
     ``local_roots`` lists the level-``global_depth`` boxes this rank owns;
     when omitted it defaults to the distinct root ancestors of the points.
-    The ``charges`` argument is only validated for length, as a convenience
-    for callers carrying both arrays.
     """
     if global_depth < 1 or local_depth < 1:
         raise ValueError("global_depth and local_depth must each be >= 1")
     if global_depth + local_depth > MAX_DEPTH:
         raise ValueError("tree depth exceeds MAX_DEPTH = %d" % MAX_DEPTH)
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if charges is not None and len(charges) != len(points):
-        raise ValueError("charges length does not match points")
 
     leaf_level = global_depth + local_depth
     pkeys = morton.encode_points(points, leaf_level, cube) if points.size else np.empty(0, np.uint64)
@@ -257,14 +253,11 @@ class InteractionLists:
         return self.u_member_keys[self.u_member_ptr[leaf_pos] : self.u_member_ptr[leaf_pos + 1]]
 
 
-def build_interaction_lists(tree, from_level=None):
-    """Enumerate U lists for all leaves and V lists for levels >= ``from_level``.
-
-    ``from_level`` defaults to ``global_depth + 1``: the root level's V
-    interactions are handled by the global stage, never locally.
+def build_interaction_lists(tree):
+    """Enumerate U lists for all leaves and V lists for the levels below
+    the roots: the root level's V interactions are handled by the global
+    stage, never locally.
     """
-    if from_level is None:
-        from_level = tree.global_depth + 1
     leaf_level = tree.leaf_level
     keys, box_pos = _u_members(tree.leaves, leaf_level)
     ptr = np.zeros(len(tree.leaves) + 1, dtype=np.int64)
@@ -272,7 +265,7 @@ def build_interaction_lists(tree, from_level=None):
     ptr = np.cumsum(ptr)
 
     v_pairs = {}
-    for level in range(max(from_level, 2), leaf_level + 1):
+    for level in range(tree.global_depth + 1, leaf_level + 1):
         mkeys, tgt, tv_idx = _v_members_with_vectors(tree.level_keys[level], level)
         v_pairs[level] = (tgt, mkeys, tv_idx)
     return InteractionLists(u_member_keys=keys, u_member_ptr=ptr, v_pairs=v_pairs)

@@ -4,17 +4,7 @@ import numpy as np
 
 from unifmm import morton
 from unifmm.distributed import evaluate, setup
-from unifmm.kernels import p2p_uli
-from unifmm.operators import (
-    d2t,
-    get_operator_set,
-    make_local_v_plan,
-    store_for_tree,
-    upward_pass,
-    vli_downward,
-)
 from unifmm.transport import create_world, run_spmd
-from unifmm.tree import build_interaction_lists, build_tree
 
 
 def rel_l2(got, want):
@@ -70,22 +60,3 @@ def distributed_run(points, charges, n_ranks, config, evaluate_runs=1):
 def concat_potentials(evals, run=0):
     return np.concatenate([e[run].potentials for e in evals])
 
-
-def local_fmm(points, charges, cube, local_depth, order):
-    """Complete uniform FMM on one rank with global_depth = 1.
-
-    With a depth-1 global tree the V lists above the local levels are
-    empty, so no global stage exists and the local passes plus the near
-    field are the whole algorithm.
-    """
-    all_roots = morton.descendants(morton.make_key(0, 0, 0, 0), 1)
-    tree = build_tree(points, cube, 1, local_depth, local_roots=np.sort(all_roots))
-    lists = build_interaction_lists(tree)
-    ops = get_operator_set(order)
-    store = store_for_tree(tree, ops)
-    upward_pass(tree, ops, store, charges)
-    plan = make_local_v_plan(tree, lists)
-    vli_downward(tree, ops, store, plan)
-    far = d2t(tree, ops, store)
-    near = p2p_uli(tree, lists, charges)
-    return near + far, tree, store

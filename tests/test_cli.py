@@ -54,6 +54,27 @@ def test_point_file_magic_and_precision(tmp_path):
         read_charges(str(path))
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("precision", "precision field is 16"),
+    ("body", "body holds 116 bytes, expected 10 x 3"),
+    ("header", "header truncated"),
+])
+def test_point_file_corruption_names_path(tmp_path, fault, message):
+    path = tmp_path / "pts.bin"
+    write_points(str(path), generate_points("uniform_cube", 10, 0), precision="f32")
+    raw = bytearray(path.read_bytes())
+    if fault == "precision":
+        raw[8:12] = (16).to_bytes(4, "little")
+    elif fault == "body":
+        raw = raw[:-4]
+    else:
+        raw = raw[:14]
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=message) as info:
+        read_points(str(path))
+    assert str(path) in str(info.value)
+
+
 def test_charges_file_roundtrip(tmp_path):
     path = tmp_path / "q.bin"
     q = np.linspace(0, 1, 9)
@@ -95,6 +116,19 @@ def test_sweep_rejects_non_power_of_8(tmp_path, capsys):
     rc = main(["sweep", "--p", "8,12", "--n", "64", "--out", str(tmp_path / "s")])
     assert rc == 1
     assert "infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--p", "8,0"], "--p entries must be >= 1, got 0"),
+    (["--p", "-8"], "--p entries must be >= 1, got -8"),
+    (["--p", "8", "--repeats", "0"], "--repeats must be >= 1, got 0"),
+])
+def test_sweep_rejects_values_below_1(tmp_path, capsys, flags, message):
+    out = tmp_path / "s"
+    rc = main(["sweep", *flags, "--n", "64", "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s.stats.csv").exists()
 
 
 def test_sweep_weak_emits_stats_timings_manifest(tmp_path):

@@ -28,7 +28,7 @@ def test_p1_setup_reduces_to_single_rank():
     pts, chg = raw_instance(500, seed=0)
     world, states, evals = distributed_run(pts, chg, 1, cfg())
     state = states[0]
-    assert state.u_graph.size == 0 and state.v_graph.size == 0
+    assert state.graph.size == 0
     assert state.v_ghost_count() == 0
     assert not state.near_ghosts.points
     assert state.n_local_roots == 8
@@ -39,19 +39,16 @@ def test_p8_dg1_graph_degree_is_7():
     world, states, _ = distributed_run(pts, chg, 8, cfg())
     for state in states:
         assert state.n_local_roots == 1
-        assert len(state.u_graph) == 7
-        assert len(state.v_graph) == 7
+        assert len(state.graph) == 7
 
 
 def test_p64_dg2_interior_degree_26():
     pts, chg = raw_instance(8192, seed=2)
     config = cfg(global_depth=2, local_depth=1)
     world, states, _ = distributed_run(pts, chg, 64, config)
-    degrees = np.array([len(s.v_graph) for s in states])
+    degrees = np.array([len(s.graph) for s in states])
     assert degrees.max() <= 26
     assert (degrees == 26).sum() == 8  # 2^3 interior roots in a 4^3 lattice
-    for s in states:
-        assert len(s.u_graph) <= 26
 
 
 def test_distributed_matches_reference_and_direct():
@@ -211,8 +208,11 @@ def test_comm_graph_confined_to_adjacent_subdomains():
         for root in state.tree.local_roots:
             owners = layout.owner_of_roots(morton.neighbors(int(root)))
             adjacent |= {int(o) for o in owners if o != state.rank}
-        assert set(state.v_graph.tolist()) == adjacent
-        assert set(state.u_graph.tolist()) == adjacent
+        assert set(state.graph.tolist()) == adjacent
+        assert state.u_graph is state.graph and state.v_graph is state.graph
+
+
+def test_update_charges_matches_fresh_run():
     pts, chg = raw_instance(700, seed=11)
     config = cfg(local_depth=1)
     chunks = np.array_split(np.arange(len(pts)), 4)
@@ -268,6 +268,12 @@ def test_setup_rejects_non_finite_point(bad):
         distributed_run(pts, chg, 2, cfg(local_depth=1))
 
 
+def test_setup_failure_names_its_phase():
+    # Empty on every rank: the global bounding cube fails inside sort_tree.
+    with pytest.raises(ValueError, match=r"^\[sort_tree\] no points on any rank$"):
+        distributed_run(np.empty((0, 3)), np.empty(0), 2, cfg())
+
+
 def test_setup_rejects_non_finite_charge():
     pts, chg = raw_instance(300, seed=12)
     chg[7] = np.nan
@@ -288,13 +294,6 @@ def test_update_charges_rejects_non_finite_charge():
         return True
 
     assert run_spmd(world, program) == [True]
-
-
-def test_overlap_flag_is_bitwise_equivalent():
-    pts, chg = raw_instance(900, seed=13)
-    _, _, ev_a = distributed_run(pts, chg, 8, cfg(overlap_near_field=True))
-    _, _, ev_b = distributed_run(pts, chg, 8, cfg(overlap_near_field=False))
-    assert np.array_equal(concat_potentials(ev_a), concat_potentials(ev_b))
 
 
 def test_sampled_balance_mode_runs_and_matches():

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from conftest import local_fmm, rel_l2, sorted_instance
+from conftest import distributed_run, raw_instance, rel_l2, sorted_instance
 
 from unifmm import morton, operators
+from unifmm.distributed import FmmConfig, evaluate, update_charges
 from unifmm.kernels import direct_sum, laplace_potential
 from unifmm.morton import BoundingCube, make_key
 from unifmm.operators import (
@@ -13,15 +14,14 @@ from unifmm.operators import (
     UPWARD_EQUIV_SCALE,
     _kernel_matrix,
     _tsvd_pinv,
-    down_equiv_points,
+    box_side,
     expansion_length,
     get_operator_set,
+    leaf_s2u_all,
     precompute_operators,
-    s2u,
     store_for_tree,
     surface_grid,
     u2u_level,
-    up_equiv_points,
     upward_pass,
 )
 from unifmm.tree import TRANSFER_VECTORS, build_tree
@@ -52,12 +52,33 @@ def build_m2l_at_level(order, cube, level, equiv_scale=UPWARD_EQUIV_SCALE,
 
 def evaluate_u_field(ops, cube, key, u, points):
     """Field of an outgoing expansion at arbitrary points."""
-    return laplace_potential(points, up_equiv_points(ops, cube, key), u.astype(np.float64))
+    side = box_side(cube, morton.key_level(key))
+    equiv = morton.box_center(key, cube) + ops.up_equiv_grid * side
+    return laplace_potential(points, equiv, u.astype(np.float64))
 
 
 def evaluate_d_field(ops, cube, key, d, points):
     """Field of an incoming expansion at arbitrary points."""
-    return laplace_potential(points, down_equiv_points(ops, cube, key), d.astype(np.float64))
+    side = box_side(cube, morton.key_level(key))
+    equiv = morton.box_center(key, cube) + ops.down_equiv_grid * side
+    return laplace_potential(points, equiv, d.astype(np.float64))
+
+
+def leaf_u(tree, ops, charges, leaf):
+    """Outgoing expansion of ``leaf``: its row of :func:`leaf_s2u_all`
+    over a zeroed store, as ``evaluate`` computes it."""
+    out = store_for_tree(tree, ops).u[tree.leaf_level]
+    leaf_s2u_all(tree, ops, charges, out)
+    return out[tree.index_of(tree.leaf_level, np.asarray([int(leaf)], dtype=np.uint64))[0]]
+
+
+def single_rank(n, seed, local_depth, order):
+    """``setup`` plus one ``evaluate`` of a seeded instance on one rank with
+    global_depth = 1; returns (state, potentials), both in tree order."""
+    pts, chg = raw_instance(n, seed)
+    config = FmmConfig(global_depth=1, local_depth=local_depth, order=order)
+    _, states, evals = distributed_run(pts, chg, 1, config)
+    return states[0], evals[0][0].potentials
 
 
 def test_expansion_length_formula():
@@ -144,7 +165,8 @@ def test_s2u_empty_leaf_is_zero():
     tree = build_tree(pts, UNIT, 1, 1, local_roots=roots)
     ops = get_operator_set(3)
     empty_leaf = int(tree.leaves[-1])
-    assert np.all(s2u(tree, ops, empty_leaf, np.ones(1)) == 0.0)
+    assert np.all(leaf_u(tree, ops, np.ones(1), empty_leaf) == 0.0)
+    assert np.any(leaf_u(tree, ops, np.ones(1), int(tree.leaves[0])) != 0.0)
 
 
 @pytest.mark.parametrize("order", [3, 6])
@@ -159,7 +181,7 @@ def test_s2u_point_charge_far_field(order):
     tree = build_tree(pts, UNIT, 1, 1,
                       local_roots=np.sort(morton.descendants(make_key(0, 0, 0, 0), 1)))
     ops = get_operator_set(order)
-    u = s2u(tree, ops, leaf, np.ones(1))
+    u = leaf_u(tree, ops, np.ones(1), leaf)
     far = center + np.array([[5 * side, 0, 0], [0, 5 * side, 5 * side], [-4 * side, 3 * side, 0]])
     got = evaluate_u_field(ops, UNIT, int(leaf), u, far)
     want = direct_sum(far, pts, np.ones(1))
@@ -177,7 +199,7 @@ def test_s2u_linearity():
     chg = rng.random(16)
     leaf = int(tree.leaves[np.nonzero(tree.level_nonempty[2])[0][0]])
     np.testing.assert_allclose(
-        s2u(tree, ops, leaf, 2.0 * chg), 2.0 * s2u(tree, ops, leaf, chg), rtol=1e-12
+        leaf_u(tree, ops, 2.0 * chg, leaf), 2.0 * leaf_u(tree, ops, chg, leaf), rtol=1e-12
     )
 
 
@@ -302,45 +324,48 @@ def test_build_solves_twice_and_forms_16_m2l_products(monkeypatch):
 
 
 def test_full_pipeline_matches_direct_sum():
-    pts, chg, cube = sorted_instance(800, seed=5)
-    f, _, _ = local_fmm(pts, chg, cube, local_depth=2, order=6)
-    ref = direct_sum(pts, pts, chg)
+    state, f = single_rank(800, seed=5, local_depth=2, order=6)
+    ref = direct_sum(state.points, state.points, state.charges)
     assert rel_l2(f, ref) <= OP_TOL[6]
 
 
 def test_pipeline_linearity_in_charges():
-    pts, chg, cube = sorted_instance(300, seed=6)
-    f1, _, _ = local_fmm(pts, chg, cube, local_depth=1, order=3)
-    f2, _, _ = local_fmm(pts, 2.0 * chg, cube, local_depth=1, order=3)
+    state, f1 = single_rank(300, seed=6, local_depth=1, order=3)
+    update_charges(state, 2.0 * state.charges)
+    f2 = evaluate(state).potentials
     np.testing.assert_allclose(f2, 2.0 * f1, rtol=1e-12)
 
 
 def test_u_depends_only_on_inside_points():
-    pts, chg, cube = sorted_instance(400, seed=7)
-    _, tree, store_a = local_fmm(pts, chg, cube, local_depth=2, order=3)
+    state, _ = single_rank(400, seed=7, local_depth=2, order=3)
+    tree, chg = state.tree, state.charges
+    u_a = state.store.u[3].copy()
     # Perturb every charge outside one occupied leaf; its u must not move.
     pos = int(np.nonzero(tree.level_nonempty[3])[0][0])
     start, end = tree.leaf_ranges[pos]
     chg_b = chg + 1.0
     chg_b[start:end] = chg[start:end]
-    _, _, store_b = local_fmm(pts, chg_b, cube, local_depth=2, order=3)
-    assert np.array_equal(store_a.u[3][pos], store_b.u[3][pos])
+    update_charges(state, chg_b)
+    evaluate(state)
+    assert np.array_equal(u_a[pos], state.store.u[3][pos])
 
 
 def test_d_depends_only_on_points_outside_halo():
-    pts, chg, cube = sorted_instance(400, seed=8)
-    _, tree, store_a = local_fmm(pts, chg, cube, local_depth=2, order=3)
+    state, _ = single_rank(400, seed=8, local_depth=2, order=3)
+    tree, chg = state.tree, state.charges
+    d_a = state.store.d[3].copy()
     # Perturb charges inside the box's colleague halo (including itself).
     pos = 100
     box = int(tree.level_keys[3][pos])
     halo = {box} | {int(k) for k in morton.neighbors(box)}
-    pkeys = morton.encode_points(tree.points, 3, cube)
+    pkeys = morton.encode_points(tree.points, 3, tree.cube)
     in_halo = np.isin(pkeys, np.asarray(sorted(halo), dtype=np.uint64))
     assert in_halo.any()
     chg_b = chg.copy()
     chg_b[in_halo] += 1.0
-    _, _, store_b = local_fmm(pts, chg_b, cube, local_depth=2, order=3)
-    assert np.array_equal(store_a.d[3][pos], store_b.d[3][pos])
+    update_charges(state, chg_b)
+    evaluate(state)
+    assert np.array_equal(d_a[pos], state.store.d[3][pos])
 
 
 def test_operators_f32_mode():
