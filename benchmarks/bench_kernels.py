@@ -13,9 +13,14 @@ FMM evaluation across backends as well.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
+
+# Import the library from this checkout's ``src``, installed or not.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from unifmm.kernels import HAVE_NUMBA, _potential_numpy, kernel_backend, laplace_potential
 

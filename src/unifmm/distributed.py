@@ -285,6 +285,13 @@ def setup(comm, points, charges, config):
                 snap_level=config.global_depth,
             )
             runs = runs_from_splitters(config.global_depth, splitters)
+        # ``runs`` is the same on every rank, so all ranks raise together.
+        idle = np.flatnonzero(np.diff(runs) == 0)
+        if len(idle):
+            raise ValueError(
+                f"rank(s) {', '.join(map(str, idle))} left without local roots "
+                f"by the {config.balance_mode} splitters"
+            )
         pts, chg, orig_idx = redistribute(
             comm, keys, points, charges, splitters,
             orig_index=(np.uint64(comm.rank) << np.uint64(48))
@@ -427,7 +434,7 @@ def setup(comm, points, charges, config):
 class _GlobalPlan:
     """V-interaction pairs of the top tree levels (2 .. global_depth)."""
 
-    grouped: dict  # level -> (tgt, src, cuts)
+    grouped: dict  # level -> (tgt, src, flip, cuts)
     level_sizes: dict
 
 

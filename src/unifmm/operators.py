@@ -10,7 +10,7 @@ resulting check-surface systems with a truncated SVD.
 The 1/r kernel is homogeneous, so the source-to-up solve is the only
 level-dependent factor (it scales linearly with the box side); the
 up-to-up, transfer (M2L), and down-to-down matrices are shared by every
-level, which is what lets the 316 transfer matrices be precomputed once.
+level.
 
 The build makes exactly two SVDs, one per check-surface system. A
 child's downward check system is the parent's halved in size and moved,
@@ -21,10 +21,26 @@ it maps onto itself under the 48 axis permutations and sign flips of the
 cube. Such a map ``g`` permutes the lattice points, so
 ``m2l[g t] = m2l[t][rho][:, rho]`` with ``rho`` its index permutation
 (the solve commutes with it because the check system is invariant).
-The 316 transfer vectors fall into 16 classes under these maps; only a
-canonical vector of each class (its sorted absolute components) gets a
-kernel matrix and a product with the solve, and the other 300 matrices
-are index gathers of those 16.
+
+Only the 56 transfer vectors with no negative component (one orthant)
+are stored. They fall into 16 classes under the axis permutations; a
+canonical vector of each class (its sorted components) gets a kernel
+matrix and a product with the solve, and the other 40 are index gathers
+of those 16. Every other transfer vector ``t`` is a sign flip of its
+orthant vector ``|t|``, and flips are involutions, so its matrix is
+``m2l[|t|][p][:, p]`` with ``p = flip_perm[f]``, ``f`` the bit mask of
+the negative axes of ``t``. :func:`apply_m2l` never forms it: it writes
+the 8 flipped frames ``u[:, flip_perm[f]]`` of the source rows once,
+runs one product per stored matrix over all pairs of its (up to 8)
+flipped vectors into per-flip accumulators, and folds accumulator ``f``
+back into ``d`` through ``flip_perm[f]``. The 8 child octants are the
+sign flips of child octant 0 in the same way, so U2U and D2D store one
+matrix each and run one product per level over all children in their
+flip frames. A flipped U2U matrix carries a permuted copy of the
+truncated up solve, equal to the solve S2U uses only to about 4e-7 at
+order 8; this raised the order-8 error against direct summation by
+about 8% (to 1.1e-8, within ``FROZEN_EPS[8]``) and left orders 2 to 6
+unchanged to three digits.
 """
 
 from __future__ import annotations
@@ -37,6 +53,15 @@ import numpy as np
 from . import morton
 from .kernels import laplace_potential
 from .tree import TRANSFER_VECTORS
+
+# The 56 transfer vectors with no negative component, sorted; per transfer
+# vector the row of its absolute value here and the bit mask of its
+# negative axes (bit a for axis a).
+ORTHANT_VECTORS, TRANSFER_ORTHANT = np.unique(
+    np.abs(TRANSFER_VECTORS), axis=0, return_inverse=True
+)
+TRANSFER_ORTHANT = TRANSFER_ORTHANT.reshape(-1)
+TRANSFER_FLIP = (TRANSFER_VECTORS < 0) @ np.array([1, 2, 4])
 
 # Surface scale factors relative to the box side: equivalent surface just
 # outside the box, check surface just inside the colleague halo (3x box).
@@ -130,19 +155,19 @@ def _tsvd_pinv(mat, cutoff):
     return (vt.T * inv_s) @ u.T
 
 
-_OCTANT_CENTERS = np.array(
-    [[(o >> 0) & 1, (o >> 1) & 1, (o >> 2) & 1] for o in range(8)], dtype=np.float64
-) * 0.5 - 0.25
-
-
 @dataclass
 class OperatorSet:
     """Precomputed level-shared operator matrices for one expansion order.
 
     ``uc2e_inv``/``dc2e_inv`` are the unit-box check-to-equivalent solve
     operators; at a box of side ``s`` they scale by ``s``. ``u2u`` and
-    ``d2d`` are indexed by child octant, ``m2l`` by the compact transfer
-    vector index of :data:`unifmm.tree.TRANSFER_VECTORS`.
+    ``d2d`` are the matrices of child octant 0, ``m2l`` is indexed by the
+    row of :data:`ORTHANT_VECTORS`. ``flip_perm[f]`` is the surface-lattice
+    permutation of the sign flip of the axes in the bits of ``f``; the
+    transfer matrix of a vector ``t`` is ``m2l[|t|][p][:, p]`` with
+    ``p = flip_perm[TRANSFER_FLIP[t]]``, and child octant ``o`` (bit a
+    set: upper half along axis a) is the flip ``o`` of octant 0, so its
+    U2U matrix is ``u2u[p][:, p]`` with ``p = flip_perm[o]`` (D2D alike).
     """
 
     order: int
@@ -152,9 +177,10 @@ class OperatorSet:
     svd_cutoff: float
     uc2e_inv: np.ndarray
     dc2e_inv: np.ndarray
-    u2u: np.ndarray        # (8, n_e, n_e)
-    d2d: np.ndarray        # (8, n_e, n_e)
-    m2l: np.ndarray        # (316, n_e, n_e)
+    u2u: np.ndarray        # (n_e, n_e), child octant 0
+    d2d: np.ndarray        # (n_e, n_e), child octant 0
+    m2l: np.ndarray        # (56, n_e, n_e), one per orthant vector
+    flip_perm: np.ndarray  # (8, n_e) lattice permutation per axis sign flip
     up_equiv_grid: np.ndarray = field(repr=False)   # unit templates
     up_check_grid: np.ndarray = field(repr=False)
     down_equiv_grid: np.ndarray = field(repr=False)
@@ -165,30 +191,30 @@ class OperatorSet:
         return expansion_length(self.order)
 
 
-def _transfer_symmetries(order):
-    """Reduce :data:`TRANSFER_VECTORS` by the symmetries of the cube.
+def _lattice_maps(order):
+    """Surface-lattice permutations of the maps M2L is stored under.
 
-    Returns ``(classes, cls, rho)``: the 16 canonical vectors (sorted
-    absolute components), the class of every transfer vector, and per
-    vector the surface-lattice permutation ``rho`` of a map ``g`` with
-    ``g classes[cls[i]] == TRANSFER_VECTORS[i]``; ``rho[i][k]`` is the
-    index of the point ``g^-1`` sends lattice point ``k`` to.
+    Returns ``(classes, cls, rho, flip_perm)``: the 16 canonical vectors
+    (sorted components), the class of every row of
+    :data:`ORTHANT_VECTORS`, per row the permutation ``rho`` of the axis
+    permutation ``g`` with ``g classes[cls[i]] == ORTHANT_VECTORS[i]``
+    (``rho[i][k]`` is the index of the point ``g^-1`` sends lattice point
+    ``k`` to), and per flip mask ``f`` the permutation of that sign flip.
     """
-    tv = TRANSFER_VECTORS
-    sort_axes = np.argsort(np.abs(tv), axis=1, kind="stable")
-    classes, cls = np.unique(
-        np.take_along_axis(np.abs(tv), sort_axes, axis=1), axis=0, return_inverse=True
-    )
-    # g: t[a] = sign(t[a]) * t0[perm[a]], perm the inverse of sort_axes, so
-    # g^-1 reads axis sort_axes[b] of a point and flips it where t is negative.
-    flip = np.take_along_axis(tv < 0, sort_axes, axis=1)
     lattice = _surface_lattice(order)
     lookup = np.empty((order,) * 3, dtype=np.int64)
     lookup[tuple(lattice.T)] = np.arange(len(lattice))
-    moved = lattice[:, sort_axes]                      # (n, 316, 3)
-    moved = np.where(flip, order - 1 - moved, moved)
-    rho = lookup[moved[..., 0], moved[..., 1], moved[..., 2]].T
-    return classes, cls.reshape(-1), rho
+    # g: t[a] = t0[perm[a]], perm the inverse of sort_axes, so g^-1 reads
+    # axis sort_axes[b] of a point.
+    sort_axes = np.argsort(ORTHANT_VECTORS, axis=1, kind="stable")
+    classes, cls = np.unique(
+        np.take_along_axis(ORTHANT_VECTORS, sort_axes, axis=1), axis=0, return_inverse=True
+    )
+    rho = lookup[tuple(lattice[:, sort_axes].T)]             # (56, n)
+    flips = (np.arange(8)[:, None] >> np.arange(3)) & 1       # (8, 3)
+    flipped = np.where(flips[:, None, :] == 1, order - 1 - lattice, lattice)
+    flip_perm = lookup[tuple(flipped.transpose(2, 0, 1))]     # (8, n)
+    return classes, cls.reshape(-1), rho, flip_perm
 
 
 def precompute_operators(order, dtype=np.float64, equiv_scale=UPWARD_EQUIV_SCALE,
@@ -211,18 +237,14 @@ def precompute_operators(order, dtype=np.float64, equiv_scale=UPWARD_EQUIV_SCALE
     dc2e_inv = _tsvd_pinv(_kernel_matrix(down_check, down_equiv), svd_cutoff)
     child_inv = 0.5 * dc2e_inv
 
-    n = expansion_length(order)
-    u2u = np.empty((8, n, n))
-    d2d = np.empty((8, n, n))
-    for o in range(8):
-        child_equiv = _OCTANT_CENTERS[o] + up_equiv * 0.5
-        u2u[o] = uc2e_inv @ _kernel_matrix(up_check, child_equiv)
-        child_check = _OCTANT_CENTERS[o] + down_check * 0.5
-        d2d[o] = child_inv @ _kernel_matrix(child_check, down_equiv)
+    # Child octant 0 is centered at -1/4 of the parent side on every axis.
+    u2u = uc2e_inv @ _kernel_matrix(up_check, up_equiv * 0.5 - 0.25)
+    d2d = child_inv @ _kernel_matrix(down_check * 0.5 - 0.25, down_equiv)
 
-    classes, cls, rho = _transfer_symmetries(order)
+    classes, cls, rho, flip_perm = _lattice_maps(order)
     class_m2l = [dc2e_inv @ _kernel_matrix(down_check, t0 + up_equiv) for t0 in classes]
-    m2l = np.empty((len(TRANSFER_VECTORS), n, n), dtype=dtype)
+    n = expansion_length(order)
+    m2l = np.empty((len(ORTHANT_VECTORS), n, n), dtype=dtype)
     for i, (c, r) in enumerate(zip(cls, rho)):
         m2l[i] = class_m2l[c][np.ix_(r, r)]
 
@@ -237,6 +259,7 @@ def precompute_operators(order, dtype=np.float64, equiv_scale=UPWARD_EQUIV_SCALE
         u2u=u2u.astype(dtype, copy=False),
         d2d=d2d.astype(dtype, copy=False),
         m2l=m2l,
+        flip_perm=flip_perm,
         up_equiv_grid=up_equiv,
         up_check_grid=up_check,
         down_equiv_grid=down_equiv,
@@ -301,19 +324,29 @@ def leaf_s2u_all(tree, ops, charges, out):
     return out
 
 
+_OCTANTS = np.arange(8)[:, None]
+
+
 def u2u_level(ops, u_child, u_parent):
-    """Accumulate child expansions into parents (children are 8*i .. 8*i+7)."""
-    resh = u_child.reshape(u_parent.shape[0], 8, -1)
-    for o in range(8):
-        u_parent += resh[:, o, :] @ ops.u2u[o].T
+    """Accumulate child expansions into parents (children are 8*i .. 8*i+7).
+
+    Child octant ``o`` is the flip ``o`` of octant 0: each child is read
+    in its flip frame, translated by the one stored matrix, and read back.
+    """
+    n_p, n_e = u_parent.shape
+    framed = u_child.reshape(n_p, 8, n_e)[:, _OCTANTS, ops.flip_perm]
+    moved = (framed.reshape(-1, n_e) @ ops.u2u.T).reshape(n_p, 8, n_e)
+    u_parent += moved[:, _OCTANTS, ops.flip_perm].sum(axis=1)
     return u_parent
 
 
 def d2d_level(ops, d_parent, d_child):
-    """Push parent local expansions down onto their 8 children."""
-    resh = d_child.reshape(d_parent.shape[0], 8, -1)
-    for o in range(8):
-        resh[:, o, :] += d_parent @ ops.d2d[o].T
+    """Push parent local expansions down onto their 8 children, in the
+    children's flip frames as in :func:`u2u_level`."""
+    n_p, n_e = d_parent.shape
+    framed = np.take(d_parent, ops.flip_perm, axis=1)
+    moved = (framed.reshape(-1, n_e) @ ops.d2d.T).reshape(n_p, 8, n_e)
+    d_child.reshape(n_p, 8, n_e)[:] += moved[:, _OCTANTS, ops.flip_perm]
     return d_child
 
 
@@ -326,24 +359,38 @@ def upward_pass(tree, ops, store, charges):
 
 
 def group_pairs_by_transfer(tgt_idx, src_rows, tv_idx):
-    """Sort interaction pairs by transfer index for batched application."""
-    order = np.lexsort((tgt_idx, tv_idx))
-    tgt, src, tv = tgt_idx[order], src_rows[order], tv_idx[order]
-    cuts = np.searchsorted(tv, np.arange(len(TRANSFER_VECTORS) + 1))
-    return tgt, src, cuts
+    """Sort interaction pairs by (orthant matrix, flip, target) for
+    :func:`apply_m2l`; returns ``(tgt, src, flip, cuts)``, where pairs
+    ``cuts[m]:cuts[m + 1]`` use stored matrix ``m``."""
+    mat, flip = TRANSFER_ORTHANT[tv_idx], TRANSFER_FLIP[tv_idx]
+    # A target meets a vector at most once, so the keys are distinct.
+    n_t = int(tgt_idx.max()) + 1 if len(tgt_idx) else 0
+    order = np.argsort((mat * 8 + flip) * n_t + tgt_idx)
+    cuts = np.searchsorted(mat[order], np.arange(len(ORTHANT_VECTORS) + 1))
+    return tgt_idx[order], src_rows[order], flip[order], cuts
 
 
 def apply_m2l(ops, grouped, u_rows, d):
-    """d[tgt] += m2l[tv] @ u_rows[src] for all grouped pairs.
+    """d[tgt] += m2l_t @ u_rows[src] for all grouped pairs, ``m2l_t`` the
+    transfer matrix of the pair's vector.
 
-    Pairs were grouped per transfer vector; within one group each target
-    appears at most once, so fancy-index accumulation is safe.
+    Runs in the 8 sign-flip frames: source row ``src`` in frame ``f`` is
+    ``u_rows[src][flip_perm[f]]`` and accumulates into row ``f * n + tgt``.
+    A stored matrix and a flip fix the vector, and each target appears at
+    most once per vector, so the rows one product adds to are distinct.
     """
-    tgt, src, cuts = grouped
-    for t in range(len(TRANSFER_VECTORS)):
-        a, b = cuts[t], cuts[t + 1]
-        if b > a:
-            d[tgt[a:b]] += u_rows[src[a:b]] @ ops.m2l[t].T
+    tgt, src, flip, cuts = grouped
+    n_t, n_e = d.shape
+    frames = np.take(u_rows, ops.flip_perm, axis=1).reshape(-1, n_e)
+    rows_in = 8 * src + flip
+    rows_out = flip * n_t + tgt
+    acc = np.zeros((8 * n_t, n_e), dtype=d.dtype)
+    for m in np.flatnonzero(cuts[1:] > cuts[:-1]):
+        a, b = cuts[m], cuts[m + 1]
+        acc[rows_out[a:b]] += frames[rows_in[a:b]] @ ops.m2l[m].T
+    acc = acc.reshape(8, n_t, n_e)
+    for f in range(8):
+        d += acc[f][:, ops.flip_perm[f]]
     return d
 
 
@@ -352,7 +399,7 @@ class VListPlan:
     """Static V-list application plan: per level, transfer-grouped pairs
     whose source rows index the local u matrix extended by ghost rows."""
 
-    grouped: dict            # level -> (tgt, src, cuts)
+    grouped: dict            # level -> (tgt, src, flip, cuts)
     n_ghost_rows: dict       # level -> rows appended below the local u
 
 

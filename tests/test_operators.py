@@ -9,14 +9,18 @@ from unifmm.distributed import FmmConfig, evaluate, update_charges
 from unifmm.kernels import direct_sum, laplace_potential
 from unifmm.morton import BoundingCube, make_key
 from unifmm.operators import (
+    ORTHANT_VECTORS,
     SVD_CUTOFF,
     UPWARD_CHECK_SCALE,
     UPWARD_EQUIV_SCALE,
     _kernel_matrix,
     _tsvd_pinv,
+    apply_m2l,
     box_side,
+    d2d_level,
     expansion_length,
     get_operator_set,
+    group_pairs_by_transfer,
     leaf_s2u_all,
     precompute_operators,
     store_for_tree,
@@ -48,6 +52,32 @@ def build_m2l_at_level(order, cube, level, equiv_scale=UPWARD_EQUIV_SCALE,
     for i, t in enumerate(TRANSFER_VECTORS):
         m2l[i] = dc2e_inv @ _kernel_matrix(down_check, t * side + up_equiv)
     return m2l
+
+
+def flipped(mat, ops, flip):
+    """``mat`` in the frame of the sign flip of the axes in ``flip``'s bits."""
+    p = ops.flip_perm[flip]
+    return mat[np.ix_(p, p)]
+
+
+def dense_m2l(ops):
+    """All 316 transfer matrices, each the stored matrix of its absolute
+    vector under the sign flip of its negative axes."""
+    out = []
+    for t in TRANSFER_VECTORS:
+        m = np.flatnonzero((ORTHANT_VECTORS == np.abs(t)).all(axis=1))[0]
+        out.append(flipped(ops.m2l[m], ops, int(((t < 0) * [1, 2, 4]).sum())))
+    return np.stack(out)
+
+
+def dense_u2u(ops):
+    """U2U per child octant: octant o is the flip o of octant 0."""
+    return np.stack([flipped(ops.u2u, ops, o) for o in range(8)])
+
+
+def dense_d2d(ops):
+    """D2D per child octant, as :func:`dense_u2u`."""
+    return np.stack([flipped(ops.d2d, ops, o) for o in range(8)])
 
 
 def evaluate_u_field(ops, cube, key, u, points):
@@ -111,14 +141,18 @@ def test_surface_grid_rejects_order_1():
 
 def test_m2l_count_is_316():
     ops = get_operator_set(3)
-    assert ops.m2l.shape[0] == 316 == len(TRANSFER_VECTORS)
+    assert ops.m2l.shape[0] == 56 == len(ORTHANT_VECTORS)
+    assert np.all(ORTHANT_VECTORS >= 0)
+    assert dense_m2l(ops).shape[0] == 316 == len(TRANSFER_VECTORS)
 
 
 def test_operator_set_shapes():
     ops = get_operator_set(3)
     n = expansion_length(3)
-    assert ops.u2u.shape == (8, n, n)
-    assert ops.d2d.shape == (8, n, n)
+    assert ops.u2u.shape == (n, n)
+    assert ops.d2d.shape == (n, n)
+    assert dense_u2u(ops).shape == dense_d2d(ops).shape == (8, n, n)
+    assert ops.flip_perm.shape == (8, n)
     assert ops.uc2e_inv.shape == (n, n)
 
 
@@ -129,13 +163,14 @@ def test_m2l_matches_per_level_builds():
     cube = BoundingCube((0.0, 0.0, 0.0), 2.0)
     for level in (2, 3):
         per_level = build_m2l_at_level(3, cube, level)
-        assert np.max(np.abs(per_level - ops.m2l)) <= 1e-12
+        assert np.max(np.abs(per_level - dense_m2l(ops))) <= 1e-12
 
 
 @pytest.mark.parametrize("order", [4, 6])
 def test_u2u_reproduces_far_field_of_children(order):
     rng = np.random.default_rng(42)
     ops = get_operator_set(order)
+    u2u = dense_u2u(ops)
     # Parent box: level-1 octant (0,0,0) of a side-2 cube.
     cube = BoundingCube((0.0, 0.0, 0.0), 2.0)
     parent = make_key(0, 0, 0, 1)
@@ -149,7 +184,7 @@ def test_u2u_reproduces_far_field_of_children(order):
         check_pts = anchor + side / 2 + ops.up_check_grid * side
         q = laplace_potential(check_pts, pts, chg)
         u_child = side * (ops.uc2e_inv @ q)
-        u_parent += ops.u2u[o] @ u_child
+        u_parent += u2u[o] @ u_child
         all_pts.append(pts)
         all_chg.append(chg)
     far = np.array([[3.3, 0.4, 0.6], [0.2, 3.1, 0.8], [2.9, 3.0, 3.2]]) + rng.random((3, 3))
@@ -240,12 +275,26 @@ def test_u2u_accumulation_order_insensitive():
     u_child = rng.random((8, n))
     u_parent = np.zeros((1, n))
     u2u_level(ops, u_child, u_parent)
+    u2u = dense_u2u(ops)
     for perm_seed in range(3):
         perm = np.random.default_rng(perm_seed).permutation(8)
         alt = np.zeros(n)
         for o in perm:
-            alt += ops.u2u[o] @ u_child[o]
+            alt += u2u[o] @ u_child[o]
         assert rel_l2(alt, u_parent[0]) <= 1e-12
+
+
+def test_d2d_level_matches_per_octant_products():
+    rng = np.random.default_rng(10)
+    ops = get_operator_set(4)
+    d_parent = rng.standard_normal((3, ops.n_coeff))
+    d_child = rng.standard_normal((24, ops.n_coeff))
+    d2d = dense_d2d(ops)
+    want = d_child.copy()
+    for i in range(3):
+        for o in range(8):
+            want[8 * i + o] += d2d[o] @ d_parent[i]
+    np.testing.assert_allclose(d2d_level(ops, d_parent, d_child), want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("order", [3, 4, 6, 8])
@@ -254,6 +303,7 @@ def test_m2l_two_separated_boxes(order):
     # local expansion must reproduce the direct field inside the target box.
     rng = np.random.default_rng(17)
     ops = get_operator_set(order)
+    m2l = dense_m2l(ops)
     level = 3
     side = UNIT.side / (1 << level)
     tgt_key = make_key(3, 3, 3, level)
@@ -268,7 +318,7 @@ def test_m2l_two_separated_boxes(order):
             morton.box_center(src_key, UNIT) + ops.up_check_grid * side, src_pts, chg
         )
         u_src = side * (ops.uc2e_inv @ q)
-        d_tgt = ops.m2l[tv_idx] @ u_src
+        d_tgt = m2l[tv_idx] @ u_src
 
         inside = tgt_anchor + rng.random((10, 3)) * side
         got = evaluate_d_field(ops, UNIT, int(tgt_key), d_tgt, inside)
@@ -290,8 +340,9 @@ def test_d2d_reproduces_parent_field_in_every_child(order):
     chg = rng.random(30)
     check = morton.box_center(parent, cube) + ops.down_check_grid * side
     d_parent = side * (ops.dc2e_inv @ laplace_potential(check, src_pts, chg))
+    d2d = dense_d2d(ops)
     for o, child in enumerate(morton.children(parent)):
-        d_child = ops.d2d[o] @ d_parent
+        d_child = d2d[o] @ d_parent
         anchor, child_side = morton.decode(int(child), cube)
         inside = anchor + rng.random((10, 3)) * child_side
         got = evaluate_d_field(ops, cube, int(child), d_child, inside)
@@ -301,9 +352,10 @@ def test_d2d_reproduces_parent_field_in_every_child(order):
 
 def test_build_solves_twice_and_forms_16_m2l_products(monkeypatch):
     # Two SVDs (up and down check systems) and one kernel matrix per
-    # transfer-vector class (16); D2D reuses the down solve and the other
-    # 300 transfer matrices are index gathers.
-    svds, m2l_centers = [], []
+    # transfer-vector class (16); D2D reuses the down solve, the other 40
+    # stored transfer matrices are index gathers, and U2U and D2D are built
+    # for child octant 0 only: 2 + 2 + 16 kernel matrices.
+    svds, m2l_centers, kernels = [], [], []
     kernel_matrix = operators._kernel_matrix
 
     def counting_svd(mat, cutoff):
@@ -311,6 +363,7 @@ def test_build_solves_twice_and_forms_16_m2l_products(monkeypatch):
         return _tsvd_pinv(mat, cutoff)
 
     def recording_kernel(targets, sources):
+        kernels.append(targets.shape)
         center = sources.mean(axis=0)
         if np.abs(center).max() >= 1.5:     # translated by a transfer vector
             m2l_centers.append(tuple(np.rint(center).astype(int)))
@@ -321,6 +374,41 @@ def test_build_solves_twice_and_forms_16_m2l_products(monkeypatch):
     precompute_operators(4)
     assert len(svds) == 2
     assert len(m2l_centers) == len(set(m2l_centers)) == 16
+    assert len(kernels) == 20
+
+
+@pytest.mark.parametrize(
+    "dtype, rtol", [(np.float64, 1e-13), (np.float32, 2e-6)], ids=["f64", "f32"]
+)
+def test_apply_m2l_matches_dense_per_vector_sum(dtype, rtol):
+    # Every transfer vector, targets repeated across vectors and across the
+    # flips of one stored matrix, sources in the local rows and in the ghost
+    # rows appended below them, and d accumulated onto nonzero values.
+    rng = np.random.default_rng(29)
+    ops = precompute_operators(3, dtype=dtype)
+    n_t, n_local, n_ghost = 9, 7, 5
+    tgt, src, tv = [], [], []
+    for t in range(len(TRANSFER_VECTORS)):
+        targets = np.union1d([0], rng.choice(n_t, size=rng.integers(1, n_t), replace=False))
+        tgt.append(targets)
+        src.append(rng.integers(0, n_local + n_ghost, len(targets)))
+        tv.append(np.full(len(targets), t))
+    tgt, src, tv = (np.concatenate(a) for a in (tgt, src, tv))
+    assert (src >= n_local).any() and (src < n_local).any()
+    u_local = rng.standard_normal((n_local, ops.n_coeff)).astype(dtype)
+    ghost = rng.standard_normal((n_ghost, ops.n_coeff)).astype(dtype)
+    d0 = rng.standard_normal((n_t, ops.n_coeff)).astype(dtype)
+    grouped = group_pairs_by_transfer(tgt, src, tv)
+    assert len(grouped[0]) == len(tgt)
+    got = apply_m2l(ops, grouped, np.concatenate([u_local, ghost]), d0.copy())
+
+    m2l = dense_m2l(ops).astype(np.float64)
+    u_rows = np.concatenate([u_local, ghost]).astype(np.float64)
+    want = d0.astype(np.float64)
+    for t, s, v in zip(tgt, src, tv):
+        want[t] += m2l[v] @ u_rows[s]
+    assert got.dtype == dtype
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
 
 
 def test_full_pipeline_matches_direct_sum():
