@@ -114,6 +114,15 @@ class _VGhosts:
     def count(self):
         return sum(len(k) for k in self.keys.values())
 
+    def rows_of(self, keys):
+        """Row of each of ``keys`` in its level's buffer."""
+        levels = morton.key_level(keys)
+        rows = np.empty(len(keys), dtype=np.int64)
+        for level, lvl_keys in self.keys.items():
+            at = levels == level
+            rows[at] = np.searchsorted(lvl_keys, keys[at])
+        return rows
+
     def reset(self):
         for buf in self.buffers.values():
             buf[:] = 0
@@ -139,6 +148,7 @@ class DistributedFmm:
     near_ghosts: NearFieldGhosts
     u_serve: list                 # per neighbor: leaf keys served with data
     u_confirmed: list             # per neighbor: ghost leaf keys received
+    u_counts: list                # per neighbor: point count of each of those leaves
     v_ghosts: _VGhosts
     v_plan: VListPlan
     global_plan: object           # nominated rank only, else None
@@ -217,10 +227,47 @@ def _global_cube(comm, points, margin):
     return morton.BoundingCube(origin=tuple(lo), side=side)
 
 
-def _split_by_level(keys):
-    levels = (np.asarray(keys, dtype=np.uint64) & np.uint64(morton.LEVEL_MASK)).astype(np.int64)
-    return {int(lvl): np.asarray(keys, dtype=np.uint64)[levels == lvl]
-            for lvl in np.unique(levels)}
+def _concat_keys(arrays):
+    """Concatenation of the uint64 key ``arrays`` (possibly none) and their lengths."""
+    lengths = np.array([len(a) for a in arrays], dtype=np.int64)
+    return np.concatenate([np.empty(0, np.uint64), *arrays]), lengths
+
+
+def _cut(array, lengths):
+    """``array`` cut into consecutive pieces of the given lengths."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    return [array[a:b] for a, b in zip((ends - lengths).tolist(), ends.tolist())]
+
+
+def _served_rows(tree, keys_per_nbr):
+    """Point rows of the leaves served to all neighbors, leaf after leaf,
+    with the number of rows per neighbor and per-neighbor leaf point counts."""
+    keys, lengths = _concat_keys(keys_per_nbr)
+    starts, ends = tree.leaf_ranges[tree.index_of(tree.leaf_level, keys)].T
+    counts = ends - starts
+    rows = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    counts_per_nbr = _cut(counts, lengths)
+    n_rows = np.array([c.sum() for c in counts_per_nbr], dtype=np.int64)
+    return rows, n_rows, counts_per_nbr
+
+
+def _plans_by_level(keys_per_nbr, rows_of):
+    """Per neighbor, ``[(level, rows)]`` over the levels present in its
+    keys, ascending; ``rows_of`` maps keys to rows, key order is kept."""
+    keys, lengths = _concat_keys(keys_per_nbr)
+    plans = [[] for _ in keys_per_nbr]
+    if len(keys) == 0:
+        return plans
+    nbr = np.repeat(np.arange(len(keys_per_nbr)), lengths)
+    levels = morton.key_level(keys)
+    order = np.lexsort((levels, nbr))
+    nbr, levels, rows = nbr[order], levels[order], rows_of(keys)[order]
+    firsts = np.flatnonzero((np.diff(nbr, prepend=-1) != 0) | (np.diff(levels, prepend=-1) != 0))
+    lengths = np.diff(firsts, append=len(rows))
+    for j, level, seg in zip(nbr[firsts], levels[firsts].tolist(), _cut(rows, lengths)):
+        plans[j].append((level, seg))
+    return plans
 
 
 def _query_packets(layout, rank, keys):
@@ -243,16 +290,9 @@ def _exchange_queries(comm, graph, packets, tree):
     """
     send = [packets.get(int(j), np.empty(0, np.uint64)) for j in graph]
     incoming = comm.neighbor_alltoallv(graph, send)
-    replies = []
-    for q in incoming:
-        if len(q) == 0:
-            replies.append(np.empty(0, np.uint64))
-            continue
-        exist = np.zeros(len(q), dtype=bool)
-        for level, lvl_keys in _split_by_level(q).items():
-            nonempty = tree.level_nonempty[level][tree.index_of(level, lvl_keys)]
-            exist[np.isin(q, lvl_keys[nonempty])] = True
-        replies.append(q[exist])
+    queries, lengths = _concat_keys(incoming)
+    _, exist = tree.lookup(queries)
+    replies = [q[e] for q, e in zip(incoming, _cut(exist, lengths))]
     confirmed = comm.neighbor_alltoallv(graph, replies)
     return [np.asarray(c, dtype=np.uint64) for c in confirmed], replies
 
@@ -323,35 +363,19 @@ def setup(comm, points, charges, config):
         assert all(j in set(graph.tolist()) for j in u_packets), "query outside halo"
         u_confirmed, u_serve = _exchange_queries(comm, graph, u_packets, tree)
         near = NearFieldGhosts()
-        for j, queried in enumerate(graph):
-            asked = u_packets.get(int(queried), np.empty(0, np.uint64))
-            near.confirmed_absent |= set(
-                int(k) for k in np.setdiff1d(asked, u_confirmed[j])
-            )
+        asked, _ = _concat_keys(list(u_packets.values()))
+        confirmed, _ = _concat_keys(u_confirmed)
+        near.confirmed_absent = set(np.setdiff1d(asked, confirmed).tolist())
         # Ship points and charges for every leaf we serve, sorted by key.
-        counts_out = []
-        rows_out = []
-        for served in u_serve:
-            idx = tree.index_of(leaf_level, served) if len(served) else np.empty(0, np.int64)
-            counts_out.append(
-                (tree.leaf_ranges[idx, 1] - tree.leaf_ranges[idx, 0]).astype(np.int64)
-            )
-            chunks = [
-                np.concatenate(
-                    [tree.points[a:b], chg[a:b, None]], axis=1
-                ).ravel()
-                for a, b in tree.leaf_ranges[idx]
-            ]
-            rows_out.append(np.concatenate(chunks) if chunks else np.empty(0, np.float64))
+        rows, n_rows, counts_out = _served_rows(tree, u_serve)
+        table = np.concatenate([tree.points, chg[:, None]], axis=1)
         counts_in = comm.neighbor_alltoallv(graph, counts_out)
-        rows_in = comm.neighbor_alltoallv(graph, rows_out)
-        for j in range(len(graph)):
-            rows = rows_in[j].reshape(-1, 4)
-            pos = 0
-            for key, cnt in zip(u_confirmed[j], counts_in[j]):
-                near.points[int(key)] = rows[pos : pos + cnt, :3].copy()
-                near.charges[int(key)] = rows[pos : pos + cnt, 3].copy()
-                pos += int(cnt)
+        rows_in = comm.neighbor_alltoallv(graph, _cut(table[rows].ravel(), 4 * n_rows))
+        for keys, counts, buf in zip(u_confirmed, counts_in, rows_in):
+            got = buf.reshape(-1, 4)
+            keys = keys.tolist()
+            near.points.update(zip(keys, _cut(np.ascontiguousarray(got[:, :3]), counts)))
+            near.charges.update(zip(keys, _cut(got[:, 3].copy(), counts)))
 
     with _phase(timings, "v_list"):
         remote_keys = [mkeys[~tree.contains(level, mkeys)]
@@ -361,25 +385,15 @@ def setup(comm, points, charges, config):
         v_confirmed, v_serve = _exchange_queries(comm, graph, v_packets, tree)
 
         ghosts = _VGhosts()
-        confirmed_all = (
-            np.unique(np.concatenate(v_confirmed))
-            if any(len(c) for c in v_confirmed)
-            else np.empty(0, np.uint64)
-        )
-        for level, lvl_keys in _split_by_level(confirmed_all).items():
-            ghosts.keys[level] = lvl_keys
+        confirmed_all = np.unique(_concat_keys(v_confirmed)[0])
+        confirmed_levels = morton.key_level(confirmed_all)
+        for level in np.unique(confirmed_levels).tolist():
+            ghosts.keys[level] = confirmed_all[confirmed_levels == level]
             ghosts.buffers[level] = np.zeros(
-                (len(lvl_keys), expansion_length(config.order)), dtype=config.dtype
+                (len(ghosts.keys[level]), expansion_length(config.order)), dtype=config.dtype
             )
-        for j in range(len(graph)):
-            ghosts.send_plan.append([
-                (level, tree.index_of(level, lvl_keys))
-                for level, lvl_keys in _split_by_level(v_serve[j]).items()
-            ])
-            ghosts.recv_plan.append([
-                (level, np.searchsorted(ghosts.keys[level], lvl_keys))
-                for level, lvl_keys in _split_by_level(v_confirmed[j]).items()
-            ])
+        ghosts.send_plan = _plans_by_level(v_serve, lambda keys: tree.lookup(keys)[0])
+        ghosts.recv_plan = _plans_by_level(v_confirmed, ghosts.rows_of)
 
         # V application plan: local members by tree index, remote existing
         # members by ghost row appended after the local rows, absent ones
@@ -423,6 +437,7 @@ def setup(comm, points, charges, config):
         near_ghosts=near,
         u_serve=u_serve,
         u_confirmed=u_confirmed,
+        u_counts=counts_in,
         v_ghosts=ghosts,
         v_plan=v_plan,
         global_plan=global_plan,
@@ -566,20 +581,11 @@ def update_charges(state, new_charges):
         raise ValueError("charge length mismatch for update")
     _require_finite(new_charges, "charge")
     state.charges = new_charges
-    tree = state.tree
-    send = []
-    for served in state.u_serve:
-        idx = tree.index_of(tree.leaf_level, served) if len(served) else np.empty(0, np.int64)
-        chunks = [new_charges[a:b] for a, b in tree.leaf_ranges[idx]]
-        send.append(np.concatenate(chunks) if chunks else np.empty(0, np.float64))
-    recv = state.comm.neighbor_alltoallv(state.graph, send)
-    for j, buf in enumerate(recv):
+    rows, n_rows, _ = _served_rows(state.tree, state.u_serve)
+    recv = state.comm.neighbor_alltoallv(state.graph, _cut(new_charges[rows], n_rows))
+    for keys, counts, buf in zip(state.u_confirmed, state.u_counts, recv):
         # Charges arrive in the same key order the point rows did at setup.
-        pos = 0
-        for key in state.u_confirmed[j]:
-            cnt = len(state.near_ghosts.points[int(key)])
-            state.near_ghosts.charges[int(key)] = buf[pos : pos + cnt].copy()
-            pos += cnt
+        state.near_ghosts.charges.update(zip(keys.tolist(), _cut(buf, counts)))
     state.store.reset()
     state.v_ghosts.reset()
     return state

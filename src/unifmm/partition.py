@@ -97,13 +97,14 @@ def redistribute(comm, keys, points, charges, splitters, orig_index=None):
     orig_index = np.asarray(orig_index, dtype=np.uint64)
 
     dest = bucket_of(keys, splitters)
-    send_rows = []
-    send_idx = []
-    for r in range(comm.size):
-        mask = dest == r
-        rows = np.concatenate([points[mask], charges[mask, None]], axis=1).ravel()
-        send_rows.append(rows)
-        send_idx.append(orig_index[mask])
+    # A stable sort keeps each destination's points in input order.
+    order = np.argsort(dest, kind="stable")
+    ends = np.cumsum(np.bincount(dest, minlength=comm.size)).tolist()
+    starts = [0] + ends[:-1]
+    rows = np.concatenate([points[order], charges[order, None]], axis=1)
+    idx = orig_index[order]
+    send_rows = [rows[a:b].ravel() for a, b in zip(starts, ends)]
+    send_idx = [idx[a:b] for a, b in zip(starts, ends)]
     recv_rows = comm.alltoallv(send_rows)
     recv_idx = comm.alltoallv(send_idx)
 

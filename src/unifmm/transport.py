@@ -5,9 +5,13 @@ others only through the five collectives the algorithm needs. Collective
 calls rendezvous on a global slot counter: every live rank must arrive at
 slot k with the same collective kind before any of them proceeds, which
 makes mismatched schedules and stalled ranks detectable instead of
-hanging. Results are assembled in rank order from the gathered payloads,
-so received buffers (and all count/byte statistics) are a pure function
-of the inputs: two runs with the same seed and programs are bit-identical
+hanging. Each send buffer is snapshotted once, when its rank calls the
+collective, into a private read-only array, and every receiver of that
+buffer is handed the snapshot itself: a sender may reuse its buffer
+right after the call, and a receiver that needs to write copies first.
+Results are assembled in rank order from the snapshots, so received
+buffers (and all count/byte statistics) are a pure function of the
+inputs: two runs with the same seed and programs are bit-identical
 regardless of thread scheduling. Wall times are the only nondeterministic
 output and are reported separately from the deterministic statistics.
 
@@ -106,9 +110,11 @@ def _nbytes(arr):
     return 0 if arr is None else arr.nbytes
 
 
-def _recv(arr):
-    """Deliver a private copy, like a real wire transfer would."""
-    return np.array(arr, copy=True)
+def _snapshot(arr):
+    """Private read-only copy of a send buffer: what goes on the wire."""
+    snap = np.array(arr, copy=True)
+    snap.setflags(write=False)
+    return snap
 
 
 class SimWorld:
@@ -187,11 +193,12 @@ class SimWorld:
                     f"collective mismatch at slot {slot_idx}: rank {rank} called "
                     f"{kind} while others called {slot.kind}"
                 ))
-            missing = self._finished - set(slot.payloads) - {rank}
-            if missing:
-                self._fail(StalledCollectiveError(
-                    f"{kind} stalled: ranks {sorted(missing)} already finished"
-                ))
+            if self._finished:
+                missing = self._finished - set(slot.payloads) - {rank}
+                if missing:
+                    self._fail(StalledCollectiveError(
+                        f"{kind} stalled: ranks {sorted(missing)} already finished"
+                    ))
             slot.payloads[rank] = payload
             if len(slot.payloads) == self.size:
                 try:
@@ -225,6 +232,7 @@ class SimWorld:
 
     def _complete_allgatherv(self, payloads):
         arrays = [payloads[r] for r in range(self.size)]
+        total = sum(_nbytes(a) for a in arrays)
         for r in range(self.size):
             st = self.stats[r].by_kind["allgatherv"]
             st.calls += 1
@@ -233,8 +241,8 @@ class SimWorld:
             if nb:
                 st.msgs_sent += self.size - 1
                 st.bytes_sent += nb * (self.size - 1)
-            st.bytes_recv += sum(_nbytes(arrays[i]) for i in range(self.size) if i != r)
-        return {r: [_recv(a) for a in arrays] for r in range(self.size)}
+            st.bytes_recv += total - nb
+        return {r: list(arrays) for r in range(self.size)}
 
     def _complete_alltoallv(self, payloads):
         for r, send in payloads.items():
@@ -242,17 +250,22 @@ class SimWorld:
                 raise TransportError(
                     f"alltoallv: rank {r} passed {len(send)} buffers for world size {self.size}"
                 )
+        # nbytes[i, j]: what rank i sends rank j; self-sends never travel.
+        nbytes = np.array(
+            [[_nbytes(b) for b in payloads[r]] for r in range(self.size)], dtype=np.int64
+        )
+        np.fill_diagonal(nbytes, 0)
+        msgs = np.count_nonzero(nbytes, axis=1)
+        sent = nbytes.sum(axis=1)
+        recv = nbytes.sum(axis=0)
         for r in range(self.size):
             st = self.stats[r].by_kind["alltoallv"]
             st.calls += 1
-            for j in range(self.size):
-                nb = _nbytes(payloads[r][j])
-                if j != r and nb:
-                    st.msgs_sent += 1
-                    st.bytes_sent += nb
-                    self.stats[j].by_kind["alltoallv"].bytes_recv += nb
-            st.payload_bytes += sum(_nbytes(b) for j, b in enumerate(payloads[r]) if j != r)
-        return {r: [_recv(payloads[i][r]) for i in range(self.size)] for r in range(self.size)}
+            st.msgs_sent += int(msgs[r])
+            st.bytes_sent += int(sent[r])
+            st.payload_bytes += int(sent[r])
+            st.bytes_recv += int(recv[r])
+        return {r: [payloads[i][r] for i in range(self.size)] for r in range(self.size)}
 
     def _complete_gatherv(self, payloads):
         roots = {payloads[r][0] for r in payloads}
@@ -270,7 +283,7 @@ class SimWorld:
                 st.bytes_sent += nb
                 self.stats[root].by_kind["gatherv"].bytes_recv += nb
         out = {r: None for r in range(self.size)}
-        out[root] = [_recv(a) for a in arrays]
+        out[root] = arrays
         return out
 
     def _complete_scatterv(self, payloads):
@@ -293,7 +306,7 @@ class SimWorld:
                 st_root.msgs_sent += 1
                 st_root.bytes_sent += nb
                 st.bytes_recv += nb
-        return {r: _recv(segments[r]) for r in range(self.size)}
+        return {r: segments[r] for r in range(self.size)}
 
     def _complete_neighbor_alltoallv(self, payloads):
         graphs = {r: tuple(payloads[r][0]) for r in payloads}
@@ -327,7 +340,7 @@ class SimWorld:
                     st.payload_bytes += nb
                 # What j addressed to r travels the (j, r) edge only.
                 back = sends[j][graphs[j].index(r)]
-                recv.append(_recv(back))
+                recv.append(back)
                 self.stats[r].by_kind["neighbor_alltoallv"].bytes_recv += _nbytes(back)
             results[r] = recv
         return results
@@ -359,24 +372,24 @@ class RankComm:
     def allgatherv(self, array):
         """Every rank receives the rank-ordered list of all contributions."""
         return self.world._rendezvous(
-            self.rank, self._next_slot(), "allgatherv", np.asarray(array)
+            self.rank, self._next_slot(), "allgatherv", _snapshot(array)
         )
 
     def alltoallv(self, send_list):
         """Full exchange: ``send_list[j]`` goes to rank j; returns buffers
         received from every rank, in rank order."""
-        payload = [np.asarray(b) for b in send_list]
+        payload = [_snapshot(b) for b in send_list]
         return self.world._rendezvous(self.rank, self._next_slot(), "alltoallv", payload)
 
     def gatherv(self, array, root=0):
         """Root receives the rank-ordered list of contributions; others None."""
         return self.world._rendezvous(
-            self.rank, self._next_slot(), "gatherv", (root, np.asarray(array))
+            self.rank, self._next_slot(), "gatherv", (root, _snapshot(array))
         )
 
     def scatterv(self, segments=None, root=0):
         """Root distributes ``segments[j]`` to rank j; returns own segment."""
-        payload = (root, None if segments is None else [np.asarray(s) for s in segments])
+        payload = (root, None if segments is None else [_snapshot(s) for s in segments])
         return self.world._rendezvous(self.rank, self._next_slot(), "scatterv", payload)
 
     def neighbor_alltoallv(self, neighbors, send_list):
@@ -387,7 +400,7 @@ class RankComm:
         Zero bytes ever move between ranks that do not list each other.
         """
         nbrs = tuple(int(n) for n in neighbors)
-        payload = (nbrs, [np.asarray(b) for b in send_list])
+        payload = (nbrs, [_snapshot(b) for b in send_list])
         return self.world._rendezvous(
             self.rank, self._next_slot(), "neighbor_alltoallv", payload
         )

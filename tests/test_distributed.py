@@ -149,6 +149,29 @@ def test_ghost_sufficiency_and_minimality():
         assert v_held <= v_needed
 
 
+def test_v_ghost_plans_agree_across_ranks():
+    # What rank r packs for neighbor j, per level and in order, is what j
+    # unpacks from r: the keys behind r's send rows are j's ghost keys at
+    # the rows j writes.
+    pts, chg = raw_instance(8192, seed=12)
+    _, states, _ = distributed_run(pts, chg, 64, cfg(global_depth=2, local_depth=1),
+                                   evaluate_runs=0)
+    n_keys = 0
+    for r, state in enumerate(states):
+        for pos, j in enumerate(state.graph.tolist()):
+            peer = states[j]
+            back = peer.graph.tolist().index(r)
+            sent = [(lvl, state.tree.level_keys[lvl][idx])
+                    for lvl, idx in state.v_ghosts.send_plan[pos]]
+            written = [(lvl, peer.v_ghosts.keys[lvl][gpos])
+                       for lvl, gpos in peer.v_ghosts.recv_plan[back]]
+            assert [lvl for lvl, _ in sent] == [lvl for lvl, _ in written]
+            for (_, a), (_, b) in zip(sent, written):
+                assert np.array_equal(a, b)
+            n_keys += sum(len(keys) for _, keys in sent)
+    assert n_keys == sum(s.v_ghost_count() for s in states) > 0
+
+
 def test_unresolved_dependency_after_ghost_drop():
     pts, chg = raw_instance(2048, seed=10)
     chunks = np.array_split(np.arange(len(pts)), 8)

@@ -29,14 +29,36 @@ def test_p1_collectives_are_local_copies():
     x = np.arange(4.0)
     (got,) = comm.allgatherv(x)
     assert np.array_equal(got, x)
-    got is not x
+    assert got is not x
     [back] = comm.alltoallv([x])
     assert np.array_equal(back, x)
     [g] = comm.gatherv(x, root=0)
     assert np.array_equal(g, x)
     s = comm.scatterv([x], root=0)
     assert np.array_equal(s, x)
+    # Each buffer was snapshotted at its call: later writes to x stay local.
+    x[:] = -1.0
+    for received in (got, back, g, s):
+        assert np.array_equal(received, np.arange(4.0))
+        assert not received.flags.writeable
+        with pytest.raises(ValueError):
+            received[0] = 7.0
     world.check_conservation()
+
+    # Every receiver of one allgatherv sees the same, read-only contributions.
+    def program(comm):
+        mine = np.full(comm.rank + 1, float(comm.rank))
+        parts = comm.allgatherv(mine)
+        mine[:] = -1.0
+        return parts
+
+    results = run_spmd(create_world(3), program)
+    for parts in results:
+        assert len(parts) == 3
+        for rank, part in enumerate(parts):
+            assert np.array_equal(part, np.full(rank + 1, float(rank)))
+            assert np.array_equal(part, results[0][rank])
+            assert not part.flags.writeable
 
 
 def test_allgatherv_sizes_and_agreement():
@@ -171,6 +193,45 @@ def test_alltoallv_permutation_reassembles():
         for i in range(P):
             assert np.array_equal(results[r][i], data[i, r])
     world.check_conservation()
+
+
+def test_alltoallv_allgatherv_stats_match_pairwise_count():
+    P = 5
+    rng = np.random.default_rng(7)
+    sizes = rng.integers(0, 4, size=(P, P))         # float64 elements i sends j
+    sizes[0, 3] = sizes[2, :] = 0                  # some empty buffers
+    np.fill_diagonal(sizes, rng.integers(1, 4, size=P))  # nonzero self-sends
+    gather_sizes = np.array([3, 0, 1, 0, 2])       # int32 elements per rank
+
+    def program(comm):
+        r = comm.rank
+        recv = comm.alltoallv([np.full(sizes[r, j], 10.0 * r + j) for j in range(P)])
+        parts = comm.allgatherv(np.full(gather_sizes[r], r, dtype=np.int32))
+        return recv, parts
+
+    world = create_world(P)
+    results = run_spmd(world, program)
+    stats = world.deterministic_stats()
+    for r in range(P):
+        recv, parts = results[r]
+        for i in range(P):
+            assert np.array_equal(recv[i], np.full(sizes[i, r], 10.0 * i + r))
+            assert np.array_equal(parts[i], np.full(gather_sizes[i], i, dtype=np.int32))
+        # Hand count: only buffers between distinct ranks travel.
+        others = [j for j in range(P) if j != r]
+        a2a = stats[r]["alltoallv"]
+        assert a2a["calls"] == 1
+        assert a2a["msgs_sent"] == sum(1 for j in others if sizes[r, j])
+        assert a2a["bytes_sent"] == sum(8 * sizes[r, j] for j in others)
+        assert a2a["payload_bytes"] == a2a["bytes_sent"]
+        assert a2a["bytes_recv"] == sum(8 * sizes[i, r] for i in others)
+        agv = stats[r]["allgatherv"]
+        assert agv["calls"] == 1
+        assert agv["msgs_sent"] == (P - 1 if gather_sizes[r] else 0)
+        assert agv["bytes_sent"] == 4 * gather_sizes[r] * (P - 1)
+        assert agv["payload_bytes"] == 4 * gather_sizes[r]
+        assert agv["bytes_recv"] == sum(4 * gather_sizes[i] for i in others)
+    assert world.check_conservation()
 
 
 def test_alltoallv_empty_sends_allowed():
