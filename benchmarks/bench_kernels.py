@@ -1,15 +1,17 @@
-"""Benchmark the JIT-compiled pairwise kernels against the numpy fallback.
+"""Benchmark the pairwise kernel, the near-field sweep and one FMM evaluate.
 
-The same functions back the near-field sweep, the source-to-check and
+The same kernel backs the near-field sweep, the source-to-check and
 expansion-to-target evaluations, and the verification oracle, so this is
 the package's hot path. Run directly:
 
     python benchmarks/bench_kernels.py --sizes 1000,4000,16000
 
 Each size reports the direct-summation throughput (pair interactions per
-second) for whichever backend is active plus the pure-numpy reference;
-run once normally and once with FMM_DISABLE_NUMBA=1 to compare a full
-FMM evaluation across backends as well.
+second). The near-field row times ``p2p_uli`` on one rank's uniform leaf
+tree and reports its effective rate: the one-way pairs the sweep accounts
+for (every target against every source of its U list) per second, so the
+mutual sweep, which computes each pair of distinct leaves once, can read
+above the direct-summation rate.
 """
 
 import argparse
@@ -22,7 +24,9 @@ import numpy as np
 # Import the library from this checkout's ``src``, installed or not.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from unifmm.kernels import HAVE_NUMBA, _potential_numpy, kernel_backend, laplace_potential
+from unifmm import morton
+from unifmm.kernels import direct_sum, p2p_uli
+from unifmm.tree import build_interaction_lists, build_tree
 
 
 def time_call(fn, *args, repeats=3):
@@ -37,14 +41,28 @@ def time_call(fn, *args, repeats=3):
 def bench_direct(n, rng):
     pts = rng.random((n, 3))
     chg = rng.random(n)
-    rows = [("numpy", lambda: _potential_numpy(pts, pts, chg, np.zeros(n)))]
-    if HAVE_NUMBA:
-        laplace_potential(pts[:16], pts[:16], chg[:16])  # trigger JIT compile
-        rows.insert(0, ("numba", lambda: laplace_potential(pts, pts, chg)))
+    secs = time_call(direct_sum, pts, pts, chg)
     print(f"direct summation, n = {n} ({n * n:.2e} pairs)")
-    for name, fn in rows:
-        secs = time_call(fn)
-        print(f"  {name:>6}: {secs * 1e3:9.1f} ms   {n * n / secs:.2e} pairs/s")
+    print(f"  {secs * 1e3:9.1f} ms   {n * n / secs:.2e} pairs/s")
+
+
+def bench_near_field(n, rng, global_depth=1, local_depth=2):
+    """``p2p_uli`` over uniform points on one rank that owns every root."""
+    cube = morton.BoundingCube(origin=(0.0, 0.0, 0.0), side=1.0)
+    leaf_level = global_depth + local_depth
+    pts = rng.random((n, 3))
+    pts = pts[np.argsort(morton.encode_points(pts, leaf_level, cube), kind="stable")]
+    roots = morton.descendants(morton.make_key(0, 0, 0, 0), global_depth)
+    tree = build_tree(pts, cube, global_depth, local_depth, local_roots=roots)
+    lists = build_interaction_lists(tree)
+    chg = rng.random(n)
+    counts = np.diff(tree.leaf_ranges, axis=1)[:, 0]
+    members = tree.index_of(leaf_level, lists.u_member_keys)
+    sources = np.add.reduceat(counts[members], lists.u_member_ptr[:-1])
+    pairs = int((counts * sources).sum())
+    secs = time_call(p2p_uli, tree, lists, chg)
+    print(f"near-field sweep p2p_uli, n = {n}, {len(counts)} leaves ({pairs:.2e} pairs)")
+    print(f"  {secs * 1e3:9.1f} ms   {pairs / secs:.2e} pairs/s")
 
 
 def bench_fmm(n, rng):
@@ -64,19 +82,19 @@ def bench_fmm(n, rng):
         return time.perf_counter() - t0
 
     times = run_spmd(world, program)
-    print(f"fmm evaluate ({kernel_backend()} backend), n = {n}, 8 ranks, order 6: "
-          f"max rank time {max(times) * 1e3:.1f} ms")
+    print(f"fmm evaluate, n = {n}, 8 ranks, order 6: max rank time {max(times) * 1e3:.1f} ms")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="1000,4000,16000")
+    parser.add_argument("--near-field-size", type=int, default=16384)
     parser.add_argument("--skip-fmm", action="store_true")
     args = parser.parse_args()
     rng = np.random.default_rng(0)
-    print(f"active kernel backend: {kernel_backend()}")
     for n in (int(s) for s in args.sizes.split(",")):
         bench_direct(n, rng)
+    bench_near_field(args.near_field_size, rng)
     if not args.skip_fmm:
         bench_fmm(16384, rng)
 

@@ -3,46 +3,42 @@
 The pairwise potential sums here are the hot inner loops of the whole
 package: they serve the near-field (ULI) sweep, the source-to-check and
 expansion-to-target evaluations of the far-field operators, and the
-brute-force verification oracle. They are JIT-compiled with numba when
-available; a pure-numpy path is kept behind the ``FMM_DISABLE_NUMBA=1``
-environment flag and used automatically when numba is missing.
+brute-force verification oracle.
 
 The kernel is 1/r with no 1/(4*pi) factor. Coincident points evaluate
 to 0, which also covers the self-interaction when one point set serves
 as both sources and targets.
 
-The numpy path has one kernel contract for all of these callers. Squared
-distances are summed per axis (dx*dx + dy*dy + dz*dz) in place, without
-an (n, m, 3) temporary; the root is taken in place, coincident pairs are
-set to inf so the reciprocal gives exactly 0, and the charges are applied
-with one matrix-vector product. Targets go in blocks of at most 2**16
-(target, source) entries (at least 4 targets, so a block over more than
-2**14 sources is larger). The near-field sweep makes one such call per
-nonempty target leaf, over the gathered points of its whole U list.
+All of these callers share one kernel contract, :func:`inverse_distances`.
+Squared distances are summed per axis (dx*dx + dy*dy + dz*dz) in place,
+without an (n, m, 3) temporary; the root is taken in place, coincident
+pairs are set to inf so the reciprocal gives exactly 0. The one-way sum
+(:func:`laplace_potential`, the oracle) applies the charges with one
+matrix-vector product per block of at most 2**16 (target, source)
+entries (at least 4 targets, so a block over more than 2**14 sources is
+larger).
+
+The near-field sweep uses the kernel's symmetry (mutual interactions,
+Dehnen, JCP 2002). Each nonempty target leaf builds one distance block
+against, in this order, its later local U members (higher leaf
+position), itself and its ghost members. The block's product with the
+source charges adds to the leaf's targets; the product of the leaf's
+charges with the later members' columns adds back into those members.
+Earlier local members are skipped: U is symmetric between same-level
+local leaves, so their pair already ran when the earlier leaf was the
+target, and every local pair is computed once.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-_DISABLE_NUMBA = os.environ.get("FMM_DISABLE_NUMBA", "0") == "1"
-
-try:
-    if _DISABLE_NUMBA:
-        raise ImportError("numba disabled by FMM_DISABLE_NUMBA")
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
 
 def kernel_backend():
-    """Identifier of the active pairwise-kernel implementation."""
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Identifier of the pairwise-kernel implementation."""
+    return "numpy"
 
 
 class UnresolvedDependencyError(RuntimeError):
@@ -59,111 +55,99 @@ def laplace_kernel(x, y):
 # Entries of one (targets, sources) distance block. Blocks hold a multiple
 # of 4 targets: OpenBLAS's matrix-vector product sums rows in groups of 4,
 # so aligned blocks give each target the sum one unblocked product gives.
-_BLOCK_ENTRIES = 1 << 16
+BLOCK_ENTRIES = 1 << 16
 
 
-def _potential_numpy(targets, sources, charges, out):
-    m = sources.shape[0]
-    if m == 0:
-        return out
-    chunk = max(4, _BLOCK_ENTRIES // m // 4 * 4)
-    for lo in range(0, targets.shape[0], chunk):
-        t = targets[lo : lo + chunk]
-        r = np.subtract.outer(t[:, 0], sources[:, 0])
-        r *= r
-        for axis in (1, 2):
-            d = np.subtract.outer(t[:, axis], sources[:, axis])
-            d *= d
-            r += d
-        np.sqrt(r, out=r)
-        r[r == 0.0] = np.inf
-        np.reciprocal(r, out=r)
-        out[lo : lo + chunk] += r @ charges
-    return out
+def _target_chunk(n_sources):
+    return np.maximum(4, BLOCK_ENTRIES // n_sources // 4 * 4)
 
 
-if HAVE_NUMBA:
+def inverse_distances(targets, sources, work=None):
+    """(n, m) block of 1/|targets_i - sources_j|, 0 where they coincide.
 
-    @njit(cache=True, nogil=True, parallel=True)
-    def _potential_numba_par(targets, sources, charges, out):
-        for i in prange(targets.shape[0]):
-            acc = 0.0
-            for j in range(sources.shape[0]):
-                dx = targets[i, 0] - sources[j, 0]
-                dy = targets[i, 1] - sources[j, 1]
-                dz = targets[i, 2] - sources[j, 2]
-                r2 = dx * dx + dy * dy + dz * dz
-                if r2 > 0.0:
-                    acc += charges[j] / np.sqrt(r2)
-            out[i] += acc
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _potential_numba_seq(targets, sources, charges, out):
-        for i in range(targets.shape[0]):
-            acc = 0.0
-            for j in range(sources.shape[0]):
-                dx = targets[i, 0] - sources[j, 0]
-                dy = targets[i, 1] - sources[j, 1]
-                dz = targets[i, 2] - sources[j, 2]
-                r2 = dx * dx + dy * dy + dz * dz
-                if r2 > 0.0:
-                    acc += charges[j] / np.sqrt(r2)
-            out[i] += acc
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _uli_numba(tgt_pts, src_pts, src_chg, leaf_tgt, seg_ptr, seg_bounds, out):
-        for leaf in range(leaf_tgt.shape[0]):
-            t0, t1 = leaf_tgt[leaf, 0], leaf_tgt[leaf, 1]
-            for s in range(seg_ptr[leaf], seg_ptr[leaf + 1]):
-                a, b = seg_bounds[s, 0], seg_bounds[s, 1]
-                for i in range(t0, t1):
-                    acc = 0.0
-                    for j in range(a, b):
-                        dx = tgt_pts[i, 0] - src_pts[j, 0]
-                        dy = tgt_pts[i, 1] - src_pts[j, 1]
-                        dz = tgt_pts[i, 2] - src_pts[j, 2]
-                        r2 = dx * dx + dy * dy + dz * dz
-                        if r2 > 0.0:
-                            acc += src_chg[j] / np.sqrt(r2)
-                    out[i] += acc
-        return out
+    The block and its scratch are views of ``work``, a float64 array of at
+    least 2*n*m entries, when one is given. A loop over blocks passes one
+    buffer so that it allocates nothing per block: a freed block's pages go
+    back to the system, and the next block would fault them in again.
+    """
+    n, m = targets.shape[0], sources.shape[0]
+    if work is None:
+        work = np.empty(2 * n * m)
+    r = work[: n * m].reshape(n, m)
+    d = work[n * m : 2 * n * m].reshape(n, m)
+    np.subtract.outer(targets[:, 0], sources[:, 0], out=r)
+    r *= r
+    for axis in (1, 2):
+        np.subtract.outer(targets[:, axis], sources[:, axis], out=d)
+        d *= d
+        r += d
+    np.sqrt(r, out=r)
+    r[r == 0.0] = np.inf
+    np.reciprocal(r, out=r)
+    return r
 
 
-def _uli_numpy(tgt_pts, src_pts, src_chg, leaf_tgt, seg_ptr, seg_bounds, out):
-    # Expand the segments into one source-index array; leaf i's sources
-    # are src_idx[src_ptr[i]:src_ptr[i + 1]].
-    lens = seg_bounds[:, 1] - seg_bounds[:, 0]
-    starts = np.cumsum(lens) - lens
-    src_idx = np.repeat(seg_bounds[:, 0] - starts, lens) + np.arange(lens.sum())
-    src_ptr = np.append(starts, lens.sum())[seg_ptr]
-    has_work = (leaf_tgt[:, 1] > leaf_tgt[:, 0]) & (src_ptr[1:] > src_ptr[:-1])
-    for leaf in np.nonzero(has_work)[0]:
-        t0, t1 = leaf_tgt[leaf]
+def _uli_sweep(points, src_pts, src_chg, leaf_ranges, member_ptr, bounds, out):
+    """Mutual near-field sweep over segments ``bounds`` of the sources
+    (local points first, then ghosts), grouped per target leaf by
+    ``member_ptr``; see the module docstring."""
+    n_local = points.shape[0]
+    owner = np.repeat(np.arange(len(leaf_ranges)), np.diff(member_ptr))
+    own_lo, own_hi = leaf_ranges[owner, 0], leaf_ranges[owner, 1]
+    a, b = bounds[:, 0], bounds[:, 1]
+    ghost = a >= n_local
+    later = ~ghost & (a >= own_hi)
+    keep = np.flatnonzero((b > a) & (own_hi > own_lo) & (ghost | later | (a == own_lo)))
+    # Per target leaf: later local members, then itself, then ghosts,
+    # each group in key order.
+    keep = keep[np.lexsort((ghost[keep], ~later[keep], owner[keep]))]
+    a, lens = a[keep], (b - a)[keep]
+    seg_ptr = np.searchsorted(owner[keep], np.arange(len(leaf_ranges) + 1))
+    ends = np.cumsum(lens)
+    src_idx = np.repeat(a - (ends - lens), lens) + np.arange(ends[-1] if len(ends) else 0)
+    src_ptr = np.append(0, ends)[seg_ptr]
+    n_later = np.append(0, np.cumsum(lens * later[keep]))[seg_ptr]
+    n_later = n_later[1:] - n_later[:-1]
+
+    n_src = np.diff(src_ptr)
+    chunks = _target_chunk(np.maximum(n_src, 1))
+    rows = np.minimum(np.diff(leaf_ranges, axis=1)[:, 0], chunks)
+    work = np.empty(2 * int((rows * n_src).max(initial=0)))
+    for leaf in np.flatnonzero(n_src):
+        t0, t1 = leaf_ranges[leaf]
         idx = src_idx[src_ptr[leaf] : src_ptr[leaf + 1]]
-        _potential_numpy(tgt_pts[t0:t1], src_pts[idx], src_chg[idx], out[t0:t1])
+        m = n_later[leaf]
+        src, chg = src_pts[idx], src_chg[idx]
+        back = np.zeros(m)
+        for lo in range(t0, t1, chunks[leaf]):
+            hi = min(lo + chunks[leaf], t1)
+            r = inverse_distances(points[lo:hi], src, work)
+            out[lo:hi] += r @ chg
+            if m:
+                back += src_chg[lo:hi] @ r[:, :m]
+        if m:
+            out[idx[:m]] += back
     return out
 
 
-def laplace_potential(targets, sources, charges, out=None, parallel=True):
-    """Accumulate sum_j charges[j] / |targets_i - sources_j| into ``out``.
+def laplace_potential(targets, sources, charges):
+    """sum_j charges[j] / |targets_i - sources_j| for every target.
 
-    Coincident target/source pairs contribute zero. ``parallel`` only
-    affects the numba path; rank-level code passes False to keep the
-    simulated ranks from oversubscribing the machine.
+    Coincident target/source pairs contribute zero.
     """
     targets = np.ascontiguousarray(targets, dtype=np.float64).reshape(-1, 3)
     sources = np.ascontiguousarray(sources, dtype=np.float64).reshape(-1, 3)
     charges = np.ascontiguousarray(charges, dtype=np.float64).reshape(-1)
     if charges.shape[0] != sources.shape[0]:
         raise ValueError("charges length does not match sources")
-    if out is None:
-        out = np.zeros(targets.shape[0], dtype=np.float64)
-    if HAVE_NUMBA:
-        fn = _potential_numba_par if parallel else _potential_numba_seq
-        return fn(targets, sources, charges, out)
-    return _potential_numpy(targets, sources, charges, out)
+    out = np.zeros(targets.shape[0], dtype=np.float64)
+    if sources.shape[0] == 0:
+        return out
+    chunk = _target_chunk(sources.shape[0])
+    work = np.empty(2 * min(chunk, targets.shape[0]) * sources.shape[0])
+    for lo in range(0, targets.shape[0], chunk):
+        out[lo : lo + chunk] += inverse_distances(targets[lo : lo + chunk], sources, work) @ charges
+    return out
 
 
 def direct_sum(targets, sources, charges):
@@ -237,5 +221,6 @@ def p2p_uli(tree, lists, charges, ghosts=None, out=None):
 
     if out is None:
         out = np.zeros(tree.n_points, dtype=np.float64)
-    fn = _uli_numba if HAVE_NUMBA else _uli_numpy
-    return fn(tree.points, src_pts, src_chg, tree.leaf_ranges, lists.u_member_ptr, bounds, out)
+    return _uli_sweep(
+        tree.points, src_pts, src_chg, tree.leaf_ranges, lists.u_member_ptr, bounds, out
+    )

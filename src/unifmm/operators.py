@@ -41,6 +41,18 @@ truncated up solve, equal to the solve S2U uses only to about 4e-7 at
 order 8; this raised the order-8 error against direct summation by
 about 8% (to 1.1e-8, within ``FROZEN_EPS[8]``) and left orders 2 to 6
 unchanged to three digits.
+
+S2U and D2T evaluate one fixed surface template shifted to each leaf
+(as in the KIFMM of Ying, Biros & Zorin, JCP 2004). Each point's offset
+from its leaf center meets the unit template scaled to the leaf side in
+one distance block, built for many leaves at once. S2U weights a block's
+rows by the charges, sums each leaf's rows, and applies the up solve to
+all leaves in one matrix product; D2T dots each point's row with its
+leaf's ``d``. S2U blocks keep leaves whole (a leaf larger than a block
+is cut at fixed multiples of the block rows from its own start), so a
+leaf's expansion does not depend on which leaves share its block, and
+thus not on the rank count: the order-8 solve would amplify any such
+difference in rounding far above it.
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import morton
-from .kernels import laplace_potential
+from .kernels import BLOCK_ENTRIES, inverse_distances
 from .tree import TRANSFER_VECTORS
 
 # The 56 transfer vectors with no negative component, sorted; per transfer
@@ -126,15 +138,6 @@ def surface_grid(order, center=(0.0, 0.0, 0.0), side=1.0, scale=1.0):
     pts = np.linspace(-0.5, 0.5, order)[_surface_lattice(order)]
     assert pts.shape[0] == n
     return np.asarray(center, dtype=np.float64) + pts * (side * scale)
-
-
-def _kernel_matrix(targets, sources):
-    """Dense 1/r matrix between two point sets (zero on coincidence)."""
-    d2 = ((targets[:, None, :] - sources[None, :, :]) ** 2).sum(axis=2)
-    with np.errstate(divide="ignore"):
-        k = 1.0 / np.sqrt(d2)
-    k[d2 == 0.0] = 0.0
-    return k
 
 
 def _tsvd_pinv(mat, cutoff):
@@ -233,16 +236,16 @@ def precompute_operators(order, dtype=np.float64, equiv_scale=UPWARD_EQUIV_SCALE
     down_check = surface_grid(order, scale=equiv_scale)
     down_equiv = surface_grid(order, scale=check_scale)
 
-    uc2e_inv = _tsvd_pinv(_kernel_matrix(up_check, up_equiv), svd_cutoff)
-    dc2e_inv = _tsvd_pinv(_kernel_matrix(down_check, down_equiv), svd_cutoff)
+    uc2e_inv = _tsvd_pinv(inverse_distances(up_check, up_equiv), svd_cutoff)
+    dc2e_inv = _tsvd_pinv(inverse_distances(down_check, down_equiv), svd_cutoff)
     child_inv = 0.5 * dc2e_inv
 
     # Child octant 0 is centered at -1/4 of the parent side on every axis.
-    u2u = uc2e_inv @ _kernel_matrix(up_check, up_equiv * 0.5 - 0.25)
-    d2d = child_inv @ _kernel_matrix(down_check * 0.5 - 0.25, down_equiv)
+    u2u = uc2e_inv @ inverse_distances(up_check, up_equiv * 0.5 - 0.25)
+    d2d = child_inv @ inverse_distances(down_check * 0.5 - 0.25, down_equiv)
 
     classes, cls, rho, flip_perm = _lattice_maps(order)
-    class_m2l = [dc2e_inv @ _kernel_matrix(down_check, t0 + up_equiv) for t0 in classes]
+    class_m2l = [dc2e_inv @ inverse_distances(down_check, t0 + up_equiv) for t0 in classes]
     n = expansion_length(order)
     m2l = np.empty((len(ORTHANT_VECTORS), n, n), dtype=dtype)
     for i, (c, r) in enumerate(zip(cls, rho)):
@@ -307,20 +310,47 @@ def box_side(cube, level):
     return cube.side / (1 << level)
 
 
+def _leaf_offsets(tree):
+    """Leaf side, and each point's offset from the center of its leaf."""
+    side = box_side(tree.cube, tree.leaf_level)
+    centers = (morton.anchor_lattice(tree.leaves) + 0.5) * side + np.asarray(tree.cube.origin)
+    return side, tree.points - np.repeat(centers, np.diff(tree.leaf_ranges, axis=1)[:, 0], axis=0)
+
+
+def _template_rows(ops):
+    """Points per D2T distance block. S2U blocks, which keep leaves whole,
+    hold up to twice as many, so neither exceeds BLOCK_ENTRIES entries."""
+    return max(1, BLOCK_ENTRIES // ops.n_coeff // 2)
+
+
 def leaf_s2u_all(tree, ops, charges, out):
-    """S2U over every nonempty leaf of the tree, into ``out`` (n_leaves, n_e)."""
-    leaf_level = tree.leaf_level
-    scale = box_side(tree.cube, leaf_level)
-    inv_t = ops.uc2e_inv.astype(np.float64, copy=False).T
-    check_template = ops.up_check_grid * scale
-    half = 0.5 * scale
-    anchors = morton.anchor_lattice(tree.leaves) * scale + np.asarray(tree.cube.origin)
+    """S2U over every nonempty leaf of the tree, into ``out`` (n_leaves, n_e).
+
+    Leaves are cut into pieces of at most ``rows`` points from their own
+    starts, and a block holds the pieces that start in one run of ``rows``
+    points, so each leaf's sum is formed the same way on any rank.
+    """
+    side, offsets = _leaf_offsets(tree)
+    template = ops.up_check_grid * side
     charges = np.asarray(charges, dtype=np.float64)
-    for pos in np.nonzero(tree.level_nonempty[leaf_level])[0]:
-        start, end = tree.leaf_ranges[pos]
-        check_pts = anchors[pos] + half + check_template
-        q = laplace_potential(check_pts, tree.points[start:end], charges[start:end], parallel=False)
-        out[pos] = scale * (q @ inv_t)
+    rows = _template_rows(ops)
+    nonempty = tree.level_nonempty[tree.leaf_level]
+    lo, hi = tree.leaf_ranges[nonempty].T
+    n_pieces = -(-(hi - lo) // rows)
+    leaf = np.repeat(np.arange(len(lo)), n_pieces)
+    first = np.cumsum(n_pieces) - n_pieces
+    starts = lo[leaf] + (np.arange(len(leaf)) - first[leaf]) * rows
+    # Pieces of one leaf start ``rows`` apart, so a block holds at most one
+    # piece of each leaf and the scatter-add below has distinct rows.
+    cuts = np.append(np.flatnonzero(np.diff(starts // rows, prepend=-1)), len(starts))
+    ends = np.append(starts, tree.n_points)
+    check = np.zeros((len(lo), ops.n_coeff))
+    work = np.empty(2 * min(2 * rows, tree.n_points) * ops.n_coeff)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        r = inverse_distances(offsets[starts[a] : ends[b]], template, work)
+        r *= charges[starts[a] : ends[b], None]
+        check[leaf[a:b]] += np.add.reduceat(r, starts[a:b] - starts[a], axis=0)
+    out[nonempty] = side * (check @ ops.uc2e_inv.astype(np.float64, copy=False).T)
     return out
 
 
@@ -424,21 +454,19 @@ def vli_downward(tree, ops, store, plan, ghost_u):
 
 
 def d2t(tree, ops, store):
-    """Evaluate leaf local expansions at the targets inside each leaf."""
-    out = np.zeros(tree.n_points, dtype=np.float64)
-    leaf_level = tree.leaf_level
-    d = store.d[leaf_level]
-    side = box_side(tree.cube, leaf_level)
+    """Evaluate leaf local expansions at the targets inside each leaf: per
+    point, its distances to the leaf's equivalent surface (one template
+    shifted to the leaf center) dotted with the leaf's ``d`` row."""
+    side, offsets = _leaf_offsets(tree)
     template = ops.down_equiv_grid * side
-    anchors = morton.anchor_lattice(tree.leaves) * side + np.asarray(tree.cube.origin)
-    for pos in np.nonzero(tree.level_nonempty[leaf_level])[0]:
-        start, end = tree.leaf_ranges[pos]
-        eq_pts = anchors[pos] + 0.5 * side + template
-        laplace_potential(
-            tree.points[start:end],
-            eq_pts,
-            d[pos].astype(np.float64, copy=False),
-            out=out[start:end],
-            parallel=False,
-        )
+    d = store.d[tree.leaf_level].astype(np.float64, copy=False)
+    leaf = np.repeat(np.arange(len(d)), np.diff(tree.leaf_ranges, axis=1)[:, 0])
+    out = np.empty(tree.n_points, dtype=np.float64)
+    rows = _template_rows(ops)
+    work = np.empty(2 * min(rows, tree.n_points) * ops.n_coeff)
+    d_rows = np.empty((min(rows, tree.n_points), ops.n_coeff))
+    for lo in range(0, tree.n_points, rows):
+        r = inverse_distances(offsets[lo : lo + rows], template, work)
+        np.take(d, leaf[lo : lo + rows], axis=0, out=d_rows[: len(r)])
+        out[lo : lo + rows] = np.einsum("ij,ij->i", r, d_rows[: len(r)])
     return out

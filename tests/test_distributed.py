@@ -73,6 +73,23 @@ def test_distributed_matches_reference_and_direct():
     assert rel_l2(f_ref, ref) <= frozen_eps(4)
 
 
+def test_leaf_expansions_independent_of_rank_count():
+    # A leaf's S2U sums read only its own points, so its u row has the same
+    # bits on whichever rank holds it. At order 8 the check solve amplifies
+    # any change in how a leaf's sum is formed far above rounding; the
+    # 1e-10 bound above would not see it, 1e-14 does.
+    pts, chg = raw_instance(2048, seed=4)
+    config = cfg(order=8)
+    _, ref_states, ref_evals = distributed_run(pts, chg, 1, config)
+    _, states, evals = distributed_run(pts, chg, 8, config)
+    level = config.leaf_level
+    ref = ref_states[0]
+    for state in states:
+        pos = ref.tree.index_of(level, state.tree.leaves)
+        assert np.array_equal(state.store.u[level], ref.store.u[level][pos])
+    assert rel_l2(concat_potentials(evals), concat_potentials(ref_evals)) <= 1e-14
+
+
 def test_runtime_collective_schedule():
     pts, chg = raw_instance(512, seed=4)
     for P in (1, 8):

@@ -10,6 +10,7 @@ from unifmm.kernels import (
     NearFieldGhosts,
     UnresolvedDependencyError,
     direct_sum,
+    kernel_backend,
     laplace_kernel,
     laplace_potential,
     p2p_uli,
@@ -89,14 +90,9 @@ def test_direct_sum_linearity():
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
-def test_potential_numpy_path_matches_active_backend():
-    from unifmm.kernels import _potential_numpy
-
-    rng = np.random.default_rng(4)
-    t, s, q = rng.random((37, 3)), rng.random((53, 3)), rng.random(53)
-    got = laplace_potential(t, s, q)
-    ref = _potential_numpy(t, s, q, np.zeros(len(t)))
-    np.testing.assert_allclose(got, ref, rtol=1e-13)
+def test_kernel_backend_is_numpy():
+    # The run manifest records this name; it must not change with the host.
+    assert kernel_backend() == "numpy"
 
 
 def _center_point_tree(cells, level, d_g, d_l):
@@ -248,3 +244,61 @@ def test_p2p_uli_matches_direct_sum_on_clustered_leaves_with_ghost():
     sees_ghost = np.floor(pts[:, 0] * 4) == 1
     ref = direct_sum(pts, pts, charges) + sees_ghost * direct_sum(pts, gpts, gchg)
     np.testing.assert_allclose(f, ref, rtol=1e-12)
+
+
+def _one_way_near_field(tree, lists, charges, ghosts):
+    """Per target leaf, one laplace_potential call over the points of all
+    of its U members (local, then ghost, in key order)."""
+    level = tree.leaf_level
+    out = np.zeros(tree.n_points)
+    for pos, (t0, t1) in enumerate(tree.leaf_ranges):
+        src, chg = [np.empty((0, 3))], [np.empty(0)]
+        for key in lists.u_members(pos).tolist():
+            if tree.contains(level, np.asarray([key], dtype=np.uint64))[0]:
+                a, b = tree.leaf_ranges[tree.index_of(level, np.asarray([key], dtype=np.uint64))[0]]
+                src.append(tree.points[a:b])
+                chg.append(charges[a:b])
+            elif key in ghosts.points:
+                src.append(ghosts.points[key])
+                chg.append(ghosts.charges[key])
+        out[t0:t1] = laplace_potential(tree.points[t0:t1], np.concatenate(src), np.concatenate(chg))
+    return out
+
+
+def test_p2p_uli_mutual_matches_one_way_per_leaf_oracle():
+    # Own root octants 0 and 1 at d_g=1, d_l=2 (leaf lattice 8x4x4). Half
+    # the leaves are empty, one leaf holds coincident points, and the
+    # remote U members across y=4 are split between ghost data and
+    # confirmed-absent boxes. Positive charges keep the sums free of
+    # cancellation, so rtol measures rounding alone.
+    rng = np.random.default_rng(9)
+    level = 3
+    roots = [morton.make_key(0, 0, 0, 1), morton.make_key(1, 0, 0, 1)]
+    cells = np.array([(x, y, z) for x in range(8) for y in range(4) for z in range(4)])
+    cells = cells[rng.random(len(cells)) < 0.5]
+    cell = np.repeat(cells, rng.integers(1, 7, len(cells)), axis=0)
+    pts = (cell + rng.random((len(cell), 3))) / 8
+    pts = np.concatenate([pts, pts[:3], pts[:1]])
+    pts = pts[np.argsort(morton.encode_points(pts, level, UNIT), kind="stable")]
+    tree = build_tree(pts, UNIT, 1, 2, local_roots=roots)
+    lists = build_interaction_lists(tree)
+    assert (~tree.level_nonempty[level]).sum() > 20
+
+    remote = sorted({int(k) for k in lists.u_member_keys
+                     if not tree.contains(level, np.asarray([k], dtype=np.uint64))[0]})
+    ghosts = NearFieldGhosts()
+    for key in remote[::2]:
+        anchor, side = morton.decode(key, UNIT)
+        k = int(rng.integers(1, 5))
+        ghosts.points[key] = anchor + rng.random((k, 3)) * side
+        ghosts.charges[key] = rng.random(k)
+    ghosts.confirmed_absent = set(remote[1::2])
+    charges = rng.random(len(pts))
+
+    got = p2p_uli(tree, lists, charges, ghosts)
+    np.testing.assert_allclose(got, _one_way_near_field(tree, lists, charges, ghosts), rtol=1e-13)
+
+    dropped = remote[0]
+    del ghosts.points[dropped], ghosts.charges[dropped]
+    with pytest.raises(UnresolvedDependencyError, match=f"{dropped:#x}"):
+        p2p_uli(tree, lists, charges, ghosts)

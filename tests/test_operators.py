@@ -6,14 +6,13 @@ from conftest import distributed_run, raw_instance, rel_l2, sorted_instance
 
 from unifmm import morton, operators
 from unifmm.distributed import FmmConfig, evaluate, update_charges
-from unifmm.kernels import direct_sum, laplace_potential
+from unifmm.kernels import direct_sum, inverse_distances, laplace_potential
 from unifmm.morton import BoundingCube, make_key
 from unifmm.operators import (
     ORTHANT_VECTORS,
     SVD_CUTOFF,
     UPWARD_CHECK_SCALE,
     UPWARD_EQUIV_SCALE,
-    _kernel_matrix,
     _tsvd_pinv,
     apply_m2l,
     box_side,
@@ -45,12 +44,12 @@ def build_m2l_at_level(order, cube, level, equiv_scale=UPWARD_EQUIV_SCALE,
     side = cube.side / (1 << level)
     down_check = surface_grid(order, scale=equiv_scale, side=side)
     down_equiv = surface_grid(order, scale=check_scale, side=side)
-    dc2e_inv = _tsvd_pinv(_kernel_matrix(down_check, down_equiv), svd_cutoff)
+    dc2e_inv = _tsvd_pinv(inverse_distances(down_check, down_equiv), svd_cutoff)
     up_equiv = surface_grid(order, scale=equiv_scale, side=side)
     n = expansion_length(order)
     m2l = np.empty((len(TRANSFER_VECTORS), n, n))
     for i, t in enumerate(TRANSFER_VECTORS):
-        m2l[i] = dc2e_inv @ _kernel_matrix(down_check, t * side + up_equiv)
+        m2l[i] = dc2e_inv @ inverse_distances(down_check, t * side + up_equiv)
     return m2l
 
 
@@ -356,7 +355,7 @@ def test_build_solves_twice_and_forms_16_m2l_products(monkeypatch):
     # stored transfer matrices are index gathers, and U2U and D2D are built
     # for child octant 0 only: 2 + 2 + 16 kernel matrices.
     svds, m2l_centers, kernels = [], [], []
-    kernel_matrix = operators._kernel_matrix
+    kernel_matrix = operators.inverse_distances
 
     def counting_svd(mat, cutoff):
         svds.append(mat.shape)
@@ -370,7 +369,7 @@ def test_build_solves_twice_and_forms_16_m2l_products(monkeypatch):
         return kernel_matrix(targets, sources)
 
     monkeypatch.setattr(operators, "_tsvd_pinv", counting_svd)
-    monkeypatch.setattr(operators, "_kernel_matrix", recording_kernel)
+    monkeypatch.setattr(operators, "inverse_distances", recording_kernel)
     precompute_operators(4)
     assert len(svds) == 2
     assert len(m2l_centers) == len(set(m2l_centers)) == 16
