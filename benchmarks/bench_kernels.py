@@ -7,8 +7,8 @@ the package's hot path. Run directly:
     python benchmarks/bench_kernels.py --sizes 1000,4000,16000
 
 Each size reports the direct-summation throughput (pair interactions per
-second). The near-field row times ``p2p_uli`` on one rank's uniform leaf
-tree and reports its effective rate: the one-way pairs the sweep accounts
+second) and a near-field row, which times ``p2p_uli`` on one rank's uniform
+leaf tree and reports its effective rate: the one-way pairs the sweep accounts
 for (every target against every source of its U list) per second, so the
 mutual sweep, which computes each pair of distinct leaves once, can read
 above the direct-summation rate.
@@ -46,8 +46,9 @@ def bench_direct(n, rng):
     print(f"  {secs * 1e3:9.1f} ms   {n * n / secs:.2e} pairs/s")
 
 
-def bench_near_field(n, rng, global_depth=1, local_depth=2):
+def bench_near_field(n, rng):
     """``p2p_uli`` over uniform points on one rank that owns every root."""
+    global_depth, local_depth = 1, 2
     cube = morton.BoundingCube(origin=(0.0, 0.0, 0.0), side=1.0)
     leaf_level = global_depth + local_depth
     pts = rng.random((n, 3))
@@ -88,13 +89,12 @@ def bench_fmm(n, rng):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="1000,4000,16000")
-    parser.add_argument("--near-field-size", type=int, default=16384)
     parser.add_argument("--skip-fmm", action="store_true")
     args = parser.parse_args()
     rng = np.random.default_rng(0)
     for n in (int(s) for s in args.sizes.split(",")):
         bench_direct(n, rng)
-    bench_near_field(args.near_field_size, rng)
+        bench_near_field(n, rng)
     if not args.skip_fmm:
         bench_fmm(16384, rng)
 

@@ -323,8 +323,9 @@ def _template_rows(ops):
     return max(1, BLOCK_ENTRIES // ops.n_coeff // 2)
 
 
-def leaf_s2u_all(tree, ops, charges, out):
-    """S2U over every nonempty leaf of the tree, into ``out`` (n_leaves, n_e).
+def leaf_check_sums(tree, ops, charges):
+    """Potential of each nonempty leaf's charges on its unit check surface
+    scaled to the leaf, shape (n_nonempty, n_e), before the check solve.
 
     Leaves are cut into pieces of at most ``rows`` points from their own
     starts, and a block holds the pieces that start in one run of ``rows``
@@ -350,6 +351,15 @@ def leaf_s2u_all(tree, ops, charges, out):
         r = inverse_distances(offsets[starts[a] : ends[b]], template, work)
         r *= charges[starts[a] : ends[b], None]
         check[leaf[a:b]] += np.add.reduceat(r, starts[a:b] - starts[a], axis=0)
+    return check
+
+
+def leaf_s2u_all(tree, ops, charges, out):
+    """S2U over every nonempty leaf of the tree, into ``out`` (n_leaves, n_e):
+    one GEMM of :func:`leaf_check_sums` with the check solve."""
+    check = leaf_check_sums(tree, ops, charges)
+    side = box_side(tree.cube, tree.leaf_level)
+    nonempty = tree.level_nonempty[tree.leaf_level]
     out[nonempty] = side * (check @ ops.uc2e_inv.astype(np.float64, copy=False).T)
     return out
 
