@@ -2,9 +2,15 @@
 
 Setup runs once per point set and resolves every data dependency ahead
 of time: the distributed sort and per-rank tree build, the global layout
-allgather, U/V query identification against the layout, the static
-neighbor communication graph, the existence exchange, the near-field
+allgather, the static neighbor communication graph, the near-field
 point/charge exchange, and the far-field ghost buffer allocation.
+
+No rank asks another which boxes exist. The layout is replicated, and U
+and V are symmetric relations (``A`` is in ``V(B)`` exactly when ``B`` is
+in ``V(A)``, likewise for U), so the boxes a neighbor's lists need from
+this rank are this rank's occupied boxes whose own lists hold a box of
+that neighbor. Each rank pushes those keys, one exchange for U and one
+for V, and what it receives is what its own lists will find remotely.
 
 Each evaluation then needs exactly three collectives per rank: one
 neighbor exchange delivering ghost expansions for the local V lists, a
@@ -113,15 +119,6 @@ class _VGhosts:
 
     def count(self):
         return sum(len(k) for k in self.keys.values())
-
-    def rows_of(self, keys):
-        """Row of each of ``keys`` in its level's buffer."""
-        levels = morton.key_level(keys)
-        rows = np.empty(len(keys), dtype=np.int64)
-        for level, lvl_keys in self.keys.items():
-            at = levels == level
-            rows[at] = np.searchsorted(lvl_keys, keys[at])
-        return rows
 
     def reset(self):
         for buf in self.buffers.values():
@@ -252,17 +249,22 @@ def _served_rows(tree, keys_per_nbr):
     return rows, n_rows, counts_per_nbr
 
 
-def _plans_by_level(keys_per_nbr, rows_of):
+def _plans_by_level(keys_per_nbr, level_keys):
     """Per neighbor, ``[(level, rows)]`` over the levels present in its
-    keys, ascending; ``rows_of`` maps keys to rows, key order is kept."""
+    keys, ascending; a key's row is its position in the sorted
+    ``level_keys[level]``, and key order is kept."""
     keys, lengths = _concat_keys(keys_per_nbr)
     plans = [[] for _ in keys_per_nbr]
     if len(keys) == 0:
         return plans
     nbr = np.repeat(np.arange(len(keys_per_nbr)), lengths)
     levels = morton.key_level(keys)
+    rows = np.empty(len(keys), dtype=np.int64)
+    for level in np.unique(levels).tolist():
+        at = levels == level
+        rows[at] = np.searchsorted(level_keys[level], keys[at])
     order = np.lexsort((levels, nbr))
-    nbr, levels, rows = nbr[order], levels[order], rows_of(keys)[order]
+    nbr, levels, rows = nbr[order], levels[order], rows[order]
     firsts = np.flatnonzero((np.diff(nbr, prepend=-1) != 0) | (np.diff(levels, prepend=-1) != 0))
     lengths = np.diff(firsts, append=len(rows))
     for j, level, seg in zip(nbr[firsts], levels[firsts].tolist(), _cut(rows, lengths)):
@@ -270,31 +272,20 @@ def _plans_by_level(keys_per_nbr, rows_of):
     return plans
 
 
-def _query_packets(layout, rank, keys):
-    """Group remote ``keys`` by owner rank, each sorted ascending."""
-    if len(keys) == 0:
-        return {}
-    keys = np.unique(np.asarray(keys, dtype=np.uint64))
-    owners = layout.owner_of_boxes(keys)
-    return {
-        int(r): np.sort(keys[owners == r]) for r in np.unique(owners) if r != rank
-    }
+def _push_boxes(comm, graph, layout, boxes, members):
+    """Send each neighbor the boxes of ours that its lists hold.
 
-
-def _exchange_queries(comm, graph, packets, tree):
-    """Send query keys along ``graph``; reply with the subset existing here.
-
-    A queried box exists when it is occupied. Returns (confirmed[],
-    serve[]) aligned with the graph: what each neighbor confirmed of our
-    queries, and which of their queried keys we serve.
+    ``members[i]`` is a remote list member of the occupied own box
+    ``boxes[i]``. By the symmetry of U and V, a neighbor's lists hold our
+    box exactly when that box's lists hold one of the neighbor's boxes,
+    so the neighbor gets the sorted, unique boxes with a member it owns.
+    Returns (received[], sent[]) aligned with ``graph``: the neighbors'
+    occupied boxes our lists hold, and the boxes we serve.
     """
-    send = [packets.get(int(j), np.empty(0, np.uint64)) for j in graph]
-    incoming = comm.neighbor_alltoallv(graph, send)
-    queries, lengths = _concat_keys(incoming)
-    _, exist = tree.lookup(queries)
-    replies = [q[e] for q, e in zip(incoming, _cut(exist, lengths))]
-    confirmed = comm.neighbor_alltoallv(graph, replies)
-    return [np.asarray(c, dtype=np.uint64) for c in confirmed], replies
+    owners = layout.owner_of_boxes(members)
+    assert np.isin(owners, graph).all(), "list member outside halo"
+    serve = [np.unique(boxes[owners == j]) for j in graph.tolist()]
+    return comm.neighbor_alltoallv(graph, serve), serve
 
 
 def setup(comm, points, charges, config):
@@ -357,13 +348,15 @@ def setup(comm, points, charges, config):
         lists = build_interaction_lists(tree)
 
     with _phase(timings, "u_list"):
-        u_keys = np.unique(lists.u_member_keys)
-        u_local = tree.contains(leaf_level, u_keys)
-        u_packets = _query_packets(layout, comm.rank, u_keys[~u_local])
-        assert all(j in set(graph.tolist()) for j in u_packets), "query outside halo"
-        u_confirmed, u_serve = _exchange_queries(comm, graph, u_packets, tree)
+        per_leaf = np.diff(lists.u_member_ptr)
+        remote = ~tree.contains(leaf_level, lists.u_member_keys)
+        pick = remote & np.repeat(tree.level_nonempty[leaf_level], per_leaf)
+        u_confirmed, u_serve = _push_boxes(
+            comm, graph, layout,
+            np.repeat(tree.leaves, per_leaf)[pick], lists.u_member_keys[pick],
+        )
         near = NearFieldGhosts()
-        asked, _ = _concat_keys(list(u_packets.values()))
+        asked = np.unique(lists.u_member_keys[remote])
         confirmed, _ = _concat_keys(u_confirmed)
         near.confirmed_absent = set(np.setdiff1d(asked, confirmed).tolist())
         # Ship points and charges for every leaf we serve, sorted by key.
@@ -378,11 +371,12 @@ def setup(comm, points, charges, config):
             near.charges.update(zip(keys, _cut(got[:, 3].copy(), counts)))
 
     with _phase(timings, "v_list"):
-        remote_keys = [mkeys[~tree.contains(level, mkeys)]
-                       for level, (_, mkeys, _) in lists.v_pairs.items()]
-        v_packets = _query_packets(layout, comm.rank, np.concatenate(remote_keys))
-        assert all(j in set(graph.tolist()) for j in v_packets), "query outside halo"
-        v_confirmed, v_serve = _exchange_queries(comm, graph, v_packets, tree)
+        held = []
+        for level, (tgt, mkeys, _) in lists.v_pairs.items():
+            pick = tree.level_nonempty[level][tgt] & ~tree.contains(level, mkeys)
+            held.append((tree.level_keys[level][tgt[pick]], mkeys[pick]))
+        boxes, members = (np.concatenate(parts) for parts in zip(*held))
+        v_confirmed, v_serve = _push_boxes(comm, graph, layout, boxes, members)
 
         ghosts = _VGhosts()
         confirmed_all = np.unique(_concat_keys(v_confirmed)[0])
@@ -392,8 +386,8 @@ def setup(comm, points, charges, config):
             ghosts.buffers[level] = np.zeros(
                 (len(ghosts.keys[level]), expansion_length(config.order)), dtype=config.dtype
             )
-        ghosts.send_plan = _plans_by_level(v_serve, lambda keys: tree.lookup(keys)[0])
-        ghosts.recv_plan = _plans_by_level(v_confirmed, ghosts.rows_of)
+        ghosts.send_plan = _plans_by_level(v_serve, tree.level_keys)
+        ghosts.recv_plan = _plans_by_level(v_confirmed, ghosts.keys)
 
         # V application plan: local members by tree index, remote existing
         # members by ghost row appended after the local rows, absent ones

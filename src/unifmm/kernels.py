@@ -159,8 +159,9 @@ def direct_sum(targets, sources, charges):
 class NearFieldGhosts:
     """Ghost point/charge data for off-rank U-list leaves.
 
-    ``confirmed_absent`` lists remote leaves that were queried and do not
-    exist (contain no points); members in neither map are unresolved.
+    ``confirmed_absent`` lists remote U-list leaves that their owners did
+    not send, because they contain no points; members in neither map are
+    unresolved.
     """
 
     points: dict = field(default_factory=dict)   # key -> (k, 3) float64

@@ -175,8 +175,6 @@ class OperatorSet:
 
     order: int
     dtype: np.dtype
-    equiv_scale: float
-    check_scale: float
     svd_cutoff: float
     uc2e_inv: np.ndarray
     dc2e_inv: np.ndarray
@@ -220,21 +218,19 @@ def _lattice_maps(order):
     return classes, cls.reshape(-1), rho, flip_perm
 
 
-def precompute_operators(order, dtype=np.float64, equiv_scale=UPWARD_EQUIV_SCALE,
-                         check_scale=UPWARD_CHECK_SCALE, svd_cutoff=None):
+def precompute_operators(order, dtype=np.float64):
     """Build the complete operator set for ``order`` at working ``dtype``.
 
     Matrices are assembled and factorized in float64 and stored at the
     working precision; at float64 no copy is made.
     """
     dtype = np.dtype(dtype)
-    if svd_cutoff is None:
-        svd_cutoff = SVD_CUTOFF["f32" if dtype == np.float32 else "f64"]
+    svd_cutoff = SVD_CUTOFF["f32" if dtype == np.float32 else "f64"]
 
-    up_equiv = surface_grid(order, scale=equiv_scale)
-    up_check = surface_grid(order, scale=check_scale)
-    down_check = surface_grid(order, scale=equiv_scale)
-    down_equiv = surface_grid(order, scale=check_scale)
+    up_equiv = surface_grid(order, scale=UPWARD_EQUIV_SCALE)
+    up_check = surface_grid(order, scale=UPWARD_CHECK_SCALE)
+    down_check = surface_grid(order, scale=UPWARD_EQUIV_SCALE)
+    down_equiv = surface_grid(order, scale=UPWARD_CHECK_SCALE)
 
     uc2e_inv = _tsvd_pinv(inverse_distances(up_check, up_equiv), svd_cutoff)
     dc2e_inv = _tsvd_pinv(inverse_distances(down_check, down_equiv), svd_cutoff)
@@ -254,8 +250,6 @@ def precompute_operators(order, dtype=np.float64, equiv_scale=UPWARD_EQUIV_SCALE
     return OperatorSet(
         order=order,
         dtype=dtype,
-        equiv_scale=equiv_scale,
-        check_scale=check_scale,
         svd_cutoff=svd_cutoff,
         uc2e_inv=uc2e_inv.astype(dtype, copy=False),
         dc2e_inv=dc2e_inv.astype(dtype, copy=False),
@@ -274,15 +268,14 @@ _OP_CACHE = {}
 _OP_LOCK = threading.Lock()
 
 
-def get_operator_set(order, dtype=np.float64, equiv_scale=UPWARD_EQUIV_SCALE,
-                     check_scale=UPWARD_CHECK_SCALE):
+def get_operator_set(order, dtype=np.float64):
     """Memoized :func:`precompute_operators`; safe to share across ranks
     (operator sets are immutable after construction)."""
-    key = (order, np.dtype(dtype).str, equiv_scale, check_scale)
+    key = (order, np.dtype(dtype).str)
     with _OP_LOCK:
         ops = _OP_CACHE.get(key)
         if ops is None:
-            ops = precompute_operators(order, dtype, equiv_scale, check_scale)
+            ops = precompute_operators(order, dtype)
             _OP_CACHE[key] = ops
     return ops
 

@@ -10,7 +10,6 @@ boxes can be skipped or resolved against remote ranks at runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -86,32 +85,6 @@ class UniformTree:
         if not np.all(ok):
             raise KeyError("key not in tree at level %d" % level)
         return idx
-
-    @cached_property
-    def _all_levels(self):
-        """Keys of every level in one sorted array, with each key's
-        per-level index and occupancy flag alongside."""
-        levels = sorted(self.level_keys)
-        keys = np.concatenate([self.level_keys[lvl] for lvl in levels])
-        order = np.argsort(keys)
-        index = np.concatenate([np.arange(len(self.level_keys[lvl])) for lvl in levels])
-        nonempty = np.concatenate([self.level_nonempty[lvl] for lvl in levels])
-        return keys[order], index[order], nonempty[order]
-
-    def lookup(self, keys):
-        """(per-level index, non-empty flag) of each of ``keys``, which may
-        mix levels; raises KeyError for a key this tree does not hold."""
-        all_keys, index, nonempty = self._all_levels
-        pos = np.searchsorted(all_keys, keys)
-        ok = (pos < all_keys.size) & (all_keys[np.minimum(pos, all_keys.size - 1)] == keys)
-        if not np.all(ok):
-            bad = int(np.asarray(keys)[~ok][0])
-            raise KeyError(f"key {bad:#x} not in tree")
-        return index[pos], nonempty[pos]
-
-    def key_to_index(self, level):
-        """Hashed key -> dense index map for one level."""
-        return {int(k): i for i, k in enumerate(self.level_keys[level])}
 
     def contains(self, level, keys):
         arr = self.level_keys.get(level)

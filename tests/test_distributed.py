@@ -110,6 +110,20 @@ def test_runtime_collective_schedule():
             assert stats["alltoallv"]["calls"] == 0
 
 
+def test_setup_collective_schedule():
+    # Each owner pushes the boxes its neighbors' lists need, so setup makes
+    # no query round trip. Per rank: two allgathers (bounding cube, layout),
+    # two all-to-alls (point rows, original indices) and four neighbor
+    # exchanges (U keys, U counts, U rows, V keys).
+    pts, chg = raw_instance(4096, seed=4)
+    for P, config in ((8, cfg(local_depth=1)), (64, cfg(global_depth=2, local_depth=1))):
+        _, states, _ = distributed_run(pts, chg, P, config, evaluate_runs=0)
+        for state in states:
+            calls = {kind: s["calls"] for kind, s in state.comm.stats().snapshot().items()}
+            assert calls == {"allgatherv": 2, "alltoallv": 2, "neighbor_alltoallv": 4,
+                             "gatherv": 0, "scatterv": 0}
+
+
 def test_zero_charges_zero_potentials_same_schedule():
     pts, chg = raw_instance(512, seed=5)
     _, _, evals = distributed_run(pts, np.zeros_like(chg), 8, cfg(local_depth=1),
@@ -152,6 +166,10 @@ def test_f32_cast_does_not_break_pipeline():
 def test_ghost_sufficiency_and_minimality():
     pts, chg = raw_instance(2048, seed=9)
     _, states, _ = distributed_run(pts, chg, 8, cfg(local_depth=2))
+    # Every box is in its owner's tree only, so the union of the ranks'
+    # occupied boxes is the global occupancy.
+    occupied = {int(k) for s in states for level, keys in s.tree.level_keys.items()
+                for k in keys[s.tree.level_nonempty[level]]}
     for state in states:
         tree = state.tree
         # Every existing remote U member has ghost points; none are extra.
@@ -162,8 +180,11 @@ def test_ghost_sufficiency_and_minimality():
                 if not tree.contains(tree.leaf_level, np.asarray([k], np.uint64))[0]:
                     needed.add(k)
         held = set(state.near_ghosts.points)
+        absent = state.near_ghosts.confirmed_absent
         assert held <= needed
-        assert needed == held | state.near_ghosts.confirmed_absent
+        assert needed == held | absent
+        assert held == needed & occupied
+        assert not absent & occupied
         # Same for V ghosts, per level.
         v_needed = set()
         for level, (tgt, mkeys, tv) in state.lists.v_pairs.items():
@@ -171,6 +192,8 @@ def test_ghost_sufficiency_and_minimality():
             v_needed |= {int(k) for k in mkeys[~local]}
         v_held = {int(k) for lvl in state.v_ghosts.keys for k in state.v_ghosts.keys[lvl]}
         assert v_held <= v_needed
+        # A remote V box left out drops its far-field term without an error.
+        assert v_held == v_needed & occupied
 
 
 def test_v_ghost_plans_agree_across_ranks():
@@ -224,15 +247,17 @@ def test_near_field_pairs_counted_exactly_once():
     cover = {}
     for state in states:
         tree = state.tree
-        leaf_index = tree.key_to_index(leaf_level)
         for pos in range(len(tree.leaves)):
             t0, t1 = tree.leaf_ranges[pos]
             if t1 <= t0:
                 continue
-            for key in state.lists.u_members(pos):
-                k = int(key)
-                if k in leaf_index:
-                    a, b = tree.leaf_ranges[leaf_index[k]]
+            members = state.lists.u_members(pos)
+            local = tree.contains(leaf_level, members)
+            rows = np.full(len(members), -1)
+            rows[local] = tree.index_of(leaf_level, members[local])
+            for k, row in zip(members.tolist(), rows.tolist()):
+                if row >= 0:
+                    a, b = tree.leaf_ranges[row]
                     srcs = tree.points[a:b]
                 elif k in state.near_ghosts.points:
                     srcs = state.near_ghosts.points[k]

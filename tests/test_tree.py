@@ -219,28 +219,9 @@ def test_interaction_lists_match_per_box_ops():
 
 def test_key_to_index_and_index_of_agree():
     tree = build_tree(sorted_points_at_cell_centers(2), UNIT, 1, 1)
-    table = tree.key_to_index(2)
     keys = tree.level_keys[2]
     idx = tree.index_of(2, keys[::5])
-    for k, i in zip(keys[::5], idx):
-        assert table[int(k)] == i
+    assert np.array_equal(idx, np.arange(0, len(keys), 5))
+    assert np.array_equal(keys[idx], keys[::5])
     with pytest.raises(KeyError):
         tree.index_of(2, np.array([make_key(3, 3, 3, 3)], dtype=np.uint64))
-
-
-def test_lookup_mixes_levels_and_rejects_foreign_keys():
-    rng = np.random.default_rng(3)
-    pts = rng.random((40, 3)) * 0.5  # leaves part of the root's subtree empty
-    pts = pts[np.argsort(morton.encode_points(pts, 3, UNIT), kind="stable")]
-    tree = build_tree(pts, UNIT, 1, 2, local_roots=np.array([make_key(0, 0, 0, 1)]))
-    keys = np.concatenate([tree.level_keys[lvl][::3] for lvl in (1, 2, 3)])
-    perm = rng.permutation(len(keys))
-    index, nonempty = tree.lookup(keys[perm])
-    want_index = np.concatenate([tree.index_of(lvl, tree.level_keys[lvl][::3]) for lvl in (1, 2, 3)])
-    want_nonempty = np.concatenate([tree.level_nonempty[lvl][::3] for lvl in (1, 2, 3)])
-    assert np.array_equal(index, want_index[perm])
-    assert np.array_equal(nonempty, want_nonempty[perm])
-    assert nonempty.any() and not nonempty.all()
-    foreign = make_key(1, 0, 0, 1)  # a root this tree does not own
-    with pytest.raises(KeyError, match="not in tree"):
-        tree.lookup(np.array([keys[0], foreign], dtype=np.uint64))
