@@ -36,7 +36,7 @@ from . import __version__
 from .distributed import FmmConfig, SETUP_PHASES, evaluate, run_manifest, setup
 from .kernels import direct_sum
 from .operators import frozen_eps
-from .transport import COLLECTIVE_KINDS, create_world, run_spmd, transport_backend
+from .transport import COLLECTIVE_KINDS, create_world, run_spmd
 
 POINTS_MAGIC = b"FMMPTS1\x00"
 CHARGES_MAGIC = b"FMMCHG1\x00"
@@ -350,7 +350,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        transport_backend()  # validate FMM_BACKEND before doing any work
         return args.fn(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,10 @@
 Setup runs once per point set and resolves every data dependency ahead
 of time: the distributed sort and per-rank tree build, the global layout
 allgather, the static neighbor communication graph, the near-field
-point/charge exchange, and the far-field ghost buffer allocation.
+point/charge exchange, and the far-field ghost rows. Those rows live in
+the expansion store right after each level's local rows, so the V-list
+kernels read remote sources as they read local ones, and setup fixes the
+store rows each neighbor is sent and the rows its messages land in.
 
 No rank asks another which boxes exist. The layout is replicated, and U
 and V are symmetric relations (``A`` is in ``V(B)`` exactly when ``B`` is
@@ -13,11 +16,13 @@ that neighbor. Each rank pushes those keys, one exchange for U and one
 for V, and what it receives is what its own lists will find remotely.
 
 Each evaluation then needs exactly three collectives per rank: one
-neighbor exchange delivering ghost expansions for the local V lists, a
-gather of local-root expansions to the nominated rank (rank 0), which
-runs the top tree levels in shared memory, and a scatter returning the
-local-root incoming expansions. Near-field work never communicates at
-runtime; charge-only updates re-run just the near-field data exchange.
+neighbor exchange delivering ghost expansions for the local V lists (one
+row gather from the store per neighbor sent to, one row scatter into it
+per message received), a gather of local-root expansions to the
+nominated rank (rank 0), which runs the top tree levels in shared
+memory, and a scatter returning the local-root incoming expansions.
+Near-field work never communicates at runtime; charge-only updates re-run
+just the near-field data exchange.
 
 Local V lists only ever reference boxes below the root level, whose
 owners are adjacent subdomains: with contiguous Morton runs of roots per
@@ -38,6 +43,7 @@ import numpy as np
 from . import morton
 from .kernels import NearFieldGhosts, UnresolvedDependencyError, p2p_uli
 from .operators import (
+    ExpansionStore,
     VListPlan,
     apply_m2l,
     d2d_level,
@@ -109,20 +115,13 @@ def global_message_size(n_roots, order, precision_bits):
 
 @dataclass
 class _VGhosts:
-    """Far-field ghost bookkeeping: one u-row buffer per local level."""
+    """Far-field ghost bookkeeping; the ghost rows are in the expansion
+    store. Each neighbor's message holds its boxes in sorted key order."""
 
-    keys: dict = field(default_factory=dict)      # level -> sorted uint64
-    buffers: dict = field(default_factory=dict)   # level -> (n_ghost, n_e)
-    send_plan: list = field(default_factory=list)   # per nbr: [(level, local idx)]
-    recv_plan: list = field(default_factory=list)   # per nbr: [(level, ghost rows)]
+    keys: np.ndarray      # sorted uint64 keys of all ghost boxes
+    send_rows: list       # per nbr: store.u_all rows of the boxes it is sent
+    recv_rows: list       # per nbr: store.u_all ghost rows its message fills
     dropped: set = field(default_factory=set)
-
-    def count(self):
-        return sum(len(k) for k in self.keys.values())
-
-    def reset(self):
-        for buf in self.buffers.values():
-            buf[:] = 0
 
 
 @dataclass
@@ -143,7 +142,7 @@ class DistributedFmm:
     splitters: np.ndarray
     graph: np.ndarray             # sorted neighbor ranks: adjacent subdomains
     near_ghosts: NearFieldGhosts
-    u_serve: list                 # per neighbor: leaf keys served with data
+    u_send_rows: list             # per neighbor: point rows served, leaf by leaf
     u_confirmed: list             # per neighbor: ghost leaf keys received
     u_counts: list                # per neighbor: point count of each of those leaves
     v_ghosts: _VGhosts
@@ -169,19 +168,18 @@ class DistributedFmm:
         return len(self.tree.local_roots)
 
     def v_ghost_count(self):
-        return self.v_ghosts.count()
+        return len(self.v_ghosts.keys)
 
     def point_count(self):
         return int(self.tree.n_points)
 
     # Test/fault-injection hook: lose one far-field ghost entry.
     def drop_one_v_ghost(self):
-        for level in sorted(self.v_ghosts.keys):
-            if len(self.v_ghosts.keys[level]):
-                key = int(self.v_ghosts.keys[level][0])
-                self.v_ghosts.dropped.add(key)
-                return key
-        return None
+        if not len(self.v_ghosts.keys):
+            return None
+        key = int(self.v_ghosts.keys[0])
+        self.v_ghosts.dropped.add(key)
+        return key
 
 
 @contextmanager
@@ -218,10 +216,7 @@ def _global_cube(comm, points, margin):
     hi = bounds.reshape(-1, 6)[:, 3:].max(axis=0)
     if not np.all(np.isfinite(lo)):
         raise ValueError("no points on any rank")
-    side = float((hi - lo).max()) * (1.0 + margin)
-    if side <= 0.0:
-        side = morton.SMALL_SIDE_FLOOR
-    return morton.BoundingCube(origin=tuple(lo), side=side)
+    return morton.fit_domain(np.stack([lo, hi]), margin)
 
 
 def _concat_keys(arrays):
@@ -238,38 +233,43 @@ def _cut(array, lengths):
 
 
 def _served_rows(tree, keys_per_nbr):
-    """Point rows of the leaves served to all neighbors, leaf after leaf,
-    with the number of rows per neighbor and per-neighbor leaf point counts."""
+    """Per neighbor, the point rows of the leaves served to it, leaf after
+    leaf, and the point count of each of those leaves."""
     keys, lengths = _concat_keys(keys_per_nbr)
     starts, ends = tree.leaf_ranges[tree.index_of(tree.leaf_level, keys)].T
     counts = ends - starts
     rows = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
     counts_per_nbr = _cut(counts, lengths)
-    n_rows = np.array([c.sum() for c in counts_per_nbr], dtype=np.int64)
-    return rows, n_rows, counts_per_nbr
+    return _cut(rows, [c.sum() for c in counts_per_nbr]), counts_per_nbr
 
 
-def _plans_by_level(keys_per_nbr, level_keys):
-    """Per neighbor, ``[(level, rows)]`` over the levels present in its
-    keys, ascending; a key's row is its position in the sorted
-    ``level_keys[level]``, and key order is kept."""
-    keys, lengths = _concat_keys(keys_per_nbr)
-    plans = [[] for _ in keys_per_nbr]
-    if len(keys) == 0:
-        return plans
-    nbr = np.repeat(np.arange(len(keys_per_nbr)), lengths)
-    levels = morton.key_level(keys)
-    rows = np.empty(len(keys), dtype=np.int64)
-    for level in np.unique(levels).tolist():
-        at = levels == level
-        rows[at] = np.searchsorted(level_keys[level], keys[at])
-    order = np.lexsort((levels, nbr))
-    nbr, levels, rows = nbr[order], levels[order], rows[order]
-    firsts = np.flatnonzero((np.diff(nbr, prepend=-1) != 0) | (np.diff(levels, prepend=-1) != 0))
-    lengths = np.diff(firsts, append=len(rows))
-    for j, level, seg in zip(nbr[firsts], levels[firsts].tolist(), _cut(rows, lengths)):
-        plans[j].append((level, seg))
-    return plans
+def _store_rows(tree, ghost_keys):
+    """The u rows of the expansion store holding ``ghost_keys`` as ghosts:
+    level after level, the tree's boxes, then the level's sorted ghosts.
+
+    Returns the ghost count and the first row of each level, and a key ->
+    row lookup over all rows (the row keys sorted, and the row of each).
+    """
+    ghost_levels = morton.key_level(ghost_keys)
+    levels = sorted(tree.level_keys)
+    ghosts = [ghost_keys[ghost_levels == lvl] for lvl in levels]
+    assert sum(map(len, ghosts)) == len(ghost_keys), "ghost key outside the tree levels"
+    per_level = [np.concatenate([tree.level_keys[lvl], g]) for lvl, g in zip(levels, ghosts)]
+    starts = np.cumsum([0] + [len(k) for k in per_level]).tolist()
+    row_keys = np.concatenate(per_level)
+    order = np.argsort(row_keys)
+    return (
+        {lvl: len(g) for lvl, g in zip(levels, ghosts)},
+        dict(zip(levels, starts)),
+        (row_keys[order], order),
+    )
+
+
+def _rows_of(lookup, keys):
+    """Store rows of ``keys`` and whether each key has one."""
+    sorted_keys, rows = lookup
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return rows[pos], sorted_keys[pos] == keys
 
 
 def _push_boxes(comm, graph, layout, boxes, members):
@@ -360,10 +360,10 @@ def setup(comm, points, charges, config):
         confirmed, _ = _concat_keys(u_confirmed)
         near.confirmed_absent = set(np.setdiff1d(asked, confirmed).tolist())
         # Ship points and charges for every leaf we serve, sorted by key.
-        rows, n_rows, counts_out = _served_rows(tree, u_serve)
+        u_send_rows, counts_out = _served_rows(tree, u_serve)
         table = np.concatenate([tree.points, chg[:, None]], axis=1)
         counts_in = comm.neighbor_alltoallv(graph, counts_out)
-        rows_in = comm.neighbor_alltoallv(graph, _cut(table[rows].ravel(), 4 * n_rows))
+        rows_in = comm.neighbor_alltoallv(graph, [table[r].ravel() for r in u_send_rows])
         for keys, counts, buf in zip(u_confirmed, counts_in, rows_in):
             got = buf.reshape(-1, 4)
             keys = keys.tolist()
@@ -378,42 +378,31 @@ def setup(comm, points, charges, config):
         boxes, members = (np.concatenate(parts) for parts in zip(*held))
         v_confirmed, v_serve = _push_boxes(comm, graph, layout, boxes, members)
 
-        ghosts = _VGhosts()
-        confirmed_all = np.unique(_concat_keys(v_confirmed)[0])
-        confirmed_levels = morton.key_level(confirmed_all)
-        for level in np.unique(confirmed_levels).tolist():
-            ghosts.keys[level] = confirmed_all[confirmed_levels == level]
-            ghosts.buffers[level] = np.zeros(
-                (len(ghosts.keys[level]), expansion_length(config.order)), dtype=config.dtype
-            )
-        ghosts.send_plan = _plans_by_level(v_serve, tree.level_keys)
-        ghosts.recv_plan = _plans_by_level(v_confirmed, ghosts.keys)
+        ghost_keys = np.unique(_concat_keys(v_confirmed)[0])
+        ghost_sizes, row_start, lookup = _store_rows(tree, ghost_keys)
+        ghosts = _VGhosts(
+            keys=ghost_keys,
+            send_rows=[_rows_of(lookup, keys)[0] for keys in v_serve],
+            recv_rows=[_rows_of(lookup, keys)[0] for keys in v_confirmed],
+        )
 
-        # V application plan: local members by tree index, remote existing
-        # members by ghost row appended after the local rows, absent ones
-        # dropped (an absent box holds no sources).
+        # V application plan: members by row of the level's local and ghost
+        # rows; absent ones are dropped (an absent box holds no sources).
         grouped = {}
-        n_ghost_rows = {}
         for level, (tgt, mkeys, tv_idx) in lists.v_pairs.items():
-            n_local = len(tree.level_keys[level])
-            gkeys = ghosts.keys.get(level, np.empty(0, np.uint64))
-            local = tree.contains(level, mkeys)
-            rows = np.full(len(mkeys), -1, dtype=np.int64)
-            rows[local] = tree.index_of(level, mkeys[local])
-            remote = np.nonzero(~local)[0]
-            remote = remote[np.isin(mkeys[remote], gkeys)]
-            rows[remote] = n_local + np.searchsorted(gkeys, mkeys[remote])
-            keep = rows >= 0
-            grouped[level] = group_pairs_by_transfer(tgt[keep], rows[keep], tv_idx[keep])
-            n_ghost_rows[level] = len(gkeys)
-        v_plan = VListPlan(grouped=grouped, n_ghost_rows=n_ghost_rows)
+            rows, keep = _rows_of(lookup, mkeys)
+            grouped[level] = group_pairs_by_transfer(
+                tgt[keep], rows[keep] - row_start[level], tv_idx[keep]
+            )
+        v_plan = VListPlan(grouped=grouped)
 
         global_plan = (
             _build_global_plan(config) if comm.rank == NOMINATED_RANK else None
         )
 
     ops = get_operator_set(config.order, config.dtype)
-    store = store_for_tree(tree, ops)
+    store = store_for_tree(tree, ops, ghost_sizes)
+    assert store.row_start == row_start
     return DistributedFmm(
         comm=comm,
         config=config,
@@ -429,7 +418,7 @@ def setup(comm, points, charges, config):
         splitters=np.asarray(splitters, dtype=np.uint64),
         graph=graph,
         near_ghosts=near,
-        u_serve=u_serve,
+        u_send_rows=u_send_rows,
         u_confirmed=u_confirmed,
         u_counts=counts_in,
         v_ghosts=ghosts,
@@ -444,19 +433,17 @@ class _GlobalPlan:
     """V-interaction pairs of the top tree levels (2 .. global_depth)."""
 
     grouped: dict  # level -> (tgt, src, flip, cuts)
-    level_sizes: dict
 
 
 def _build_global_plan(config):
     grouped = {}
-    level_sizes = {lvl: 8**lvl for lvl in range(config.global_depth + 1)}
     root = morton.make_key(0, 0, 0, 0)
     for level in range(2, config.global_depth + 1):
         keys = morton.descendants(root, level)
         mkeys, tgt, tv_idx = _v_members_with_vectors(keys, level)
         src = np.searchsorted(keys, mkeys)
         grouped[level] = group_pairs_by_transfer(tgt, src, tv_idx)
-    return _GlobalPlan(grouped=grouped, level_sizes=level_sizes)
+    return _GlobalPlan(grouped=grouped)
 
 
 def _check_ghosts(state):
@@ -469,22 +456,12 @@ def _check_ghosts(state):
 
 def _exchange_ghost_u(state):
     """The single runtime neighbor exchange of far-field expansions."""
-    comm = state.comm
-    n_e = state.ops.n_coeff
-    send = []
-    for plan_j in state.v_ghosts.send_plan:
-        blocks = [state.store.u[lvl][idx] for lvl, idx in plan_j]
-        send.append(
-            np.concatenate(blocks).ravel() if blocks else np.empty(0, state.config.dtype)
-        )
-    recv = comm.neighbor_alltoallv(state.graph, send)
-    for j, buf in enumerate(recv):
-        rows = buf.reshape(-1, n_e).astype(state.config.dtype, copy=False)
-        pos = 0
-        for lvl, gpos in state.v_ghosts.recv_plan[j]:
-            k = len(gpos)
-            state.v_ghosts.buffers[lvl][gpos] = rows[pos : pos + k]
-            pos += k
+    u_all, ghosts = state.store.u_all, state.v_ghosts
+    recv = state.comm.neighbor_alltoallv(
+        state.graph, [u_all[rows].ravel() for rows in ghosts.send_rows]
+    )
+    for rows, buf in zip(ghosts.recv_rows, recv):
+        u_all[rows] = buf.reshape(-1, state.ops.n_coeff)
 
 
 def _global_stage(state, gathered):
@@ -493,21 +470,16 @@ def _global_stage(state, gathered):
     config, ops = state.config, state.ops
     d_g = config.global_depth
     n_e = ops.n_coeff
-    plan = state.global_plan
-    u_g = {
-        lvl: np.zeros((plan.level_sizes[lvl], n_e), dtype=config.dtype)
-        for lvl in range(d_g + 1)
-    }
-    d_gl = {lvl: np.zeros_like(u_g[lvl]) for lvl in range(d_g + 1)}
-    u_g[d_g][:] = np.concatenate([b.reshape(-1, n_e) for b in gathered])
+    top = ExpansionStore({lvl: 8**lvl for lvl in range(d_g + 1)}, n_e, config.dtype)
+    top.u[d_g][:] = np.concatenate([b.reshape(-1, n_e) for b in gathered])
     for lvl in range(d_g - 1, -1, -1):
-        u2u_level(ops, u_g[lvl + 1], u_g[lvl])
+        u2u_level(ops, top.u[lvl + 1], top.u[lvl])
     for lvl in range(1, d_g):
-        d2d_level(ops, d_gl[lvl], d_gl[lvl + 1])
-        g = plan.grouped.get(lvl + 1)
+        d2d_level(ops, top.d[lvl], top.d[lvl + 1])
+        g = state.global_plan.grouped.get(lvl + 1)
         if g is not None:
-            apply_m2l(ops, g, u_g[lvl + 1], d_gl[lvl + 1])
-    return d_gl[d_g]
+            apply_m2l(ops, g, top.u[lvl + 1], top.d[lvl + 1])
+    return top.d[d_g]
 
 
 @dataclass
@@ -527,7 +499,6 @@ def evaluate(state):
     _check_ghosts(state)
 
     state.store.reset()
-    state.v_ghosts.reset()
 
     t0 = time.perf_counter()
     near = p2p_uli(tree, state.lists, state.charges, state.near_ghosts)
@@ -552,7 +523,7 @@ def evaluate(state):
     t0 = time.perf_counter()
     n_e = ops.n_coeff
     state.store.d[config.global_depth][:] = mine.reshape(-1, n_e)
-    vli_downward(tree, ops, state.store, state.v_plan, state.v_ghosts.buffers)
+    vli_downward(tree, ops, state.store, state.v_plan)
     far = d2t(tree, ops, state.store)
     potentials = near + far
     seconds["computation"] += time.perf_counter() - t0
@@ -575,13 +546,13 @@ def update_charges(state, new_charges):
         raise ValueError("charge length mismatch for update")
     _require_finite(new_charges, "charge")
     state.charges = new_charges
-    rows, n_rows, _ = _served_rows(state.tree, state.u_serve)
-    recv = state.comm.neighbor_alltoallv(state.graph, _cut(new_charges[rows], n_rows))
+    recv = state.comm.neighbor_alltoallv(
+        state.graph, [new_charges[rows] for rows in state.u_send_rows]
+    )
     for keys, counts, buf in zip(state.u_confirmed, state.u_counts, recv):
         # Charges arrive in the same key order the point rows did at setup.
         state.near_ghosts.charges.update(zip(keys.tolist(), _cut(buf, counts)))
     state.store.reset()
-    state.v_ghosts.reset()
     return state
 
 

@@ -281,22 +281,37 @@ def get_operator_set(order, dtype=np.float64):
 
 
 class ExpansionStore:
-    """Zero-initialized u and d vectors per box, dense per level."""
+    """Zero-initialized u and d vectors per box, dense per level.
 
-    def __init__(self, level_sizes, n_coeff, dtype=np.float64):
-        self.u = {lvl: np.zeros((n, n_coeff), dtype=dtype) for lvl, n in level_sizes.items()}
-        self.d = {lvl: np.zeros((n, n_coeff), dtype=dtype) for lvl, n in level_sizes.items()}
+    All u rows live in one buffer ``u_all``, level after level ascending:
+    a level's ``level_sizes[level]`` local rows, then its
+    ``ghost_sizes[level]`` ghost rows (copies of other ranks' boxes).
+    ``u[level]`` views the local rows, ``u_rows[level]`` the local and
+    ghost rows together, and ``row_start[level]`` is the level's first
+    row in ``u_all``. The d vectors cover local rows only.
+    """
+
+    def __init__(self, level_sizes, n_coeff, dtype=np.float64, ghost_sizes=None):
+        ghost_sizes = ghost_sizes or {}
+        levels = sorted(level_sizes)
+        n_rows = [level_sizes[lvl] + ghost_sizes.get(lvl, 0) for lvl in levels]
+        starts = np.cumsum([0] + n_rows).tolist()
+        self.u_all = np.zeros((starts[-1], n_coeff), dtype=dtype)
+        self.row_start = dict(zip(levels, starts))
+        self.u_rows = {lvl: self.u_all[a:b] for lvl, a, b in zip(levels, starts, starts[1:])}
+        self.u = {lvl: self.u_rows[lvl][: level_sizes[lvl]] for lvl in levels}
+        self.d = {lvl: np.zeros((level_sizes[lvl], n_coeff), dtype=dtype) for lvl in levels}
 
     def reset(self):
-        for arr in self.u.values():
-            arr[:] = 0
+        self.u_all[:] = 0
         for arr in self.d.values():
             arr[:] = 0
 
 
-def store_for_tree(tree, ops):
+def store_for_tree(tree, ops, ghost_sizes=None):
+    """Store over the tree's levels, with ``ghost_sizes[level]`` ghost rows."""
     sizes = {lvl: len(keys) for lvl, keys in tree.level_keys.items()}
-    return ExpansionStore(sizes, ops.n_coeff, dtype=ops.dtype)
+    return ExpansionStore(sizes, ops.n_coeff, dtype=ops.dtype, ghost_sizes=ghost_sizes)
 
 
 def box_side(cube, level):
@@ -430,29 +445,22 @@ def apply_m2l(ops, grouped, u_rows, d):
 @dataclass
 class VListPlan:
     """Static V-list application plan: per level, transfer-grouped pairs
-    whose source rows index the local u matrix extended by ghost rows."""
+    whose source rows index the level's :attr:`ExpansionStore.u_rows`
+    (local rows, then ghost rows)."""
 
     grouped: dict            # level -> (tgt, src, flip, cuts)
-    n_ghost_rows: dict       # level -> rows appended below the local u
 
 
-def vli_downward(tree, ops, store, plan, ghost_u):
+def vli_downward(tree, ops, store, plan):
     """Pre-order pass over the local levels: inherit the parent local
-    expansion (D2D), then apply the level's V-list interactions. Remote
-    sources come from ``ghost_u[level]`` rows appended below the local u.
+    expansion (D2D), then apply the level's V-list interactions, whose
+    remote sources are the ghost rows of ``store.u_rows[level]``.
     """
     for level in range(tree.global_depth, tree.leaf_level):
         d2d_level(ops, store.d[level], store.d[level + 1])
-        lvl = level + 1
-        g = plan.grouped.get(lvl)
-        if g is None:
-            continue
-        n_ghost = plan.n_ghost_rows.get(lvl, 0)
-        if n_ghost:
-            u_rows = np.concatenate([store.u[lvl], ghost_u[lvl]], axis=0)
-        else:
-            u_rows = store.u[lvl]
-        apply_m2l(ops, g, u_rows, store.d[lvl])
+        g = plan.grouped.get(level + 1)
+        if g is not None:
+            apply_m2l(ops, g, store.u_rows[level + 1], store.d[level + 1])
     return store
 
 

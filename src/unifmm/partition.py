@@ -84,8 +84,11 @@ def bucket_of(keys, splitters):
 def redistribute(comm, keys, points, charges, splitters, orig_index=None):
     """Move each point to the rank owning its splitter bucket.
 
-    Returns locally key-sorted (points, charges, orig_index); the rank-order
-    concatenation of the outputs is globally sorted.
+    Returns (points, charges, orig_index) of the points this rank owns,
+    grouped by source rank and in input order within each source; they are
+    not key-sorted, :func:`sort_local` does that. The buckets are
+    contiguous key ranges in rank order, so the rank-order concatenation of
+    the sorted outputs is globally sorted.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)

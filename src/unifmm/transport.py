@@ -17,8 +17,7 @@ output and are reported separately from the deterministic statistics.
 
 A real message-passing backend can replace :class:`RankComm` by providing
 the same five methods; the algorithm modules only ever see this interface.
-The active backend is selected by the ``FMM_BACKEND`` environment variable
-("sim" is the only backend shipped here).
+This simulator, named "sim" in run manifests, is the only backend shipped.
 """
 
 from __future__ import annotations
@@ -48,10 +47,7 @@ class StalledCollectiveError(TransportError):
 
 
 def transport_backend():
-    backend = os.environ.get("FMM_BACKEND", "sim")
-    if backend != "sim":
-        raise ValueError(f"unknown transport backend {backend!r} (available: sim)")
-    return backend
+    return "sim"
 
 
 @dataclass

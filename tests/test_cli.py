@@ -173,9 +173,3 @@ def test_sweep_strong_mode_runs(tmp_path):
     # Strong scaling holds total N fixed.
     assert n_by_p["8"] == n_by_p["64"] == 512
 
-
-def test_unknown_backend_rejected(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FMM_BACKEND", "mpi")
-    rc = main(["generate", "--n", "4", "--out", str(tmp_path / "x.bin")])
-    assert rc == 1
-    assert "unknown transport backend" in capsys.readouterr().err

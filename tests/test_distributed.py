@@ -190,33 +190,69 @@ def test_ghost_sufficiency_and_minimality():
         for level, (tgt, mkeys, tv) in state.lists.v_pairs.items():
             local = state.tree.contains(level, mkeys)
             v_needed |= {int(k) for k in mkeys[~local]}
-        v_held = {int(k) for lvl in state.v_ghosts.keys for k in state.v_ghosts.keys[lvl]}
+        v_held = {int(k) for k in state.v_ghosts.keys}
         assert v_held <= v_needed
         # A remote V box left out drops its far-field term without an error.
         assert v_held == v_needed & occupied
 
 
+def store_row_keys(state):
+    """Key of every row of ``state.store.u_all`` (per level: the tree's
+    boxes, then that level's ghosts), and a mask of the ghost rows."""
+    store, ghost_keys = state.store, state.v_ghosts.keys
+    ghost_levels = morton.key_level(ghost_keys)
+    keys = np.zeros(len(store.u_all), np.uint64)
+    ghost = np.zeros(len(store.u_all), bool)
+    for level, rows in store.u_rows.items():
+        start, n_local = store.row_start[level], len(store.u[level])
+        assert rows.base is store.u_all and store.u[level].base is store.u_all
+        keys[start : start + n_local] = state.tree.level_keys[level]
+        keys[start + n_local : start + len(rows)] = ghost_keys[ghost_levels == level]
+        ghost[start + n_local : start + len(rows)] = True
+    return keys, ghost
+
+
 def test_v_ghost_plans_agree_across_ranks():
-    # What rank r packs for neighbor j, per level and in order, is what j
-    # unpacks from r: the keys behind r's send rows are j's ghost keys at
-    # the rows j writes.
+    # What rank r gathers for neighbor j is, in order, what j scatters from
+    # r: the keys behind r's send rows are the keys behind j's receive
+    # rows, and the receive rows fill each ghost row of j exactly once.
     pts, chg = raw_instance(8192, seed=12)
     _, states, _ = distributed_run(pts, chg, 64, cfg(global_depth=2, local_depth=1),
                                    evaluate_runs=0)
+    row_keys = [store_row_keys(s) for s in states]
     n_keys = 0
     for r, state in enumerate(states):
+        keys, ghost = row_keys[r]
         for pos, j in enumerate(state.graph.tolist()):
-            peer = states[j]
-            back = peer.graph.tolist().index(r)
-            sent = [(lvl, state.tree.level_keys[lvl][idx])
-                    for lvl, idx in state.v_ghosts.send_plan[pos]]
-            written = [(lvl, peer.v_ghosts.keys[lvl][gpos])
-                       for lvl, gpos in peer.v_ghosts.recv_plan[back]]
-            assert [lvl for lvl, _ in sent] == [lvl for lvl, _ in written]
-            for (_, a), (_, b) in zip(sent, written):
-                assert np.array_equal(a, b)
-            n_keys += sum(len(keys) for _, keys in sent)
+            back = states[j].graph.tolist().index(r)
+            send_rows = state.v_ghosts.send_rows[pos]
+            recv_rows = states[j].v_ghosts.recv_rows[back]
+            assert not ghost[send_rows].any()
+            assert np.array_equal(keys[send_rows], row_keys[j][0][recv_rows])
+            n_keys += len(send_rows)
+        filled = np.sort(np.concatenate([np.empty(0, np.int64), *state.v_ghosts.recv_rows]))
+        assert np.array_equal(filled, np.flatnonzero(ghost))
     assert n_keys == sum(s.v_ghost_count() for s in states) > 0
+
+
+def test_ghost_rows_match_owner_expansions():
+    # After evaluate, every ghost row of the store holds, bit for bit, the
+    # owner's u row of that box.
+    pts, chg = raw_instance(2048, seed=13)
+    _, states, _ = distributed_run(pts, chg, 8, cfg(local_depth=2))
+    n_checked = 0
+    for state in states:
+        keys, ghost = store_row_keys(state)
+        for row in np.flatnonzero(ghost):
+            key = keys[row : row + 1]
+            level = morton.key_level(int(key[0]))
+            owner = states[int(state.layout.owner_of_boxes(key)[0])]
+            assert owner is not state
+            want = owner.store.u[level][owner.tree.index_of(level, key)[0]]
+            assert np.array_equal(state.store.u_all[row], want)
+            n_checked += 1
+    assert n_checked == sum(s.v_ghost_count() for s in states) > 0
+    assert any(np.any(s.store.u_all[store_row_keys(s)[1]] != 0) for s in states)
 
 
 def test_unresolved_dependency_after_ghost_drop():
