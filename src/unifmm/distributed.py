@@ -12,8 +12,11 @@ No rank asks another which boxes exist. The layout is replicated, and U
 and V are symmetric relations (``A`` is in ``V(B)`` exactly when ``B`` is
 in ``V(A)``, likewise for U), so the boxes a neighbor's lists need from
 this rank are this rank's occupied boxes whose own lists hold a box of
-that neighbor. Each rank pushes those keys, one exchange for U and one
-for V, and what it receives is what its own lists will find remotely.
+that neighbor. Each rank pushes the keys of those V boxes and the point
+rows of those U leaves, one message per neighbor each. What it receives
+is what its own lists will find remotely: the point rows, taken in graph
+order, form the near-field ghost table sorted by leaf key, which the
+receiver recomputes from each point.
 
 Each evaluation then needs exactly three collectives per rank: one
 neighbor exchange delivering ghost expansions for the local V lists (one
@@ -58,7 +61,6 @@ from .operators import (
 )
 from .partition import (
     build_layout,
-    equal_root_runs,
     redistribute,
     root_split_splitters,
     runs_from_splitters,
@@ -95,6 +97,9 @@ class FmmConfig:
             raise ValueError(f"precision must be f32 or f64, got {self.precision!r}")
         if self.balance_mode not in ("roots", "sampled"):
             raise ValueError(f"unknown balance_mode {self.balance_mode!r}")
+        # Zero is valid: encode_points puts the upper face in the last cell.
+        if not (np.isfinite(self.margin) and self.margin >= 0):
+            raise ValueError(f"margin must be finite and >= 0, got {self.margin!r}")
         expansion_length(self.order)
 
     @property
@@ -143,8 +148,6 @@ class DistributedFmm:
     graph: np.ndarray             # sorted neighbor ranks: adjacent subdomains
     near_ghosts: NearFieldGhosts
     u_send_rows: list             # per neighbor: point rows served, leaf by leaf
-    u_confirmed: list             # per neighbor: ghost leaf keys received
-    u_counts: list                # per neighbor: point count of each of those leaves
     v_ghosts: _VGhosts
     v_plan: VListPlan
     global_plan: object           # nominated rank only, else None
@@ -233,14 +236,12 @@ def _cut(array, lengths):
 
 
 def _served_rows(tree, keys_per_nbr):
-    """Per neighbor, the point rows of the leaves served to it, leaf after
-    leaf, and the point count of each of those leaves."""
+    """Per neighbor, the point rows of the leaves served to it, leaf by leaf."""
     keys, lengths = _concat_keys(keys_per_nbr)
     starts, ends = tree.leaf_ranges[tree.index_of(tree.leaf_level, keys)].T
     counts = ends - starts
     rows = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    counts_per_nbr = _cut(counts, lengths)
-    return _cut(rows, [c.sum() for c in counts_per_nbr]), counts_per_nbr
+    return _cut(rows, [c.sum() for c in _cut(counts, lengths)])
 
 
 def _store_rows(tree, ghost_keys):
@@ -272,20 +273,18 @@ def _rows_of(lookup, keys):
     return rows[pos], sorted_keys[pos] == keys
 
 
-def _push_boxes(comm, graph, layout, boxes, members):
-    """Send each neighbor the boxes of ours that its lists hold.
+def _served_boxes(graph, layout, boxes, members):
+    """Per neighbor in ``graph``, the boxes of ours that its lists hold.
 
     ``members[i]`` is a remote list member of the occupied own box
     ``boxes[i]``. By the symmetry of U and V, a neighbor's lists hold our
     box exactly when that box's lists hold one of the neighbor's boxes,
-    so the neighbor gets the sorted, unique boxes with a member it owns.
-    Returns (received[], sent[]) aligned with ``graph``: the neighbors'
-    occupied boxes our lists hold, and the boxes we serve.
+    so the neighbor is served the sorted, unique boxes with a member it
+    owns.
     """
     owners = layout.owner_of_boxes(members)
     assert np.isin(owners, graph).all(), "list member outside halo"
-    serve = [np.unique(boxes[owners == j]) for j in graph.tolist()]
-    return comm.neighbor_alltoallv(graph, serve), serve
+    return [np.unique(boxes[owners == j]) for j in graph.tolist()]
 
 
 def setup(comm, points, charges, config):
@@ -308,14 +307,12 @@ def setup(comm, points, charges, config):
         )
         if config.balance_mode == "roots":
             splitters = root_split_splitters(config.global_depth, comm.size, leaf_level)
-            # Same formula on every rank: no sampling collective needed.
-            runs = equal_root_runs(config.global_depth, comm.size)
         else:
             splitters = sample_splitters(
                 comm, keys, config.samples_per_rank, config.seed,
                 snap_level=config.global_depth,
             )
-            runs = runs_from_splitters(config.global_depth, splitters)
+        runs = runs_from_splitters(config.global_depth, splitters)
         # ``runs`` is the same on every rank, so all ranks raise together.
         idle = np.flatnonzero(np.diff(runs) == 0)
         if len(idle):
@@ -351,24 +348,21 @@ def setup(comm, points, charges, config):
         per_leaf = np.diff(lists.u_member_ptr)
         remote = ~tree.contains(leaf_level, lists.u_member_keys)
         pick = remote & np.repeat(tree.level_nonempty[leaf_level], per_leaf)
-        u_confirmed, u_serve = _push_boxes(
-            comm, graph, layout,
-            np.repeat(tree.leaves, per_leaf)[pick], lists.u_member_keys[pick],
+        u_serve = _served_boxes(
+            graph, layout, np.repeat(tree.leaves, per_leaf)[pick], lists.u_member_keys[pick]
         )
-        near = NearFieldGhosts()
-        asked = np.unique(lists.u_member_keys[remote])
-        confirmed, _ = _concat_keys(u_confirmed)
-        near.confirmed_absent = set(np.setdiff1d(asked, confirmed).tolist())
-        # Ship points and charges for every leaf we serve, sorted by key.
-        u_send_rows, counts_out = _served_rows(tree, u_serve)
+        # Ship the points and charges of every leaf we serve, leaf by leaf in
+        # key order. The graph is in rank order and ranks own rank-ordered
+        # Morton runs, so the rows received, taken in graph order, are sorted
+        # by leaf key: the point's key, from the same bits in the same cube.
+        u_send_rows = _served_rows(tree, u_serve)
         table = np.concatenate([tree.points, chg[:, None]], axis=1)
-        counts_in = comm.neighbor_alltoallv(graph, counts_out)
         rows_in = comm.neighbor_alltoallv(graph, [table[r].ravel() for r in u_send_rows])
-        for keys, counts, buf in zip(u_confirmed, counts_in, rows_in):
-            got = buf.reshape(-1, 4)
-            keys = keys.tolist()
-            near.points.update(zip(keys, _cut(np.ascontiguousarray(got[:, :3]), counts)))
-            near.charges.update(zip(keys, _cut(got[:, 3].copy(), counts)))
+        got = np.concatenate([np.empty(0), *rows_in]).reshape(-1, 4)
+        coords = np.ascontiguousarray(got[:, :3])
+        ghost_leaves = morton.encode_points(coords, leaf_level, cube)
+        absent = np.setdiff1d(lists.u_member_keys[remote], ghost_leaves)
+        near = NearFieldGhosts(ghost_leaves, coords, got[:, 3].copy(), absent)
 
     with _phase(timings, "v_list"):
         held = []
@@ -376,7 +370,8 @@ def setup(comm, points, charges, config):
             pick = tree.level_nonempty[level][tgt] & ~tree.contains(level, mkeys)
             held.append((tree.level_keys[level][tgt[pick]], mkeys[pick]))
         boxes, members = (np.concatenate(parts) for parts in zip(*held))
-        v_confirmed, v_serve = _push_boxes(comm, graph, layout, boxes, members)
+        v_serve = _served_boxes(graph, layout, boxes, members)
+        v_confirmed = comm.neighbor_alltoallv(graph, v_serve)
 
         ghost_keys = np.unique(_concat_keys(v_confirmed)[0])
         ghost_sizes, row_start, lookup = _store_rows(tree, ghost_keys)
@@ -419,8 +414,6 @@ def setup(comm, points, charges, config):
         graph=graph,
         near_ghosts=near,
         u_send_rows=u_send_rows,
-        u_confirmed=u_confirmed,
-        u_counts=counts_in,
         v_ghosts=ghosts,
         v_plan=v_plan,
         global_plan=global_plan,
@@ -549,9 +542,8 @@ def update_charges(state, new_charges):
     recv = state.comm.neighbor_alltoallv(
         state.graph, [new_charges[rows] for rows in state.u_send_rows]
     )
-    for keys, counts, buf in zip(state.u_confirmed, state.u_counts, recv):
-        # Charges arrive in the same key order the point rows did at setup.
-        state.near_ghosts.charges.update(zip(keys.tolist(), _cut(buf, counts)))
+    # Charges arrive in the order the point rows did at setup.
+    state.near_ghosts.charges = np.concatenate([np.empty(0), *recv])
     state.store.reset()
     return state
 

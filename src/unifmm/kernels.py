@@ -157,16 +157,27 @@ def direct_sum(targets, sources, charges):
 
 @dataclass
 class NearFieldGhosts:
-    """Ghost point/charge data for off-rank U-list leaves.
+    """Ghost points and charges of off-rank U-list leaves, as one table.
 
-    ``confirmed_absent`` lists remote U-list leaves that their owners did
-    not send, because they contain no points; members in neither map are
-    unresolved.
+    Row ``i`` is a point of leaf ``keys[i]`` at ``coords[i]`` with charge
+    ``charges[i]``; rows are sorted by leaf key, so each ghost leaf is one
+    run of rows. ``confirmed_absent`` holds, sorted, the remote U-list
+    leaves that hold no points on their owner. A remote member in neither
+    is unresolved.
     """
 
-    points: dict = field(default_factory=dict)   # key -> (k, 3) float64
-    charges: dict = field(default_factory=dict)  # key -> (k,) float64
-    confirmed_absent: set = field(default_factory=set)
+    keys: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint64))
+    coords: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
+    charges: np.ndarray = field(default_factory=lambda: np.empty(0))
+    confirmed_absent: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint64))
+
+    @property
+    def points(self):
+        """``{leaf key: view of its rows of coords}``, rebuilt on each read,
+        for per-leaf lookups such as ``perfbench/harness.py``'s pair count."""
+        leaves, starts = np.unique(self.keys, return_index=True)
+        ends = np.append(starts[1:], len(self.keys))
+        return {k: self.coords[a:b] for k, a, b in zip(leaves.tolist(), starts, ends)}
 
 
 def p2p_uli(tree, lists, charges, ghosts=None, out=None):
@@ -183,37 +194,28 @@ def p2p_uli(tree, lists, charges, ghosts=None, out=None):
         ghosts = NearFieldGhosts()
 
     leaf_level = tree.leaf_level
-    src_blocks = [tree.points]
-    chg_blocks = [charges]
-    ghost_keys = np.asarray(sorted(ghosts.points), dtype=np.uint64)
-    ghost_bounds = np.empty((len(ghost_keys), 2), dtype=np.int64)
-    offset = tree.n_points
-    for i, key in enumerate(ghost_keys.tolist()):
-        pts = np.asarray(ghosts.points[key], dtype=np.float64).reshape(-1, 3)
-        chg = np.asarray(ghosts.charges[key], dtype=np.float64).reshape(-1)
-        if len(chg) != len(pts):
-            raise ValueError("ghost charges length does not match ghost points")
-        ghost_bounds[i] = offset, offset + len(pts)
-        src_blocks.append(pts)
-        chg_blocks.append(chg)
-        offset += len(pts)
-    src_pts = np.concatenate(src_blocks, axis=0) if len(src_blocks) > 1 else tree.points
-    src_chg = np.concatenate(chg_blocks) if len(chg_blocks) > 1 else charges
+    ghost_keys = ghosts.keys
+    if not len(ghost_keys) == len(ghosts.coords) == len(ghosts.charges):
+        raise ValueError("ghost keys, points and charges differ in length")
+    if np.any(ghost_keys[1:] < ghost_keys[:-1]):
+        raise ValueError("ghost keys are not sorted")
+    src_pts = np.concatenate([tree.points, ghosts.coords]) if len(ghost_keys) else tree.points
+    src_chg = np.concatenate([charges, ghosts.charges]) if len(ghost_keys) else charges
 
     # Resolve every U member, in leaf order, to a segment of the sources:
-    # a local leaf, else a ghost leaf. Empty and confirmed-absent members
-    # keep the empty segment (0, 0); any other member is unresolved.
+    # a local leaf, else its run of ghost rows. Empty and confirmed-absent
+    # members keep the empty segment (0, 0); any other member is unresolved.
     keys = lists.u_member_keys
     bounds = np.zeros((len(keys), 2), dtype=np.int64)
     local = tree.contains(leaf_level, keys)
     bounds[local] = tree.leaf_ranges[tree.index_of(leaf_level, keys[local])]
     remote = np.nonzero(~local)[0]
-    is_ghost = np.isin(keys[remote], ghost_keys)
-    ghost = remote[is_ghost]
-    bounds[ghost] = ghost_bounds[np.searchsorted(ghost_keys, keys[ghost])]
+    lo = np.searchsorted(ghost_keys, keys[remote], side="left")
+    hi = np.searchsorted(ghost_keys, keys[remote], side="right")
+    is_ghost = hi > lo
+    bounds[remote[is_ghost]] = tree.n_points + np.stack([lo, hi], axis=1)[is_ghost]
     missing = remote[~is_ghost]
-    absent = np.fromiter(ghosts.confirmed_absent, dtype=np.uint64)
-    unresolved = missing[~np.isin(keys[missing], absent)]
+    unresolved = missing[~np.isin(keys[missing], ghosts.confirmed_absent)]
     if len(unresolved):
         k = int(keys[unresolved[0]])
         raise UnresolvedDependencyError(

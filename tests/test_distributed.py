@@ -111,16 +111,17 @@ def test_runtime_collective_schedule():
 
 
 def test_setup_collective_schedule():
-    # Each owner pushes the boxes its neighbors' lists need, so setup makes
-    # no query round trip. Per rank: two allgathers (bounding cube, layout),
-    # two all-to-alls (point rows, original indices) and four neighbor
-    # exchanges (U keys, U counts, U rows, V keys).
+    # Each owner pushes what its neighbors' lists need, so setup makes no
+    # query round trip. Per rank: two allgathers (bounding cube, layout),
+    # two all-to-alls (point rows, original indices) and two neighbor
+    # exchanges (U point rows, from which the receiver derives the leaf
+    # keys, and V keys).
     pts, chg = raw_instance(4096, seed=4)
     for P, config in ((8, cfg(local_depth=1)), (64, cfg(global_depth=2, local_depth=1))):
         _, states, _ = distributed_run(pts, chg, P, config, evaluate_runs=0)
         for state in states:
             calls = {kind: s["calls"] for kind, s in state.comm.stats().snapshot().items()}
-            assert calls == {"allgatherv": 2, "alltoallv": 2, "neighbor_alltoallv": 4,
+            assert calls == {"allgatherv": 2, "alltoallv": 2, "neighbor_alltoallv": 2,
                              "gatherv": 0, "scatterv": 0}
 
 
@@ -180,7 +181,7 @@ def test_ghost_sufficiency_and_minimality():
                 if not tree.contains(tree.leaf_level, np.asarray([k], np.uint64))[0]:
                     needed.add(k)
         held = set(state.near_ghosts.points)
-        absent = state.near_ghosts.confirmed_absent
+        absent = {int(k) for k in state.near_ghosts.confirmed_absent}
         assert held <= needed
         assert needed == held | absent
         assert held == needed & occupied
@@ -194,6 +195,58 @@ def test_ghost_sufficiency_and_minimality():
         assert v_held <= v_needed
         # A remote V box left out drops its far-field term without an error.
         assert v_held == v_needed & occupied
+
+
+@pytest.mark.parametrize("config", [
+    cfg(local_depth=2),
+    cfg(global_depth=2, local_depth=1, balance_mode="sampled", samples_per_rank=64),
+], ids=["roots", "sampled"])
+def test_near_ghosts_match_owner_points(config):
+    # Each rank's ghost table holds, row for row and in key order, the
+    # owners' points and charges of its occupied remote U members, and its
+    # other remote members (the sphere leaves many leaves empty) are
+    # confirmed absent. The sampled splitters give uneven root runs (6 to
+    # 10 roots), so the messages that make up a table cover runs of
+    # different lengths. After update_charges the ghost charges are the
+    # owners' new charges, bit for bit.
+    pts, chg = raw_instance(4096, seed=17, sphere=True)
+    chunks = np.array_split(np.arange(len(pts)), 8)
+    world = create_world(8, seed=config.seed)
+
+    def program(comm):
+        state = setup(comm, pts[chunks[comm.rank]], chg[chunks[comm.rank]], config)
+        at_setup = state.charges, state.near_ghosts.charges
+        update_charges(state, np.random.default_rng([18, comm.rank]).random(state.tree.n_points))
+        return state, at_setup
+
+    states, at_setup = zip(*run_spmd(world, program))
+    if config.balance_mode == "sampled":
+        assert len({s.n_local_roots for s in states}) > 1
+    level = config.leaf_level
+    n_rows = n_absent = 0
+    for state, (_, ghost_chg0) in zip(states, at_setup):
+        ghosts = state.near_ghosts
+        keys = state.lists.u_member_keys
+        remote = np.unique(keys[~state.tree.contains(level, keys)])
+        owners = [states[r] for r in state.layout.owner_of_boxes(remote)]
+        assert all(o is not state for o in owners)
+        ranges = [o.tree.leaf_ranges[o.tree.index_of(level, [k])[0]]
+                  for o, k in zip(owners, remote)]
+        empty = np.array([a == b for a, b in ranges], dtype=bool)
+        held = [(o, a, b) for o, (a, b) in zip(owners, ranges) if b > a]
+
+        def rows(column):
+            return np.concatenate([column(o)[a:b] for o, a, b in held])
+
+        assert ghosts.confirmed_absent.dtype == np.uint64
+        assert np.array_equal(ghosts.confirmed_absent, remote[empty])
+        assert np.array_equal(ghosts.keys, np.repeat(remote[~empty], [b - a for _, a, b in held]))
+        assert np.array_equal(ghosts.coords, rows(lambda o: o.tree.points))
+        assert np.array_equal(ghost_chg0, rows(lambda o: at_setup[o.rank][0]))
+        assert np.array_equal(ghosts.charges, rows(lambda o: o.charges))
+        n_rows += len(ghosts.keys)
+        n_absent += len(ghosts.confirmed_absent)
+    assert n_rows > 0 and n_absent > 0
 
 
 def store_row_keys(state):
@@ -444,6 +497,18 @@ def test_manifest_is_deterministic():
     assert manifests[0] == manifests[1]
     assert manifests[0]["transport_backend"] == "sim"
     assert len(manifests[0]["splitters"]) == 7
+
+
+def test_config_rejects_bad_margin():
+    for bad in (-1.0, -0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="margin"):
+            cfg(margin=bad)
+    # A zero margin puts the extreme points on the cube's faces.
+    pts, chg = raw_instance(300, seed=19)
+    _, states, evals = distributed_run(pts, chg, 2, cfg(local_depth=1, margin=0.0))
+    spts = np.concatenate([s.points for s in states])
+    schg = np.concatenate([s.charges for s in states])
+    assert rel_l2(concat_potentials(evals), direct_sum(spts, spts, schg)) <= frozen_eps(3)
 
 
 def test_setup_phase_timings_present():

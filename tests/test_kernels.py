@@ -161,7 +161,22 @@ def test_p2p_uli_unresolved_dependency():
         p2p_uli(tree, lists, np.ones(1))
 
 
-def test_p2p_uli_ghosts_resolve_remote_members():
+def _ghost_table(points, charges, absent=()):
+    """NearFieldGhosts holding the per-leaf ``points[key]`` and
+    ``charges[key]`` as one key-sorted table; ``absent`` leaves are
+    confirmed absent."""
+    keys = sorted(points)
+    return NearFieldGhosts(
+        keys=np.repeat(np.asarray(keys, dtype=np.uint64), [len(points[k]) for k in keys]),
+        coords=np.concatenate([np.empty((0, 3)), *(points[k] for k in keys)]),
+        charges=np.concatenate([np.empty(0), *(charges[k] for k in keys)]),
+        confirmed_absent=np.asarray(sorted(absent), dtype=np.uint64),
+    )
+
+
+def _corner_point_tree():
+    """One point near the inner corner of root 0, the only local root, so
+    its U list reaches under the other roots."""
     pts = np.array([[0.49, 0.49, 0.49]])
     keys = morton.encode_points(pts, 2, UNIT)
     root = morton.ancestor_at(int(keys[0]), 1)
@@ -169,17 +184,39 @@ def test_p2p_uli_ghosts_resolve_remote_members():
     lists = build_interaction_lists(tree)
     remote = [int(k) for k in lists.u_members(tree.index_of(2, keys)[0])
               if not tree.contains(2, np.asarray([k], dtype=np.uint64))[0]]
-    ghosts = NearFieldGhosts(confirmed_absent=set(remote))
+    return tree, lists, remote
+
+
+def test_p2p_uli_ghosts_resolve_remote_members():
+    tree, lists, remote = _corner_point_tree()
     # One remote member actually holds a point.
     gkey = remote[0]
     anchor, side = morton.decode(gkey, UNIT)
     gpt = anchor + 0.5 * side
-    ghosts.confirmed_absent.discard(gkey)
-    ghosts.points[gkey] = gpt[None, :]
-    ghosts.charges[gkey] = np.array([2.0])
+    ghosts = _ghost_table({gkey: gpt[None, :]}, {gkey: np.array([2.0])}, remote[1:])
     f = p2p_uli(tree, lists, np.ones(1), ghosts)
-    want = 2.0 / np.linalg.norm(pts[0] - gpt)
+    want = 2.0 / np.linalg.norm(tree.points[0] - gpt)
     np.testing.assert_allclose(f, [want], rtol=1e-14)
+
+
+def test_p2p_uli_rejects_malformed_ghost_table():
+    tree, lists, remote = _corner_point_tree()
+    k0, k1 = sorted(remote)[:2]
+    gpts = {k: morton.decode(k, UNIT)[0][None, :] + 0.01 for k in (k0, k1)}
+    ghosts = _ghost_table(gpts, {k0: np.ones(1), k1: np.ones(1)}, set(remote) - {k0, k1})
+    p2p_uli(tree, lists, np.ones(1), ghosts)
+    short = NearFieldGhosts(ghosts.keys, ghosts.coords, ghosts.charges[:1],
+                            ghosts.confirmed_absent)
+    with pytest.raises(ValueError, match="differ in length"):
+        p2p_uli(tree, lists, np.ones(1), short)
+    short = NearFieldGhosts(ghosts.keys[:1], ghosts.coords, ghosts.charges,
+                            ghosts.confirmed_absent)
+    with pytest.raises(ValueError, match="differ in length"):
+        p2p_uli(tree, lists, np.ones(1), short)
+    swapped = NearFieldGhosts(ghosts.keys[::-1], ghosts.coords, ghosts.charges,
+                              ghosts.confirmed_absent)
+    with pytest.raises(ValueError, match="ghost keys are not sorted"):
+        p2p_uli(tree, lists, np.ones(1), swapped)
 
 
 def _points_with_duplicates(rng, n_t, n_s):
@@ -236,8 +273,7 @@ def test_p2p_uli_matches_direct_sum_on_clustered_leaves_with_ghost():
     remote = {int(k) for k in lists.u_member_keys
               if not tree.contains(2, np.asarray([k], dtype=np.uint64))[0]}
     assert gkey in remote
-    ghosts = NearFieldGhosts(points={gkey: gpts}, charges={gkey: gchg},
-                             confirmed_absent=remote - {gkey})
+    ghosts = _ghost_table({gkey: gpts}, {gkey: gchg}, remote - {gkey})
     charges = rng.standard_normal(len(pts))
     f = p2p_uli(tree, lists, charges, ghosts)
 
@@ -258,9 +294,10 @@ def _one_way_near_field(tree, lists, charges, ghosts):
                 a, b = tree.leaf_ranges[tree.index_of(level, np.asarray([key], dtype=np.uint64))[0]]
                 src.append(tree.points[a:b])
                 chg.append(charges[a:b])
-            elif key in ghosts.points:
-                src.append(ghosts.points[key])
-                chg.append(ghosts.charges[key])
+            else:
+                run = ghosts.keys == key
+                src.append(ghosts.coords[run])
+                chg.append(ghosts.charges[run])
         out[t0:t1] = laplace_potential(tree.points[t0:t1], np.concatenate(src), np.concatenate(chg))
     return out
 
@@ -286,19 +323,19 @@ def test_p2p_uli_mutual_matches_one_way_per_leaf_oracle():
 
     remote = sorted({int(k) for k in lists.u_member_keys
                      if not tree.contains(level, np.asarray([k], dtype=np.uint64))[0]})
-    ghosts = NearFieldGhosts()
+    gpts, gchg = {}, {}
     for key in remote[::2]:
         anchor, side = morton.decode(key, UNIT)
         k = int(rng.integers(1, 5))
-        ghosts.points[key] = anchor + rng.random((k, 3)) * side
-        ghosts.charges[key] = rng.random(k)
-    ghosts.confirmed_absent = set(remote[1::2])
+        gpts[key] = anchor + rng.random((k, 3)) * side
+        gchg[key] = rng.random(k)
+    ghosts = _ghost_table(gpts, gchg, remote[1::2])
     charges = rng.random(len(pts))
 
     got = p2p_uli(tree, lists, charges, ghosts)
     np.testing.assert_allclose(got, _one_way_near_field(tree, lists, charges, ghosts), rtol=1e-13)
 
     dropped = remote[0]
-    del ghosts.points[dropped], ghosts.charges[dropped]
+    del gpts[dropped], gchg[dropped]
     with pytest.raises(UnresolvedDependencyError, match=f"{dropped:#x}"):
-        p2p_uli(tree, lists, charges, ghosts)
+        p2p_uli(tree, lists, charges, _ghost_table(gpts, gchg, remote[1::2]))
