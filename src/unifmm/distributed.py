@@ -37,6 +37,7 @@ all root expansions are present.
 
 from __future__ import annotations
 
+import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -89,6 +90,11 @@ class FmmConfig:
     samples_per_rank: int = 200      # "sampled": splitters from key samples
 
     def __post_init__(self):
+        for name in ("global_depth", "local_depth", "order", "samples_per_rank"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.global_depth < 1 or self.local_depth < 1:
             raise ValueError("global_depth and local_depth must each be >= 1")
         if self.global_depth + self.local_depth > morton.MAX_DEPTH:
@@ -97,6 +103,8 @@ class FmmConfig:
             raise ValueError(f"precision must be f32 or f64, got {self.precision!r}")
         if self.balance_mode not in ("roots", "sampled"):
             raise ValueError(f"unknown balance_mode {self.balance_mode!r}")
+        if self.samples_per_rank < 1:
+            raise ValueError(f"samples_per_rank must be >= 1, got {self.samples_per_rank}")
         # Zero is valid: encode_points puts the upper face in the last cell.
         if not (np.isfinite(self.margin) and self.margin >= 0):
             raise ValueError(f"margin must be finite and >= 0, got {self.margin!r}")

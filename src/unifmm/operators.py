@@ -12,10 +12,13 @@ level-dependent factor (it scales linearly with the box side); the
 up-to-up, transfer (M2L), and down-to-down matrices are shared by every
 level.
 
-The build makes exactly two SVDs, one per check-surface system. A
-child's downward check system is the parent's halved in size and moved,
-so by homogeneity and translation invariance it is twice the parent's
-matrix and its solve is ``0.5 * dc2e_inv``. The source equivalent and
+The build makes exactly one SVD. The downward surfaces are the upward
+ones with their roles swapped and the kernel is symmetric, so the
+downward check system is the transpose of the upward one and M2L solves
+it with ``uc2e_inv.T``. A child's downward check system is the parent's
+halved in size and moved, so by homogeneity and translation invariance
+it is twice the parent's matrix and D2D solves it with
+``0.5 * uc2e_inv.T``. The source equivalent and
 target check surfaces of M2L are the same origin-symmetric lattice, and
 it maps onto itself under the 48 axis permutations and sign flips of the
 cube. Such a map ``g`` permutes the lattice points, so
@@ -38,9 +41,10 @@ sign flips of child octant 0 in the same way, so U2U and D2D store one
 matrix each and run one product per level over all children in their
 flip frames. A flipped U2U matrix carries a permuted copy of the
 truncated up solve, equal to the solve S2U uses only to about 4e-7 at
-order 8; this raised the order-8 error against direct summation by
-about 8% (to 1.1e-8, within ``FROZEN_EPS[8]``) and left orders 2 to 6
-unchanged to three digits.
+order 8. There the cutoff keeps singular values down to 1.3e-10 of the
+largest, whose directions only rounding fixes: equally valid
+factorizations of the one system put the order-8 error against direct
+summation anywhere from 1.9e-9 to 1.9e-8 (2.5e-9 to 2.9e-9 with numpy's).
 
 S2U and D2T evaluate one fixed surface template shifted to each leaf
 (as in the KIFMM of Ying, Biros & Zorin, JCP 2004). Each point's offset
@@ -162,8 +166,9 @@ def _tsvd_pinv(mat, cutoff):
 class OperatorSet:
     """Precomputed level-shared operator matrices for one expansion order.
 
-    ``uc2e_inv``/``dc2e_inv`` are the unit-box check-to-equivalent solve
-    operators; at a box of side ``s`` they scale by ``s``. ``u2u`` and
+    ``uc2e_inv`` is the unit-box check-to-equivalent solve, its transpose
+    the downward one; at a box of side ``s`` it scales by ``s``.
+    ``down_equiv_grid`` is ``up_check_grid``. ``u2u`` and
     ``d2d`` are the matrices of child octant 0, ``m2l`` is indexed by the
     row of :data:`ORTHANT_VECTORS`. ``flip_perm[f]`` is the surface-lattice
     permutation of the sign flip of the axes in the bits of ``f``; the
@@ -177,15 +182,16 @@ class OperatorSet:
     dtype: np.dtype
     svd_cutoff: float
     uc2e_inv: np.ndarray
-    dc2e_inv: np.ndarray
     u2u: np.ndarray        # (n_e, n_e), child octant 0
     d2d: np.ndarray        # (n_e, n_e), child octant 0
     m2l: np.ndarray        # (56, n_e, n_e), one per orthant vector
     flip_perm: np.ndarray  # (8, n_e) lattice permutation per axis sign flip
     up_equiv_grid: np.ndarray = field(repr=False)   # unit templates
     up_check_grid: np.ndarray = field(repr=False)
-    down_equiv_grid: np.ndarray = field(repr=False)
-    down_check_grid: np.ndarray = field(repr=False)
+
+    @property
+    def down_equiv_grid(self):
+        return self.up_check_grid
 
     @property
     def n_coeff(self):
@@ -229,19 +235,15 @@ def precompute_operators(order, dtype=np.float64):
 
     up_equiv = surface_grid(order, scale=UPWARD_EQUIV_SCALE)
     up_check = surface_grid(order, scale=UPWARD_CHECK_SCALE)
-    down_check = surface_grid(order, scale=UPWARD_EQUIV_SCALE)
-    down_equiv = surface_grid(order, scale=UPWARD_CHECK_SCALE)
 
     uc2e_inv = _tsvd_pinv(inverse_distances(up_check, up_equiv), svd_cutoff)
-    dc2e_inv = _tsvd_pinv(inverse_distances(down_check, down_equiv), svd_cutoff)
-    child_inv = 0.5 * dc2e_inv
 
     # Child octant 0 is centered at -1/4 of the parent side on every axis.
     u2u = uc2e_inv @ inverse_distances(up_check, up_equiv * 0.5 - 0.25)
-    d2d = child_inv @ inverse_distances(down_check * 0.5 - 0.25, down_equiv)
+    d2d = 0.5 * uc2e_inv.T @ inverse_distances(up_equiv * 0.5 - 0.25, up_check)
 
     classes, cls, rho, flip_perm = _lattice_maps(order)
-    class_m2l = [dc2e_inv @ inverse_distances(down_check, t0 + up_equiv) for t0 in classes]
+    class_m2l = [uc2e_inv.T @ inverse_distances(up_equiv, t0 + up_equiv) for t0 in classes]
     n = expansion_length(order)
     m2l = np.empty((len(ORTHANT_VECTORS), n, n), dtype=dtype)
     for i, (c, r) in enumerate(zip(cls, rho)):
@@ -252,15 +254,12 @@ def precompute_operators(order, dtype=np.float64):
         dtype=dtype,
         svd_cutoff=svd_cutoff,
         uc2e_inv=uc2e_inv.astype(dtype, copy=False),
-        dc2e_inv=dc2e_inv.astype(dtype, copy=False),
         u2u=u2u.astype(dtype, copy=False),
         d2d=d2d.astype(dtype, copy=False),
         m2l=m2l,
         flip_perm=flip_perm,
         up_equiv_grid=up_equiv,
         up_check_grid=up_check,
-        down_equiv_grid=down_equiv,
-        down_check_grid=down_check,
     )
 
 

@@ -499,10 +499,22 @@ def test_manifest_is_deterministic():
     assert len(manifests[0]["splitters"]) == 7
 
 
-def test_config_rejects_bad_margin():
-    for bad in (-1.0, -0.5, np.nan, np.inf):
-        with pytest.raises(ValueError, match="margin"):
-            cfg(margin=bad)
+@pytest.mark.parametrize("name, bad", [
+    ("margin", -1.0), ("margin", -0.5), ("margin", np.nan), ("margin", np.inf),
+    ("order", 3.5), ("order", 3.0), ("order", True),
+    ("global_depth", 1.5), ("global_depth", True),
+    ("local_depth", 2.0), ("local_depth", False),
+    ("samples_per_rank", 0), ("samples_per_rank", 1.5),
+])
+def test_config_rejects_bad_field(name, bad):
+    with pytest.raises(ValueError, match=name):
+        cfg(**{name: bad})
+
+
+def test_config_accepts_boundary_values():
+    # numpy integers are stored as int, so the manifest stays JSON.
+    config = cfg(order=np.int64(3), global_depth=np.int32(1), samples_per_rank=1)
+    assert type(config.order) is int and type(config.global_depth) is int
     # A zero margin puts the extreme points on the cube's faces.
     pts, chg = raw_instance(300, seed=19)
     _, states, evals = distributed_run(pts, chg, 2, cfg(local_depth=1, margin=0.0))

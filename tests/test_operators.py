@@ -337,8 +337,10 @@ def test_d2d_reproduces_parent_field_in_every_child(order):
     src_anchor, side = morton.decode(make_key(4, 3, 1, 3), cube)
     src_pts = src_anchor + rng.random((30, 3)) * side
     chg = rng.random(30)
-    check = morton.box_center(parent, cube) + ops.down_check_grid * side
-    d_parent = side * (ops.dc2e_inv @ laplace_potential(check, src_pts, chg))
+    # The downward check surface is the upward equivalent one, and its
+    # solve is the transpose of the upward solve.
+    check = morton.box_center(parent, cube) + ops.up_equiv_grid * side
+    d_parent = side * (ops.uc2e_inv.T @ laplace_potential(check, src_pts, chg))
     d2d = dense_d2d(ops)
     for o, child in enumerate(morton.children(parent)):
         d_child = d2d[o] @ d_parent
@@ -349,11 +351,11 @@ def test_d2d_reproduces_parent_field_in_every_child(order):
         assert rel_l2(got, want) <= OP_TOL[order]
 
 
-def test_build_solves_twice_and_forms_16_m2l_products(monkeypatch):
-    # Two SVDs (up and down check systems) and one kernel matrix per
-    # transfer-vector class (16); D2D reuses the down solve, the other 40
-    # stored transfer matrices are index gathers, and U2U and D2D are built
-    # for child octant 0 only: 2 + 2 + 16 kernel matrices.
+def test_build_solves_once_and_forms_16_m2l_products(monkeypatch):
+    # One SVD (the up check system; the down system is its transpose) and
+    # one kernel matrix per transfer-vector class (16); the other 40 stored
+    # transfer matrices are index gathers, and U2U and D2D are built for
+    # child octant 0 only: 1 + 2 + 16 kernel matrices.
     svds, m2l_centers, kernels = [], [], []
     kernel_matrix = operators.inverse_distances
 
@@ -371,9 +373,21 @@ def test_build_solves_twice_and_forms_16_m2l_products(monkeypatch):
     monkeypatch.setattr(operators, "_tsvd_pinv", counting_svd)
     monkeypatch.setattr(operators, "inverse_distances", recording_kernel)
     precompute_operators(4)
-    assert len(svds) == 2
+    assert len(svds) == 1
     assert len(m2l_centers) == len(set(m2l_centers)) == 16
-    assert len(kernels) == 20
+    assert len(kernels) == 19
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_swapped_check_system_is_bitwise_transpose(order):
+    # The downward pass uses the transposed up solve because the kernel
+    # matrix with the surfaces swapped is bit for bit the transpose.
+    up_equiv = surface_grid(order, scale=UPWARD_EQUIV_SCALE)
+    up_check = surface_grid(order, scale=UPWARD_CHECK_SCALE)
+    swapped = inverse_distances(up_equiv, up_check)
+    assert np.array_equal(swapped, inverse_distances(up_check, up_equiv).T)
+    ops = get_operator_set(order)
+    assert ops.down_equiv_grid is ops.up_check_grid
 
 
 @pytest.mark.parametrize(
