@@ -10,8 +10,9 @@ Subcommands:
     Run the direct-summation oracle, the single-rank reference pipeline,
     and the P-rank distributed pipeline on one seeded instance; print
     both error metrics and exit 0 only if the distributed result matches
-    the reference within 1e-10 (relative L2, f64) and the reference
-    matches direct summation within the frozen per-order bound.
+    the reference within the precision's bound (relative L2: 1e-10 in
+    f64, 1e-6 in f32) and the reference matches direct summation within
+    the frozen per-order bound.
 
 ``fmm sweep``
     Weak- or strong-scaling sweep over a list of rank counts. Emits a
@@ -42,6 +43,11 @@ POINTS_MAGIC = b"FMMPTS1\x00"
 CHARGES_MAGIC = b"FMMCHG1\x00"
 
 DIRECT_SUM_CAP = 100_000  # O(N^2) oracle cap for verify
+
+# Distributed-vs-reference relative L2 bound of verify, per precision.
+# f32 rounds differently at each rank count; its worst case seen over
+# orders 2-6 on seeds 0-3 was 1.4e-8.
+DIST_TOL = {"f64": 1e-10, "f32": 1e-6}
 
 STATS_COLUMNS = [
     "p", "repeat", "rank", "n_points", "n_roots", "v_ghost_boxes",
@@ -176,8 +182,9 @@ def cmd_verify(args):
 
     err_dist = float(np.linalg.norm(f_dist - f_ref) / np.linalg.norm(f_ref))
     eps = frozen_eps(config.order)
-    print(f"distributed-vs-reference relative L2: {err_dist:.3e} (tolerance 1e-10)")
-    ok = err_dist <= 1e-10
+    tol = DIST_TOL[config.precision]
+    print(f"distributed-vs-reference relative L2: {err_dist:.3e} (tolerance {tol:.0e})")
+    ok = err_dist <= tol
 
     if args.n <= DIRECT_SUM_CAP:
         f_direct = direct_sum(spts, spts, schg)

@@ -2,11 +2,12 @@
 
 Setup runs once per point set and resolves every data dependency ahead
 of time: the distributed sort and per-rank tree build, the global layout
-allgather, the static neighbor communication graph, the near-field
-point/charge exchange, and the far-field ghost rows. Those rows live in
-the expansion store right after each level's local rows, so the V-list
-kernels read remote sources as they read local ones, and setup fixes the
-store rows each neighbor is sent and the rows its messages land in.
+(which every rank derives from the splitters all ranks hold), the static
+neighbor communication graph, the near-field point/charge exchange, and
+the far-field ghost rows. Those rows live in the expansion store right
+after each level's local rows, so the V-list kernels read remote sources
+as they read local ones, and setup fixes the store rows each neighbor is
+sent and the rows its messages land in.
 
 No rank asks another which boxes exist. The layout is replicated, and U
 and V are symmetric relations (``A`` is in ``V(B)`` exactly when ``B`` is
@@ -56,6 +57,7 @@ from .operators import (
     get_operator_set,
     group_pairs_by_transfer,
     store_for_tree,
+    store_rows,
     u2u_level,
     upward_pass,
     vli_downward,
@@ -151,7 +153,6 @@ class DistributedFmm:
     store: object
     points: np.ndarray
     charges: np.ndarray
-    orig_index: np.ndarray
     splitters: np.ndarray
     graph: np.ndarray             # sorted neighbor ranks: adjacent subdomains
     near_ghosts: NearFieldGhosts
@@ -253,25 +254,20 @@ def _served_rows(tree, keys_per_nbr):
 
 
 def _store_rows(tree, ghost_keys):
-    """The u rows of the expansion store holding ``ghost_keys`` as ghosts:
-    level after level, the tree's boxes, then the level's sorted ghosts.
-
-    Returns the ghost count and the first row of each level, and a key ->
-    row lookup over all rows (the row keys sorted, and the row of each).
-    """
+    """Ghost row count per level of the expansion store holding the sorted
+    ``ghost_keys`` as ghosts, the store's u row range per level, and a key
+    -> row lookup over all its u rows (the row keys sorted, and the row of
+    each)."""
     ghost_levels = morton.key_level(ghost_keys)
-    levels = sorted(tree.level_keys)
-    ghosts = [ghost_keys[ghost_levels == lvl] for lvl in levels]
-    assert sum(map(len, ghosts)) == len(ghost_keys), "ghost key outside the tree levels"
-    per_level = [np.concatenate([tree.level_keys[lvl], g]) for lvl, g in zip(levels, ghosts)]
-    starts = np.cumsum([0] + [len(k) for k in per_level]).tolist()
-    row_keys = np.concatenate(per_level)
+    ghosts = {lvl: ghost_keys[ghost_levels == lvl] for lvl in tree.level_keys}
+    assert sum(map(len, ghosts.values())) == len(ghost_keys), "ghost key outside the tree levels"
+    ghost_sizes = {lvl: len(g) for lvl, g in ghosts.items()}
+    rows = store_rows({lvl: len(k) for lvl, k in tree.level_keys.items()}, ghost_sizes)
+    row_keys = np.empty(max(b for _, b in rows.values()), np.uint64)
+    for lvl, (a, b) in rows.items():
+        row_keys[a:b] = np.concatenate([tree.level_keys[lvl], ghosts[lvl]])
     order = np.argsort(row_keys)
-    return (
-        {lvl: len(g) for lvl, g in zip(levels, ghosts)},
-        dict(zip(levels, starts)),
-        (row_keys[order], order),
-    )
+    return ghost_sizes, rows, (row_keys[order], order)
 
 
 def _rows_of(lookup, keys):
@@ -328,19 +324,15 @@ def setup(comm, points, charges, config):
                 f"rank(s) {', '.join(map(str, idle))} left without local roots "
                 f"by the {config.balance_mode} splitters"
             )
-        pts, chg, orig_idx = redistribute(
-            comm, keys, points, charges, splitters,
-            orig_index=(np.uint64(comm.rank) << np.uint64(48))
-            + np.arange(len(points), dtype=np.uint64),
-        )
-        pts, chg, orig_idx, _ = sort_local(pts, chg, orig_idx, leaf_level, cube)
+        pts, chg = redistribute(comm, keys, points, charges, splitters)
+        pts, chg, _ = sort_local(pts, chg, leaf_level, cube)
         all_roots = morton.descendants(morton.make_key(0, 0, 0, 0), config.global_depth)
         my_roots = all_roots[runs[comm.rank] : runs[comm.rank + 1]]
         tree = build_tree(pts, cube, config.global_depth, config.local_depth,
                           local_roots=my_roots)
 
     with _phase(timings, "layout"):
-        layout = build_layout(comm, config.global_depth, my_roots)
+        layout = build_layout(config.global_depth, runs)
 
     with _phase(timings, "communicators"):
         nbr_roots = (
@@ -382,7 +374,7 @@ def setup(comm, points, charges, config):
         v_confirmed = comm.neighbor_alltoallv(graph, v_serve)
 
         ghost_keys = np.unique(_concat_keys(v_confirmed)[0])
-        ghost_sizes, row_start, lookup = _store_rows(tree, ghost_keys)
+        ghost_sizes, rows_of_level, lookup = _store_rows(tree, ghost_keys)
         ghosts = _VGhosts(
             keys=ghost_keys,
             send_rows=[_rows_of(lookup, keys)[0] for keys in v_serve],
@@ -395,7 +387,7 @@ def setup(comm, points, charges, config):
         for level, (tgt, mkeys, tv_idx) in lists.v_pairs.items():
             rows, keep = _rows_of(lookup, mkeys)
             grouped[level] = group_pairs_by_transfer(
-                tgt[keep], rows[keep] - row_start[level], tv_idx[keep]
+                tgt[keep], rows[keep] - rows_of_level[level][0], tv_idx[keep]
             )
         v_plan = VListPlan(grouped=grouped)
 
@@ -405,7 +397,6 @@ def setup(comm, points, charges, config):
 
     ops = get_operator_set(config.order, config.dtype)
     store = store_for_tree(tree, ops, ghost_sizes)
-    assert store.row_start == row_start
     return DistributedFmm(
         comm=comm,
         config=config,
@@ -417,7 +408,6 @@ def setup(comm, points, charges, config):
         store=store,
         points=pts,
         charges=chg,
-        orig_index=orig_idx,
         splitters=np.asarray(splitters, dtype=np.uint64),
         graph=graph,
         near_ghosts=near,

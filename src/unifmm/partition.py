@@ -4,8 +4,9 @@ Points enter in arbitrary order, roughly N/P per rank. Splitters chosen
 from a gathered random key sample define half-open rank buckets; for
 uniform trees the splitters are snapped down to coarse-box boundaries so
 bucket edges coincide with whole local roots. The layout maps every
-level-``global_depth`` box to its owning rank and is replicated on all
-ranks by an allgather.
+level-``global_depth`` box to its owning rank. Every rank holds the same
+splitters, so each derives the same root runs and builds the layout
+without communicating.
 
 Sampling uses numpy's PCG64 generator seeded per rank with
 ``SeedSequence([seed, rank])``; the identifier recorded in run metadata
@@ -25,7 +26,7 @@ SAMPLER_ID = "numpy-pcg64-seedseq"
 
 
 class LayoutError(ValueError):
-    """Root claims do not tile the level-``global_depth`` lattice."""
+    """Root runs do not tile the level-``global_depth`` lattice."""
 
 
 def rank_rng(seed, rank):
@@ -81,23 +82,20 @@ def bucket_of(keys, splitters):
     return np.searchsorted(np.asarray(splitters, dtype=np.uint64), keys, side="right")
 
 
-def redistribute(comm, keys, points, charges, splitters, orig_index=None):
+def redistribute(comm, keys, points, charges, splitters):
     """Move each point to the rank owning its splitter bucket.
 
-    Returns (points, charges, orig_index) of the points this rank owns,
-    grouped by source rank and in input order within each source; they are
-    not key-sorted, :func:`sort_local` does that. The buckets are
-    contiguous key ranges in rank order, so the rank-order concatenation of
-    the sorted outputs is globally sorted.
+    Returns (points, charges) of the points this rank owns, grouped by
+    source rank and in input order within each source; they are not
+    key-sorted, :func:`sort_local` does that. The buckets are contiguous
+    key ranges in rank order, so the rank-order concatenation of the
+    sorted outputs is globally sorted.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     charges = np.asarray(charges, dtype=np.float64).reshape(-1)
     if len(charges) != len(points) or len(keys) != len(points):
         raise ValueError("keys, points, and charges must have equal length")
-    if orig_index is None:
-        orig_index = np.arange(len(points), dtype=np.uint64)
-    orig_index = np.asarray(orig_index, dtype=np.uint64)
 
     dest = bucket_of(keys, splitters)
     # A stable sort keeps each destination's points in input order.
@@ -105,27 +103,21 @@ def redistribute(comm, keys, points, charges, splitters, orig_index=None):
     ends = np.cumsum(np.bincount(dest, minlength=comm.size)).tolist()
     starts = [0] + ends[:-1]
     rows = np.concatenate([points[order], charges[order, None]], axis=1)
-    idx = orig_index[order]
-    send_rows = [rows[a:b].ravel() for a, b in zip(starts, ends)]
-    send_idx = [idx[a:b] for a, b in zip(starts, ends)]
-    recv_rows = comm.alltoallv(send_rows)
-    recv_idx = comm.alltoallv(send_idx)
-
-    rows = np.concatenate(recv_rows).reshape(-1, 4)
-    idx = np.concatenate(recv_idx).astype(np.uint64)
-    new_points, new_charges = rows[:, :3].copy(), rows[:, 3].copy()
-    return new_points, new_charges, idx
+    recv = comm.alltoallv([rows[a:b].ravel() for a, b in zip(starts, ends)])
+    rows = np.concatenate(recv).reshape(-1, 4)
+    return rows[:, :3].copy(), rows[:, 3].copy()
 
 
-def sort_local(points, charges, orig_index, leaf_level, cube):
-    """Stable local sort by deepest-level Morton key."""
+def sort_local(points, charges, leaf_level, cube):
+    """Stable local sort by deepest-level Morton key; returns the sorted
+    points, charges and keys."""
     keys = (
         morton.encode_points(points, leaf_level, cube)
         if len(points)
         else np.empty(0, np.uint64)
     )
     order = np.argsort(keys, kind="stable")
-    return points[order], charges[order], orig_index[order], keys[order]
+    return points[order], charges[order], keys[order]
 
 
 @dataclass(frozen=True)
@@ -194,23 +186,21 @@ def runs_from_splitters(global_depth, splitters):
     return np.concatenate([[0], pos, [len(all_roots)]]).astype(np.int64)
 
 
-def build_layout(comm, global_depth, my_root_keys):
-    """Allgather root claims and assemble the (identical) global layout.
+def build_layout(global_depth, run_starts):
+    """The global layout of the rank root runs ``run_starts``.
 
-    Raises :class:`LayoutError` when claims overlap, miss boxes, or are
-    not contiguous rank-ordered Morton runs.
+    ``run_starts[r]`` is the index of rank ``r``'s first root among the
+    Morton-sorted level-``global_depth`` boxes. Raises
+    :class:`LayoutError` unless the runs start at 0, never decrease, and
+    end at ``8**global_depth``.
     """
-    my_root_keys = np.sort(np.asarray(my_root_keys, dtype=np.uint64))
-    parts = comm.allgatherv(my_root_keys)
-    counts = np.array([len(p) for p in parts], dtype=np.int64)
-    claimed = np.concatenate(parts) if parts else np.empty(0, np.uint64)
-    expected = morton.descendants(morton.make_key(0, 0, 0, 0), global_depth)
-    if len(claimed) != len(expected) or np.any(np.sort(claimed) != expected):
+    run_starts = np.asarray(run_starts, dtype=np.int64)
+    n_roots = 8**global_depth
+    if (len(run_starts) < 2 or run_starts[0] != 0 or run_starts[-1] != n_roots
+            or np.any(np.diff(run_starts) < 0)):
         raise LayoutError(
-            "invalid layout: root claims do not cover every level-%d box exactly once"
-            % global_depth
+            f"invalid layout: root runs do not tile the {n_roots} "
+            f"level-{global_depth} boxes in Morton order"
         )
-    if np.any(claimed[1:] <= claimed[:-1]):
-        raise LayoutError("invalid layout: rank root runs are not contiguous in Morton order")
-    run_starts = np.concatenate([[0], np.cumsum(counts)])
-    return Layout(global_depth=global_depth, root_keys=claimed, run_starts=run_starts)
+    all_roots = morton.descendants(morton.make_key(0, 0, 0, 0), global_depth)
+    return Layout(global_depth=global_depth, root_keys=all_roots, run_starts=run_starts)

@@ -1,6 +1,7 @@
 """CLI subcommands, file formats, and emitted artifacts."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -104,6 +105,18 @@ def test_verify_p1_reference_identity(capsys):
     assert float(line.split(":")[1].split("(")[0]) == 0.0
 
 
+def test_verify_f32_uses_f32_tolerance(capsys):
+    # f32 runs differ from the single-rank reference by far more than the
+    # f64 bound (1.9e-10 here), and pass against their own.
+    rc = main(["verify", "--n", "4096", "--p", "8", "--order", "3",
+               "--precision", "f32", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    line = [l for l in out.splitlines() if "distributed-vs-reference" in l][0]
+    assert line.endswith("(tolerance 1e-06)")
+    assert 1e-10 < float(line.split(":")[1].split("(")[0]) <= 1e-6
+
+
 def test_verify_corrupted_ghost_fails(capsys):
     rc = main(["verify", "--n", "800", "--p", "8", "--order", "3",
                "--local-depth", "2", "--seed", "7", "--test-drop-ghost", "2"])
@@ -173,3 +186,20 @@ def test_sweep_strong_mode_runs(tmp_path):
     # Strong scaling holds total N fixed.
     assert n_by_p["8"] == n_by_p["64"] == 512
 
+
+
+def test_sweep_deterministic_outputs_are_pinned(tmp_path):
+    # The stats CSV and manifest are pure functions of the config; a change
+    # that moves a byte of either changes what the sweep reports.
+    out = tmp_path / "pin"
+    rc = main(["sweep", "--p", "8,64", "--n", "64", "--local-depth", "1",
+               "--order", "3", "--out", str(out)])
+    assert rc == 0
+    digests = {
+        suffix: hashlib.sha256((tmp_path / f"pin{suffix}").read_bytes()).hexdigest()
+        for suffix in (".stats.csv", ".manifest.json")
+    }
+    assert digests == {
+        ".stats.csv": "3d545861768f11fe6101cd97acad05cd014fe7b1b4bca17de82f68153bc8cda8",
+        ".manifest.json": "f69d9bd529dc6aeb9ad0466cd4589fced60a343a52a2b198c18795a681594cb0",
+    }

@@ -112,17 +112,35 @@ def test_runtime_collective_schedule():
 
 def test_setup_collective_schedule():
     # Each owner pushes what its neighbors' lists need, so setup makes no
-    # query round trip. Per rank: two allgathers (bounding cube, layout),
-    # two all-to-alls (point rows, original indices) and two neighbor
-    # exchanges (U point rows, from which the receiver derives the leaf
-    # keys, and V keys).
+    # query round trip, and every rank derives the layout from the
+    # splitters it holds. Per rank: one allgather (bounding cube), one
+    # all-to-all (point and charge rows) and two neighbor exchanges (U
+    # point rows, from which the receiver derives the leaf keys, and V
+    # keys).
     pts, chg = raw_instance(4096, seed=4)
     for P, config in ((8, cfg(local_depth=1)), (64, cfg(global_depth=2, local_depth=1))):
         _, states, _ = distributed_run(pts, chg, P, config, evaluate_runs=0)
         for state in states:
             calls = {kind: s["calls"] for kind, s in state.comm.stats().snapshot().items()}
-            assert calls == {"allgatherv": 2, "alltoallv": 2, "neighbor_alltoallv": 2,
+            assert calls == {"allgatherv": 1, "alltoallv": 1, "neighbor_alltoallv": 2,
                              "gatherv": 0, "scatterv": 0}
+
+
+@pytest.mark.parametrize("P, config", [
+    (8, cfg(local_depth=1)),
+    (8, cfg(global_depth=2, local_depth=1, balance_mode="sampled", samples_per_rank=64)),
+    (64, cfg(global_depth=2, local_depth=1)),
+], ids=["p8-roots", "p8-sampled", "p64-roots"])
+def test_layout_derived_alike_on_every_rank(P, config):
+    # No rank sends its roots: each builds the layout from the splitters,
+    # and all must build the same one, matching the trees they built.
+    pts, chg = raw_instance(4096, seed=4)
+    _, states, _ = distributed_run(pts, chg, P, config, evaluate_runs=0)
+    assert len({state.layout.digest() for state in states}) == 1
+    for state in states:
+        assert np.array_equal(state.layout.roots_of(state.rank), state.tree.local_roots)
+    if config.balance_mode == "sampled":
+        assert len({state.n_local_roots for state in states}) > 1
 
 
 def test_zero_charges_zero_potentials_same_schedule():

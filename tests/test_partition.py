@@ -105,15 +105,14 @@ def test_redistribute_p1_is_local_sort():
     world = create_world(1)
 
     def program(comm):
-        p, c, idx = redistribute(comm, keys, pts, chg, np.empty(0, np.uint64))
-        return sort_local(p, c, idx, 3, UNIT)
+        p, c = redistribute(comm, keys, pts, chg, np.empty(0, np.uint64))
+        return sort_local(p, c, 3, UNIT)
 
-    [(p, c, idx, k)] = run_spmd(world, program)
+    [(p, c, k)] = run_spmd(world, program)
     assert np.all(np.diff(k.astype(np.int64)) >= 0)
     order = np.argsort(keys, kind="stable")
     assert np.array_equal(p, pts[order])
     assert np.array_equal(c, chg[order])
-    assert np.array_equal(idx, order.astype(np.uint64))
 
 
 def _scatter_inputs(n, P, seed, leaf_level):
@@ -133,28 +132,27 @@ def test_redistribute_global_sort_oracle():
         mine = chunks[comm.rank]
         keys = morton.encode_points(pts[mine], leaf_level, cube)
         splitters = sample_splitters(comm, keys, 64, seed=5, snap_level=2)
-        p, c, idx, k = sort_local(
-            *redistribute(comm, keys, pts[mine], chg[mine], splitters,
-                          orig_index=mine.astype(np.uint64)),
+        return sort_local(
+            *redistribute(comm, keys, pts[mine], chg[mine], splitters),
             leaf_level, cube,
         )
-        return p, c, idx, k
 
     world = create_world(P)
     results = run_spmd(world, program)
-    all_keys = np.concatenate([r[3] for r in results])
+    all_keys = np.concatenate([r[2] for r in results])
     # Oracle: one global sort of all keys.
     want = np.sort(morton.encode_points(pts, leaf_level, cube), kind="stable")
     assert np.array_equal(all_keys, want)
     # Strict rank separation.
     for i in range(P - 1):
-        if len(results[i][3]) and len(results[i + 1][3]):
-            assert results[i][3].max() < results[i + 1][3].min()
-    # Charge permutation is a bijection consistent with original indices.
-    idx = np.concatenate([r[2] for r in results])
-    assert np.array_equal(np.sort(idx), np.arange(n, dtype=np.uint64))
-    got_chg = np.concatenate([r[1] for r in results])
-    assert np.array_equal(got_chg, chg[idx])
+        if len(results[i][2]) and len(results[i + 1][2]):
+            assert results[i][2].max() < results[i + 1][2].min()
+    # Every (x, y, z, q) row arrives exactly once, unchanged.
+    def sorted_rows(rows):
+        return rows[np.lexsort(rows.T[::-1])]
+
+    got = np.concatenate([np.column_stack([p, c]) for p, c, _ in results])
+    assert np.array_equal(sorted_rows(got), sorted_rows(np.column_stack([pts, chg])))
 
 
 def test_redistribute_imbalance_uniform():
@@ -169,7 +167,7 @@ def test_redistribute_imbalance_uniform():
             mine = chunks[comm.rank]
             keys = morton.encode_points(pts[mine], 4, cube)
             splitters = sample_splitters(comm, keys, 200, seed=seed, snap_level=2)
-            p, _, _ = redistribute(comm, keys, pts[mine], chg[mine], splitters)
+            p, _ = redistribute(comm, keys, pts[mine], chg[mine], splitters)
             return len(p)
 
         world = create_world(P)
@@ -193,57 +191,33 @@ def test_equal_root_runs_and_splitters():
 
 
 def test_build_layout_p8_one_root_each():
-    world = create_world(8)
     roots = morton.descendants(morton.make_key(0, 0, 0, 0), 1)
-
-    def program(comm):
-        return build_layout(comm, 1, roots[comm.rank : comm.rank + 1])
-
-    layouts = run_spmd(world, program)
-    assert all(l.digest() == layouts[0].digest() for l in layouts)
-    assert all(layouts[0].n_roots(r) == 1 for r in range(8))
-    owners = layouts[0].owner_of_roots(roots)
+    lay = build_layout(1, equal_root_runs(1, 8))
+    assert all(lay.n_roots(r) == 1 for r in range(8))
+    assert np.array_equal(lay.root_keys, roots)
+    owners = lay.owner_of_roots(roots)
     assert np.array_equal(owners, np.arange(8))
 
 
 def test_build_layout_p8_dg2_contiguous_runs():
-    world = create_world(8)
     roots = morton.descendants(morton.make_key(0, 0, 0, 0), 2)
-
-    def program(comm):
-        return build_layout(comm, 2, roots[8 * comm.rank : 8 * (comm.rank + 1)])
-
-    layouts = run_spmd(world, program)
-    lay = layouts[0]
+    lay = build_layout(2, equal_root_runs(2, 8))
     assert all(lay.n_roots(r) == 8 for r in range(8))
     for r in range(8):
-        mine = lay.roots_of(r)
-        lo = np.searchsorted(roots, mine[0])
-        assert np.array_equal(mine, roots[lo : lo + 8])
+        assert np.array_equal(lay.roots_of(r), roots[8 * r : 8 * (r + 1)])
     # Boxes below the root level resolve to the root's owner.
     deeper = morton.descendants(int(roots[17]), 2)
     assert np.all(lay.owner_of_boxes(deeper) == lay.owner_of_roots(roots[17:18])[0])
 
 
 def test_build_layout_double_claim_rejected():
-    world = create_world(2)
-    roots = morton.descendants(morton.make_key(0, 0, 0, 0), 1)
-
-    def program(comm):
-        claim = roots[:5] if comm.rank == 0 else roots[4:]  # root 4 claimed twice
-        return build_layout(comm, 1, claim)
-
     with pytest.raises(LayoutError, match="invalid layout"):
-        run_spmd(world, program)
+        build_layout(1, [0, 5, 4, 8])  # decreasing: root 4 claimed twice
 
 
 def test_build_layout_missing_root_rejected():
-    world = create_world(2)
-    roots = morton.descendants(morton.make_key(0, 0, 0, 0), 1)
-
-    def program(comm):
-        claim = roots[:4] if comm.rank == 0 else roots[5:]
-        return build_layout(comm, 1, claim)
-
-    with pytest.raises(LayoutError, match="invalid layout"):
-        run_spmd(world, program)
+    # Runs that stop short of the last root, start past the first, or
+    # overrun the lattice.
+    for runs in ([0, 4, 7], [1, 4, 8], [0, 4, 9], [0]):
+        with pytest.raises(LayoutError, match="invalid layout"):
+            build_layout(1, runs)
