@@ -12,7 +12,7 @@ Subcommands:
     both error metrics and exit 0 only if the distributed result matches
     the reference within the precision's bound (relative L2: 1e-10 in
     f64, 1e-6 in f32) and the reference matches direct summation within
-    the frozen per-order bound.
+    the precision's frozen per-order bound.
 
 ``fmm sweep``
     Weak- or strong-scaling sweep over a list of rank counts. Emits a
@@ -46,7 +46,7 @@ DIRECT_SUM_CAP = 100_000  # O(N^2) oracle cap for verify
 
 # Distributed-vs-reference relative L2 bound of verify, per precision.
 # f32 rounds differently at each rank count; its worst case seen over
-# orders 2-6 on seeds 0-3 was 1.4e-8.
+# orders 2-8 on seeds 0-3 was 1.4e-8.
 DIST_TOL = {"f64": 1e-10, "f32": 1e-6}
 
 STATS_COLUMNS = [
@@ -181,7 +181,7 @@ def cmd_verify(args):
     spts, schg = ref_states[0].points, ref_states[0].charges
 
     err_dist = float(np.linalg.norm(f_dist - f_ref) / np.linalg.norm(f_ref))
-    eps = frozen_eps(config.order)
+    eps = frozen_eps(config.order, config.precision)
     tol = DIST_TOL[config.precision]
     print(f"distributed-vs-reference relative L2: {err_dist:.3e} (tolerance {tol:.0e})")
     ok = err_dist <= tol

@@ -24,7 +24,9 @@ neighbor exchange delivering ghost expansions for the local V lists (one
 row gather from the store per neighbor sent to, one row scatter into it
 per message received), a gather of local-root expansions to the
 nominated rank (rank 0), which runs the top tree levels in shared
-memory, and a scatter returning the local-root incoming expansions.
+memory through the level passes of every local tree (``u2u_pass`` and
+``vli_downward``), and a scatter returning the local-root incoming
+expansions.
 Near-field work never communicates at runtime; charge-only updates re-run
 just the near-field data exchange.
 
@@ -50,15 +52,13 @@ from .kernels import NearFieldGhosts, UnresolvedDependencyError, p2p_uli
 from .operators import (
     ExpansionStore,
     VListPlan,
-    apply_m2l,
-    d2d_level,
     d2t,
     expansion_length,
     get_operator_set,
     group_pairs_by_transfer,
     store_for_tree,
     store_rows,
-    u2u_level,
+    u2u_pass,
     upward_pass,
     vli_downward,
 )
@@ -92,7 +92,7 @@ class FmmConfig:
     samples_per_rank: int = 200      # "sampled": splitters from key samples
 
     def __post_init__(self):
-        for name in ("global_depth", "local_depth", "order", "samples_per_rank"):
+        for name in ("global_depth", "local_depth", "order", "samples_per_rank", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -107,6 +107,8 @@ class FmmConfig:
             raise ValueError(f"unknown balance_mode {self.balance_mode!r}")
         if self.samples_per_rank < 1:
             raise ValueError(f"samples_per_rank must be >= 1, got {self.samples_per_rank}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # Zero is valid: encode_points puts the upper face in the last cell.
         if not (np.isfinite(self.margin) and self.margin >= 0):
             raise ValueError(f"margin must be finite and >= 0, got {self.margin!r}")
@@ -159,7 +161,7 @@ class DistributedFmm:
     u_send_rows: list             # per neighbor: point rows served, leaf by leaf
     v_ghosts: _VGhosts
     v_plan: VListPlan
-    global_plan: object           # nominated rank only, else None
+    global_plan: VListPlan        # top levels; nominated rank only, else None
     timings: dict
 
     @property
@@ -294,7 +296,9 @@ def _served_boxes(graph, layout, boxes, members):
 def setup(comm, points, charges, config):
     """Run the full setup pipeline; returns per-rank solver state."""
     timings = {}
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"points must have shape (n, 3), got {points.shape}")
     charges = np.asarray(charges, dtype=np.float64).reshape(-1)
     if len(charges) != len(points):
         raise ValueError("charges length does not match points")
@@ -419,14 +423,9 @@ def setup(comm, points, charges, config):
     )
 
 
-@dataclass
-class _GlobalPlan:
-    """V-interaction pairs of the top tree levels (2 .. global_depth)."""
-
-    grouped: dict  # level -> (tgt, src, flip, cuts)
-
-
 def _build_global_plan(config):
+    """V-list plan of the top tree levels (2 .. global_depth), whose boxes
+    are all present on the nominated rank."""
     grouped = {}
     root = morton.make_key(0, 0, 0, 0)
     for level in range(2, config.global_depth + 1):
@@ -434,7 +433,7 @@ def _build_global_plan(config):
         mkeys, tgt, tv_idx = _v_members_with_vectors(keys, level)
         src = np.searchsorted(keys, mkeys)
         grouped[level] = group_pairs_by_transfer(tgt, src, tv_idx)
-    return _GlobalPlan(grouped=grouped)
+    return VListPlan(grouped=grouped)
 
 
 def _check_ghosts(state):
@@ -456,20 +455,17 @@ def _exchange_ghost_u(state):
 
 
 def _global_stage(state, gathered):
-    """Upward, root-level V interactions, and downward over levels
-    [0, global_depth] on the nominated rank; returns per-root d rows."""
-    config, ops = state.config, state.ops
-    d_g = config.global_depth
-    n_e = ops.n_coeff
-    top = ExpansionStore({lvl: 8**lvl for lvl in range(d_g + 1)}, n_e, config.dtype)
-    top.u[d_g][:] = np.concatenate([b.reshape(-1, n_e) for b in gathered])
-    for lvl in range(d_g - 1, -1, -1):
-        u2u_level(ops, top.u[lvl + 1], top.u[lvl])
-    for lvl in range(1, d_g):
-        d2d_level(ops, top.d[lvl], top.d[lvl + 1])
-        g = state.global_plan.grouped.get(lvl + 1)
-        if g is not None:
-            apply_m2l(ops, g, top.u[lvl + 1], top.d[lvl + 1])
+    """The top tree levels on the nominated rank, through the level passes
+    of every local tree: U2U from the gathered root expansions, then D2D
+    and V interactions down to the roots; returns per-root d rows.
+
+    Levels 1 .. global_depth are stored: nothing reads ``u[0]``, and
+    ``d[1]`` is zero (level-1 boxes are all adjacent)."""
+    ops, d_g = state.ops, state.config.global_depth
+    top = ExpansionStore({lvl: 8**lvl for lvl in range(1, d_g + 1)}, ops.n_coeff, ops.dtype)
+    top.u[d_g][:] = np.concatenate(gathered).reshape(-1, ops.n_coeff)
+    u2u_pass(ops, top)
+    vli_downward(ops, top, state.global_plan)
     return top.d[d_g]
 
 
@@ -514,7 +510,7 @@ def evaluate(state):
     t0 = time.perf_counter()
     n_e = ops.n_coeff
     state.store.d[config.global_depth][:] = mine.reshape(-1, n_e)
-    vli_downward(tree, ops, state.store, state.v_plan)
+    vli_downward(ops, state.store, state.v_plan)
     far = d2t(tree, ops, state.store)
     potentials = near + far
     seconds["computation"] += time.perf_counter() - t0

@@ -103,15 +103,33 @@ FROZEN_EPS = {
 }
 
 
-def frozen_eps(order):
-    """Frozen measured accuracy bound for ``order``; errors for orders
-    without a recorded measurement fall back to the next looser bound."""
-    if order in FROZEN_EPS:
-        return FROZEN_EPS[order]
-    lower = [o for o in FROZEN_EPS if o < order]
+# The same in f32, where the f32 cutoff stops the error falling with the
+# order. Measured by ``fmm verify --precision f32`` (4096 uniform points,
+# P=8, d_g=1, d_l=2, seeds 0-3): 1.6e-2, 1.9e-4, 3.6e-5, 5.5e-5, 8.0e-5,
+# 7.1e-5 and 1.9e-4 for orders 2-8; orders 3 and 4 were first frozen from
+# P=8 runs on 800 and 2000 points (at most 2.0e-4 and 3.8e-5).
+F32_EPS = {
+    2: 5.0e-2,
+    3: 6.0e-4,
+    4: 1.2e-4,
+    5: 1.7e-4,
+    6: 2.4e-4,
+    7: 2.2e-4,
+    8: 6.0e-4,
+}
+
+
+def frozen_eps(order, precision="f64"):
+    """Frozen measured accuracy bound for ``order`` at ``precision``;
+    errors for orders without a recorded measurement fall back to the
+    next looser bound."""
+    table = F32_EPS if precision == "f32" else FROZEN_EPS
+    if order in table:
+        return table[order]
+    lower = [o for o in table if o < order]
     if not lower:
         raise ValueError(f"no frozen accuracy bound at or below order {order}")
-    return FROZEN_EPS[max(lower)]
+    return table[max(lower)]
 
 
 class OperatorFactorizationError(RuntimeError):
@@ -406,12 +424,17 @@ def d2d_level(ops, d_parent, d_child):
     return d_child
 
 
+def u2u_pass(ops, store):
+    """U2U from the store's deepest level up to its shallowest."""
+    for level in range(max(store.u) - 1, min(store.u) - 1, -1):
+        u2u_level(ops, store.u[level + 1], store.u[level])
+    return store
+
+
 def upward_pass(tree, ops, store, charges):
     """Post-order pass: S2U at the leaves, then U2U up to the local roots."""
     leaf_s2u_all(tree, ops, charges, store.u[tree.leaf_level])
-    for level in range(tree.leaf_level - 1, tree.global_depth - 1, -1):
-        u2u_level(ops, store.u[level + 1], store.u[level])
-    return store
+    return u2u_pass(ops, store)
 
 
 def group_pairs_by_transfer(tgt_idx, src_rows, tv_idx):
@@ -459,12 +482,13 @@ class VListPlan:
     grouped: dict            # level -> (tgt, src, flip, cuts)
 
 
-def vli_downward(tree, ops, store, plan):
-    """Pre-order pass over the local levels: inherit the parent local
-    expansion (D2D), then apply the level's V-list interactions, whose
-    remote sources are the ghost rows of ``store.u_rows[level]``.
+def vli_downward(ops, store, plan):
+    """Pre-order pass below the store's shallowest level: inherit the
+    parent local expansion (D2D), then apply the level's V-list
+    interactions, whose remote sources are the ghost rows of
+    ``store.u_rows[level]``.
     """
-    for level in range(tree.global_depth, tree.leaf_level):
+    for level in range(min(store.d), max(store.d)):
         d2d_level(ops, store.d[level], store.d[level + 1])
         g = plan.grouped.get(level + 1)
         if g is not None:

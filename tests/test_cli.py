@@ -15,6 +15,7 @@ from unifmm.cli import (
     write_charges,
     write_points,
 )
+from unifmm.operators import frozen_eps
 
 
 def test_generate_zero_points_errors(tmp_path, capsys):
@@ -115,6 +116,17 @@ def test_verify_f32_uses_f32_tolerance(capsys):
     line = [l for l in out.splitlines() if "distributed-vs-reference" in l][0]
     assert line.endswith("(tolerance 1e-06)")
     assert 1e-10 < float(line.split(":")[1].split("(")[0]) <= 1e-6
+
+
+def test_verify_f32_holds_reference_to_f32_bound(capsys):
+    # At order 6 the f32 reference is 8.0e-5 from direct summation, far
+    # above the f64 bound of 1e-6, and passes against the frozen f32 one.
+    rc = main(["verify", "--n", "4096", "--p", "8", "--order", "6",
+               "--precision", "f32", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert f"(frozen eps(6) = {frozen_eps(6, 'f32'):.1e})" in out
+    assert "verify: PASS" in out
 
 
 def test_verify_corrupted_ghost_fails(capsys):

@@ -1,5 +1,7 @@
 """Distributed setup and runtime execution across simulated ranks."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import concat_potentials, distributed_run, raw_instance, rel_l2
@@ -16,12 +18,6 @@ from unifmm.distributed import (
 from unifmm.kernels import UnresolvedDependencyError, direct_sum
 from unifmm.operators import frozen_eps, leaf_check_sums
 from unifmm.transport import create_world, run_spmd
-
-
-# Measured relative L2 error of P=8 f32 runs against direct summation (800
-# uniform points, d_g=1, d_l=2; seeds 1-4 and 8, also at 2000 points):
-# at most 2.0e-4 at order 3 and 3.8e-5 at order 4, frozen with ~3x headroom.
-F32_EPS = {3: 6.0e-4, 4: 1.2e-4}
 
 
 def cfg(**kw):
@@ -71,6 +67,20 @@ def test_distributed_matches_reference_and_direct():
     schg = states[0].charges
     ref = direct_sum(spts, spts, schg)
     assert rel_l2(f_ref, ref) <= frozen_eps(4)
+
+
+def test_top_levels_with_three_global_levels():
+    # At d_g=3 the nominated rank runs M2L at levels 2 and 3 and D2D from
+    # level 2 into 3, the only top-level D2D whose input is not zero.
+    # Skipping it leaves an error of 0.57 against direct summation.
+    pts, chg = raw_instance(8192, seed=3)
+    config = cfg(global_depth=3, local_depth=1)
+    _, _, evals = distributed_run(pts, chg, 8, config)
+    _, ref_states, ref_evals = distributed_run(pts, chg, 1, config)
+    f_ref = concat_potentials(ref_evals)
+    assert rel_l2(concat_potentials(evals), f_ref) <= 1e-10
+    spts, schg = ref_states[0].points, ref_states[0].charges
+    assert rel_l2(f_ref, direct_sum(spts, spts, schg)) <= frozen_eps(3)
 
 
 def test_leaf_expansions_independent_of_rank_count():
@@ -179,7 +189,7 @@ def test_f32_cast_does_not_break_pipeline():
         assert states[0].store.d[2].dtype == np.float32
         spts = np.concatenate([s.points for s in states])
         schg = np.concatenate([s.charges for s in states])
-        assert rel_l2(f, direct_sum(spts, spts, schg)) <= F32_EPS[order]
+        assert rel_l2(f, direct_sum(spts, spts, schg)) <= frozen_eps(order, "f32")
 
 
 def test_ghost_sufficiency_and_minimality():
@@ -454,6 +464,15 @@ def test_setup_rejects_non_finite_point(bad):
         distributed_run(pts, chg, 2, cfg(local_depth=1))
 
 
+@pytest.mark.parametrize("shape", [(6, 2), (2, 6), (12,), (4, 3, 1)])
+def test_setup_rejects_wrong_shaped_points(shape):
+    # Reshaping would run 4 scrambled 3-D points against the 4 charges.
+    world = create_world(1, seed=0)
+    message = re.escape(f"points must have shape (n, 3), got {shape}")
+    with pytest.raises(ValueError, match=message):
+        run_spmd(world, lambda comm: setup(comm, np.ones(shape), np.ones(4), cfg()))
+
+
 def test_setup_failure_names_its_phase():
     # Empty on every rank: the global bounding cube fails inside sort_tree.
     with pytest.raises(ValueError, match=r"^\[sort_tree\] no points on any rank$"):
@@ -523,6 +542,7 @@ def test_manifest_is_deterministic():
     ("global_depth", 1.5), ("global_depth", True),
     ("local_depth", 2.0), ("local_depth", False),
     ("samples_per_rank", 0), ("samples_per_rank", 1.5),
+    ("seed", 1.5), ("seed", -1), ("seed", "x"),
 ])
 def test_config_rejects_bad_field(name, bad):
     with pytest.raises(ValueError, match=name):
@@ -531,8 +551,10 @@ def test_config_rejects_bad_field(name, bad):
 
 def test_config_accepts_boundary_values():
     # numpy integers are stored as int, so the manifest stays JSON.
-    config = cfg(order=np.int64(3), global_depth=np.int32(1), samples_per_rank=1)
+    config = cfg(order=np.int64(3), global_depth=np.int32(1), samples_per_rank=1,
+                 seed=np.int64(0))
     assert type(config.order) is int and type(config.global_depth) is int
+    assert type(config.seed) is int
     # A zero margin puts the extreme points on the cube's faces.
     pts, chg = raw_instance(300, seed=19)
     _, states, evals = distributed_run(pts, chg, 2, cfg(local_depth=1, margin=0.0))
