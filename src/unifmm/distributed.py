@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import morton
-from .kernels import NearFieldGhosts, UnresolvedDependencyError, p2p_uli
+from .kernels import NearFieldGhosts, UnresolvedDependencyError, _require_finite, p2p_uli
 from .operators import (
     ExpansionStore,
     VListPlan,
@@ -212,13 +212,6 @@ def _phase(timings, name):
         timings[name] = timings.get(name, 0.0) + (time.perf_counter() - t0)
 
 
-def _require_finite(values, what):
-    """Reject NaN or infinite input, naming the first offending entry."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise ValueError(f"{what} {int(np.argwhere(bad)[0][0])} is not finite")
-
-
 def _global_cube(comm, points, margin):
     if len(points):
         lo, hi = points.min(axis=0), points.max(axis=0)
@@ -329,11 +322,11 @@ def setup(comm, points, charges, config):
                 f"by the {config.balance_mode} splitters"
             )
         pts, chg = redistribute(comm, keys, points, charges, splitters)
-        pts, chg, _ = sort_local(pts, chg, leaf_level, cube)
+        pts, chg, pkeys = sort_local(pts, chg, leaf_level, cube)
         all_roots = morton.descendants(morton.make_key(0, 0, 0, 0), config.global_depth)
         my_roots = all_roots[runs[comm.rank] : runs[comm.rank + 1]]
         tree = build_tree(pts, cube, config.global_depth, config.local_depth,
-                          local_roots=my_roots)
+                          local_roots=my_roots, keys=pkeys)
 
     with _phase(timings, "layout"):
         layout = build_layout(config.global_depth, runs)

@@ -10,13 +10,18 @@ to 0, which also covers the self-interaction when one point set serves
 as both sources and targets.
 
 All of these callers share one kernel contract, :func:`inverse_distances`.
-Squared distances are summed per axis (dx*dx + dy*dy + dz*dz) in place,
-without an (n, m, 3) temporary; the root is taken in place, coincident
-pairs are set to inf so the reciprocal gives exactly 0. The one-way sum
-(:func:`laplace_potential`, the oracle) applies the charges with one
-matrix-vector product per block of at most 2**16 (target, source)
-entries (at least 4 targets, so a block over more than 2**14 sources is
-larger).
+Each axis's (n, m) difference block is one matrix product with inner
+dimension 2, rows [t_i, 1] times columns [1, -s_j]. Both products are
+exact and the sum rounds once, so every entry is t_i - s_j exactly as a
+subtraction rounds it, at any block size. On blocks of 32 rows or more
+the BLAS product forms the differences several times faster than a
+broadcast subtraction. Squared distances are summed per axis
+(dx*dx + dy*dy + dz*dz) in place, without an (n, m, 3) temporary; the
+root is taken in place, coincident pairs are set to inf so the
+reciprocal gives exactly 0. The one-way sum (:func:`laplace_potential`,
+the oracle) applies the charges with one matrix-vector product per
+block of at most 2**16 (target, source) entries (at least 4 targets, so
+a block over more than 2**14 sources is larger).
 
 The near-field sweep uses the kernel's symmetry (mutual interactions,
 Dehnen, JCP 2002). Each nonempty target leaf builds one distance block
@@ -65,20 +70,34 @@ def _target_chunk(n_sources):
 def inverse_distances(targets, sources, work=None):
     """(n, m) block of 1/|targets_i - sources_j|, 0 where they coincide.
 
-    The block and its scratch are views of ``work``, a float64 array of at
-    least 2*n*m entries, when one is given. A loop over blocks passes one
-    buffer so that it allocates nothing per block: a freed block's pages go
-    back to the system, and the next block would fault them in again.
+    ``targets`` is (n, 3) and ``sources`` (m, 3), in any memory layout.
+    Each axis's differences come from one product of [targets, 1] (n, 2)
+    with [1; -sources] (2, m), written straight into the block: the
+    products with 1 are exact and the sum rounds once, so every entry
+    equals the rounded ``t - s`` bit for bit (up to the sign of a zero,
+    which squaring drops).
+
+    When ``work`` is given, a float64 array of at least 2*n*m entries, the
+    returned block is a view of its first n*m entries and the next n*m are
+    scratch; both are overwritten, so stale contents do not matter, and the
+    block is valid until the next call with the same buffer. A loop over
+    blocks passes one buffer so that it allocates nothing per block: a
+    freed block's pages go back to the system, and the next block would
+    fault them in again.
     """
     n, m = targets.shape[0], sources.shape[0]
     if work is None:
         work = np.empty(2 * n * m)
     r = work[: n * m].reshape(n, m)
     d = work[n * m : 2 * n * m].reshape(n, m)
-    np.subtract.outer(targets[:, 0], sources[:, 0], out=r)
+    lhs = np.ones((3, n, 2))
+    lhs[:, :, 0] = targets.T
+    rhs = np.ones((3, 2, m))
+    np.negative(sources.T, out=rhs[:, 1])
+    np.matmul(lhs[0], rhs[0], out=r)
     r *= r
     for axis in (1, 2):
-        np.subtract.outer(targets[:, axis], sources[:, axis], out=d)
+        np.matmul(lhs[axis], rhs[axis], out=d)
         d *= d
         r += d
     np.sqrt(r, out=r)
@@ -130,16 +149,27 @@ def _uli_sweep(points, src_pts, src_chg, leaf_ranges, member_ptr, bounds, out):
     return out
 
 
+def _require_finite(values, what):
+    """Reject NaN or infinite input, naming the first offending entry."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"{what} {int(np.argwhere(bad)[0][0])} is not finite")
+
+
 def laplace_potential(targets, sources, charges):
     """sum_j charges[j] / |targets_i - sources_j| for every target.
 
-    Coincident target/source pairs contribute zero.
+    Coincident target/source pairs contribute zero. Raises ``ValueError``
+    for a NaN or infinite coordinate or charge.
     """
     targets = np.ascontiguousarray(targets, dtype=np.float64).reshape(-1, 3)
     sources = np.ascontiguousarray(sources, dtype=np.float64).reshape(-1, 3)
     charges = np.ascontiguousarray(charges, dtype=np.float64).reshape(-1)
     if charges.shape[0] != sources.shape[0]:
         raise ValueError("charges length does not match sources")
+    _require_finite(targets, "target")
+    _require_finite(sources, "source")
+    _require_finite(charges, "charge")
     out = np.zeros(targets.shape[0], dtype=np.float64)
     if sources.shape[0] == 0:
         return out

@@ -94,11 +94,14 @@ class UniformTree:
         return (idx < arr.size) & (arr[np.minimum(idx, arr.size - 1)] == keys)
 
 
-def build_tree(points, cube, global_depth, local_depth, local_roots=None):
+def build_tree(points, cube, global_depth, local_depth, local_roots=None, keys=None):
     """Build the rank-local uniform tree over ``points`` sorted by leaf key.
 
     ``local_roots`` lists the level-``global_depth`` boxes this rank owns;
     when omitted it defaults to the distinct root ancestors of the points.
+    ``keys`` are the points' Morton keys at the leaf level in ``cube``, as
+    :func:`partition.sort_local` returns them; when omitted they are
+    encoded here.
     """
     if global_depth < 1 or local_depth < 1:
         raise ValueError("global_depth and local_depth must each be >= 1")
@@ -107,7 +110,11 @@ def build_tree(points, cube, global_depth, local_depth, local_roots=None):
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
 
     leaf_level = global_depth + local_depth
-    pkeys = morton.encode_points(points, leaf_level, cube) if points.size else np.empty(0, np.uint64)
+    if keys is None:
+        keys = morton.encode_points(points, leaf_level, cube) if points.size else []
+    pkeys = np.asarray(keys, dtype=np.uint64).reshape(-1)
+    if len(pkeys) != len(points):
+        raise ValueError("keys length does not match points")
     if np.any(pkeys[1:] < pkeys[:-1]):
         raise ValueError("points are not sorted by their Morton key")
 

@@ -57,6 +57,22 @@ def distributed_run(points, charges, n_ranks, config, evaluate_runs=1):
     return world, states, evals
 
 
+def subtraction_inverse_distances(targets, sources):
+    """Reference for ``kernels.inverse_distances``: each axis's differences
+    from a plain broadcast subtraction, then the kernel's own order of
+    operations (dx*dx + dy*dy + dz*dz, sqrt, inf at zero, reciprocal)."""
+    targets = np.asarray(targets, dtype=np.float64)
+    sources = np.asarray(sources, dtype=np.float64)
+    r = None
+    for axis in range(3):
+        d = targets[:, axis, None] - sources[None, :, axis]
+        d = d * d
+        r = d if r is None else r + d
+    r = np.sqrt(r)
+    r[r == 0.0] = np.inf
+    return 1.0 / r
+
+
 def concat_potentials(evals, run=0):
     return np.concatenate([e[run].potentials for e in evals])
 

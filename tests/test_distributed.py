@@ -4,9 +4,15 @@ import re
 
 import numpy as np
 import pytest
-from conftest import concat_potentials, distributed_run, raw_instance, rel_l2
+from conftest import (
+    concat_potentials,
+    distributed_run,
+    raw_instance,
+    rel_l2,
+    subtraction_inverse_distances,
+)
 
-from unifmm import morton
+from unifmm import kernels, morton, operators
 from unifmm.distributed import (
     FmmConfig,
     evaluate,
@@ -571,3 +577,31 @@ def test_setup_phase_timings_present():
     for state in states:
         for phase in SETUP_PHASES:
             assert state.timings[phase] >= 0.0
+
+
+def test_potentials_bitwise_equal_with_subtraction_kernel(monkeypatch):
+    # The kernel's matrix-product differences must give the same bits as
+    # plain subtraction everywhere it runs: P2P, S2U, D2T and the
+    # operator build (a fresh operator cache makes each run build its own).
+    pts, chg = raw_instance(2000, seed=14)
+    config = cfg(order=5)
+
+    def potentials():
+        monkeypatch.setattr(operators, "_OP_CACHE", {})
+        return concat_potentials(distributed_run(pts, chg, 8, config)[2])
+
+    want = potentials()
+    calls = {kernels: 0, operators: 0}
+
+    def patch(module):
+        def reference(targets, sources, work=None):
+            calls[module] += 1
+            return subtraction_inverse_distances(targets, sources)
+
+        monkeypatch.setattr(module, "inverse_distances", reference)
+
+    patch(kernels)
+    patch(operators)
+    got = potentials()
+    assert calls[kernels] > 0 and calls[operators] > 0
+    assert np.array_equal(got, want)

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import subtraction_inverse_distances
+
 from unifmm import morton
 from unifmm.kernels import (
     NearFieldGhosts,
     UnresolvedDependencyError,
     direct_sum,
+    inverse_distances,
     kernel_backend,
     laplace_kernel,
     laplace_potential,
@@ -79,6 +82,18 @@ def test_direct_sum_matches_double_loop_oracle():
 def test_direct_sum_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         direct_sum([[0.0, 0, 0]], [[1.0, 0, 0]], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", ["target", "source", "charge"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_direct_sum_rejects_non_finite_input(bad, value):
+    rng = np.random.default_rng(12)
+    args = {"target": rng.random((6, 3)), "source": rng.random((5, 3)), "charge": rng.random(5)}
+    args[bad].reshape(len(args[bad]), -1)[3, -1] = value
+    with pytest.raises(ValueError, match=f"{bad} 3 is not finite"):
+        direct_sum(args["target"], args["source"], args["charge"])
+    with pytest.raises(ValueError, match=f"{bad} 3 is not finite"):
+        laplace_potential(args["target"], args["source"], args["charge"])
 
 
 def test_direct_sum_linearity():
@@ -239,6 +254,45 @@ def test_laplace_potential_bitwise_equals_plain_formula(n_t, n_s):
         inv = 1.0 / np.sqrt(d2)
     inv[d2 == 0.0] = 0.0
     assert np.array_equal(laplace_potential(t, s, q), inv @ q)
+
+
+def _block_points(rng, n, m):
+    """Targets and sources with negative coordinates, points at scales 1
+    and 1e3, coincident target/source pairs, duplicated points, and pairs
+    that share one coordinate."""
+    t = rng.uniform(-1.0, 1.0, (n, 3)) * np.where(rng.random((n, 1)) < 0.5, 1.0, 1e3)
+    s = rng.uniform(-1.0, 1.0, (m, 3)) * np.where(rng.random((m, 1)) < 0.5, 1.0, 1e3)
+    k = min(n, m) // 4
+    s[:k] = t[:k]                       # coincident pairs
+    s[k : 2 * k, 0] = t[k : 2 * k, 0]   # one shared coordinate
+    if n >= 4:
+        t[-2:] = t[:2]                  # duplicated targets
+    if m >= 4:
+        s[-2:] = s[2:4]                 # duplicated sources
+    return t, s
+
+
+# Block shapes of the callers: a P2P leaf block, S2U and D2T template
+# blocks, a small leaf, one target or source, and empty blocks.
+BLOCK_SHAPES = [(32, 864), (430, 152), (215, 296), (64, 8), (1, 500), (300, 1),
+                (0, 57), (41, 0)]
+
+
+def test_inverse_distances_bitwise_equals_subtraction_reference():
+    rng = np.random.default_rng(13)
+    # One stale buffer for every shape, as a caller's block loop reuses it.
+    work = np.full(2 * max(n * m for n, m in BLOCK_SHAPES) + 7, np.nan)
+    for n, m in BLOCK_SHAPES:
+        t, s = _block_points(rng, n, m)
+        want = subtraction_inverse_distances(t, s)
+        assert np.array_equal(inverse_distances(t, s), want), (n, m)
+        got = inverse_distances(t, s, work)
+        assert np.array_equal(got, want), (n, m)
+        assert n * m == 0 or np.shares_memory(got, work)
+        # Strided operands (columns of a wider array) give the same bits.
+        wide = np.repeat(s, 2, axis=1)[:, ::2]
+        assert np.array_equal(inverse_distances(t, wide, work), want), (n, m)
+        work[: 2 * n * m] = -np.inf
 
 
 def test_laplace_potential_blocks_match_per_target_calls():

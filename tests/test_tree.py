@@ -76,6 +76,30 @@ def test_build_tree_unsorted_errors():
         build_tree(pts, UNIT, 1, 1)
 
 
+def test_build_tree_takes_given_keys_without_encoding(monkeypatch):
+    rng = np.random.default_rng(4)
+    pts = rng.random((300, 3))
+    keys = morton.encode_points(pts, 3, UNIT)
+    order = np.argsort(keys, kind="stable")
+    pts, keys = pts[order], keys[order]
+    want = build_tree(pts, UNIT, 1, 2)
+
+    def no_encoding(*args):
+        raise AssertionError("build_tree encoded keys it was given")
+
+    monkeypatch.setattr(morton, "encode_points", no_encoding)
+    got = build_tree(pts, UNIT, 1, 2, keys=keys)
+    assert np.array_equal(got.leaf_ranges, want.leaf_ranges)
+    assert np.array_equal(got.local_roots, want.local_roots)
+    for level in want.level_keys:
+        assert np.array_equal(got.level_keys[level], want.level_keys[level])
+        assert np.array_equal(got.level_nonempty[level], want.level_nonempty[level])
+    with pytest.raises(ValueError, match="not sorted"):
+        build_tree(pts[::-1], UNIT, 1, 2, keys=keys[::-1])
+    with pytest.raises(ValueError, match="keys length"):
+        build_tree(pts, UNIT, 1, 2, keys=keys[1:])
+
+
 def test_build_tree_empty_rank_with_explicit_root():
     root = make_key(0, 0, 0, 1)
     tree = build_tree(np.empty((0, 3)), UNIT, 1, 1, local_roots=[root])
