@@ -110,8 +110,10 @@ class FmmConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # Zero is valid: encode_points puts the upper face in the last cell.
-        if not (np.isfinite(self.margin) and self.margin >= 0):
-            raise ValueError(f"margin must be finite and >= 0, got {self.margin!r}")
+        if (isinstance(self.margin, bool) or not isinstance(self.margin, numbers.Real)
+                or not (np.isfinite(self.margin) and self.margin >= 0)):
+            raise ValueError(f"margin must be a finite real >= 0, got {self.margin!r}")
+        self.margin = float(self.margin)
         expansion_length(self.order)
 
     @property
@@ -268,8 +270,8 @@ def _store_rows(tree, ghost_keys):
 def _rows_of(lookup, keys):
     """Store rows of ``keys`` and whether each key has one."""
     sorted_keys, rows = lookup
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return rows[pos], sorted_keys[pos] == keys
+    pos, found = morton.find_keys(sorted_keys, keys)
+    return rows[pos], found
 
 
 def _served_boxes(graph, layout, boxes, members):
@@ -301,11 +303,7 @@ def setup(comm, points, charges, config):
 
     with _phase(timings, "sort_tree"):
         cube = _global_cube(comm, points, config.margin)
-        keys = (
-            morton.encode_points(points, leaf_level, cube)
-            if len(points)
-            else np.empty(0, np.uint64)
-        )
+        keys = morton.encode_points(points, leaf_level, cube)
         if config.balance_mode == "roots":
             splitters = root_split_splitters(config.global_depth, comm.size, leaf_level)
         else:
@@ -323,8 +321,7 @@ def setup(comm, points, charges, config):
             )
         pts, chg = redistribute(comm, keys, points, charges, splitters)
         pts, chg, pkeys = sort_local(pts, chg, leaf_level, cube)
-        all_roots = morton.descendants(morton.make_key(0, 0, 0, 0), config.global_depth)
-        my_roots = all_roots[runs[comm.rank] : runs[comm.rank + 1]]
+        my_roots = morton.all_keys(config.global_depth)[runs[comm.rank] : runs[comm.rank + 1]]
         tree = build_tree(pts, cube, config.global_depth, config.local_depth,
                           local_roots=my_roots, keys=pkeys)
 
@@ -332,13 +329,8 @@ def setup(comm, points, charges, config):
         layout = build_layout(config.global_depth, runs)
 
     with _phase(timings, "communicators"):
-        nbr_roots = (
-            np.unique(np.concatenate([morton.neighbors(int(r)) for r in my_roots]))
-            if len(my_roots)
-            else np.empty(0, np.uint64)
-        )
-        owners = np.unique(layout.owner_of_roots(nbr_roots)) if len(nbr_roots) else np.empty(0, np.int64)
-        graph = np.asarray([int(r) for r in owners if r != comm.rank], dtype=np.int64)
+        owners = np.unique(layout.owner_of_roots(morton.neighbors(my_roots)))
+        graph = owners[owners != comm.rank]
         lists = build_interaction_lists(tree)
 
     with _phase(timings, "u_list"):
@@ -370,12 +362,14 @@ def setup(comm, points, charges, config):
         v_serve = _served_boxes(graph, layout, boxes, members)
         v_confirmed = comm.neighbor_alltoallv(graph, v_serve)
 
-        ghost_keys = np.unique(_concat_keys(v_confirmed)[0])
+        recv_keys, recv_lengths = _concat_keys(v_confirmed)
+        send_keys, send_lengths = _concat_keys(v_serve)
+        ghost_keys = np.unique(recv_keys)
         ghost_sizes, rows_of_level, lookup = _store_rows(tree, ghost_keys)
         ghosts = _VGhosts(
             keys=ghost_keys,
-            send_rows=[_rows_of(lookup, keys)[0] for keys in v_serve],
-            recv_rows=[_rows_of(lookup, keys)[0] for keys in v_confirmed],
+            send_rows=_cut(_rows_of(lookup, send_keys)[0], send_lengths),
+            recv_rows=_cut(_rows_of(lookup, recv_keys)[0], recv_lengths),
         )
 
         # V application plan: members by row of the level's local and ghost
@@ -420,9 +414,8 @@ def _build_global_plan(config):
     """V-list plan of the top tree levels (2 .. global_depth), whose boxes
     are all present on the nominated rank."""
     grouped = {}
-    root = morton.make_key(0, 0, 0, 0)
     for level in range(2, config.global_depth + 1):
-        keys = morton.descendants(root, level)
+        keys = morton.all_keys(level)
         mkeys, tgt, tv_idx = _v_members_with_vectors(keys, level)
         src = np.searchsorted(keys, mkeys)
         grouped[level] = group_pairs_by_transfer(tgt, src, tv_idx)

@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .morton import find_keys
+
 
 def kernel_backend():
     """Identifier of the pairwise-kernel implementation."""
@@ -156,14 +158,23 @@ def _require_finite(values, what):
         raise ValueError(f"{what} {int(np.argwhere(bad)[0][0])} is not finite")
 
 
+def _point_array(points, what):
+    """``points`` as a contiguous float64 array, which must be (n, 3)."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"{what} must have shape (n, 3), got {points.shape}")
+    return points
+
+
 def laplace_potential(targets, sources, charges):
     """sum_j charges[j] / |targets_i - sources_j| for every target.
 
     Coincident target/source pairs contribute zero. Raises ``ValueError``
-    for a NaN or infinite coordinate or charge.
+    for targets or sources not of shape (n, 3) and for a NaN or infinite
+    coordinate or charge.
     """
-    targets = np.ascontiguousarray(targets, dtype=np.float64).reshape(-1, 3)
-    sources = np.ascontiguousarray(sources, dtype=np.float64).reshape(-1, 3)
+    targets = _point_array(targets, "targets")
+    sources = _point_array(sources, "sources")
     charges = np.ascontiguousarray(charges, dtype=np.float64).reshape(-1)
     if charges.shape[0] != sources.shape[0]:
         raise ValueError("charges length does not match sources")
@@ -223,7 +234,6 @@ def p2p_uli(tree, lists, charges, ghosts=None, out=None):
     if ghosts is None:
         ghosts = NearFieldGhosts()
 
-    leaf_level = tree.leaf_level
     ghost_keys = ghosts.keys
     if not len(ghost_keys) == len(ghosts.coords) == len(ghosts.charges):
         raise ValueError("ghost keys, points and charges differ in length")
@@ -237,8 +247,8 @@ def p2p_uli(tree, lists, charges, ghosts=None, out=None):
     # members keep the empty segment (0, 0); any other member is unresolved.
     keys = lists.u_member_keys
     bounds = np.zeros((len(keys), 2), dtype=np.int64)
-    local = tree.contains(leaf_level, keys)
-    bounds[local] = tree.leaf_ranges[tree.index_of(leaf_level, keys[local])]
+    pos, local = find_keys(tree.leaves, keys)
+    bounds[local] = tree.leaf_ranges[pos[local]]
     remote = np.nonzero(~local)[0]
     lo = np.searchsorted(ghost_keys, keys[remote], side="left")
     hi = np.searchsorted(ghost_keys, keys[remote], side="right")

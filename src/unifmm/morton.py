@@ -6,10 +6,17 @@ level, x in the least significant interleave slot), the low 16 bits hold
 the level. Anchor bits below a key's own level are always zero, so the
 anchor is the box's minimal corner. Sorting keys of a fixed level sorts
 the boxes in Z-curve order.
+
+Every key function has one numpy path. Keys are read as
+``np.asarray(key, dtype=np.uint64)`` and lattice coordinates as uint64,
+so a scalar key gives a numpy scalar back and an array gives an array.
+Every shift and mask takes explicit ``np.uint64`` operands, so no result
+depends on numpy's type promotion rules.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +32,19 @@ DEFAULT_MARGIN = 1e-6
 # Side assigned to a degenerate (zero-extent) point cloud.
 SMALL_SIDE_FLOOR = 1.0
 
-_SPREAD_MASKS = (
+# Lattice offsets of a box's 27-cell neighborhood, itself included, in
+# lexicographic (dx, dy, dz) order.
+HALO_OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
+
+_LEVEL_SHIFT = np.uint64(LEVEL_BITS)
+_AXES = np.arange(3, dtype=np.uint64)  # interleave slots of x, y and z
+
+
+def _u64_pairs(*pairs):
+    return tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in pairs)
+
+
+_SPREAD_MASKS = _u64_pairs(
     (32, 0x1F00000000FFFF),
     (16, 0x1F0000FF0000FF),
     (8, 0x100F00F00F00F00F),
@@ -33,21 +52,7 @@ _SPREAD_MASKS = (
     (2, 0x1249249249249249),
 )
 
-
-def _spread_bits(v):
-    """Space the low 21 bits of ``v`` three apart (uint64 array or int)."""
-    if isinstance(v, np.ndarray):
-        v = v.astype(np.uint64) & np.uint64(0x1FFFFF)
-        for shift, mask in _SPREAD_MASKS:
-            v = (v | (v << np.uint64(shift))) & np.uint64(mask)
-        return v
-    v &= 0x1FFFFF
-    for shift, mask in _SPREAD_MASKS:
-        v = (v | (v << shift)) & mask
-    return v
-
-
-_COMPACT_MASKS = (
+_COMPACT_MASKS = _u64_pairs(
     (2, 0x10C30C30C30C30C3),
     (4, 0x100F00F00F00F00F),
     (8, 0x1F0000FF0000FF),
@@ -56,16 +61,25 @@ _COMPACT_MASKS = (
 )
 
 
+def _u64(x):
+    return np.asarray(x, dtype=np.uint64)
+
+
+def _spread_bits(v):
+    """Space the low 21 bits of ``v`` three apart."""
+    v = _u64(v) & np.uint64(0x1FFFFF)
+    for shift, mask in _SPREAD_MASKS:
+        v |= v << shift
+        v &= mask
+    return v
+
+
 def _compact_bits(v):
     """Inverse of :func:`_spread_bits`."""
-    if isinstance(v, np.ndarray):
-        v = v.astype(np.uint64) & np.uint64(0x1249249249249249)
-        for shift, mask in _COMPACT_MASKS:
-            v = (v ^ (v >> np.uint64(shift))) & np.uint64(mask)
-        return v
-    v &= 0x1249249249249249
+    v = _u64(v) & np.uint64(0x1249249249249249)
     for shift, mask in _COMPACT_MASKS:
-        v = (v ^ (v >> shift)) & mask
+        v ^= v >> shift
+        v &= mask
     return v
 
 
@@ -115,54 +129,26 @@ def fit_domain(points, margin=DEFAULT_MARGIN):
 
 def make_key(ix, iy, iz, level):
     """Key for the box with lattice coordinates (ix, iy, iz) at ``level``."""
-    shift = MAX_DEPTH - level
-    if isinstance(ix, np.ndarray):
-        sh = np.uint64(shift)
-        code = (
-            _spread_bits(ix.astype(np.uint64) << sh)
-            | (_spread_bits(iy.astype(np.uint64) << sh) << np.uint64(1))
-            | (_spread_bits(iz.astype(np.uint64) << sh) << np.uint64(2))
-        )
-        return (code << np.uint64(LEVEL_BITS)) | np.uint64(level)
-    code = (
-        _spread_bits(int(ix) << shift)
-        | (_spread_bits(int(iy) << shift) << 1)
-        | (_spread_bits(int(iz) << shift) << 2)
-    )
-    return (code << LEVEL_BITS) | level
+    level = _u64(level)
+    shift = np.uint64(MAX_DEPTH) - level
+    code = _spread_bits(_u64(ix) << shift)
+    code |= _spread_bits(_u64(iy) << shift) << np.uint64(1)
+    code |= _spread_bits(_u64(iz) << shift) << np.uint64(2)
+    return (code << _LEVEL_SHIFT) | level
 
 
 def key_level(key):
-    """Refinement level stored in the key."""
-    if isinstance(key, np.ndarray):
-        return (key & np.uint64(LEVEL_MASK)).astype(np.int64)
-    return int(key) & LEVEL_MASK
+    """Refinement level stored in the key, as int64."""
+    return (_u64(key) & np.uint64(LEVEL_MASK)).astype(np.int64)
 
 
 def anchor_lattice(key, level=None):
-    """Lattice coordinates of the key's anchor at ``level`` (own level by default)."""
-    own = key_level(key)
-    if level is None:
-        level = own
-    if isinstance(key, np.ndarray):
-        sh = np.uint64(LEVEL_BITS)
-        code = key >> sh
-        coords = np.stack(
-            [
-                _compact_bits(code),
-                _compact_bits(code >> np.uint64(1)),
-                _compact_bits(code >> np.uint64(2)),
-            ],
-            axis=-1,
-        ).astype(np.int64)
-        return coords >> (MAX_DEPTH - np.asarray(level)).reshape(-1, 1)
-    code = int(key) >> LEVEL_BITS
-    sh = MAX_DEPTH - level
-    return (
-        _compact_bits(code) >> sh,
-        _compact_bits(code >> 1) >> sh,
-        _compact_bits(code >> 2) >> sh,
-    )
+    """Lattice coordinates (int64, last axis x, y, z) of the key's anchor at
+    ``level`` (own level by default)."""
+    key = _u64(key)
+    coords = _compact_bits((key >> _LEVEL_SHIFT)[..., None] >> _AXES)
+    shift = np.uint64(MAX_DEPTH) - _u64(key_level(key) if level is None else level)
+    return (coords >> shift[..., None]).astype(np.int64)
 
 
 def _check_level(level):
@@ -184,129 +170,98 @@ def encode_points(points, level, cube):
     n_cells = 1 << level
     idx = np.floor((p - lo) / cube.side * n_cells).astype(np.int64)
     np.clip(idx, 0, n_cells - 1, out=idx)
-    return make_key(
-        idx[:, 0].astype(np.uint64),
-        idx[:, 1].astype(np.uint64),
-        idx[:, 2].astype(np.uint64),
-        level,
-    )
-
-
-def encode_point(p, level, cube):
-    """Scalar form of :func:`encode_points`; returns a Python int key."""
-    return int(encode_points(np.asarray(p, dtype=np.float64)[None, :], level, cube)[0])
+    return make_key(*idx.T, level)
 
 
 def decode(key, cube):
     """Anchor coordinates (minimal corner) and box side of ``key`` in ``cube``."""
     level = key_level(key)
-    _check_level_field(key)
-    ix, iy, iz = anchor_lattice(key)
+    if np.any(level > MAX_DEPTH):
+        raise ValueError("malformed key: level bits exceed MAX_DEPTH")
     side = cube.side / (1 << level)
-    lo = np.asarray(cube.origin)
-    return lo + np.array([ix, iy, iz], dtype=np.float64) * side, side
+    return np.asarray(cube.origin) + anchor_lattice(key) * side[..., None], side
 
 
 def box_center(key, cube):
     anchor, side = decode(key, cube)
-    return anchor + 0.5 * side
+    return anchor + 0.5 * side[..., None]
 
 
-def _check_level_field(key):
-    level = key_level(key)
-    if isinstance(level, np.ndarray):
-        if np.any(level > MAX_DEPTH):
-            raise ValueError("malformed key: level bits exceed MAX_DEPTH")
-    elif level > MAX_DEPTH:
-        raise ValueError(f"malformed key: level bits {level} exceed MAX_DEPTH")
+def ancestor_at(key, level):
+    """Ancestor of ``key`` at the given coarser ``level``."""
+    key = _u64(key)
+    if np.any(key_level(key) < level):
+        raise ValueError("ancestor level must not exceed key level")
+    # At level 0 the shift is 64, which numpy defines to give 0.
+    drop = np.uint64(LEVEL_BITS + 48) - np.uint64(3) * _u64(level)
+    return ((key >> drop) << drop) | _u64(level)
 
 
 def parent(key):
     """Parent key one level up; errors at the root."""
     level = key_level(key)
-    if level < 1:
-        raise ValueError("root box has no parent")
-    new_level = level - 1
-    keep = 3 * new_level
-    code = (int(key) >> LEVEL_BITS) >> (48 - keep) << (48 - keep) if keep else 0
-    return (code << LEVEL_BITS) | new_level
-
-
-def parent_keys(keys):
-    """Vectorized :func:`parent` for a uint64 array of same-level keys."""
-    level = key_level(keys)
     if np.any(level < 1):
         raise ValueError("root box has no parent")
-    new_level = (level - 1).astype(np.uint64)
-    drop = np.uint64(LEVEL_BITS + 48) - np.uint64(3) * new_level
-    return ((keys >> drop) << drop) | new_level
+    return ancestor_at(key, level - 1)
+
+
+def first_descendant(key, level):
+    """The minimal-corner descendant of ``key`` at the finer ``level``:
+    the same anchor relabeled."""
+    key = _u64(key)
+    if np.any(key_level(key) > level):
+        raise ValueError("descendant level must not be coarser than the key level")
+    return ((key >> _LEVEL_SHIFT) << _LEVEL_SHIFT) | _u64(level)
+
+
+def descendants(key, depth):
+    """All descendants ``depth`` levels below each of ``key``, in Morton
+    order per key, as one flat array."""
+    key = _u64(key).reshape(-1, 1)
+    level = key_level(key) + depth
+    if np.any(level > MAX_DEPTH):
+        raise ValueError("descendant level exceeds MAX_DEPTH")
+    # Adding depth to the key raises its level field; the suffix fills the
+    # anchor bits of the depth levels below the key's own.
+    slot = _u64(3 * (MAX_DEPTH - level) + LEVEL_BITS)
+    return ((key + np.uint64(depth)) | (np.arange(8**depth, dtype=np.uint64) << slot)).reshape(-1)
 
 
 def children(key):
     """The 8 child keys in ascending (Morton) order."""
+    return descendants(key, 1)
+
+
+def all_keys(level):
+    """Every key at ``level``, in Morton order."""
+    return descendants(np.uint64(0), level)
+
+
+def halo(key):
+    """The in-lattice cells of each key's 27-cell neighborhood, the key
+    itself included: their keys and, for each, the position of its key in
+    the flattened input. Cells come per key in ``HALO_OFFSETS`` order."""
+    key = _u64(key).reshape(-1)
     level = key_level(key)
-    if level >= MAX_DEPTH:
-        raise ValueError(f"cannot refine below MAX_DEPTH = {MAX_DEPTH}")
-    base = int(key) >> LEVEL_BITS
-    slot = 3 * (MAX_DEPTH - level - 1)
-    return np.array(
-        [((base | (o << slot)) << LEVEL_BITS) | (level + 1) for o in range(8)],
-        dtype=np.uint64,
-    )
-
-
-def descendants(key, depth):
-    """All descendants ``depth`` levels below ``key``, in Morton order."""
-    level = key_level(key)
-    if level + depth > MAX_DEPTH:
-        raise ValueError("descendant level exceeds MAX_DEPTH")
-    if depth == 0:
-        return np.array([int(key)], dtype=np.uint64)
-    base = np.uint64(int(key) >> LEVEL_BITS)
-    slot = np.uint64(3 * (MAX_DEPTH - level - depth))
-    suffix = np.arange(8**depth, dtype=np.uint64)
-    codes = base | (suffix << slot)
-    return (codes << np.uint64(LEVEL_BITS)) | np.uint64(level + depth)
-
-
-def ancestor_at(key, level):
-    """Ancestor of ``key`` at the given coarser ``level``."""
-    own = key_level(key)
-    if isinstance(key, np.ndarray):
-        if np.any(own < level):
-            raise ValueError("ancestor level must not exceed key level")
-        keep = np.uint64(LEVEL_BITS + 48) - np.uint64(3 * level)
-        return ((key >> keep) << keep) | np.uint64(level)
-    if own < level:
-        raise ValueError("ancestor level must not exceed key level")
-    keep = 3 * level
-    code = (int(key) >> LEVEL_BITS) >> (48 - keep) << (48 - keep) if keep else 0
-    return (code << LEVEL_BITS) | level
-
-
-_NEIGHBOR_OFFSETS = np.array(
-    [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-        if (dx, dy, dz) != (0, 0, 0)
-    ],
-    dtype=np.int64,
-)
+    cand = anchor_lattice(key)[:, None, :] + HALO_OFFSETS
+    inside = np.all((cand >= 0) & (cand < (1 << level)[:, None, None]), axis=2)
+    pos, off = np.nonzero(inside)
+    return make_key(*cand[pos, off].T, level[pos]), pos
 
 
 def neighbors(key):
-    """Same-level keys adjacent to ``key`` (up to 26; fewer on the boundary)."""
-    level = key_level(key)
-    ix, iy, iz = anchor_lattice(key)
-    cand = np.array([ix, iy, iz], dtype=np.int64) + _NEIGHBOR_OFFSETS
-    n_cells = 1 << level
-    ok = np.all((cand >= 0) & (cand < n_cells), axis=1)
-    cand = cand[ok]
-    return make_key(
-        cand[:, 0].astype(np.uint64),
-        cand[:, 1].astype(np.uint64),
-        cand[:, 2].astype(np.uint64),
-        level,
-    )
+    """Same-level keys adjacent to each of ``key`` (up to 26 each; fewer on
+    the boundary), as one flat array."""
+    cells, pos = halo(key)
+    return cells[cells != _u64(key).reshape(-1)[pos]]
+
+
+def find_keys(sorted_keys, keys):
+    """Position of each of ``keys`` in the ascending ``sorted_keys`` and
+    whether it is there; the position is only meaningful where it is."""
+    keys = _u64(keys)
+    pos = np.searchsorted(sorted_keys, keys)
+    if not len(sorted_keys):
+        return pos, np.zeros(pos.shape, dtype=bool)
+    pos = np.minimum(pos, len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == keys

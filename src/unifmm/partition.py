@@ -67,14 +67,8 @@ def sample_splitters(comm, keys, samples_per_rank, seed, snap_level=None):
 
 def snap_to_boxes(splitters, snap_level):
     """Snap deepest-level splitter keys down to level-``snap_level`` box starts."""
-    splitters = np.asarray(splitters, dtype=np.uint64)
-    if splitters.size == 0:
-        return splitters
-    level = int(morton.key_level(splitters)[0])
-    coarse = morton.ancestor_at(splitters, snap_level)
-    # Same anchor, re-labelled at the original depth: the box's first leaf.
-    keep = np.uint64(morton.LEVEL_BITS)
-    return ((coarse >> keep) << keep) | np.uint64(level)
+    return morton.first_descendant(morton.ancestor_at(splitters, snap_level),
+                                   morton.key_level(splitters))
 
 
 def bucket_of(keys, splitters):
@@ -111,11 +105,7 @@ def redistribute(comm, keys, points, charges, splitters):
 def sort_local(points, charges, leaf_level, cube):
     """Stable local sort by deepest-level Morton key; returns the sorted
     points, charges and keys."""
-    keys = (
-        morton.encode_points(points, leaf_level, cube)
-        if len(points)
-        else np.empty(0, np.uint64)
-    )
+    keys = morton.encode_points(points, leaf_level, cube)
     order = np.argsort(keys, kind="stable")
     return points[order], charges[order], keys[order]
 
@@ -140,18 +130,14 @@ class Layout:
 
     def owner_of_roots(self, keys):
         """Owning rank of each level-``global_depth`` key."""
-        pos = np.searchsorted(self.root_keys, np.asarray(keys, dtype=np.uint64))
-        if np.any(pos >= len(self.root_keys)) or np.any(
-            self.root_keys[np.minimum(pos, len(self.root_keys) - 1)]
-            != np.asarray(keys, dtype=np.uint64)
-        ):
+        pos, found = morton.find_keys(self.root_keys, keys)
+        if not np.all(found):
             raise LayoutError("invalid layout lookup: key is not a local root")
         return (np.searchsorted(self.run_starts, pos, side="right") - 1).astype(np.int64)
 
     def owner_of_boxes(self, keys):
         """Owning rank of boxes at any level >= ``global_depth``."""
-        return self.owner_of_roots(morton.ancestor_at(np.asarray(keys, dtype=np.uint64),
-                                                      self.global_depth))
+        return self.owner_of_roots(morton.ancestor_at(keys, self.global_depth))
 
     def digest(self):
         h = hashlib.sha256()
@@ -172,18 +158,14 @@ def equal_root_runs(global_depth, size):
 def root_split_splitters(global_depth, size, leaf_level):
     """Deepest-level splitter keys at the equal-run root boundaries."""
     runs = equal_root_runs(global_depth, size)
-    all_roots = morton.descendants(morton.make_key(0, 0, 0, 0), global_depth)
-    boundary = all_roots[runs[1:-1]]
-    keep = np.uint64(morton.LEVEL_BITS)
-    return ((boundary >> keep) << keep) | np.uint64(leaf_level)
+    return morton.first_descendant(morton.all_keys(global_depth)[runs[1:-1]], leaf_level)
 
 
 def runs_from_splitters(global_depth, splitters):
     """Root-index run boundaries implied by box-snapped splitters."""
-    all_roots = morton.descendants(morton.make_key(0, 0, 0, 0), global_depth)
-    anchors = np.asarray(splitters, dtype=np.uint64) >> np.uint64(morton.LEVEL_BITS)
-    pos = np.searchsorted(all_roots >> np.uint64(morton.LEVEL_BITS), anchors)
-    return np.concatenate([[0], pos, [len(all_roots)]]).astype(np.int64)
+    roots = morton.ancestor_at(splitters, global_depth)
+    pos = np.searchsorted(morton.all_keys(global_depth), roots)
+    return np.concatenate([[0], pos, [8**global_depth]]).astype(np.int64)
 
 
 def build_layout(global_depth, run_starts):
@@ -202,5 +184,5 @@ def build_layout(global_depth, run_starts):
             f"invalid layout: root runs do not tile the {n_roots} "
             f"level-{global_depth} boxes in Morton order"
         )
-    all_roots = morton.descendants(morton.make_key(0, 0, 0, 0), global_depth)
-    return Layout(global_depth=global_depth, root_keys=all_roots, run_starts=run_starts)
+    return Layout(global_depth=global_depth, root_keys=morton.all_keys(global_depth),
+                  run_starts=run_starts)

@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import morton
-from .morton import MAX_DEPTH, ancestor_at, anchor_lattice, descendants, make_key
-
-# Offsets of the 27-cell neighborhood (self included), Morton-sorted so
-# member lists come out in key order for same-level candidates.
-_HALO_OFFSETS = np.array(
-    [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)],
-    dtype=np.int64,
-)
+from .morton import HALO_OFFSETS, MAX_DEPTH, ancestor_at, anchor_lattice, descendants, make_key
 
 # (ox, oy, oz) for octant o, x in the least significant interleave slot.
 _OCTANT_OFFSETS = np.array(
@@ -79,19 +72,13 @@ class UniformTree:
 
     def index_of(self, level, keys):
         """Dense per-level indices of ``keys`` (Morton-sorted ordering)."""
-        arr = self.level_keys[level]
-        idx = np.searchsorted(arr, keys)
-        ok = (idx < arr.size) & (arr[np.minimum(idx, arr.size - 1)] == keys)
-        if not np.all(ok):
+        idx, found = morton.find_keys(self.level_keys[level], keys)
+        if not np.all(found):
             raise KeyError("key not in tree at level %d" % level)
         return idx
 
     def contains(self, level, keys):
-        arr = self.level_keys.get(level)
-        if arr is None:
-            return np.zeros(np.shape(keys), dtype=bool)
-        idx = np.searchsorted(arr, keys)
-        return (idx < arr.size) & (arr[np.minimum(idx, arr.size - 1)] == keys)
+        return morton.find_keys(self.level_keys.get(level, np.empty(0, np.uint64)), keys)[1]
 
 
 def build_tree(points, cube, global_depth, local_depth, local_roots=None, keys=None):
@@ -111,7 +98,7 @@ def build_tree(points, cube, global_depth, local_depth, local_roots=None, keys=N
 
     leaf_level = global_depth + local_depth
     if keys is None:
-        keys = morton.encode_points(points, leaf_level, cube) if points.size else []
+        keys = morton.encode_points(points, leaf_level, cube)
     pkeys = np.asarray(keys, dtype=np.uint64).reshape(-1)
     if len(pkeys) != len(points):
         raise ValueError("keys length does not match points")
@@ -124,11 +111,10 @@ def build_tree(points, cube, global_depth, local_depth, local_roots=None, keys=N
         local_roots = np.unique(ancestor_at(pkeys, global_depth))
     local_roots = np.sort(np.asarray(local_roots, dtype=np.uint64))
 
-    level_keys = {}
-    for level in range(global_depth, leaf_level + 1):
-        level_keys[level] = np.concatenate(
-            [descendants(int(r), level - global_depth) for r in local_roots]
-        )
+    level_keys = {
+        level: descendants(local_roots, level - global_depth)
+        for level in range(global_depth, leaf_level + 1)
+    }
 
     leaves = level_keys[leaf_level]
     starts = np.searchsorted(pkeys, leaves, side="left")
@@ -161,8 +147,7 @@ def compute_u_list(tree, leaf):
     """
     if morton.key_level(leaf) != tree.leaf_level:
         raise ValueError("u_list is defined for leaf boxes only")
-    members = np.concatenate([morton.neighbors(leaf), [np.uint64(int(leaf))]])
-    return np.sort(members)
+    return np.sort(morton.halo(leaf)[0])
 
 
 def compute_v_list(tree, box):
@@ -174,7 +159,7 @@ def compute_v_list(tree, box):
     level = morton.key_level(box)
     if level < 2:
         return np.empty(0, dtype=np.uint64)
-    keys, _, _ = _v_members_with_vectors(np.asarray([int(box)], dtype=np.uint64), level)
+    keys, _, _ = _v_members_with_vectors(np.reshape(np.uint64(box), 1), level)
     return np.sort(keys)
 
 
@@ -188,7 +173,7 @@ def _v_members_with_vectors(box_keys, level):
     coords = anchor_lattice(box_keys)
     pcoords = coords >> 1
     # Candidates: children of the 27-cell parent neighborhood.
-    centers = pcoords[:, None, :] + _HALO_OFFSETS[None, :, :]  # (n, 27, 3)
+    centers = pcoords[:, None, :] + HALO_OFFSETS  # (n, 27, 3)
     cand = (centers[:, :, None, :] * 2 + _OCTANT_OFFSETS[None, None, :, :]).reshape(
         len(box_keys), 216, 3
     )
@@ -197,13 +182,7 @@ def _v_members_with_vectors(box_keys, level):
     far = np.abs(offs).max(axis=2) >= 2
     keep = in_lattice & far
     box_pos, flat = np.nonzero(keep)
-    sel = cand[box_pos, flat]
-    keys = make_key(
-        sel[:, 0].astype(np.uint64),
-        sel[:, 1].astype(np.uint64),
-        sel[:, 2].astype(np.uint64),
-        level,
-    )
+    keys = make_key(*cand[box_pos, flat].T, level)
     tv = offs[box_pos, flat]
     tv_idx = TRANSFER_INDEX[tv[:, 0] + 3, tv[:, 1] + 3, tv[:, 2] + 3]
     # Sort members by key within each box for a stable accumulation order.
@@ -211,32 +190,12 @@ def _v_members_with_vectors(box_keys, level):
     return keys[order], box_pos[order], tv_idx[order]
 
 
-def _u_members(leaf_keys, level):
-    """Vectorized U-list enumeration (adjacent cells plus self, key-sorted)."""
-    n_cells = 1 << level
-    coords = anchor_lattice(leaf_keys)
-    cand = coords[:, None, :] + _HALO_OFFSETS[None, :, :]
-    keep = np.all((cand >= 0) & (cand < n_cells), axis=2)
-    box_pos, flat = np.nonzero(keep)
-    sel = cand[box_pos, flat]
-    keys = make_key(
-        sel[:, 0].astype(np.uint64),
-        sel[:, 1].astype(np.uint64),
-        sel[:, 2].astype(np.uint64),
-        level,
-    )
-    order = np.lexsort((keys, box_pos))
-    return keys[order], box_pos[order]
-
-
 def transfer_vector(source, target):
     """Lattice offset (source - target) in units of the boxes' side."""
     ls, lt = morton.key_level(source), morton.key_level(target)
     if ls != lt:
         raise ValueError(f"transfer vector needs same-level keys, got {ls} and {lt}")
-    s = np.asarray(anchor_lattice(source), dtype=np.int64)
-    t = np.asarray(anchor_lattice(target), dtype=np.int64)
-    return s - t
+    return anchor_lattice(source) - anchor_lattice(target)
 
 
 @dataclass
@@ -262,7 +221,10 @@ def build_interaction_lists(tree):
     stage, never locally.
     """
     leaf_level = tree.leaf_level
-    keys, box_pos = _u_members(tree.leaves, leaf_level)
+    # A leaf's U list is its in-lattice 27-cell neighborhood, key-sorted.
+    cells, box_pos = morton.halo(tree.leaves)
+    order = np.lexsort((cells, box_pos))
+    keys, box_pos = cells[order], box_pos[order]
     ptr = np.zeros(len(tree.leaves) + 1, dtype=np.int64)
     np.add.at(ptr, box_pos + 1, 1)
     ptr = np.cumsum(ptr)

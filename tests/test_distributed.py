@@ -544,6 +544,7 @@ def test_manifest_is_deterministic():
 
 @pytest.mark.parametrize("name, bad", [
     ("margin", -1.0), ("margin", -0.5), ("margin", np.nan), ("margin", np.inf),
+    ("margin", "0.1"), ("margin", None), ("margin", True), ("margin", 1j),
     ("order", 3.5), ("order", 3.0), ("order", True),
     ("global_depth", 1.5), ("global_depth", True),
     ("local_depth", 2.0), ("local_depth", False),
@@ -561,6 +562,9 @@ def test_config_accepts_boundary_values():
                  seed=np.int64(0))
     assert type(config.order) is int and type(config.global_depth) is int
     assert type(config.seed) is int
+    # Any real margin is stored as float.
+    assert [cfg(margin=m).margin for m in (0, np.float32(0.5), np.int64(1))] == [0.0, 0.5, 1.0]
+    assert type(cfg(margin=np.float32(0.5)).margin) is float
     # A zero margin puts the extreme points on the cube's faces.
     pts, chg = raw_instance(300, seed=19)
     _, states, evals = distributed_run(pts, chg, 2, cfg(local_depth=1, margin=0.0))

@@ -1,6 +1,7 @@
 """Laplace kernel and direct summation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,19 @@ def test_direct_sum_matches_double_loop_oracle():
 def test_direct_sum_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         direct_sum([[0.0, 0, 0]], [[1.0, 0, 0]], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("fn", [direct_sum, laplace_potential])
+@pytest.mark.parametrize("bad, shape", [
+    ("targets", (6, 2)), ("targets", (12,)), ("targets", (2, 3, 1)),
+    ("sources", (6, 2)), ("sources", (3,)),
+])
+def test_direct_sum_rejects_points_not_n_by_3(fn, bad, shape):
+    # A (6, 2) array has 12 entries, which must not pass as 4 points.
+    args = {"targets": np.zeros((4, 3)), "sources": np.ones((4, 3))}
+    args[bad] = np.zeros(shape)
+    with pytest.raises(ValueError, match=re.escape(f"{bad} must have shape (n, 3), got {shape}")):
+        fn(args["targets"], args["sources"], np.ones(4))
 
 
 @pytest.mark.parametrize("bad", ["target", "source", "charge"])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unifmm import morton
 from unifmm.morton import (
@@ -12,14 +14,12 @@ from unifmm.morton import (
     children,
     decode,
     descendants,
-    encode_point,
     encode_points,
     fit_domain,
     key_level,
     make_key,
     neighbors,
     parent,
-    parent_keys,
 )
 
 UNIT = BoundingCube(origin=(0.0, 0.0, 0.0), side=1.0)
@@ -77,12 +77,16 @@ def test_fit_domain_errors():
         fit_domain(np.array([[0.0, np.nan, 0.0]]))
 
 
+def encode_point(p, level, cube):
+    return int(encode_points([p], level, cube)[0])
+
+
 def test_encode_root_and_minimal_corner():
     assert encode_point((0.0, 0.0, 0.0), 0, UNIT) == 0
     for level in (1, 4, MAX_DEPTH):
         key = encode_point((0.0, 0.0, 0.0), level, UNIT)
         assert key_level(key) == level
-        assert anchor_lattice(key) == (0, 0, 0)
+        assert tuple(anchor_lattice(key)) == (0, 0, 0)
 
 
 def test_encode_against_naive_interleave_oracle():
@@ -104,7 +108,7 @@ def test_encode_random_cells_match_oracle():
 
 def test_encode_upper_face_clamped():
     key = encode_point((1.0, 1.0, 1.0), 3, UNIT)
-    assert anchor_lattice(key) == (7, 7, 7)
+    assert tuple(anchor_lattice(key)) == (7, 7, 7)
 
 
 def test_encode_outside_cube_errors():
@@ -165,19 +169,25 @@ def test_sixteen_parents_reach_root():
     assert key_level(key) == 0
 
 
-def test_parent_keys_vectorized_matches_scalar():
+def test_parent_and_ancestors_match_lattice_halving():
     rng = np.random.default_rng(9)
-    cells = rng.integers(0, 16, size=(40, 3)).astype(np.uint64)
-    keys = make_key(cells[:, 0], cells[:, 1], cells[:, 2], 4)
-    vec = parent_keys(keys)
-    for k, p in zip(keys, vec):
-        assert parent(int(k)) == int(p)
+    for level in range(1, MAX_DEPTH + 1):
+        cells = rng.integers(0, 1 << level, size=(40, 3))
+        keys = make_key(*cells.T, level)
+        halved = make_key(*(cells >> 1).T, level - 1)
+        assert np.array_equal(parent(keys), halved)
+        assert np.array_equal(ancestor_at(keys, level - 1), halved)
+        for k, p in zip(keys, halved):
+            assert parent(k) == p and parent(int(k)) == p
+        # Level 0 drops every anchor bit: a 64-bit shift, which gives 0.
+        assert np.array_equal(ancestor_at(keys, 0), np.zeros(40, dtype=np.uint64))
+        assert ancestor_at(int(keys[0]), 0) == 0
 
 
 def test_children_tile_parent_lattice():
     key = make_key(1, 0, 3, 2)
     ix, iy, iz = anchor_lattice(key)
-    got = sorted(anchor_lattice(int(c)) for c in children(key))
+    got = sorted(tuple(anchor_lattice(int(c))) for c in children(key))
     want = sorted(
         (2 * ix + ox, 2 * iy + oy, 2 * iz + oz)
         for ox in (0, 1)
@@ -260,9 +270,92 @@ def test_ancestor_at_inverts_descendants():
         assert ancestor_at(int(d), 3) == key
 
 
+def test_find_keys_positions_and_misses():
+    level = 2
+    sorted_keys = np.sort(make_key(*np.array([[0, 0, 0], [1, 2, 3], [3, 3, 3]]).T, level))
+    # The last probe sorts after every key (a deeper box in the last cell).
+    probe = [sorted_keys[1], make_key(0, 0, 1, level), sorted_keys[2], make_key(7, 7, 7, 3)]
+    pos, found = morton.find_keys(sorted_keys, probe)
+    assert found.tolist() == [True, False, True, False]
+    assert pos[found].tolist() == [1, 2]
+    pos, found = morton.find_keys(np.empty(0, np.uint64), probe)
+    assert pos.shape == (4,) and not found.any()
+
+
 def test_anchor_bits_below_level_are_zero():
     key = make_key(3, 5, 6, 3)
     ax, ay, az = anchor_lattice(key, level=MAX_DEPTH)
     assert ax % (1 << (MAX_DEPTH - 3)) == 0
     assert ay % (1 << (MAX_DEPTH - 3)) == 0
     assert az % (1 << (MAX_DEPTH - 3)) == 0
+
+
+# Property tests of the key algebra: derandomized, so every run draws the
+# same boxes.
+KEY_ALGEBRA = settings(max_examples=150, derandomize=True, deadline=None)
+
+
+@st.composite
+def boxes(draw):
+    """(ix, iy, iz, level) of a box anywhere in the level-0..MAX_DEPTH lattices."""
+    level = draw(st.integers(0, MAX_DEPTH))
+    cell = st.integers(0, (1 << level) - 1)
+    return draw(cell), draw(cell), draw(cell), level
+
+
+@KEY_ALGEBRA
+@given(boxes())
+def test_make_key_and_anchor_lattice_undo_each_other(box):
+    *cell, level = box
+    key = make_key(*cell, level)
+    assert int(key) == naive_interleave(*cell, level)
+    assert tuple(anchor_lattice(key)) == tuple(cell)
+    assert make_key(*anchor_lattice(key), level) == key
+    assert key_level(key) == level
+
+
+@KEY_ALGEBRA
+@given(boxes(), st.integers(0, MAX_DEPTH))
+def test_ancestor_at_shifts_the_lattice(box, coarse):
+    *cell, level = box
+    coarse = min(coarse, level)
+    key = make_key(*cell, level)
+    shift = level - coarse
+    assert ancestor_at(key, coarse) == make_key(*(c >> shift for c in cell), coarse)
+
+
+@KEY_ALGEBRA
+@given(boxes(), st.integers(0, 2))
+def test_descendants_and_ancestor_at_are_inverses(box, depth):
+    *cell, level = box
+    depth = min(depth, MAX_DEPTH - level)
+    key = make_key(*cell, level)
+    kids = descendants(key, depth)
+    assert len(kids) == 8**depth and np.all(kids[1:] > kids[:-1])
+    assert np.all(ancestor_at(kids, level) == key)
+    coarse = max(level - 2, 0)
+    assert key in descendants(ancestor_at(key, coarse), level - coarse)
+
+
+@KEY_ALGEBRA
+@given(boxes())
+def test_neighbors_match_lattice_oracle(box):
+    key = make_key(*box)
+    assert sorted(int(k) for k in neighbors(key)) == lattice_neighbor_oracle(*box)
+
+
+@KEY_ALGEBRA
+@given(boxes())
+def test_scalar_key_matches_one_element_array(box):
+    *cell, level = box
+    key = make_key(*cell, level)
+    one = make_key(*(np.array([c]) for c in cell), level)
+    assert isinstance(key, np.uint64) and one.shape == (1,) and one[0] == key
+    assert np.array_equal(anchor_lattice(key), anchor_lattice(one)[0])
+    assert key_level(key) == key_level(one)[0]
+    assert ancestor_at(key, level // 2) == ancestor_at(one, level // 2)[0]
+    assert np.array_equal(neighbors(key), neighbors(one))
+    if level:
+        assert parent(key) == parent(one)[0]
+    if level < MAX_DEPTH:
+        assert np.array_equal(children(key), children(one))

@@ -92,7 +92,7 @@ def test_snap_to_boxes():
         assert morton.key_level(int(snap)) == leaf_level
         assert morton.ancestor_at(int(snap), 1) == morton.ancestor_at(int(orig), 1)
         assert int(snap) <= int(orig)
-        assert morton.anchor_lattice(int(snap)) == tuple(
+        assert tuple(morton.anchor_lattice(int(snap))) == tuple(
             c * 4 for c in morton.anchor_lattice(morton.ancestor_at(int(orig), 1))
         )
 

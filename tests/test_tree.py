@@ -114,7 +114,7 @@ def test_build_tree_levels_and_parent_closure():
     tree = build_tree(pts, UNIT, 1, 2)
     assert sorted(tree.level_keys) == [1, 2, 3]
     for level in (2, 3):
-        parents = np.unique(morton.parent_keys(tree.level_keys[level]))
+        parents = np.unique(morton.parent(tree.level_keys[level]))
         assert np.all(np.isin(parents, tree.level_keys[level - 1]))
     # Uniform refinement: full 8^local_depth leaves under each root.
     assert len(tree.leaves) == len(tree.local_roots) * 8**2
