@@ -2,7 +2,8 @@
 
 Setup runs once per point set and resolves every data dependency ahead
 of time: the distributed sort and per-rank tree build, the global layout
-(which every rank derives from the splitters all ranks hold), the static
+(which every rank builds from the root runs all ranks hold, and from
+which it reads the sort's splitters and its own roots), the static
 neighbor communication graph, the near-field point/charge exchange, and
 the far-field ghost rows. Those rows live in the expansion store right
 after each level's local rows, so the V-list kernels read remote sources
@@ -64,8 +65,8 @@ from .operators import (
 )
 from .partition import (
     build_layout,
+    equal_root_runs,
     redistribute,
-    root_split_splitters,
     runs_from_splitters,
     sample_splitters,
     sort_local,
@@ -241,13 +242,13 @@ def _cut(array, lengths):
     return [array[a:b] for a, b in zip((ends - lengths).tolist(), ends.tolist())]
 
 
-def _served_rows(tree, keys_per_nbr):
-    """Per neighbor, the point rows of the leaves served to it, leaf by leaf."""
-    keys, lengths = _concat_keys(keys_per_nbr)
+def _served_rows(tree, keys, per_nbr):
+    """Per neighbor, the point rows of the leaves served to it, leaf by leaf;
+    the leaf ``keys`` come neighbor by neighbor, ``per_nbr`` of them each."""
     starts, ends = tree.leaf_ranges[tree.index_of(tree.leaf_level, keys)].T
     counts = ends - starts
     rows = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return _cut(rows, [c.sum() for c in _cut(counts, lengths)])
+    return _cut(rows, [c.sum() for c in _cut(counts, per_nbr)])
 
 
 def _store_rows(tree, ghost_keys):
@@ -275,17 +276,23 @@ def _rows_of(lookup, keys):
 
 
 def _served_boxes(graph, layout, boxes, members):
-    """Per neighbor in ``graph``, the boxes of ours that its lists hold.
+    """The boxes of ours that the lists of each neighbor in ``graph`` hold:
+    all of them, neighbor by neighbor, and how many each neighbor gets.
 
     ``members[i]`` is a remote list member of the occupied own box
     ``boxes[i]``. By the symmetry of U and V, a neighbor's lists hold our
     box exactly when that box's lists hold one of the neighbor's boxes,
     so the neighbor is served the sorted, unique boxes with a member it
-    owns.
+    owns. One sort over (neighbor, box) pairs groups them all.
     """
     owners = layout.owner_of_boxes(members)
     assert np.isin(owners, graph).all(), "list member outside halo"
-    return [np.unique(boxes[owners == j]) for j in graph.tolist()]
+    nbr = np.searchsorted(graph, owners)
+    order = np.lexsort((boxes, nbr))
+    nbr, boxes = nbr[order], boxes[order]
+    first = np.ones(len(boxes), dtype=bool)
+    first[1:] = (nbr[1:] != nbr[:-1]) | (boxes[1:] != boxes[:-1])
+    return boxes[first], np.bincount(nbr[first], minlength=len(graph))
 
 
 def setup(comm, points, charges, config):
@@ -305,13 +312,12 @@ def setup(comm, points, charges, config):
         cube = _global_cube(comm, points, config.margin)
         keys = morton.encode_points(points, leaf_level, cube)
         if config.balance_mode == "roots":
-            splitters = root_split_splitters(config.global_depth, comm.size, leaf_level)
+            runs = equal_root_runs(config.global_depth, comm.size)
         else:
-            splitters = sample_splitters(
+            runs = runs_from_splitters(config.global_depth, sample_splitters(
                 comm, keys, config.samples_per_rank, config.seed,
                 snap_level=config.global_depth,
-            )
-        runs = runs_from_splitters(config.global_depth, splitters)
+            ))
         # ``runs`` is the same on every rank, so all ranks raise together.
         idle = np.flatnonzero(np.diff(runs) == 0)
         if len(idle):
@@ -319,14 +325,17 @@ def setup(comm, points, charges, config):
                 f"rank(s) {', '.join(map(str, idle))} left without local roots "
                 f"by the {config.balance_mode} splitters"
             )
-        pts, chg = redistribute(comm, keys, points, charges, splitters)
-        pts, chg, pkeys = sort_local(pts, chg, leaf_level, cube)
-        my_roots = morton.all_keys(config.global_depth)[runs[comm.rank] : runs[comm.rank + 1]]
-        tree = build_tree(pts, cube, config.global_depth, config.local_depth,
-                          local_roots=my_roots, keys=pkeys)
 
     with _phase(timings, "layout"):
         layout = build_layout(config.global_depth, runs)
+
+    with _phase(timings, "sort_tree"):
+        splitters = layout.splitters(leaf_level)
+        pts, chg = redistribute(comm, keys, points, charges, splitters)
+        pts, chg, pkeys = sort_local(pts, chg, leaf_level, cube)
+        my_roots = layout.roots_of(comm.rank)
+        tree = build_tree(pts, cube, config.global_depth, config.local_depth,
+                          local_roots=my_roots, keys=pkeys)
 
     with _phase(timings, "communicators"):
         owners = np.unique(layout.owner_of_roots(morton.neighbors(my_roots)))
@@ -337,14 +346,14 @@ def setup(comm, points, charges, config):
         per_leaf = np.diff(lists.u_member_ptr)
         remote = ~tree.contains(leaf_level, lists.u_member_keys)
         pick = remote & np.repeat(tree.level_nonempty[leaf_level], per_leaf)
-        u_serve = _served_boxes(
+        u_leaves, u_per_nbr = _served_boxes(
             graph, layout, np.repeat(tree.leaves, per_leaf)[pick], lists.u_member_keys[pick]
         )
         # Ship the points and charges of every leaf we serve, leaf by leaf in
         # key order. The graph is in rank order and ranks own rank-ordered
         # Morton runs, so the rows received, taken in graph order, are sorted
         # by leaf key: the point's key, from the same bits in the same cube.
-        u_send_rows = _served_rows(tree, u_serve)
+        u_send_rows = _served_rows(tree, u_leaves, u_per_nbr)
         table = np.concatenate([tree.points, chg[:, None]], axis=1)
         rows_in = comm.neighbor_alltoallv(graph, [table[r].ravel() for r in u_send_rows])
         got = np.concatenate([np.empty(0), *rows_in]).reshape(-1, 4)
@@ -359,16 +368,15 @@ def setup(comm, points, charges, config):
             pick = tree.level_nonempty[level][tgt] & ~tree.contains(level, mkeys)
             held.append((tree.level_keys[level][tgt[pick]], mkeys[pick]))
         boxes, members = (np.concatenate(parts) for parts in zip(*held))
-        v_serve = _served_boxes(graph, layout, boxes, members)
-        v_confirmed = comm.neighbor_alltoallv(graph, v_serve)
+        send_keys, v_per_nbr = _served_boxes(graph, layout, boxes, members)
+        v_confirmed = comm.neighbor_alltoallv(graph, _cut(send_keys, v_per_nbr))
 
         recv_keys, recv_lengths = _concat_keys(v_confirmed)
-        send_keys, send_lengths = _concat_keys(v_serve)
         ghost_keys = np.unique(recv_keys)
         ghost_sizes, rows_of_level, lookup = _store_rows(tree, ghost_keys)
         ghosts = _VGhosts(
             keys=ghost_keys,
-            send_rows=_cut(_rows_of(lookup, send_keys)[0], send_lengths),
+            send_rows=_cut(_rows_of(lookup, send_keys)[0], v_per_nbr),
             recv_rows=_cut(_rows_of(lookup, recv_keys)[0], recv_lengths),
         )
 
@@ -399,7 +407,7 @@ def setup(comm, points, charges, config):
         store=store,
         points=pts,
         charges=chg,
-        splitters=np.asarray(splitters, dtype=np.uint64),
+        splitters=splitters,
         graph=graph,
         near_ghosts=near,
         u_send_rows=u_send_rows,

@@ -5,8 +5,9 @@ from a gathered random key sample define half-open rank buckets; for
 uniform trees the splitters are snapped down to coarse-box boundaries so
 bucket edges coincide with whole local roots. The layout maps every
 level-``global_depth`` box to its owning rank. Every rank holds the same
-splitters, so each derives the same root runs and builds the layout
-without communicating.
+root runs (equal runs, or runs cut at the sampled splitters), so each
+builds the same layout without communicating and reads the splitters of
+the sort from it.
 
 Sampling uses numpy's PCG64 generator seeded per rank with
 ``SeedSequence([seed, rank])``; the identifier recorded in run metadata
@@ -128,6 +129,11 @@ class Layout:
     def n_roots(self, rank):
         return int(self.run_starts[rank + 1] - self.run_starts[rank])
 
+    def splitters(self, leaf_level):
+        """Deepest-level bucket splitters of ranks 1 .. P-1: the first
+        level-``leaf_level`` key of each rank's first root."""
+        return morton.first_descendant(self.root_keys[self.run_starts[1:-1]], leaf_level)
+
     def owner_of_roots(self, keys):
         """Owning rank of each level-``global_depth`` key."""
         pos, found = morton.find_keys(self.root_keys, keys)
@@ -153,12 +159,6 @@ def equal_root_runs(global_depth, size):
     if size > n_roots:
         raise ValueError(f"{size} ranks cannot each own a root at depth {global_depth}")
     return (np.arange(size + 1, dtype=np.int64) * n_roots) // size
-
-
-def root_split_splitters(global_depth, size, leaf_level):
-    """Deepest-level splitter keys at the equal-run root boundaries."""
-    runs = equal_root_runs(global_depth, size)
-    return morton.first_descendant(morton.all_keys(global_depth)[runs[1:-1]], leaf_level)
 
 
 def runs_from_splitters(global_depth, splitters):

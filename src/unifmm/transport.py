@@ -15,6 +15,13 @@ inputs: two runs with the same seed and programs are bit-identical
 regardless of thread scheduling. Wall times are the only nondeterministic
 output and are reported separately from the deterministic statistics.
 
+One rule counts every collective's traffic: a message is a nonempty
+buffer sent to another rank (a rank's own part never travels), counted
+in the sender's ``msgs_sent`` and ``bytes_sent`` and the receiver's
+``bytes_recv``. ``payload_bytes`` is a rank's own buffer for allgatherv
+and gatherv, its own segment for scatterv (the root's included in both),
+and the bytes it sends other ranks for alltoallv and neighbor_alltoallv.
+
 A real message-passing backend can replace :class:`RankComm` by providing
 the same five methods; the algorithm modules only ever see this interface.
 This simulator, named "sim" in run manifests, is the only backend shipped.
@@ -22,10 +29,11 @@ This simulator, named "sim" in run manifests, is the only backend shipped.
 
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,10 +110,6 @@ class _Slot:
         self.picked = 0
 
 
-def _nbytes(arr):
-    return 0 if arr is None else arr.nbytes
-
-
 def _snapshot(arr):
     """Private read-only copy of a send buffer: what goes on the wire."""
     snap = np.array(arr, copy=True)
@@ -131,9 +135,6 @@ class SimWorld:
         if not 0 <= rank < self.size:
             raise ValueError(f"rank {rank} out of range for world of size {self.size}")
         return RankComm(self, rank)
-
-    def comms(self):
-        return [RankComm(self, r) for r in range(self.size)]
 
     def abort(self, exc):
         with self._cond:
@@ -198,7 +199,7 @@ class SimWorld:
             slot.payloads[rank] = payload
             if len(slot.payloads) == self.size:
                 try:
-                    slot.results = _COMPLETERS[kind](self, slot.payloads)
+                    slot.results = getattr(self, f"_complete_{kind}")(slot.payloads)
                 except TransportError as exc:
                     self._fail(exc)
                 except Exception as exc:
@@ -226,18 +227,38 @@ class SimWorld:
 
     # -- completion rules (run once per slot, under the lock) ---------------
 
+    def _tally(self, kind, nbytes, payload):
+        """The one counting rule. ``nbytes[i, j]`` is what rank i sends rank
+        j; the diagonal never travels and an empty buffer is no message."""
+        np.fill_diagonal(nbytes, 0)
+        msgs = np.count_nonzero(nbytes, axis=1).tolist()
+        sent = nbytes.sum(axis=1).tolist()
+        recv = nbytes.sum(axis=0).tolist()
+        payload = np.asarray(payload).tolist()
+        for r, st in enumerate(rank_stats.by_kind[kind] for rank_stats in self.stats):
+            st.calls += 1
+            st.msgs_sent += msgs[r]
+            st.bytes_sent += sent[r]
+            st.bytes_recv += recv[r]
+            st.payload_bytes += payload[r]
+
+    def _root(self, kind, payloads):
+        """The root all ranks named; it must be a rank of this world."""
+        roots = {payloads[r][0] for r in payloads}
+        if len(roots) != 1:
+            raise TransportError(f"{kind}: ranks disagree on root ({sorted(roots)})")
+        root = roots.pop()
+        if (isinstance(root, bool) or not isinstance(root, numbers.Integral)
+                or not 0 <= root < self.size):
+            raise TransportError(
+                f"{kind}: root {root!r} is not a rank of a world of size {self.size}"
+            )
+        return int(root)
+
     def _complete_allgatherv(self, payloads):
         arrays = [payloads[r] for r in range(self.size)]
-        total = sum(_nbytes(a) for a in arrays)
-        for r in range(self.size):
-            st = self.stats[r].by_kind["allgatherv"]
-            st.calls += 1
-            nb = _nbytes(arrays[r])
-            st.payload_bytes += nb
-            if nb:
-                st.msgs_sent += self.size - 1
-                st.bytes_sent += nb * (self.size - 1)
-            st.bytes_recv += total - nb
+        sizes = np.array([a.nbytes for a in arrays], dtype=np.int64)
+        self._tally("allgatherv", np.repeat(sizes[:, None], self.size, axis=1), sizes)
         return {r: list(arrays) for r in range(self.size)}
 
     def _complete_alltoallv(self, payloads):
@@ -246,76 +267,49 @@ class SimWorld:
                 raise TransportError(
                     f"alltoallv: rank {r} passed {len(send)} buffers for world size {self.size}"
                 )
-        # nbytes[i, j]: what rank i sends rank j; self-sends never travel.
         nbytes = np.array(
-            [[_nbytes(b) for b in payloads[r]] for r in range(self.size)], dtype=np.int64
+            [[b.nbytes for b in payloads[r]] for r in range(self.size)], dtype=np.int64
         )
-        np.fill_diagonal(nbytes, 0)
-        msgs = np.count_nonzero(nbytes, axis=1)
-        sent = nbytes.sum(axis=1)
-        recv = nbytes.sum(axis=0)
-        for r in range(self.size):
-            st = self.stats[r].by_kind["alltoallv"]
-            st.calls += 1
-            st.msgs_sent += int(msgs[r])
-            st.bytes_sent += int(sent[r])
-            st.payload_bytes += int(sent[r])
-            st.bytes_recv += int(recv[r])
+        self._tally("alltoallv", nbytes, nbytes.sum(axis=1) - nbytes.diagonal())
         return {r: [payloads[i][r] for i in range(self.size)] for r in range(self.size)}
 
     def _complete_gatherv(self, payloads):
-        roots = {payloads[r][0] for r in payloads}
-        if len(roots) != 1:
-            raise TransportError(f"gatherv: ranks disagree on root ({sorted(roots)})")
-        root = roots.pop()
+        root = self._root("gatherv", payloads)
         arrays = [payloads[r][1] for r in range(self.size)]
-        for r in range(self.size):
-            st = self.stats[r].by_kind["gatherv"]
-            st.calls += 1
-            nb = _nbytes(arrays[r])
-            st.payload_bytes += nb
-            if r != root and nb:
-                st.msgs_sent += 1
-                st.bytes_sent += nb
-                self.stats[root].by_kind["gatherv"].bytes_recv += nb
-        out = {r: None for r in range(self.size)}
-        out[root] = arrays
-        return out
+        sizes = np.array([a.nbytes for a in arrays], dtype=np.int64)
+        nbytes = np.zeros((self.size, self.size), dtype=np.int64)
+        nbytes[:, root] = sizes
+        self._tally("gatherv", nbytes, sizes)
+        return {r: arrays if r == root else None for r in range(self.size)}
 
     def _complete_scatterv(self, payloads):
-        roots = {payloads[r][0] for r in payloads}
-        if len(roots) != 1:
-            raise TransportError(f"scatterv: ranks disagree on root ({sorted(roots)})")
-        root = roots.pop()
+        root = self._root("scatterv", payloads)
         segments = payloads[root][1]
         if segments is None or len(segments) != self.size:
-            raise TransportError(
-                f"scatterv: root must pass exactly {self.size} segments"
-            )
-        st_root = self.stats[root].by_kind["scatterv"]
-        for r in range(self.size):
-            st = self.stats[r].by_kind["scatterv"]
-            st.calls += 1
-            nb = _nbytes(segments[r])
-            st.payload_bytes += nb
-            if r != root and nb:
-                st_root.msgs_sent += 1
-                st_root.bytes_sent += nb
-                st.bytes_recv += nb
+            raise TransportError(f"scatterv: root must pass exactly {self.size} segments")
+        sizes = np.array([s.nbytes for s in segments], dtype=np.int64)
+        nbytes = np.zeros((self.size, self.size), dtype=np.int64)
+        nbytes[root] = sizes
+        self._tally("scatterv", nbytes, sizes)
         return {r: segments[r] for r in range(self.size)}
 
     def _complete_neighbor_alltoallv(self, payloads):
-        graphs = {r: tuple(payloads[r][0]) for r in payloads}
+        graphs = {r: payloads[r][0] for r in payloads}
         sends = {r: payloads[r][1] for r in payloads}
+        nbytes = np.zeros((self.size, self.size), dtype=np.int64)
         for r, nbrs in graphs.items():
             if len(sends[r]) != len(nbrs):
                 raise TransportError(
                     f"neighbor_alltoallv: rank {r} passed {len(sends[r])} buffers "
                     f"for {len(nbrs)} neighbors"
                 )
+            if any(a >= b for a, b in zip(nbrs, nbrs[1:])):
+                raise TransportError(
+                    f"neighbor_alltoallv: rank {r} lists {nbrs}, not strictly increasing"
+                )
             if r in nbrs:
                 raise TransportError(f"neighbor_alltoallv: rank {r} lists itself")
-            for j in nbrs:
+            for pos, j in enumerate(nbrs):
                 if not 0 <= j < self.size:
                     raise TransportError(f"neighbor_alltoallv: rank {r} lists unknown rank {j}")
                 if r not in graphs[j]:
@@ -323,32 +317,10 @@ class SimWorld:
                         f"neighbor_alltoallv: asymmetric graph, {r} lists {j} "
                         f"but {j} does not list {r}"
                     )
-        results = {}
-        for r, nbrs in graphs.items():
-            st = self.stats[r].by_kind["neighbor_alltoallv"]
-            st.calls += 1
-            recv = []
-            for pos, j in enumerate(nbrs):
-                nb = _nbytes(sends[r][pos])
-                if nb:
-                    st.msgs_sent += 1
-                    st.bytes_sent += nb
-                    st.payload_bytes += nb
-                # What j addressed to r travels the (j, r) edge only.
-                back = sends[j][graphs[j].index(r)]
-                recv.append(back)
-                self.stats[r].by_kind["neighbor_alltoallv"].bytes_recv += _nbytes(back)
-            results[r] = recv
-        return results
-
-
-_COMPLETERS = {
-    "allgatherv": SimWorld._complete_allgatherv,
-    "alltoallv": SimWorld._complete_alltoallv,
-    "gatherv": SimWorld._complete_gatherv,
-    "scatterv": SimWorld._complete_scatterv,
-    "neighbor_alltoallv": SimWorld._complete_neighbor_alltoallv,
-}
+                nbytes[r, j] = sends[r][pos].nbytes
+        self._tally("neighbor_alltoallv", nbytes, nbytes.sum(axis=1))
+        # What j addressed to r travels the (j, r) edge only.
+        return {r: [sends[j][graphs[j].index(r)] for j in nbrs] for r, nbrs in graphs.items()}
 
 
 class RankComm:
@@ -417,7 +389,6 @@ def run_spmd(world, fn, args_per_rank=None):
     aborts all collectives and is re-raised here.
     """
     results = [None] * world.size
-    errors = {}
 
     def runner(rank):
         comm = world.comm(rank)
@@ -425,7 +396,6 @@ def run_spmd(world, fn, args_per_rank=None):
             args = args_per_rank[rank] if args_per_rank is not None else ()
             results[rank] = fn(comm, *args)
         except BaseException as exc:  # noqa: BLE001 - must abort peers
-            errors[rank] = exc
             world.abort(exc)
         finally:
             world.mark_finished(rank)
@@ -440,6 +410,4 @@ def run_spmd(world, fn, args_per_rank=None):
         t.join()
     if world._failure is not None:
         raise world._failure
-    if errors:
-        raise errors[min(errors)]
     return results

@@ -9,7 +9,6 @@ from unifmm.partition import (
     build_layout,
     equal_root_runs,
     redistribute,
-    root_split_splitters,
     runs_from_splitters,
     sample_splitters,
     snap_to_boxes,
@@ -184,7 +183,7 @@ def test_equal_root_runs_and_splitters():
     with pytest.raises(ValueError, match="cannot"):
         equal_root_runs(1, 9)
 
-    spl = root_split_splitters(1, 8, leaf_level=3)
+    spl = build_layout(1, equal_root_runs(1, 8)).splitters(leaf_level=3)
     assert len(spl) == 7
     back = runs_from_splitters(1, spl)
     assert np.array_equal(back, equal_root_runs(1, 8))

@@ -234,6 +234,89 @@ def test_alltoallv_allgatherv_stats_match_pairwise_count():
     assert world.check_conservation()
 
 
+def test_rooted_and_neighbor_stats_match_pairwise_count():
+    P = 4
+    gather_sizes = [3, 0, 2, 1]                   # float64 elements per rank; root 2
+    scatter_sizes = [2, 3, 0, 1]                  # float64 elements per segment; root 1
+    nbrs = {0: (1, 3), 1: (0, 2, 3), 2: (1,), 3: (0, 1)}
+    sizes = {(0, 1): 2, (0, 3): 0, (1, 0): 1, (1, 2): 0, (1, 3): 4,
+             (2, 1): 3, (3, 0): 0, (3, 1): 2}     # int32 elements i sends j
+
+    def program(comm):
+        r = comm.rank
+        gathered = comm.gatherv(np.full(gather_sizes[r], float(r)), root=2)
+        segments = [np.full(n, 10.0 + j) for j, n in enumerate(scatter_sizes)]
+        mine = comm.scatterv(segments if r == 1 else None, root=1)
+        recv = comm.neighbor_alltoallv(
+            nbrs[r], [np.full(sizes[r, j], 10 * r + j, dtype=np.int32) for j in nbrs[r]]
+        )
+        return gathered, mine, recv
+
+    world = create_world(P)
+    results = run_spmd(world, program)
+    stats = world.deterministic_stats()
+    for r in range(P):
+        gathered, mine, recv = results[r]
+        if r == 2:
+            for i in range(P):
+                assert np.array_equal(gathered[i], np.full(gather_sizes[i], float(i)))
+        else:
+            assert gathered is None
+        assert np.array_equal(mine, np.full(scatter_sizes[r], 10.0 + r))
+        for j, buf in zip(nbrs[r], recv):
+            assert np.array_equal(buf, np.full(sizes[j, r], 10 * j + r, dtype=np.int32))
+        # Hand count: only nonempty buffers between distinct ranks are messages;
+        # the root's own buffer or segment still counts as its payload.
+        gv = stats[r]["gatherv"]
+        assert gv["calls"] == 1
+        assert gv["msgs_sent"] == (1 if r != 2 and gather_sizes[r] else 0)
+        assert gv["bytes_sent"] == (0 if r == 2 else 8 * gather_sizes[r])
+        assert gv["payload_bytes"] == 8 * gather_sizes[r]
+        assert gv["bytes_recv"] == (8 * (3 + 0 + 1) if r == 2 else 0)
+        sv = stats[r]["scatterv"]
+        assert sv["calls"] == 1
+        assert sv["msgs_sent"] == (2 if r == 1 else 0)          # rank 2's segment is empty
+        assert sv["bytes_sent"] == (8 * (2 + 0 + 1) if r == 1 else 0)
+        assert sv["payload_bytes"] == 8 * scatter_sizes[r]
+        assert sv["bytes_recv"] == (0 if r == 1 else 8 * scatter_sizes[r])
+        na = stats[r]["neighbor_alltoallv"]
+        assert na["calls"] == 1
+        assert na["msgs_sent"] == sum(1 for j in nbrs[r] if sizes[r, j])
+        assert na["bytes_sent"] == sum(4 * sizes[r, j] for j in nbrs[r])
+        assert na["payload_bytes"] == na["bytes_sent"]
+        assert na["bytes_recv"] == sum(4 * sizes[j, r] for j in nbrs[r])
+    assert [s["neighbor_alltoallv"]["bytes_recv"] for s in stats] == [4, 28, 0, 16]
+    assert world.check_conservation()
+
+
+def test_rooted_collectives_reject_out_of_range_root():
+    for kind in ("gatherv", "scatterv"):
+        for root in (-1, 3):
+            def program(comm, _kind=kind, _root=root):
+                if _kind == "gatherv":
+                    return comm.gatherv(np.zeros(2), root=_root)
+                return comm.scatterv([np.zeros(2)] * 3, root=_root)
+
+            world = create_world(3)
+            with pytest.raises(TransportError, match=rf"{kind}: root {root} .* size 3"):
+                run_spmd(world, program)
+            assert world.stats[0].by_kind[kind].calls == 0
+
+
+def test_neighbor_alltoallv_rejects_unsorted_or_repeated_neighbors():
+    for graphs in ({0: (1, 1), 1: (0,)}, {0: (2, 1), 1: (0,), 2: (0,)}):
+        world = create_world(len(graphs))
+
+        def program(comm, _graphs=graphs):
+            nbrs = _graphs[comm.rank]
+            return comm.neighbor_alltoallv(nbrs, [np.zeros(2)] * len(nbrs))
+
+        listed = ", ".join(map(str, graphs[0]))
+        with pytest.raises(TransportError, match=rf"rank 0 lists \({listed}\)"):
+            run_spmd(world, program)
+        assert world.stats[1].by_kind["neighbor_alltoallv"].calls == 0
+
+
 def test_alltoallv_empty_sends_allowed():
     world = create_world(2)
 
