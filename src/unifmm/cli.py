@@ -167,6 +167,13 @@ def cmd_generate(args):
 
 def cmd_verify(args):
     config = _config_from_args(args)
+    # Every rank needs a root: reject P before any rank thread starts.
+    n_roots = 8**config.global_depth
+    if not 1 <= args.p <= n_roots:
+        raise ValueError(
+            f"--p must be between 1 and {n_roots} (8^{config.global_depth} roots "
+            f"at --global-depth {config.global_depth}), got {args.p}"
+        )
     points = generate_points(args.dist, args.n, args.seed)
     charges = generate_charges(args.n, args.seed)
 

@@ -6,9 +6,12 @@ of time: the distributed sort and per-rank tree build, the global layout
 which it reads the sort's splitters and its own roots), the static
 neighbor communication graph, the near-field point/charge exchange, and
 the far-field ghost rows. Those rows live in the expansion store right
-after each level's local rows, so the V-list kernels read remote sources
-as they read local ones, and setup fixes the store rows each neighbor is
-sent and the rows its messages land in.
+after each level's own rows, so the V-list kernels read remote sources
+as they read local ones. The store alone lays out its rows and maps keys
+to them: setup asks it for the rows each neighbor is sent, the rows its
+messages land in, and the member rows of the V plans. The nominated
+rank's store of the top levels is built the same way, once, and its V
+plan by the same builder.
 
 No rank asks another which boxes exist. The layout is replicated, and U
 and V are symmetric relations (``A`` is in ``V(B)`` exactly when ``B`` is
@@ -57,8 +60,6 @@ from .operators import (
     expansion_length,
     get_operator_set,
     group_pairs_by_transfer,
-    store_for_tree,
-    store_rows,
     u2u_pass,
     upward_pass,
     vli_downward,
@@ -164,7 +165,8 @@ class DistributedFmm:
     u_send_rows: list             # per neighbor: point rows served, leaf by leaf
     v_ghosts: _VGhosts
     v_plan: VListPlan
-    global_plan: VListPlan        # top levels; nominated rank only, else None
+    top_store: object             # top levels 1 .. d_g and their V plan,
+    global_plan: VListPlan        # both on the nominated rank only, else None
     timings: dict
 
     @property
@@ -249,30 +251,6 @@ def _served_rows(tree, keys, per_nbr):
     counts = ends - starts
     rows = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
     return _cut(rows, [c.sum() for c in _cut(counts, per_nbr)])
-
-
-def _store_rows(tree, ghost_keys):
-    """Ghost row count per level of the expansion store holding the sorted
-    ``ghost_keys`` as ghosts, the store's u row range per level, and a key
-    -> row lookup over all its u rows (the row keys sorted, and the row of
-    each)."""
-    ghost_levels = morton.key_level(ghost_keys)
-    ghosts = {lvl: ghost_keys[ghost_levels == lvl] for lvl in tree.level_keys}
-    assert sum(map(len, ghosts.values())) == len(ghost_keys), "ghost key outside the tree levels"
-    ghost_sizes = {lvl: len(g) for lvl, g in ghosts.items()}
-    rows = store_rows({lvl: len(k) for lvl, k in tree.level_keys.items()}, ghost_sizes)
-    row_keys = np.empty(max(b for _, b in rows.values()), np.uint64)
-    for lvl, (a, b) in rows.items():
-        row_keys[a:b] = np.concatenate([tree.level_keys[lvl], ghosts[lvl]])
-    order = np.argsort(row_keys)
-    return ghost_sizes, rows, (row_keys[order], order)
-
-
-def _rows_of(lookup, keys):
-    """Store rows of ``keys`` and whether each key has one."""
-    sorted_keys, rows = lookup
-    pos, found = morton.find_keys(sorted_keys, keys)
-    return rows[pos], found
 
 
 def _served_boxes(graph, layout, boxes, members):
@@ -373,29 +351,27 @@ def setup(comm, points, charges, config):
 
         recv_keys, recv_lengths = _concat_keys(v_confirmed)
         ghost_keys = np.unique(recv_keys)
-        ghost_sizes, rows_of_level, lookup = _store_rows(tree, ghost_keys)
+        store = ExpansionStore(tree.level_keys, ghost_keys)
         ghosts = _VGhosts(
             keys=ghost_keys,
-            send_rows=_cut(_rows_of(lookup, send_keys)[0], v_per_nbr),
-            recv_rows=_cut(_rows_of(lookup, recv_keys)[0], recv_lengths),
+            send_rows=_cut(store.rows_of(send_keys)[0], v_per_nbr),
+            recv_rows=_cut(store.rows_of(recv_keys)[0], recv_lengths),
         )
+        v_plan = _v_plan(store, lists.v_pairs)
 
-        # V application plan: members by row of the level's local and ghost
-        # rows; absent ones are dropped (an absent box holds no sources).
-        grouped = {}
-        for level, (tgt, mkeys, tv_idx) in lists.v_pairs.items():
-            rows, keep = _rows_of(lookup, mkeys)
-            grouped[level] = group_pairs_by_transfer(
-                tgt[keep], rows[keep] - rows_of_level[level][0], tv_idx[keep]
-            )
-        v_plan = VListPlan(grouped=grouped)
-
-        global_plan = (
-            _build_global_plan(config) if comm.rank == NOMINATED_RANK else None
-        )
+        # The nominated rank holds every box of the top levels 1 .. d_g.
+        top_store = global_plan = None
+        if comm.rank == NOMINATED_RANK:
+            top_keys = {lvl: morton.all_keys(lvl) for lvl in range(1, config.global_depth + 1)}
+            top_store = ExpansionStore(top_keys)
+            global_plan = _v_plan(top_store, {
+                lvl: _v_members_with_vectors(keys, lvl) for lvl, keys in top_keys.items() if lvl > 1
+            })
 
     ops = get_operator_set(config.order, config.dtype)
-    store = store_for_tree(tree, ops, ghost_sizes)
+    store.allocate(ops.n_coeff, ops.dtype)
+    if top_store is not None:
+        top_store.allocate(ops.n_coeff, ops.dtype)
     return DistributedFmm(
         comm=comm,
         config=config,
@@ -413,20 +389,23 @@ def setup(comm, points, charges, config):
         u_send_rows=u_send_rows,
         v_ghosts=ghosts,
         v_plan=v_plan,
+        top_store=top_store,
         global_plan=global_plan,
         timings=timings,
     )
 
 
-def _build_global_plan(config):
-    """V-list plan of the top tree levels (2 .. global_depth), whose boxes
-    are all present on the nominated rank."""
+def _v_plan(store, pairs):
+    """V-list plan over ``store`` of the per-level (target index, member
+    key, transfer index) ``pairs``: members by row of the level's own and
+    ghost rows; members the store lacks are dropped (an absent box holds
+    no sources)."""
     grouped = {}
-    for level in range(2, config.global_depth + 1):
-        keys = morton.all_keys(level)
-        mkeys, tgt, tv_idx = _v_members_with_vectors(keys, level)
-        src = np.searchsorted(keys, mkeys)
-        grouped[level] = group_pairs_by_transfer(tgt, src, tv_idx)
+    for level, (tgt, mkeys, tv_idx) in pairs.items():
+        rows, keep = store.rows_of(mkeys)
+        grouped[level] = group_pairs_by_transfer(
+            tgt[keep], rows[keep] - store.row_start[level], tv_idx[keep]
+        )
     return VListPlan(grouped=grouped)
 
 
@@ -453,10 +432,11 @@ def _global_stage(state, gathered):
     of every local tree: U2U from the gathered root expansions, then D2D
     and V interactions down to the roots; returns per-root d rows.
 
-    Levels 1 .. global_depth are stored: nothing reads ``u[0]``, and
-    ``d[1]`` is zero (level-1 boxes are all adjacent)."""
-    ops, d_g = state.ops, state.config.global_depth
-    top = ExpansionStore({lvl: 8**lvl for lvl in range(1, d_g + 1)}, ops.n_coeff, ops.dtype)
+    The top store, laid out once in setup and reset here, holds levels
+    1 .. global_depth: nothing reads ``u[0]``, and ``d[1]`` is zero
+    (level-1 boxes are all adjacent)."""
+    ops, d_g, top = state.ops, state.config.global_depth, state.top_store
+    top.reset()
     top.u[d_g][:] = np.concatenate(gathered).reshape(-1, ops.n_coeff)
     u2u_pass(ops, top)
     vli_downward(ops, top, state.global_plan)
@@ -481,10 +461,9 @@ def evaluate(state):
 
     state.store.reset()
 
-    t0 = time.perf_counter()
-    near = p2p_uli(tree, state.lists, state.charges, state.near_ghosts)
-    upward_pass(tree, ops, state.store, state.charges)
-    seconds["computation"] += time.perf_counter() - t0
+    with _phase(seconds, "computation"):
+        near = p2p_uli(tree, state.lists, state.charges, state.near_ghosts)
+        upward_pass(tree, ops, state.store, state.charges)
 
     _exchange_ghost_u(state)
 
@@ -492,22 +471,18 @@ def evaluate(state):
     gathered = comm.gatherv(root_u, root=NOMINATED_RANK)
 
     if comm.rank == NOMINATED_RANK:
-        t0 = time.perf_counter()
-        root_d = _global_stage(state, gathered)
-        seconds["global_stage"] += time.perf_counter() - t0
+        with _phase(seconds, "global_stage"):
+            root_d = _global_stage(state, gathered)
         runs = state.layout.run_starts
         segments = [root_d[runs[r] : runs[r + 1]].ravel() for r in range(comm.size)]
         mine = comm.scatterv(segments, root=NOMINATED_RANK)
     else:
         mine = comm.scatterv(root=NOMINATED_RANK)
 
-    t0 = time.perf_counter()
-    n_e = ops.n_coeff
-    state.store.d[config.global_depth][:] = mine.reshape(-1, n_e)
-    vli_downward(ops, state.store, state.v_plan)
-    far = d2t(tree, ops, state.store)
-    potentials = near + far
-    seconds["computation"] += time.perf_counter() - t0
+    with _phase(seconds, "computation"):
+        state.store.d[config.global_depth][:] = mine.reshape(-1, ops.n_coeff)
+        vli_downward(ops, state.store, state.v_plan)
+        potentials = near + d2t(tree, ops, state.store)
 
     secs_after = comm.stats().seconds_by_kind()
     for kind in secs_after:

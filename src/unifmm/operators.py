@@ -300,44 +300,54 @@ def get_operator_set(order, dtype=np.float64):
     return ops
 
 
-def store_rows(level_sizes, ghost_sizes=None):
-    """Row range ``(start, end)`` per level in :class:`ExpansionStore`'s
-    ``u_all``: level after level ascending, a level's ``level_sizes[level]``
-    local rows, then its ``ghost_sizes[level]`` ghost rows."""
-    ghost_sizes = ghost_sizes or {}
-    levels = sorted(level_sizes)
-    ends = np.cumsum([level_sizes[lvl] + ghost_sizes.get(lvl, 0) for lvl in levels]).tolist()
-    return {lvl: (a, b) for lvl, a, b in zip(levels, [0] + ends, ends)}
-
-
 class ExpansionStore:
-    """Zero-initialized u and d vectors per box, dense per level.
+    """u and d vectors per box, dense per level, and the one layout of
+    the u rows.
 
-    All u rows live in one buffer ``u_all``, laid out by :func:`store_rows`;
-    ghost rows are copies of other ranks' boxes. ``u[level]`` views the
-    local rows, ``u_rows[level]`` the local and ghost rows together, and
+    All u rows live in one buffer ``u_all``: level after level ascending,
+    a level's own boxes (``level_keys[level]``, sorted), then its ghost
+    boxes, the sorted ``ghost_keys`` of that level, which are copies of
+    other ranks' boxes. ``row_keys`` holds the key of every u row and
+    :meth:`rows_of` finds keys among them. ``u[level]`` views the own
+    rows, ``u_rows[level]`` the own and ghost rows together, and
     ``row_start[level]`` is the level's first row in ``u_all``. The d
-    vectors cover local rows only.
+    vectors cover own rows only. The layout is fixed at construction and
+    the zeroed buffers by :meth:`allocate`.
     """
 
-    def __init__(self, level_sizes, n_coeff, dtype=np.float64, ghost_sizes=None):
-        rows = store_rows(level_sizes, ghost_sizes)
-        self.u_all = np.zeros((max(b for _, b in rows.values()), n_coeff), dtype=dtype)
-        self.row_start = {lvl: a for lvl, (a, _) in rows.items()}
-        self.u_rows = {lvl: self.u_all[a:b] for lvl, (a, b) in rows.items()}
-        self.u = {lvl: self.u_rows[lvl][: level_sizes[lvl]] for lvl in rows}
-        self.d = {lvl: np.zeros((level_sizes[lvl], n_coeff), dtype=dtype) for lvl in rows}
+    def __init__(self, level_keys, ghost_keys=np.empty(0, np.uint64)):
+        ghost_levels = morton.key_level(ghost_keys)
+        parts = {lvl: (own, ghost_keys[ghost_levels == lvl])
+                 for lvl, own in sorted(level_keys.items())}
+        assert sum(len(g) for _, g in parts.values()) == len(ghost_keys), "ghost key off the levels"
+        self.row_keys = np.concatenate([k for pair in parts.values() for k in pair])
+        # Per level: first row, end of the own rows, end of the ghost rows.
+        self._spans, start = {}, 0
+        for lvl, (own, ghost) in parts.items():
+            self._spans[lvl] = (start, start + len(own), start + len(own) + len(ghost))
+            start = self._spans[lvl][2]
+        self.row_start = {lvl: a for lvl, (a, _, _) in self._spans.items()}
+        self._order = np.argsort(self.row_keys)
+        self._sorted_keys = self.row_keys[self._order]
+
+    def rows_of(self, keys):
+        """Rows of ``keys`` in ``u_all`` and whether each key has one."""
+        pos, found = morton.find_keys(self._sorted_keys, keys)
+        return self._order[pos], found
+
+    def allocate(self, n_coeff, dtype=np.float64):
+        """Zeroed buffers of ``n_coeff`` coefficients per row; returns self."""
+        self.u_all = np.zeros((len(self.row_keys), n_coeff), dtype=dtype)
+        spans = self._spans.items()
+        self.u_rows = {lvl: self.u_all[a:c] for lvl, (a, _, c) in spans}
+        self.u = {lvl: self.u_all[a:b] for lvl, (a, b, _) in spans}
+        self.d = {lvl: np.zeros((b - a, n_coeff), dtype=dtype) for lvl, (a, b, _) in spans}
+        return self
 
     def reset(self):
         self.u_all[:] = 0
         for arr in self.d.values():
             arr[:] = 0
-
-
-def store_for_tree(tree, ops, ghost_sizes=None):
-    """Store over the tree's levels, with ``ghost_sizes[level]`` ghost rows."""
-    sizes = {lvl: len(keys) for lvl, keys in tree.level_keys.items()}
-    return ExpansionStore(sizes, ops.n_coeff, dtype=ops.dtype, ghost_sizes=ghost_sizes)
 
 
 def box_side(cube, level):

@@ -382,8 +382,8 @@ def create_world(size, seed=0):
     return SimWorld(size, seed)
 
 
-def run_spmd(world, fn, args_per_rank=None):
-    """Run ``fn(comm, *args)`` on every rank in its own thread.
+def run_spmd(world, fn):
+    """Run ``fn(comm)`` on every rank in its own thread.
 
     Returns the per-rank results in rank order; the first rank failure
     aborts all collectives and is re-raised here.
@@ -393,8 +393,7 @@ def run_spmd(world, fn, args_per_rank=None):
     def runner(rank):
         comm = world.comm(rank)
         try:
-            args = args_per_rank[rank] if args_per_rank is not None else ()
-            results[rank] = fn(comm, *args)
+            results[rank] = fn(comm)
         except BaseException as exc:  # noqa: BLE001 - must abort peers
             world.abort(exc)
         finally:

@@ -159,14 +159,14 @@ def compute_v_list(tree, box):
     level = morton.key_level(box)
     if level < 2:
         return np.empty(0, dtype=np.uint64)
-    keys, _, _ = _v_members_with_vectors(np.reshape(np.uint64(box), 1), level)
+    _, keys, _ = _v_members_with_vectors(np.reshape(np.uint64(box), 1), level)
     return np.sort(keys)
 
 
 def _v_members_with_vectors(box_keys, level):
     """Vectorized V-list enumeration for same-level ``box_keys``.
 
-    Returns (member_keys, owner_box_positions, transfer_index) flattened
+    Returns (owner_box_positions, member_keys, transfer_index) flattened
     over all boxes; members are emitted in ascending key order per box.
     """
     n_cells = 1 << level
@@ -187,7 +187,7 @@ def _v_members_with_vectors(box_keys, level):
     tv_idx = TRANSFER_INDEX[tv[:, 0] + 3, tv[:, 1] + 3, tv[:, 2] + 3]
     # Sort members by key within each box for a stable accumulation order.
     order = np.lexsort((keys, box_pos))
-    return keys[order], box_pos[order], tv_idx[order]
+    return box_pos[order], keys[order], tv_idx[order]
 
 
 def transfer_vector(source, target):
@@ -229,8 +229,8 @@ def build_interaction_lists(tree):
     np.add.at(ptr, box_pos + 1, 1)
     ptr = np.cumsum(ptr)
 
-    v_pairs = {}
-    for level in range(tree.global_depth + 1, leaf_level + 1):
-        mkeys, tgt, tv_idx = _v_members_with_vectors(tree.level_keys[level], level)
-        v_pairs[level] = (tgt, mkeys, tv_idx)
+    v_pairs = {
+        level: _v_members_with_vectors(tree.level_keys[level], level)
+        for level in range(tree.global_depth + 1, leaf_level + 1)
+    }
     return InteractionLists(u_member_keys=keys, u_member_ptr=ptr, v_pairs=v_pairs)

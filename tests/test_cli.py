@@ -137,6 +137,24 @@ def test_verify_corrupted_ghost_fails(capsys):
     assert "unresolved dependency" in captured.err
 
 
+@pytest.mark.parametrize("flags, got", [
+    (["--p", "0"], "got 0"),
+    (["--p", "-2"], "got -2"),
+    (["--p", "9", "--global-depth", "1"], "got 9"),
+    (["--p", "65", "--global-depth", "2"], "got 65"),
+])
+def test_verify_rejects_p_outside_root_count(monkeypatch, capsys, flags, got):
+    # Rejected before the world exists, so no rank thread starts.
+    def no_world(*args, **kwargs):
+        raise AssertionError("create_world called")
+
+    monkeypatch.setattr("unifmm.cli.create_world", no_world)
+    rc = main(["verify", "--n", "64", "--local-depth", "1", *flags])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "--p must be between 1 and" in err and err.rstrip().endswith(got), err
+
+
 def test_sweep_rejects_non_power_of_8(tmp_path, capsys):
     rc = main(["sweep", "--p", "8,12", "--n", "64", "--out", str(tmp_path / "s")])
     assert rc == 1

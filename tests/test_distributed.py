@@ -168,9 +168,13 @@ def test_zero_charges_zero_potentials_same_schedule():
         assert per_rank[0].stats == per_rank[1].stats
 
 
-def test_repeated_evaluate_bitwise_identical():
+# At d_g=2 the nominated rank's top store, reused across evaluates, runs
+# U2U and D2D between levels 1 and 2.
+@pytest.mark.parametrize("global_depth", [1, 2])
+def test_repeated_evaluate_bitwise_identical(global_depth):
     pts, chg = raw_instance(600, seed=6)
-    _, _, evals = distributed_run(pts, chg, 8, cfg(local_depth=1), evaluate_runs=2)
+    _, _, evals = distributed_run(pts, chg, 8, cfg(global_depth=global_depth, local_depth=1),
+                                  evaluate_runs=2)
     for per_rank in evals:
         assert np.array_equal(per_rank[0].potentials, per_rank[1].potentials)
 
@@ -296,7 +300,23 @@ def store_row_keys(state):
         keys[start : start + n_local] = state.tree.level_keys[level]
         keys[start + n_local : start + len(rows)] = ghost_keys[ghost_levels == level]
         ghost[start + n_local : start + len(rows)] = True
+    assert np.array_equal(store.row_keys, keys)
     return keys, ghost
+
+
+def test_store_rows_of_maps_keys_to_their_rows():
+    pts, chg = raw_instance(2048, seed=13)
+    _, states, _ = distributed_run(pts, chg, 8, cfg(global_depth=2, local_depth=1),
+                                   evaluate_runs=0)
+    for store in [s.store for s in states] + [states[0].top_store]:
+        rows, found = store.rows_of(store.row_keys)
+        assert found.all() and np.array_equal(rows, np.arange(len(store.row_keys)))
+        # Every box of levels 1..3 the store lacks, plus keys past both ends.
+        every = np.concatenate([morton.all_keys(level) for level in (1, 2, 3)])
+        ends = np.array([0, np.iinfo(np.uint64).max], dtype=np.uint64)
+        lacks = np.concatenate([ends, np.setdiff1d(every, store.row_keys)])
+        assert len(lacks) > 2
+        assert not store.rows_of(lacks)[1].any()
 
 
 def test_v_ghost_plans_agree_across_ranks():

@@ -13,6 +13,7 @@ from unifmm.operators import (
     SVD_CUTOFF,
     UPWARD_CHECK_SCALE,
     UPWARD_EQUIV_SCALE,
+    ExpansionStore,
     _tsvd_pinv,
     apply_m2l,
     box_side,
@@ -22,7 +23,6 @@ from unifmm.operators import (
     group_pairs_by_transfer,
     leaf_s2u_all,
     precompute_operators,
-    store_for_tree,
     surface_grid,
     u2u_level,
     upward_pass,
@@ -96,7 +96,7 @@ def evaluate_d_field(ops, cube, key, d, points):
 def leaf_u(tree, ops, charges, leaf):
     """Outgoing expansion of ``leaf``: its row of :func:`leaf_s2u_all`
     over a zeroed store, as ``evaluate`` computes it."""
-    out = store_for_tree(tree, ops).u[tree.leaf_level]
+    out = ExpansionStore(tree.level_keys).allocate(ops.n_coeff, ops.dtype).u[tree.leaf_level]
     leaf_s2u_all(tree, ops, charges, out)
     return out[tree.index_of(tree.leaf_level, np.asarray([int(leaf)], dtype=np.uint64))[0]]
 
@@ -242,7 +242,7 @@ def test_upward_pass_zero_charges_zero_everywhere():
     roots = np.sort(morton.descendants(make_key(0, 0, 0, 0), 1))
     tree = build_tree(pts, cube, 1, 2, local_roots=roots)
     ops = get_operator_set(3)
-    store = store_for_tree(tree, ops)
+    store = ExpansionStore(tree.level_keys).allocate(ops.n_coeff, ops.dtype)
     upward_pass(tree, ops, store, np.zeros(len(pts)))
     for lvl in store.u:
         assert np.all(store.u[lvl] == 0.0)
@@ -256,7 +256,7 @@ def test_upward_pass_point_mass_root_far_field(order):
     roots = np.sort(morton.descendants(make_key(0, 0, 0, 0), 1))
     tree = build_tree(pts, cube, 1, 2, local_roots=roots)
     ops = get_operator_set(order)
-    store = store_for_tree(tree, ops)
+    store = ExpansionStore(tree.level_keys).allocate(ops.n_coeff, ops.dtype)
     upward_pass(tree, ops, store, np.ones(1))
     # Root of the occupied octant, evaluated well outside the unit cube.
     root_pos = int(tree.index_of(1, morton.ancestor_at(keys, 1))[0])
