@@ -25,8 +25,8 @@ receiver recomputes from each point.
 
 Each evaluation then needs exactly three collectives per rank: one
 neighbor exchange delivering ghost expansions for the local V lists (one
-row gather from the store per neighbor sent to, one row scatter into it
-per message received), a gather of local-root expansions to the
+row gather from the store for all neighbors, one row scatter into it for
+all messages received), a gather of local-root expansions to the
 nominated rank (rank 0), which runs the top tree levels in shared
 memory through the level passes of every local tree (``u2u_pass`` and
 ``vli_downward``), and a scatter returning the local-root incoming
@@ -137,12 +137,26 @@ def global_message_size(n_roots, order, precision_bits):
 @dataclass
 class _VGhosts:
     """Far-field ghost bookkeeping; the ghost rows are in the expansion
-    store. Each neighbor's message holds its boxes in sorted key order."""
+    store. Each neighbor's message holds its boxes in sorted key order.
+    The rows of all messages sent (received) are one array, neighbor after
+    neighbor in graph order, so an exchange gathers (scatters) them at once."""
 
-    keys: np.ndarray      # sorted uint64 keys of all ghost boxes
-    send_rows: list       # per nbr: store.u_all rows of the boxes it is sent
-    recv_rows: list       # per nbr: store.u_all ghost rows its message fills
+    keys: np.ndarray          # sorted uint64 keys of all ghost boxes
+    send_all: np.ndarray      # store.u_all rows of the boxes sent
+    send_counts: np.ndarray   # per nbr: how many of them it is sent
+    recv_all: np.ndarray      # store.u_all ghost rows the messages fill
+    recv_counts: np.ndarray   # per nbr: how many of them its message fills
     dropped: set = field(default_factory=set)
+
+    @property
+    def send_rows(self):
+        """Per neighbor, the store.u_all rows of the boxes it is sent."""
+        return _cut(self.send_all, self.send_counts)
+
+    @property
+    def recv_rows(self):
+        """Per neighbor, the store.u_all ghost rows its message fills."""
+        return _cut(self.recv_all, self.recv_counts)
 
 
 @dataclass
@@ -354,8 +368,10 @@ def setup(comm, points, charges, config):
         store = ExpansionStore(tree.level_keys, ghost_keys)
         ghosts = _VGhosts(
             keys=ghost_keys,
-            send_rows=_cut(store.rows_of(send_keys)[0], v_per_nbr),
-            recv_rows=_cut(store.rows_of(recv_keys)[0], recv_lengths),
+            send_all=store.rows_of(send_keys)[0],
+            send_counts=v_per_nbr,
+            recv_all=store.rows_of(recv_keys)[0],
+            recv_counts=recv_lengths,
         )
         v_plan = _v_plan(store, lists.v_pairs)
 
@@ -418,13 +434,17 @@ def _check_ghosts(state):
 
 
 def _exchange_ghost_u(state):
-    """The single runtime neighbor exchange of far-field expansions."""
+    """The single runtime neighbor exchange of far-field expansions: one
+    gather of every row sent, each neighbor's message a view of it, and one
+    scatter of every row received."""
     u_all, ghosts = state.store.u_all, state.v_ghosts
+    sent = u_all[ghosts.send_all]
     recv = state.comm.neighbor_alltoallv(
-        state.graph, [u_all[rows].ravel() for rows in ghosts.send_rows]
+        state.graph, [rows.ravel() for rows in _cut(sent, ghosts.send_counts)]
     )
-    for rows, buf in zip(ghosts.recv_rows, recv):
-        u_all[rows] = buf.reshape(-1, state.ops.n_coeff)
+    u_all[ghosts.recv_all] = np.concatenate([np.empty(0, u_all.dtype), *recv]).reshape(
+        -1, u_all.shape[1]
+    )
 
 
 def _global_stage(state, gathered):
@@ -496,10 +516,20 @@ def evaluate(state):
 
 def update_charges(state, new_charges):
     """Swap source densities on the same point set: re-runs only the
-    near-field data exchange and clears the expansion state."""
+    near-field data exchange and clears the expansion state.
+
+    ``new_charges[i]`` is the charge of ``state.points[i]``: the rank's
+    points in tree order, after setup's sort moved points between ranks
+    and reordered them, not the order they were passed to :func:`setup`.
+    Only the length can be checked; a vector in another order of the same
+    length is taken as given.
+    """
     new_charges = np.asarray(new_charges, dtype=np.float64).reshape(-1)
     if len(new_charges) != state.tree.n_points:
-        raise ValueError("charge length mismatch for update")
+        raise ValueError(
+            f"charge length mismatch for update: got {len(new_charges)} charges for the "
+            f"{state.tree.n_points} points of state.points (this rank's points in tree order)"
+        )
     _require_finite(new_charges, "charge")
     state.charges = new_charges
     recv = state.comm.neighbor_alltoallv(

@@ -32,6 +32,22 @@ charges with the later members' columns adds back into those members.
 Earlier local members are skipped: U is symmetric between same-level
 local leaves, so their pair already ran when the earlier leaf was the
 target, and every local pair is computed once.
+
+A leaf whose own block has fewer than ``GROUP_FLOOR`` (2**12) entries
+costs more per call than per entry, so such leaves share blocks: a run
+of consecutive small leaves under one parent builds one block of its
+points against the union of its members' points, leaving out the local
+leaves before the run (which already computed their pairs with it). A
+0/1 membership matrix, leaves by columns, masks it: each row sums, with
+one matrix product against the charges masked per leaf, only the columns
+of its own leaf's members. Pairs inside the run are thus computed from
+both sides, and the local leaves after the run get theirs added back
+through the same mask. The block is built in pieces of rows of at most
+``GROUP_ENTRIES`` (2**13) entries: with many ranks in one process, each
+rank thread's largest temporary stays with the allocator after it is
+freed, so the peak resident memory grows with this size. A run whose
+block would exceed ``BLOCK_ENTRIES`` is swept leaf by leaf. A leaf at
+or above the floor is always swept alone, as described above.
 """
 
 from __future__ import annotations
@@ -65,6 +81,13 @@ def laplace_kernel(x, y):
 BLOCK_ENTRIES = 1 << 16
 
 
+# A target leaf whose own distance block (its points by its sources) has
+# fewer entries than GROUP_FLOOR shares one block with its small siblings,
+# built in pieces of at most GROUP_ENTRIES entries; see the module docstring.
+GROUP_FLOOR = 1 << 12
+GROUP_ENTRIES = 1 << 13
+
+
 def _target_chunk(n_sources):
     return np.maximum(4, BLOCK_ENTRIES // n_sources // 4 * 4)
 
@@ -92,9 +115,12 @@ def inverse_distances(targets, sources, work=None):
         work = np.empty(2 * n * m)
     r = work[: n * m].reshape(n, m)
     d = work[n * m : 2 * n * m].reshape(n, m)
-    lhs = np.ones((3, n, 2))
+    operands = np.empty(6 * (n + m))
+    lhs = operands[: 6 * n].reshape(3, n, 2)
+    rhs = operands[6 * n :].reshape(3, 2, m)
     lhs[:, :, 0] = targets.T
-    rhs = np.ones((3, 2, m))
+    lhs[:, :, 1] = 1.0
+    rhs[:, 0] = 1.0
     np.negative(sources.T, out=rhs[:, 1])
     np.matmul(lhs[0], rhs[0], out=r)
     r *= r
@@ -108,44 +134,113 @@ def inverse_distances(targets, sources, work=None):
     return r
 
 
-def _uli_sweep(points, src_pts, src_chg, leaf_ranges, member_ptr, bounds, out):
-    """Mutual near-field sweep over segments ``bounds`` of the sources
-    (local points first, then ghosts), grouped per target leaf by
-    ``member_ptr``; see the module docstring."""
-    n_local = points.shape[0]
-    owner = np.repeat(np.arange(len(leaf_ranges)), np.diff(member_ptr))
-    own_lo, own_hi = leaf_ranges[owner, 0], leaf_ranges[owner, 1]
-    a, b = bounds[:, 0], bounds[:, 1]
+def _ranges(starts, lengths):
+    """Concatenation of ``arange(s, s + n)`` over ``starts``/``lengths``."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _sibling_runs(leaves, small):
+    """(first, last) leaf of each run of consecutive small leaves under
+    one parent. ``leaves`` are sorted leaf indices and ``small`` marks
+    some of them; the 8 children of a parent are the consecutive leaves
+    from a multiple of 8."""
+    joins = small[1:] & small[:-1] & (leaves[1:] // 8 == leaves[:-1] // 8)
+    first = leaves[small & ~np.append(False, joins)]
+    last = leaves[small & ~np.append(joins, False)]
+    return zip(first.tolist(), last.tolist())
+
+
+def _uli_sweep(points, src_pts, src_chg, leaf_ranges, member_ptr, a, b, out):
+    """Mutual near-field sweep over the U members' segments ``[a, b)`` of
+    the sources (local points first, then ghosts), grouped per target leaf
+    by ``member_ptr``; see the module docstring."""
+    n_local, n_leaves = points.shape[0], len(leaf_ranges)
+    owner = np.repeat(np.arange(n_leaves), np.diff(member_ptr))
+    lo, hi = leaf_ranges[:, 0], leaf_ranges[:, 1]
+    rows, own_lo, own_hi = hi - lo, lo[owner], hi[owner]
     ghost = a >= n_local
     later = ~ghost & (a >= own_hi)
-    keep = np.flatnonzero((b > a) & (own_hi > own_lo) & (ghost | later | (a == own_lo)))
+    keep = (b > a) & (own_hi > own_lo) & (ghost | later | (a == own_lo))
+    n_src = np.bincount(owner, weights=(b - a) * keep, minlength=n_leaves).astype(np.int64)
+    leaves = np.flatnonzero(n_src)
+    small = rows[leaves] * n_src[leaves] < GROUP_FLOOR
+    single, work = leaves[~small].tolist(), np.empty(0)
+
+    # One block per run of small sibling leaves: the run's points against
+    # the union of its leaves' members that start at or after its first
+    # point (a local leaf before the run computes its pairs with the run).
+    # The block is cut into pieces of rows of at most GROUP_ENTRIES
+    # entries; a run whose block would exceed BLOCK_ENTRIES is swept leaf
+    # by leaf.
+    hit = np.zeros(len(src_pts), dtype=bool)
+    for first, last in _sibling_runs(leaves, small):
+        t0, t1, n = lo[first], hi[last], last + 1 - first
+        m0, m1 = member_ptr[first], member_ptr[last + 1]
+        use = m0 + np.flatnonzero((b[m0:m1] > a[m0:m1]) & (a[m0:m1] >= t0))
+        hit[a[use]] = True
+        cols = np.flatnonzero(hit)
+        hit[cols] = False
+        col = np.searchsorted(cols, a[use])
+        col_len = np.empty(len(cols), dtype=np.int64)
+        col_len[col] = b[use] - a[use]
+        n_cols = int(col_len.sum())
+        if (t1 - t0) * n_cols > BLOCK_ENTRIES:
+            single.extend(leaves[(leaves >= first) & (leaves <= last)].tolist())
+            continue
+        idx = _ranges(cols, col_len)
+        # member[i, c]: column c is a source of the run's i-th leaf.
+        member = np.zeros((n, len(cols)))
+        member[owner[use] - first, col] = 1.0
+        member = member.take(np.repeat(np.arange(len(cols)), col_len), axis=1)
+        weights = (member * src_chg[idx]).T
+        src, row_leaf = src_pts[idx], np.repeat(np.arange(n), rows[first : last + 1])
+        # Columns of the local leaves after the run, which get their pairs
+        # with it added back.
+        b0, b1 = np.searchsorted(idx, (t1, n_local))
+        step = max(1, GROUP_ENTRIES // n_cols)
+        if len(work) < 2 * step * n_cols:
+            work = np.empty(2 * step * n_cols)
+        for i0 in range(t0, t1, step):
+            i1 = min(i0 + step, t1)
+            leaf_of_row = row_leaf[i0 - t0 : i1 - t0]
+            r = inverse_distances(points[i0:i1], src, work)
+            # Each row's sum over its own leaf's sources: one product with
+            # the charges masked per leaf, then each row's entry for its leaf.
+            out[i0:i1] += (r @ weights).ravel()[np.arange(i1 - i0) * n + leaf_of_row]
+            if b1 > b0:
+                back = member[leaf_of_row, b0:b1]
+                back *= r[:, b0:b1]
+                out[idx[b0:b1]] += src_chg[i0:i1] @ back
+    if not single:
+        return out
+    single.sort()
+    chunks = _target_chunk(np.maximum(n_src[single], 1))
+    block = int((np.minimum(rows[single], chunks) * n_src[single]).max())
+    if len(work) < 2 * block:
+        work = np.empty(2 * block)
     # Per target leaf: later local members, then itself, then ghosts,
     # each group in key order.
+    keep = np.flatnonzero(keep)
     keep = keep[np.lexsort((ghost[keep], ~later[keep], owner[keep]))]
-    a, lens = a[keep], (b - a)[keep]
-    seg_ptr = np.searchsorted(owner[keep], np.arange(len(leaf_ranges) + 1))
-    ends = np.cumsum(lens)
-    src_idx = np.repeat(a - (ends - lens), lens) + np.arange(ends[-1] if len(ends) else 0)
-    src_ptr = np.append(0, ends)[seg_ptr]
-    n_later = np.append(0, np.cumsum(lens * later[keep]))[seg_ptr]
+    owner, later, a, lens = owner[keep], later[keep], a[keep], (b - a)[keep]
+    seg_ptr = np.searchsorted(owner, np.arange(n_leaves + 1))
+    src_ptr = np.append(0, np.cumsum(lens))[seg_ptr]
+    n_later = np.append(0, np.cumsum(lens * later))[seg_ptr]
     n_later = n_later[1:] - n_later[:-1]
-
-    n_src = np.diff(src_ptr)
-    chunks = _target_chunk(np.maximum(n_src, 1))
-    rows = np.minimum(np.diff(leaf_ranges, axis=1)[:, 0], chunks)
-    work = np.empty(2 * int((rows * n_src).max(initial=0)))
-    for leaf in np.flatnonzero(n_src):
+    src_idx = _ranges(a, lens)
+    for leaf, chunk in zip(single, chunks.tolist()):
         t0, t1 = leaf_ranges[leaf]
         idx = src_idx[src_ptr[leaf] : src_ptr[leaf + 1]]
         m = n_later[leaf]
         src, chg = src_pts[idx], src_chg[idx]
         back = np.zeros(m)
-        for lo in range(t0, t1, chunks[leaf]):
-            hi = min(lo + chunks[leaf], t1)
-            r = inverse_distances(points[lo:hi], src, work)
-            out[lo:hi] += r @ chg
+        for i0 in range(t0, t1, chunk):
+            i1 = min(i0 + chunk, t1)
+            r = inverse_distances(points[i0:i1], src, work)
+            out[i0:i1] += r @ chg
             if m:
-                back += src_chg[lo:hi] @ r[:, :m]
+                back += src_chg[i0:i1] @ r[:, :m]
         if m:
             out[idx[:m]] += back
     return out
@@ -242,28 +337,25 @@ def p2p_uli(tree, lists, charges, ghosts=None, out=None):
     src_pts = np.concatenate([tree.points, ghosts.coords]) if len(ghost_keys) else tree.points
     src_chg = np.concatenate([charges, ghosts.charges]) if len(ghost_keys) else charges
 
-    # Resolve every U member, in leaf order, to a segment of the sources:
-    # a local leaf, else its run of ghost rows. Empty and confirmed-absent
-    # members keep the empty segment (0, 0); any other member is unresolved.
+    # Resolve every U member, in leaf order, to a segment [a, b) of the
+    # sources: a local leaf, else its run of ghost rows. Empty and
+    # confirmed-absent members get an empty segment; any other member is
+    # unresolved.
     keys = lists.u_member_keys
-    bounds = np.zeros((len(keys), 2), dtype=np.int64)
     pos, local = find_keys(tree.leaves, keys)
-    bounds[local] = tree.leaf_ranges[pos[local]]
-    remote = np.nonzero(~local)[0]
-    lo = np.searchsorted(ghost_keys, keys[remote], side="left")
-    hi = np.searchsorted(ghost_keys, keys[remote], side="right")
-    is_ghost = hi > lo
-    bounds[remote[is_ghost]] = tree.n_points + np.stack([lo, hi], axis=1)[is_ghost]
-    missing = remote[~is_ghost]
-    unresolved = missing[~np.isin(keys[missing], ghosts.confirmed_absent)]
-    if len(unresolved):
-        k = int(keys[unresolved[0]])
-        raise UnresolvedDependencyError(
-            f"unresolved dependency: no ghost data for U-list box {k:#x}"
-        )
+    lo = np.searchsorted(ghost_keys, keys, side="left")
+    hi = np.searchsorted(ghost_keys, keys, side="right")
+    missing = ~local & (hi == lo)
+    if missing.any():
+        unresolved = keys[missing][~np.isin(keys[missing], ghosts.confirmed_absent)]
+        if len(unresolved):
+            raise UnresolvedDependencyError(
+                f"unresolved dependency: no ghost data for U-list box {int(unresolved[0]):#x}"
+            )
+    own = tree.leaf_ranges[pos]
+    a = np.where(local, own[:, 0], tree.n_points + lo)
+    b = np.where(local, own[:, 1], tree.n_points + hi)
 
     if out is None:
         out = np.zeros(tree.n_points, dtype=np.float64)
-    return _uli_sweep(
-        tree.points, src_pts, src_chg, tree.leaf_ranges, lists.u_member_ptr, bounds, out
-    )
+    return _uli_sweep(tree.points, src_pts, src_chg, tree.leaf_ranges, lists.u_member_ptr, a, b, out)

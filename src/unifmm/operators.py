@@ -36,7 +36,11 @@ the negative axes of ``t``. :func:`apply_m2l` never forms it: it writes
 the 8 flipped frames ``u[:, flip_perm[f]]`` of the source rows once,
 runs one product per stored matrix over all pairs of its (up to 8)
 flipped vectors into per-flip accumulators, and folds accumulator ``f``
-back into ``d`` through ``flip_perm[f]``. The 8 child octants are the
+back into ``d`` through ``flip_perm[f]``. The rows each product reads
+and adds to are planned once per set of pairs
+(:func:`group_pairs_by_transfer`), so an evaluate only gathers,
+multiplies and scatter-adds; products too small to earn a call of their
+own share a gather and an ordered scatter-add. The 8 child octants are the
 sign flips of child octant 0 in the same way, so U2U and D2D store one
 matrix each and run one product per level over all children in their
 flip frames. A flipped U2U matrix carries a permuted copy of the
@@ -354,13 +358,6 @@ def box_side(cube, level):
     return cube.side / (1 << level)
 
 
-def _leaf_offsets(tree):
-    """Leaf side, and each point's offset from the center of its leaf."""
-    side = box_side(tree.cube, tree.leaf_level)
-    centers = (morton.anchor_lattice(tree.leaves) + 0.5) * side + np.asarray(tree.cube.origin)
-    return side, tree.points - np.repeat(centers, np.diff(tree.leaf_ranges, axis=1)[:, 0], axis=0)
-
-
 def _template_rows(ops):
     """Points per D2T distance block. S2U blocks, which keep leaves whole,
     hold up to twice as many, so neither exceeds BLOCK_ENTRIES entries."""
@@ -375,8 +372,8 @@ def leaf_check_sums(tree, ops, charges):
     starts, and a block holds the pieces that start in one run of ``rows``
     points, so each leaf's sum is formed the same way on any rank.
     """
-    side, offsets = _leaf_offsets(tree)
-    template = ops.up_check_grid * side
+    offsets = tree.leaf_offsets
+    template = ops.up_check_grid * box_side(tree.cube, tree.leaf_level)
     charges = np.asarray(charges, dtype=np.float64)
     rows = _template_rows(ops)
     nonempty = tree.level_nonempty[tree.leaf_level]
@@ -409,6 +406,10 @@ def leaf_s2u_all(tree, ops, charges, out):
 
 
 _OCTANTS = np.arange(8)[:, None]
+
+# Entries below which one M2L product costs more per call than per entry;
+# see apply_m2l.
+SMALL_PRODUCT = 1 << 10
 
 
 def u2u_level(ops, u_child, u_parent):
@@ -448,15 +449,19 @@ def upward_pass(tree, ops, store, charges):
 
 
 def group_pairs_by_transfer(tgt_idx, src_rows, tv_idx):
-    """Sort interaction pairs by (orthant matrix, flip, target) for
-    :func:`apply_m2l`; returns ``(tgt, src, flip, cuts)``, where pairs
+    """Plan :func:`apply_m2l` over interaction pairs, sorted by (orthant
+    matrix, flip, target). Returns ``(tgt, rows_in, rows_out, cuts)``: per
+    pair in that order its target, its row in the source frames
+    (``8 * src + flip``) and its row in the accumulator (``flip * n_t +
+    tgt``, ``n_t`` one more than the largest target); pairs
     ``cuts[m]:cuts[m + 1]`` use stored matrix ``m``."""
     mat, flip = TRANSFER_ORTHANT[tv_idx], TRANSFER_FLIP[tv_idx]
     # A target meets a vector at most once, so the keys are distinct.
     n_t = int(tgt_idx.max()) + 1 if len(tgt_idx) else 0
     order = np.argsort((mat * 8 + flip) * n_t + tgt_idx)
+    tgt, flip = tgt_idx[order], flip[order]
     cuts = np.searchsorted(mat[order], np.arange(len(ORTHANT_VECTORS) + 1))
-    return tgt_idx[order], src_rows[order], flip[order], cuts
+    return tgt, 8 * src_rows[order] + flip, flip * n_t + tgt, cuts
 
 
 def apply_m2l(ops, grouped, u_rows, d):
@@ -464,32 +469,57 @@ def apply_m2l(ops, grouped, u_rows, d):
     transfer matrix of the pair's vector.
 
     Runs in the 8 sign-flip frames: source row ``src`` in frame ``f`` is
-    ``u_rows[src][flip_perm[f]]`` and accumulates into row ``f * n + tgt``.
+    ``u_rows[src][flip_perm[f]]`` and accumulates into row ``f * n_t + tgt``.
     A stored matrix and a flip fix the vector, and each target appears at
     most once per vector, so the rows one product adds to are distinct.
+    Accumulator ``f`` adds back into ``d`` through ``flip_perm[f]``.
+
+    A product of at least :data:`SMALL_PRODUCT` entries gathers its source
+    rows and adds its result on its own. Consecutive smaller ones, which
+    cost more per call than per entry, share one gather of at most 4 times
+    as many entries and one ``np.add.at``, which adds in pair order, so
+    every accumulator row still sums its products in matrix order.
     """
-    tgt, src, flip, cuts = grouped
-    n_t, n_e = d.shape
+    tgt, rows_in, rows_out, cuts = grouped
+    n_t, n_e = (int(tgt.max()) + 1 if len(tgt) else 0), d.shape[1]
     frames = np.take(u_rows, ops.flip_perm, axis=1).reshape(-1, n_e)
-    rows_in = 8 * src + flip
-    rows_out = flip * n_t + tgt
     acc = np.zeros((8 * n_t, n_e), dtype=d.dtype)
-    for m in np.flatnonzero(cuts[1:] > cuts[:-1]):
-        a, b = cuts[m], cuts[m + 1]
-        acc[rows_out[a:b]] += frames[rows_in[a:b]] @ ops.m2l[m].T
+    # Runs of products in matrix order: one of SMALL_PRODUCT entries or
+    # more, or consecutive smaller ones up to 4 times as many entries.
+    small, most, runs, cuts = SMALL_PRODUCT // n_e, 4 * SMALL_PRODUCT // n_e, [], cuts.tolist()
+    for m, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        if b == a:
+            continue
+        run = runs[-1] if runs else None
+        if run and b - a < small and run[-1][2] - run[-1][1] < small and b - run[0][1] <= most:
+            run.append((m, a, b))
+        else:
+            runs.append([(m, a, b)])
+    for run in runs:
+        g0, g1 = run[0][1], run[-1][2]
+        src = frames[rows_in[g0:g1]]
+        if len(run) == 1:
+            acc[rows_out[g0:g1]] += src @ ops.m2l[run[0][0]].T
+            continue
+        prod = np.empty_like(src)
+        for m, a, b in run:
+            np.matmul(src[a - g0 : b - g0], ops.m2l[m].T, out=prod[a - g0 : b - g0])
+        flat = (rows_out[g0:g1, None] * n_e + np.arange(n_e)).ravel()
+        np.add.at(acc.reshape(-1), flat, prod.reshape(-1))
     acc = acc.reshape(8, n_t, n_e)
     for f in range(8):
-        d += acc[f][:, ops.flip_perm[f]]
+        d[:n_t] += acc[f][:, ops.flip_perm[f]]
     return d
 
 
 @dataclass
 class VListPlan:
-    """Static V-list application plan: per level, transfer-grouped pairs
-    whose source rows index the level's :attr:`ExpansionStore.u_rows`
-    (local rows, then ghost rows)."""
+    """Static V-list application plan: per level, the
+    :func:`group_pairs_by_transfer` plan of the level's pairs, whose source
+    rows index the level's :attr:`ExpansionStore.u_rows` (local rows, then
+    ghost rows)."""
 
-    grouped: dict            # level -> (tgt, src, flip, cuts)
+    grouped: dict            # level -> (tgt, rows_in, rows_out, cuts)
 
 
 def vli_downward(ops, store, plan):
@@ -510,10 +540,9 @@ def d2t(tree, ops, store):
     """Evaluate leaf local expansions at the targets inside each leaf: per
     point, its distances to the leaf's equivalent surface (one template
     shifted to the leaf center) dotted with the leaf's ``d`` row."""
-    side, offsets = _leaf_offsets(tree)
-    template = ops.down_equiv_grid * side
+    offsets, leaf = tree.leaf_offsets, tree.point_leaf
+    template = ops.down_equiv_grid * box_side(tree.cube, tree.leaf_level)
     d = store.d[tree.leaf_level].astype(np.float64, copy=False)
-    leaf = np.repeat(np.arange(len(d)), np.diff(tree.leaf_ranges, axis=1)[:, 0])
     out = np.empty(tree.n_points, dtype=np.float64)
     rows = _template_rows(ops)
     work = np.empty(2 * min(rows, tree.n_points) * ops.n_coeff)

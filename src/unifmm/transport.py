@@ -30,6 +30,7 @@ This simulator, named "sim" in run manifests, is the only backend shipped.
 from __future__ import annotations
 
 import numbers
+import operator
 import os
 import threading
 import time
@@ -296,31 +297,52 @@ class SimWorld:
     def _complete_neighbor_alltoallv(self, payloads):
         graphs = {r: payloads[r][0] for r in payloads}
         sends = {r: payloads[r][1] for r in payloads}
-        nbytes = np.zeros((self.size, self.size), dtype=np.int64)
+        # Every listed edge (r, j) at once, rank by rank in list order:
+        # ``at`` is j's position in r's list, and an edge is good when j is
+        # a rank that lists r back.
+        n, degree = self.size, [len(g) for g in graphs.values()]
+        src = np.repeat(np.array(list(graphs), dtype=np.int64), degree)
+        at = np.arange(len(src)) - np.repeat(np.cumsum(degree) - degree, degree)
+        try:
+            dst = np.fromiter((j for g in graphs.values() for j in g), np.int64, len(src))
+        except OverflowError:  # a rank beyond int64 is unknown, as n is
+            dst = np.array([min(max(j, -1), n) for g in graphs.values() for j in g], dtype=np.int64)
+        known = (dst >= 0) & (dst < n)
+        listed = np.zeros((n, n), dtype=bool)
+        listed[src[known], dst[known]] = True
+        good = known.copy()
+        good[known] = listed[dst[known], src[known]]
+        first_bad = {}    # rank -> its first neighbor on a bad edge
+        for r, k in zip(src[~good][::-1].tolist(), at[~good][::-1].tolist()):
+            first_bad[r] = graphs[r][k]
         for r, nbrs in graphs.items():
             if len(sends[r]) != len(nbrs):
                 raise TransportError(
                     f"neighbor_alltoallv: rank {r} passed {len(sends[r])} buffers "
                     f"for {len(nbrs)} neighbors"
                 )
-            if any(a >= b for a, b in zip(nbrs, nbrs[1:])):
+            if any(map(operator.ge, nbrs, nbrs[1:])):
                 raise TransportError(
                     f"neighbor_alltoallv: rank {r} lists {nbrs}, not strictly increasing"
                 )
             if r in nbrs:
                 raise TransportError(f"neighbor_alltoallv: rank {r} lists itself")
-            for pos, j in enumerate(nbrs):
-                if not 0 <= j < self.size:
-                    raise TransportError(f"neighbor_alltoallv: rank {r} lists unknown rank {j}")
-                if r not in graphs[j]:
-                    raise TransportError(
-                        f"neighbor_alltoallv: asymmetric graph, {r} lists {j} "
-                        f"but {j} does not list {r}"
-                    )
-                nbytes[r, j] = sends[r][pos].nbytes
+            j = first_bad.get(r)
+            if j is not None and not 0 <= j < n:
+                raise TransportError(f"neighbor_alltoallv: rank {r} lists unknown rank {j}")
+            if j is not None:
+                raise TransportError(
+                    f"neighbor_alltoallv: asymmetric graph, {r} lists {j} "
+                    f"but {j} does not list {r}"
+                )
+        nbytes = np.zeros((n, n), dtype=np.int64)
+        nbytes[src, dst] = [buf.nbytes for r in graphs for buf in sends[r]]
         self._tally("neighbor_alltoallv", nbytes, nbytes.sum(axis=1))
         # What j addressed to r travels the (j, r) edge only.
-        return {r: [sends[j][graphs[j].index(r)] for j in nbrs] for r, nbrs in graphs.items()}
+        place = np.zeros((n, n), dtype=np.int64)
+        place[src, dst] = at
+        place = place.tolist()
+        return {r: [sends[j][place[j][r]] for j in nbrs] for r, nbrs in graphs.items()}
 
 
 class RankComm:

@@ -10,6 +10,7 @@ boxes can be skipped or resolved against remote ranks at runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,21 @@ class UniformTree:
     @property
     def n_points(self):
         return self.points.shape[0]
+
+    # The point-to-leaf maps below are computed once, on first use: the
+    # points and their leaves do not change after the build.
+    @cached_property
+    def point_leaf(self):
+        """Index of each point's leaf."""
+        counts = self.leaf_ranges[:, 1] - self.leaf_ranges[:, 0]
+        return np.repeat(np.arange(len(counts)), counts)
+
+    @cached_property
+    def leaf_offsets(self):
+        """Each point's offset from the center of its leaf."""
+        side = self.cube.side / (1 << self.leaf_level)
+        centers = (anchor_lattice(self.leaves) + 0.5) * side + np.asarray(self.cube.origin)
+        return self.points - centers[self.point_leaf]
 
     def index_of(self, level, keys):
         """Dense per-level indices of ``keys`` (Morton-sorted ordering)."""

@@ -1,6 +1,8 @@
 """Distributed setup and runtime execution across simulated ranks."""
 
 import re
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -362,6 +364,26 @@ def test_ghost_rows_match_owner_expansions():
     assert any(np.any(s.store.u_all[store_row_keys(s)[1]] != 0) for s in states)
 
 
+def test_near_field_blocks_per_rank_at_weak_scaling_shape(monkeypatch):
+    # The shape of the cube-p64-weak benchmark: 64 points per rank in
+    # 8-point leaves. The leaves of a rank share distance blocks, so its
+    # near-field sweep makes fewer blocks than it has occupied leaves; one
+    # block per leaf would pay the per-call cost this sweep avoids.
+    pts, chg = raw_instance(4096, seed=5)
+    calls = Counter()
+    real = kernels.inverse_distances
+
+    def counting(targets, sources, work=None):
+        calls[threading.current_thread().name] += 1
+        return real(targets, sources, work)
+
+    monkeypatch.setattr(kernels, "inverse_distances", counting)
+    _, states, _ = distributed_run(pts, chg, 64, cfg(global_depth=2, local_depth=1, order=2))
+    for state in states:
+        occupied = int(state.tree.level_nonempty[state.tree.leaf_level].sum())
+        assert 0 < calls[f"fmm-rank-{state.rank}"] < occupied
+
+
 def test_unresolved_dependency_after_ghost_drop():
     pts, chg = raw_instance(2048, seed=10)
     chunks = np.array_split(np.arange(len(pts)), 8)
@@ -444,6 +466,13 @@ def test_update_charges_matches_fresh_run():
         mine = chunks[comm.rank]
         state = setup(comm, pts[mine], chg[mine], config)
         f0 = evaluate(state).potentials
+        # Charges follow state.points, not the order passed to setup: where
+        # the sort changed this rank's point count, the input-order vector
+        # is rejected with an error naming the order it needs.
+        moved = state.tree.n_points != len(mine)
+        if moved:
+            with pytest.raises(ValueError, match=r"state\.points \(this rank's points in tree order"):
+                update_charges(state, chg[mine])
         update_charges(state, state.charges)
         f_same = evaluate(state).potentials
         update_charges(state, 2.0 * state.charges)
@@ -452,10 +481,11 @@ def test_update_charges_matches_fresh_run():
         fresh = rng.random(state.tree.n_points)
         update_charges(state, fresh)
         f_new = evaluate(state).potentials
-        return f0, f_same, f_twice, f_new, state.points, fresh
+        return f0, f_same, f_twice, f_new, state.points, fresh, moved
 
     results = run_spmd(world, program)
-    for f0, f_same, f_twice, _, _, _ in results:
+    assert any(r[6] for r in results)
+    for f0, f_same, f_twice, _, _, _, _ in results:
         assert np.array_equal(f0, f_same)
         np.testing.assert_allclose(f_twice, 2.0 * f0, rtol=1e-12)
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import subtraction_inverse_distances
 
-from unifmm import morton
+from unifmm import kernels, morton
 from unifmm.kernels import (
     NearFieldGhosts,
     UnresolvedDependencyError,
@@ -402,6 +402,61 @@ def test_p2p_uli_mutual_matches_one_way_per_leaf_oracle():
 
     got = p2p_uli(tree, lists, charges, ghosts)
     np.testing.assert_allclose(got, _one_way_near_field(tree, lists, charges, ghosts), rtol=1e-13)
+
+    dropped = remote[0]
+    del gpts[dropped], gchg[dropped]
+    with pytest.raises(UnresolvedDependencyError, match=f"{dropped:#x}"):
+        p2p_uli(tree, lists, charges, _ghost_table(gpts, gchg, remote[1::2]))
+
+
+@pytest.mark.parametrize("block_entries, n_large", [(None, 3), (2048, 3), (2048, 0)])
+def test_p2p_uli_grouped_blocks_match_one_way_per_leaf_oracle(monkeypatch, block_entries, n_large):
+    # Own root octants 0 and 1 at d_g=1, d_l=2 (leaf lattice 8x4x4). Most
+    # occupied leaves hold 8 points, under the floor, so runs of sibling
+    # leaves share blocks, cut into row pieces; n_large hold 80 points and
+    # are swept leaf by leaf, so pairs between a run and a single leaf are
+    # added back both ways. A fifth of the leaves are empty, some points
+    # coincide, and the remote U members across y=4 and z=4 are split
+    # between ghost rows and confirmed-absent boxes. With 2048-entry blocks
+    # most runs are too large and are swept leaf by leaf, large leaves in
+    # pieces.
+    if block_entries:
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(10)
+    level = 3
+    roots = [morton.make_key(0, 0, 0, 1), morton.make_key(1, 0, 0, 1)]
+    cells = np.array([(x, y, z) for x in range(8) for y in range(4) for z in range(4)])
+    counts = np.where(rng.random(len(cells)) < 0.2, 0, 8)
+    counts[rng.choice(np.flatnonzero(counts), n_large, replace=False)] = 80
+    pts = (np.repeat(cells, counts, axis=0) + rng.random((counts.sum(), 3))) / 8
+    pts[1::40] = pts[::40][: len(pts[1::40])]          # coincident points
+    pts = pts[np.argsort(morton.encode_points(pts, level, UNIT), kind="stable")]
+    tree = build_tree(pts, UNIT, 1, 2, local_roots=roots)
+    lists = build_interaction_lists(tree)
+
+    remote = sorted({int(k) for k in lists.u_member_keys
+                     if not tree.contains(level, np.asarray([k], dtype=np.uint64))[0]})
+    gpts, gchg = {}, {}
+    for key in remote[::2]:
+        anchor, side = morton.decode(key, UNIT)
+        gpts[key] = anchor + rng.random((8, 3)) * side
+        gchg[key] = rng.random(8)
+    ghosts = _ghost_table(gpts, gchg, remote[1::2])
+    charges = rng.random(len(pts))
+
+    want = _one_way_near_field(tree, lists, charges, ghosts)
+    blocks = []
+    real = kernels.inverse_distances
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "inverse_distances",
+                      lambda t, s, work=None: blocks.append(len(t) * len(s)) or real(t, s, work))
+        got = p2p_uli(tree, lists, charges, ghosts)
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+    occupied = int(tree.level_nonempty[level].sum())
+    if block_entries:
+        assert len(blocks) >= occupied
+    else:
+        assert len(blocks) < occupied
 
     dropped = remote[0]
     del gpts[dropped], gchg[dropped]

@@ -166,6 +166,20 @@ def test_neighbor_alltoallv_rejects_asymmetric_graph():
         run_spmd(world, program)
 
 
+@pytest.mark.parametrize("nbrs, unknown", [((1, 2), 2), ((-1, 1), -1), ((1, 10**30), 10**30)])
+def test_neighbor_alltoallv_rejects_unknown_rank(nbrs, unknown):
+    # Out of range, negative, or beyond any fixed-width integer alike.
+    world = create_world(2)
+
+    def program(comm):
+        if comm.rank == 0:
+            return comm.neighbor_alltoallv(nbrs, [np.zeros(1), np.zeros(1)])
+        return comm.neighbor_alltoallv((0,), [np.zeros(1)])
+
+    with pytest.raises(TransportError, match=f"rank 0 lists unknown rank {unknown}$"):
+        run_spmd(world, program)
+
+
 def test_neighbor_alltoallv_buffer_count_mismatch():
     world = create_world(2)
 
