@@ -358,4 +358,6 @@ def p2p_uli(tree, lists, charges, ghosts=None, out=None):
 
     if out is None:
         out = np.zeros(tree.n_points, dtype=np.float64)
-    return _uli_sweep(tree.points, src_pts, src_chg, tree.leaf_ranges, lists.u_member_ptr, a, b, out)
+    return _uli_sweep(
+        tree.points, src_pts, src_chg, tree.leaf_ranges, lists.u_member_ptr, a, b, out
+    )

@@ -471,7 +471,8 @@ def test_update_charges_matches_fresh_run():
         # is rejected with an error naming the order it needs.
         moved = state.tree.n_points != len(mine)
         if moved:
-            with pytest.raises(ValueError, match=r"state\.points \(this rank's points in tree order"):
+            order = r"state\.points \(this rank's points in tree order"
+            with pytest.raises(ValueError, match=order):
                 update_charges(state, chg[mine])
         update_charges(state, state.charges)
         f_same = evaluate(state).potentials
