@@ -33,12 +33,19 @@ of those 16. Every other transfer vector ``t`` is a sign flip of its
 orthant vector ``|t|``, and flips are involutions, so its matrix is
 ``m2l[|t|][p][:, p]`` with ``p = flip_perm[f]``, ``f`` the bit mask of
 the negative axes of ``t``. :func:`apply_m2l` never forms it: it writes
-the 8 flipped frames ``u[:, flip_perm[f]]`` of the source rows once,
-runs one product per stored matrix over all pairs of its (up to 8)
-flipped vectors into per-flip accumulators, and folds accumulator ``f``
-back into ``d`` through ``flip_perm[f]``. The rows each product reads
-and adds to are planned once per set of pairs
-(:func:`group_pairs_by_transfer`), so an evaluate only gathers,
+the 8 flipped frames ``u[:, flip_perm[f]]`` of the source rows once and
+takes the targets in tiles of :data:`M2L_TILE_TARGETS`. Per tile it runs
+one product per stored matrix over the tile's pairs of its (up to 8)
+flipped vectors into per-flip accumulators and folds accumulator ``f``
+back into ``d`` through ``flip_perm[f]``. A tile's accumulators fit in
+L2, where a whole level's (4.75 MB at order 6 for 512 targets) did not,
+and the scatter-adds into them missed. Tiling keeps every sum in its
+order but gives each GEMM fewer rows, and OpenBLAS rounds the rows of a
+GEMM's M remainder differently, so a level of more than one tile may
+differ from the untiled result by rounding (order 7, P=1: 5e-18
+relative L2 on a 4096-point cube; bit-identical at the other orders).
+The rows each product reads and adds to are planned once per set of
+pairs (:func:`group_pairs_by_transfer`), so an evaluate only gathers,
 multiplies and scatter-adds; products too small to earn a call of their
 own share a gather and an ordered scatter-add. The 8 child octants are the
 sign flips of child octant 0 in the same way, so U2U and D2D store one
@@ -370,23 +377,17 @@ def leaf_check_sums(tree, ops, charges):
 
     Leaves are cut into pieces of at most ``rows`` points from their own
     starts, and a block holds the pieces that start in one run of ``rows``
-    points, so each leaf's sum is formed the same way on any rank.
+    points (:meth:`UniformTree.leaf_pieces`, laid out once per tree), so
+    each leaf's sum is formed the same way on any rank.
     """
     offsets = tree.leaf_offsets
     template = ops.up_check_grid * box_side(tree.cube, tree.leaf_level)
     charges = np.asarray(charges, dtype=np.float64)
     rows = _template_rows(ops)
-    nonempty = tree.level_nonempty[tree.leaf_level]
-    lo, hi = tree.leaf_ranges[nonempty].T
-    n_pieces = -(-(hi - lo) // rows)
-    leaf = np.repeat(np.arange(len(lo)), n_pieces)
-    first = np.cumsum(n_pieces) - n_pieces
-    starts = lo[leaf] + (np.arange(len(leaf)) - first[leaf]) * rows
-    # Pieces of one leaf start ``rows`` apart, so a block holds at most one
-    # piece of each leaf and the scatter-add below has distinct rows.
-    cuts = np.append(np.flatnonzero(np.diff(starts // rows, prepend=-1)), len(starts))
-    ends = np.append(starts, tree.n_points)
-    check = np.zeros((len(lo), ops.n_coeff))
+    leaf, starts, ends, cuts = tree.leaf_pieces(rows)
+    # A block holds at most one piece of each leaf, so the scatter-add
+    # below has distinct rows.
+    check = np.zeros((np.count_nonzero(tree.level_nonempty[tree.leaf_level]), ops.n_coeff))
     work = np.empty(2 * min(2 * rows, tree.n_points) * ops.n_coeff)
     for a, b in zip(cuts[:-1], cuts[1:]):
         r = inverse_distances(offsets[starts[a] : ends[b]], template, work)
@@ -410,6 +411,15 @@ _OCTANTS = np.arange(8)[:, None]
 # Entries below which one M2L product costs more per call than per entry;
 # see apply_m2l.
 SMALL_PRODUCT = 1 << 10
+
+# Targets per M2L tile, a power of two so that tiles split every full level
+# of 64 boxes or more evenly. Its accumulator of 8 flips by 64 targets by
+# n_e coefficients is 0.6 MB at order 6 and 1.2 MB at order 8, inside a
+# 2 MB L2; see apply_m2l. A count of targets rather than of entries: each
+# tile reads every stored matrix again, and 64-128 targets ran fastest at
+# every order from 5 to 8 (an entry budget that gives 64 at order 6 gives
+# 32 at order 8, 10% slower than no tiles).
+M2L_TILE_TARGETS = 64
 
 
 def u2u_level(ops, u_child, u_parent):
@@ -449,44 +459,32 @@ def upward_pass(tree, ops, store, charges):
 
 
 def group_pairs_by_transfer(tgt_idx, src_rows, tv_idx):
-    """Plan :func:`apply_m2l` over interaction pairs, sorted by (orthant
-    matrix, flip, target). Returns ``(tgt, rows_in, rows_out, cuts)``: per
-    pair in that order its target, its row in the source frames
-    (``8 * src + flip``) and its row in the accumulator (``flip * n_t +
-    tgt``, ``n_t`` one more than the largest target); pairs
-    ``cuts[m]:cuts[m + 1]`` use stored matrix ``m``."""
+    """Plan :func:`apply_m2l` over interaction pairs. Targets are cut into
+    tiles of ``tile = M2L_TILE_TARGETS`` consecutive indices, and pairs
+    are sorted by (tile, orthant matrix, flip, target). Returns ``(tgt,
+    rows_in, rows_out, cuts, tile)``: per pair in that order its target,
+    its row in the source frames (``8 * src + flip``) and its row in its
+    tile's accumulator (``flip * w + tgt % tile``, ``w = min(tile, n_t)``,
+    ``n_t`` one more than the largest target); pairs ``cuts[k, m]:cuts[k,
+    m + 1]`` are tile ``k``'s with stored matrix ``m``."""
     mat, flip = TRANSFER_ORTHANT[tv_idx], TRANSFER_FLIP[tv_idx]
-    # A target meets a vector at most once, so the keys are distinct.
     n_t = int(tgt_idx.max()) + 1 if len(tgt_idx) else 0
-    order = np.argsort((mat * 8 + flip) * n_t + tgt_idx)
+    tile, n_mat = M2L_TILE_TARGETS, len(ORTHANT_VECTORS)
+    block = tgt_idx // tile * n_mat + mat
+    # A target meets a vector at most once, so the keys are distinct.
+    order = np.argsort((block * 8 + flip) * tile + tgt_idx % tile)
     tgt, flip = tgt_idx[order], flip[order]
-    cuts = np.searchsorted(mat[order], np.arange(len(ORTHANT_VECTORS) + 1))
-    return tgt, 8 * src_rows[order] + flip, flip * n_t + tgt, cuts
+    n_tiles = -(-n_t // tile)
+    bounds = np.searchsorted(block[order], np.arange(n_tiles * n_mat + 1))
+    cuts = bounds[np.arange(n_tiles)[:, None] * n_mat + np.arange(n_mat + 1)]
+    return tgt, 8 * src_rows[order] + flip, flip * min(tile, n_t) + tgt % tile, cuts, tile
 
 
-def apply_m2l(ops, grouped, u_rows, d):
-    """d[tgt] += m2l_t @ u_rows[src] for all grouped pairs, ``m2l_t`` the
-    transfer matrix of the pair's vector.
-
-    Runs in the 8 sign-flip frames: source row ``src`` in frame ``f`` is
-    ``u_rows[src][flip_perm[f]]`` and accumulates into row ``f * n_t + tgt``.
-    A stored matrix and a flip fix the vector, and each target appears at
-    most once per vector, so the rows one product adds to are distinct.
-    Accumulator ``f`` adds back into ``d`` through ``flip_perm[f]``.
-
-    A product of at least :data:`SMALL_PRODUCT` entries gathers its source
-    rows and adds its result on its own. Consecutive smaller ones, which
-    cost more per call than per entry, share one gather of at most 4 times
-    as many entries and one ``np.add.at``, which adds in pair order, so
-    every accumulator row still sums its products in matrix order.
-    """
-    tgt, rows_in, rows_out, cuts = grouped
-    n_t, n_e = (int(tgt.max()) + 1 if len(tgt) else 0), d.shape[1]
-    frames = np.take(u_rows, ops.flip_perm, axis=1).reshape(-1, n_e)
-    acc = np.zeros((8 * n_t, n_e), dtype=d.dtype)
-    # Runs of products in matrix order: one of SMALL_PRODUCT entries or
-    # more, or consecutive smaller ones up to 4 times as many entries.
-    small, most, runs, cuts = SMALL_PRODUCT // n_e, 4 * SMALL_PRODUCT // n_e, [], cuts.tolist()
+def _product_runs(cuts, small, most):
+    """Runs of products in matrix order over one tile's ``cuts``: one of
+    ``small`` pairs or more, or consecutive smaller ones up to ``most``
+    pairs together; each a list of (matrix, first pair, end pair)."""
+    runs = []
     for m, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
         if b == a:
             continue
@@ -495,20 +493,65 @@ def apply_m2l(ops, grouped, u_rows, d):
             run.append((m, a, b))
         else:
             runs.append([(m, a, b)])
-    for run in runs:
-        g0, g1 = run[0][1], run[-1][2]
-        src = frames[rows_in[g0:g1]]
-        if len(run) == 1:
-            acc[rows_out[g0:g1]] += src @ ops.m2l[run[0][0]].T
+    return runs
+
+
+def apply_m2l(ops, grouped, u_rows, d):
+    """d[tgt] += m2l_t @ u_rows[src] for all grouped pairs, ``m2l_t`` the
+    transfer matrix of the pair's vector.
+
+    Runs in the 8 sign-flip frames, which are written once per call: source
+    row ``src`` in frame ``f`` is ``u_rows[src][flip_perm[f]]``. The targets
+    are taken one tile at a time (see :func:`group_pairs_by_transfer`), and
+    a tile's pairs accumulate into row ``f * w + tgt % tile`` of one zeroed
+    accumulator of ``8 * w`` rows. A stored matrix and a flip fix the
+    vector, and each target appears at most once per vector, so the rows
+    one product adds to are distinct. After its pairs, accumulator ``f``
+    adds back into the tile's rows of ``d`` through ``flip_perm[f]``, flips
+    0..7 in order, and is zeroed for the next tile.
+
+    The tiles exist for the cache. A whole level's accumulator (8 flips by
+    512 targets by 152 coefficients is 4.75 MB at order 6) does not fit in
+    a 2 MB L2 next to the frames, and the scatter-adds into it missed; a
+    tile's accumulator of :data:`M2L_TILE_TARGETS` targets does. A level
+    of at most that many targets is one tile and runs as without tiles.
+    With several tiles every row's sums are formed in the same order, but
+    each GEMM has fewer rows, and OpenBLAS rounds the rows of a GEMM's M
+    remainder differently, so a row may differ from the untiled result by
+    rounding (see the module docstring).
+
+    A product of at least :data:`SMALL_PRODUCT` entries gathers its source
+    rows and adds its result on its own. Consecutive smaller ones, which
+    cost more per call than per entry, share one gather of at most 4 times
+    as many entries and one ``np.add.at``, which adds in pair order, so
+    every accumulator row still sums its products in matrix order.
+    """
+    tgt, rows_in, rows_out, cuts, tile = grouped
+    n_t, n_e = (int(tgt.max()) + 1 if len(tgt) else 0), d.shape[1]
+    width = min(tile, n_t)
+    frames = np.take(u_rows, ops.flip_perm, axis=1).reshape(-1, n_e)
+    acc = np.zeros((8 * width, n_e), dtype=d.dtype)
+    fold = acc.reshape(8, width, n_e)
+    small, most = SMALL_PRODUCT // n_e, 4 * SMALL_PRODUCT // n_e
+    for k, tile_cuts in enumerate(cuts.tolist()):
+        if tile_cuts[0] == tile_cuts[-1]:
             continue
-        prod = np.empty_like(src)
-        for m, a, b in run:
-            np.matmul(src[a - g0 : b - g0], ops.m2l[m].T, out=prod[a - g0 : b - g0])
-        flat = (rows_out[g0:g1, None] * n_e + np.arange(n_e)).ravel()
-        np.add.at(acc.reshape(-1), flat, prod.reshape(-1))
-    acc = acc.reshape(8, n_t, n_e)
-    for f in range(8):
-        d[:n_t] += acc[f][:, ops.flip_perm[f]]
+        for run in _product_runs(tile_cuts, small, most):
+            g0, g1 = run[0][1], run[-1][2]
+            src = frames[rows_in[g0:g1]]
+            if len(run) == 1:
+                acc[rows_out[g0:g1]] += src @ ops.m2l[run[0][0]].T
+                continue
+            prod = np.empty_like(src)
+            for m, a, b in run:
+                np.matmul(src[a - g0 : b - g0], ops.m2l[m].T, out=prod[a - g0 : b - g0])
+            flat = (rows_out[g0:g1, None] * n_e + np.arange(n_e)).ravel()
+            np.add.at(acc.reshape(-1), flat, prod.reshape(-1))
+        t0 = k * tile
+        t1 = min(t0 + tile, n_t)
+        for f in range(8):
+            d[t0:t1] += fold[f, : t1 - t0][:, ops.flip_perm[f]]
+        acc[:] = 0
     return d
 
 
@@ -519,7 +562,7 @@ class VListPlan:
     rows index the level's :attr:`ExpansionStore.u_rows` (local rows, then
     ghost rows)."""
 
-    grouped: dict            # level -> (tgt, rows_in, rows_out, cuts)
+    grouped: dict            # level -> (tgt, rows_in, rows_out, cuts, tile)
 
 
 def vli_downward(ops, store, plan):

@@ -86,6 +86,35 @@ class UniformTree:
         centers = (anchor_lattice(self.leaves) + 0.5) * side + np.asarray(self.cube.origin)
         return self.points - centers[self.point_leaf]
 
+    @cached_property
+    def _leaf_pieces(self):
+        return {}
+
+    def leaf_pieces(self, rows):
+        """The nonempty leaves' points cut into pieces of at most ``rows``
+        points from each leaf's own start, and the pieces grouped into
+        blocks of those that start in one run of ``rows`` points; computed
+        once per ``rows``.
+
+        Returns ``(leaf, starts, ends, cuts)``: per piece its nonempty
+        leaf's position and its first point; block ``j`` holds pieces
+        ``cuts[j]:cuts[j + 1]`` (``cuts`` a list) and points
+        ``starts[cuts[j]] : ends[cuts[j + 1]]``.
+        """
+        pieces = self._leaf_pieces.get(rows)
+        if pieces is None:
+            lo, hi = self.leaf_ranges[self.level_nonempty[self.leaf_level]].T
+            n_pieces = -(-(hi - lo) // rows)
+            leaf = np.repeat(np.arange(len(lo)), n_pieces)
+            first = np.cumsum(n_pieces) - n_pieces
+            starts = lo[leaf] + (np.arange(len(leaf)) - first[leaf]) * rows
+            # Pieces of one leaf start ``rows`` apart, so a block holds at
+            # most one piece of each leaf.
+            cuts = np.append(np.flatnonzero(np.diff(starts // rows, prepend=-1)), len(starts))
+            pieces = self._leaf_pieces[rows] = (leaf, starts, np.append(starts, self.n_points),
+                                                cuts.tolist())
+        return pieces
+
     def index_of(self, level, keys):
         """Dense per-level indices of ``keys`` (Morton-sorted ordering)."""
         idx, found = morton.find_keys(self.level_keys[level], keys)
@@ -179,29 +208,39 @@ def compute_v_list(tree, box):
     return np.sort(keys)
 
 
+def _v_templates():
+    """Per octant of a box in its parent, the offsets of its V members (the
+    children of the parent's 27-cell neighborhood that are not adjacent to
+    it), one plane per axis, (3, 8, 189); and their transfer-vector
+    indices, (8, 189)."""
+    cand = (HALO_OFFSETS[:, None, :] * 2 + _OCTANT_OFFSETS).reshape(216, 3)
+    offs = cand - _OCTANT_OFFSETS[:, None, :]
+    offsets = offs[np.abs(offs).max(axis=2) >= 2].reshape(8, 189, 3).transpose(2, 0, 1)
+    return np.ascontiguousarray(offsets), TRANSFER_INDEX[tuple(offsets + 3)]
+
+
+V_OFFSETS, V_TRANSFER = _v_templates()
+
+
 def _v_members_with_vectors(box_keys, level):
-    """Vectorized V-list enumeration for same-level ``box_keys``.
+    """Vectorized V-list enumeration for same-level ``box_keys``: each
+    box's octant template of :data:`V_OFFSETS`, cut to the lattice.
 
     Returns (owner_box_positions, member_keys, transfer_index) flattened
     over all boxes; members are emitted in ascending key order per box.
     """
     n_cells = 1 << level
     coords = anchor_lattice(box_keys)
-    pcoords = coords >> 1
-    # Candidates: children of the 27-cell parent neighborhood.
-    centers = pcoords[:, None, :] + HALO_OFFSETS  # (n, 27, 3)
-    cand = (centers[:, :, None, :] * 2 + _OCTANT_OFFSETS[None, None, :, :]).reshape(
-        len(box_keys), 216, 3
-    )
-    offs = cand - coords[:, None, :]
-    in_lattice = np.all((cand >= 0) & (cand < n_cells), axis=2)
-    far = np.abs(offs).max(axis=2) >= 2
-    keep = in_lattice & far
+    octant = (coords & 1) @ np.array([1, 2, 4])
+    cand = [coords[:, axis, None] + V_OFFSETS[axis][octant] for axis in range(3)]
+    keep = np.ones(cand[0].shape, dtype=bool)
+    for c in cand:
+        keep &= (c >= 0) & (c < n_cells)
     box_pos, flat = np.nonzero(keep)
-    keys = make_key(*cand[box_pos, flat].T, level)
-    tv = offs[box_pos, flat]
-    tv_idx = TRANSFER_INDEX[tv[:, 0] + 3, tv[:, 1] + 3, tv[:, 2] + 3]
-    # Sort members by key within each box for a stable accumulation order.
+    keys = make_key(*(c[keep] for c in cand), level)
+    tv_idx = V_TRANSFER[octant[box_pos], flat]
+    # Members in key order per box. This fixes the lists' order only: M2L
+    # adds in the order operators.group_pairs_by_transfer plans.
     order = np.lexsort((keys, box_pos))
     return box_pos[order], keys[order], tv_idx[order]
 

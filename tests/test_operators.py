@@ -1,5 +1,7 @@
 """Surface grids, operator precomputation, and the far-field pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import distributed_run, raw_instance, rel_l2, sorted_instance
@@ -27,7 +29,7 @@ from unifmm.operators import (
     u2u_level,
     upward_pass,
 )
-from unifmm.tree import TRANSFER_VECTORS, build_tree
+from unifmm.tree import TRANSFER_VECTORS, _v_members_with_vectors, build_tree
 
 UNIT = BoundingCube(origin=(0.0, 0.0, 0.0), side=1.0)
 
@@ -390,19 +392,20 @@ def test_swapped_check_system_is_bitwise_transpose(order):
     assert ops.down_equiv_grid is ops.up_check_grid
 
 
-@pytest.mark.parametrize(
-    "dtype, rtol", [(np.float64, 1e-13), (np.float32, 2e-6)], ids=["f64", "f32"]
-)
-def test_apply_m2l_matches_dense_per_vector_sum(dtype, rtol):
-    # Every transfer vector, targets repeated across vectors and across the
-    # flips of one stored matrix, sources in the local rows and in the ghost
-    # rows appended below them, and d accumulated onto nonzero values.
-    rng = np.random.default_rng(29)
+def check_apply_m2l_against_dense(dtype, rtol, pool, seed):
+    """apply_m2l against a dense per-vector sum: every transfer vector,
+    targets from ``pool`` (its first in every vector) repeated across
+    vectors and across the flips of one stored matrix, sources in the
+    local rows and in the ghost rows appended below them, and d
+    accumulated onto nonzero values. Returns the plan."""
+    rng = np.random.default_rng(seed)
     ops = precompute_operators(3, dtype=dtype)
-    n_t, n_local, n_ghost = 9, 7, 5
+    n_t, n_local, n_ghost = int(pool[-1]) + 1, 7, 5
     tgt, src, tv = [], [], []
     for t in range(len(TRANSFER_VECTORS)):
-        targets = np.union1d([0], rng.choice(n_t, size=rng.integers(1, n_t), replace=False))
+        targets = np.union1d(
+            pool[:1], rng.choice(pool, size=rng.integers(1, len(pool)), replace=False)
+        )
         tgt.append(targets)
         src.append(rng.integers(0, n_local + n_ghost, len(targets)))
         tv.append(np.full(len(targets), t))
@@ -422,6 +425,64 @@ def test_apply_m2l_matches_dense_per_vector_sum(dtype, rtol):
         want[t] += m2l[v] @ u_rows[s]
     assert got.dtype == dtype
     np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+    return grouped
+
+
+M2L_DENSE_TOL = pytest.mark.parametrize(
+    "dtype, rtol", [(np.float64, 1e-13), (np.float32, 2e-6)], ids=["f64", "f32"]
+)
+
+
+@M2L_DENSE_TOL
+def test_apply_m2l_matches_dense_per_vector_sum(dtype, rtol):
+    check_apply_m2l_against_dense(dtype, rtol, np.arange(9), seed=29)
+
+
+@M2L_DENSE_TOL
+def test_apply_m2l_tiles_match_dense_per_vector_sum(dtype, rtol):
+    # Targets in tiles 0, 2 and a partial tile 3; tile 1 has no pairs.
+    tile = operators.M2L_TILE_TARGETS
+    pool = np.concatenate([np.arange(0, tile, 5), np.arange(2 * tile, 3 * tile + tile // 3, 3)])
+    tgt, _, _, cuts, grouped_tile = check_apply_m2l_against_dense(dtype, rtol, pool, seed=31)
+    assert grouped_tile == tile and tgt.max() == pool[-1] and (pool[-1] + 1) % tile
+    assert [a == b for a, b in cuts[:, [0, -1]]] == [False, True, False, False]
+
+
+def test_apply_m2l_tiles_match_one_tile_per_level(monkeypatch):
+    # The 512 targets of a full level in tiles, against one tile covering
+    # the level: the same sums, up to the GEMMs' rounding.
+    ops = get_operator_set(6)
+    keys = morton.all_keys(3)
+    tgt, members, tv = _v_members_with_vectors(keys, 3)
+    u = np.random.default_rng(37).standard_normal((len(keys), ops.n_coeff))
+    tiled = group_pairs_by_transfer(tgt, np.searchsorted(keys, members), tv)
+    monkeypatch.setattr(operators, "M2L_TILE_TARGETS", len(keys))
+    whole = group_pairs_by_transfer(tgt, np.searchsorted(keys, members), tv)
+    assert len(tiled[3]) == len(keys) // tiled[4] > 1 and len(whole[3]) == 1
+    got = apply_m2l(ops, tiled, u, np.zeros_like(u))
+    want = apply_m2l(ops, whole, u, np.zeros_like(u))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+def test_apply_m2l_memory_stays_near_its_frames():
+    # One call on a full 512-box level at order 6 allocates its 8 flip
+    # frames (4.75 MB) and at most 2 MB more: the tiles keep the
+    # accumulator and the gathered rows small. A whole-level accumulator
+    # peaks near 17.7 MB.
+    ops = get_operator_set(6)
+    keys = morton.all_keys(3)
+    tgt, members, tv = _v_members_with_vectors(keys, 3)
+    grouped = group_pairs_by_transfer(tgt, np.searchsorted(keys, members), tv)
+    u = np.random.default_rng(41).standard_normal((len(keys), ops.n_coeff))
+    d = np.zeros_like(u)
+    tracemalloc.start()
+    try:
+        apply_m2l(ops, grouped, u, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    frames = 8 * u.nbytes
+    assert peak < frames + (2 << 20), f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_full_pipeline_matches_direct_sum():

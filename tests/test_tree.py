@@ -7,6 +7,7 @@ from unifmm import morton
 from unifmm.morton import BoundingCube, anchor_lattice, key_level, make_key
 from unifmm.tree import (
     TRANSFER_VECTORS,
+    _v_members_with_vectors,
     build_interaction_lists,
     build_tree,
     compute_u_list,
@@ -156,6 +157,30 @@ def test_v_list_corner_level_2_matches_brute_force():
     want = brute_force_v_list(corner, 2)
     assert len(got) < 189
     assert [int(k) for k in got] == want
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [full_level_keys(2), full_level_keys(3), full_level_keys(4),
+     morton.descendants(make_key(1, 0, 1, 1), 2)],
+    ids=["level2", "level3", "level4", "subtree3"],
+)
+def test_v_templates_match_definition_per_box(keys):
+    # Per box: the children of the parent's in-lattice 27-cell
+    # neighborhood that are not adjacent, key-sorted, and their vectors.
+    level = int(key_level(keys[0]))
+    box_pos, members, tv_idx = _v_members_with_vectors(keys, level)
+    assert np.all(np.diff(box_pos) >= 0)
+    index = {tuple(v): i for i, v in enumerate(TRANSFER_VECTORS.tolist())}
+    ptr = np.searchsorted(box_pos, np.arange(len(keys) + 1))
+    for i, box in enumerate(keys):
+        cand = morton.children(morton.halo(morton.parent(box))[0])
+        offsets = (anchor_lattice(cand) - anchor_lattice(box)).tolist()
+        want = sorted(
+            (int(k), index[tuple(o)]) for k, o in zip(cand, offsets) if max(map(abs, o)) >= 2
+        )
+        got = list(zip(members[ptr[i] : ptr[i + 1]].tolist(), tv_idx[ptr[i] : ptr[i + 1]].tolist()))
+        assert got == want
 
 
 def test_v_list_low_levels_empty():
