@@ -9,12 +9,15 @@ The kernel is 1/r with no 1/(4*pi) factor. Coincident points evaluate
 to 0, which also covers the self-interaction when one point set serves
 as both sources and targets.
 
-All of these callers share one kernel contract, :func:`inverse_distances`.
-Each axis's (n, m) difference block is one matrix product with inner
-dimension 2, rows [t_i, 1] times columns [1, -s_j]. Both products are
-exact and the sum rounds once, so every entry is t_i - s_j exactly as a
-subtraction rounds it, at any block size. On blocks of 32 rows or more
-the BLAS product forms the differences several times faster than a
+Two kernel contracts serve these callers.
+
+:func:`inverse_distances` is exact. It serves the near-field sweep, the
+operator build and the oracle, whose blocks may hold close or coincident
+pairs. Each axis's (n, m) difference block is one matrix product with
+inner dimension 2, rows [t_i, 1] times columns [1, -s_j]. Both products
+are exact and the sum rounds once, so every entry is t_i - s_j exactly
+as a subtraction rounds it, at any block size. On blocks of 32 rows or
+more the BLAS product forms the differences several times faster than a
 broadcast subtraction. Squared distances are summed per axis
 (dx*dx + dy*dy + dz*dz) in place, without an (n, m, 3) temporary; the
 root is taken in place, coincident pairs are set to inf so the
@@ -22,6 +25,31 @@ reciprocal gives exactly 0. The one-way sum (:func:`laplace_potential`,
 the oracle) applies the charges with one matrix-vector product per
 block of at most 2**16 (target, source) entries (at least 4 targets, so
 a block over more than 2**14 sources is larger).
+
+:func:`template_inverse_distances` serves separated blocks only: S2U and
+D2T, which measure each point against one surface template around its
+leaf (the KIFMM of Ying, Biros & Zorin, JCP 2004). It forms the squared
+distances r^2 = |o|^2 + |y|^2 - 2 o.y of offsets o from the leaf center
+and template points y as one (n x 5) @ (5 x m) product of rows
+[o, |o|^2, 1] (:func:`point_operand`) with columns [-2y; 1; |y|^2]
+(:func:`template_operand`), then takes the root and the reciprocal in
+place: no per-axis passes, no coincidence test and no scratch half. Its
+precondition is separation. Every offset lies within half a leaf side s
+on each axis (checked once per tree, where the tree builds its operand)
+and the template surfaces lie 1.475 s out, so r >= 0.975 s while
+|o| + |y| <= 3.42 s. The terms round relative to (|o| + |y|)^2, which
+r^2 cancels by at most a factor of 12.3: about 12 ulps in r^2, 6 in r
+(3 ulps in 1/r at most, measured at orders 2-8). OpenBLAS's small-matrix
+kernels give a row of this product the same bits in any block from 2
+rows up to 2**16 entries, at any offset, with the operands stored as the
+two builders return them, (5, n) and (5, m) row-major (checked at orders
+2-8). Other blocks round differently: a larger product takes another
+kernel (at order 7 from about 920 rows), a row-major (n, 5) point
+operand against a column-major template does so from 12 rows at order
+7, and a 1-row product goes through GEMV (by up to 4.4e-16), so a 1-row
+block is formed as two copies of its row. S2U's blocks hold at most
+2**16 entries, so its check sums have the same bits whichever rows share
+a block.
 
 The near-field sweep uses the kernel's symmetry (mutual interactions,
 Dehnen, JCP 2002). Each nonempty target leaf builds one distance block
@@ -130,6 +158,65 @@ def inverse_distances(targets, sources, work=None):
         r += d
     np.sqrt(r, out=r)
     r[r == 0.0] = np.inf
+    np.reciprocal(r, out=r)
+    return r
+
+
+def point_operand(offsets):
+    """(5, n) operand [o; |o|^2; 1] of :func:`template_inverse_distances`
+    for (n, 3) ``offsets`` o from their box's center, in units of the box
+    side.
+
+    Raises ``ValueError`` naming the first point with an offset beyond
+    0.5 on some axis: the kernel's error bound holds only for points
+    inside the box the template surrounds.
+    """
+    if len(offsets) and np.abs(offsets).max() > 0.5:
+        i = int(np.argmax(np.abs(offsets).max(axis=1) > 0.5))
+        raise ValueError(
+            f"point {i} lies outside its box: offset {offsets[i].tolist()} from the box "
+            "center, in box sides, exceeds 0.5"
+        )
+    operand = np.empty((5, len(offsets)))
+    operand[:3] = offsets.T
+    square = operand[:3] * operand[:3]
+    np.add(square[0], square[1], out=operand[3])
+    operand[3] += square[2]
+    operand[4] = 1.0
+    return operand
+
+
+def template_operand(template):
+    """(5, m) operand [-2y; 1; |y|^2] of :func:`template_inverse_distances`
+    for (m, 3) ``template`` points y."""
+    operand = np.empty((5, len(template)))
+    np.multiply(template.T, -2.0, out=operand[:3])
+    operand[3] = 1.0
+    x, y, z = template.T
+    operand[4] = x * x + y * y + z * z
+    return operand
+
+
+def template_inverse_distances(points, template, out=None):
+    """(n, m) block of 1/|o_i - y_j| for a separated block: ``points`` (5, n)
+    a column slice of a :func:`point_operand`, ``template`` (5, m) a
+    :func:`template_operand`; see the module docstring for the precondition
+    and the error bound.
+
+    When ``out`` is given, a float64 array of at least n*m entries, the
+    returned block is a view of its first n*m entries, valid until the
+    next call with the same buffer.
+    """
+    n, m = points.shape[1], template.shape[1]
+    if out is None:
+        out = np.empty(n * m)
+    r = out[: n * m].reshape(n, m)
+    if n == 1:
+        # GEMV would round a lone row differently from any block of rows.
+        r[:] = (np.repeat(points, 2, axis=1).T @ template)[:1]
+    else:
+        np.matmul(points.T, template, out=r)
+    np.sqrt(r, out=r)
     np.reciprocal(r, out=r)
     return r
 

@@ -57,20 +57,29 @@ largest, whose directions only rounding fixes: equally valid
 factorizations of the one system put the order-8 error against direct
 summation anywhere from 1.9e-9 to 1.9e-8 (2.5e-9 to 2.9e-9 with numpy's).
 
-S2U and D2T evaluate one fixed surface template shifted to each leaf
-(as in the KIFMM of Ying, Biros & Zorin, JCP 2004). Each point's offset
-from its leaf center meets the unit template scaled to the leaf side in
-one distance block, built for many leaves at once. S2U weights a block's
-rows by the charges, sums each leaf's rows, and applies the up solve to
-all leaves in one matrix product; D2T dots each point's row with its
-leaf's ``d``. S2U blocks keep leaves whole (a leaf larger than a block
-is cut at fixed multiples of the block rows from its own start), so a
-leaf's check sums do not depend on which leaves share its block, and
-thus have the same bits at any rank count. The expansions do not: the
-one GEMM with the solve rounds a row differently depending on how many
-rows share the call. At P=8 against P=1 (uniform cube N=4096, seeds 0-1)
-the potentials differ by 4.6e-12 to 1.0e-11 relative L2 at order 7 and
-1.1e-14 to 2.3e-14 at order 5, and by under 1e-16 at orders 2-4, 6 and 8.
+S2U and D2T evaluate one fixed surface template shifted to each leaf (as
+in the KIFMM of Ying, Biros & Zorin, JCP 2004), in units of the leaf
+side. Each point's offset from its leaf center meets the unit template
+in one distance block, built for many leaves at once by the template
+kernel (:func:`kernels.template_inverse_distances`): one GEMM of the
+offsets' rows [o, |o|^2, 1], cached per tree
+(:attr:`UniformTree.leaf_offset_operand`), with the template's columns
+[-2y; 1; |y|^2], built once per operator set (``leaf_template``). The
+template is at least 0.975 leaf sides from every point of its leaf, so
+the squared distances lose at most about 12 ulps to cancellation. S2U
+weights a block's rows by the charges, sums each leaf's rows, and
+applies the up solve to all leaves in one matrix product, whose scaling
+by the leaf side cancels that of the sums; D2T dots each point's row
+with its leaf's ``d`` and divides by the side. S2U blocks keep leaves
+whole (a leaf larger than a block is cut at fixed multiples of the block
+rows from its own start), and the kernel gives a row the same bits in
+any block, so a leaf's check sums do not depend on which leaves share
+its block, and thus have the same bits at any rank count. The expansions
+do not: the one GEMM with the solve rounds a row differently depending
+on how many rows share the call. At P=8 against P=1 (``fmm verify``:
+uniform cube N=4096, d_g=1, d_l=2, seeds 0-3) the potentials differ by
+1.4e-12 to 2.3e-12 relative L2 at order 7, and by under 2e-16 at orders
+2-6 and 8.
 """
 
 from __future__ import annotations
@@ -81,7 +90,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import morton
-from .kernels import BLOCK_ENTRIES, inverse_distances
+from .kernels import (
+    BLOCK_ENTRIES,
+    inverse_distances,
+    template_inverse_distances,
+    template_operand,
+)
 from .tree import TRANSFER_VECTORS
 
 # The 56 transfer vectors with no negative component, sorted; per transfer
@@ -200,7 +214,9 @@ class OperatorSet:
 
     ``uc2e_inv`` is the unit-box check-to-equivalent solve, its transpose
     the downward one; at a box of side ``s`` it scales by ``s``.
-    ``down_equiv_grid`` is ``up_check_grid``. ``u2u`` and
+    ``down_equiv_grid`` is ``up_check_grid``, and ``leaf_template`` is
+    its :func:`kernels.template_operand`, which S2U and D2T measure
+    points against in units of the leaf side. ``u2u`` and
     ``d2d`` are the matrices of child octant 0, ``m2l`` is indexed by the
     row of :data:`ORTHANT_VECTORS`. ``flip_perm[f]`` is the surface-lattice
     permutation of the sign flip of the axes in the bits of ``f``; the
@@ -220,6 +236,7 @@ class OperatorSet:
     flip_perm: np.ndarray  # (8, n_e) lattice permutation per axis sign flip
     up_equiv_grid: np.ndarray = field(repr=False)   # unit templates
     up_check_grid: np.ndarray = field(repr=False)
+    leaf_template: np.ndarray = field(repr=False)   # (5, n_e)
 
     @property
     def down_equiv_grid(self):
@@ -275,11 +292,17 @@ def precompute_operators(order, dtype=np.float64):
     d2d = 0.5 * uc2e_inv.T @ inverse_distances(up_equiv * 0.5 - 0.25, up_check)
 
     classes, cls, rho, flip_perm = _lattice_maps(order)
-    class_m2l = [uc2e_inv.T @ inverse_distances(up_equiv, t0 + up_equiv) for t0 in classes]
+    class_m2l = [
+        (uc2e_inv.T @ inverse_distances(up_equiv, t0 + up_equiv)).astype(dtype, copy=False)
+        for t0 in classes
+    ]
     n = expansion_length(order)
     m2l = np.empty((len(ORTHANT_VECTORS), n, n), dtype=dtype)
+    # A row take, then a column take straight into the stored matrix; the
+    # indices are permutations, so mode "clip" changes nothing but lets
+    # the take write into ``out`` without a buffer.
     for i, (c, r) in enumerate(zip(cls, rho)):
-        m2l[i] = class_m2l[c][np.ix_(r, r)]
+        class_m2l[c].take(r, axis=0).take(r, axis=1, out=m2l[i], mode="clip")
 
     return OperatorSet(
         order=order,
@@ -292,6 +315,7 @@ def precompute_operators(order, dtype=np.float64):
         flip_perm=flip_perm,
         up_equiv_grid=up_equiv,
         up_check_grid=up_check,
+        leaf_template=template_operand(up_check),
     )
 
 
@@ -373,24 +397,24 @@ def _template_rows(ops):
 
 def leaf_check_sums(tree, ops, charges):
     """Potential of each nonempty leaf's charges on its unit check surface
-    scaled to the leaf, shape (n_nonempty, n_e), before the check solve.
+    scaled to the leaf, with distances in leaf sides (the potential times
+    the leaf side), shape (n_nonempty, n_e), before the check solve.
 
     Leaves are cut into pieces of at most ``rows`` points from their own
     starts, and a block holds the pieces that start in one run of ``rows``
     points (:meth:`UniformTree.leaf_pieces`, laid out once per tree), so
     each leaf's sum is formed the same way on any rank.
     """
-    offsets = tree.leaf_offsets
-    template = ops.up_check_grid * box_side(tree.cube, tree.leaf_level)
+    points, template = tree.leaf_offset_operand, ops.leaf_template
     charges = np.asarray(charges, dtype=np.float64)
     rows = _template_rows(ops)
     leaf, starts, ends, cuts = tree.leaf_pieces(rows)
     # A block holds at most one piece of each leaf, so the scatter-add
     # below has distinct rows.
     check = np.zeros((np.count_nonzero(tree.level_nonempty[tree.leaf_level]), ops.n_coeff))
-    work = np.empty(2 * min(2 * rows, tree.n_points) * ops.n_coeff)
+    work = np.empty(min(2 * rows, tree.n_points) * ops.n_coeff)
     for a, b in zip(cuts[:-1], cuts[1:]):
-        r = inverse_distances(offsets[starts[a] : ends[b]], template, work)
+        r = template_inverse_distances(points[:, starts[a] : ends[b]], template, work)
         r *= charges[starts[a] : ends[b], None]
         check[leaf[a:b]] += np.add.reduceat(r, starts[a:b] - starts[a], axis=0)
     return check
@@ -398,11 +422,12 @@ def leaf_check_sums(tree, ops, charges):
 
 def leaf_s2u_all(tree, ops, charges, out):
     """S2U over every nonempty leaf of the tree, into ``out`` (n_leaves, n_e):
-    one GEMM of :func:`leaf_check_sums` with the check solve."""
+    one GEMM of :func:`leaf_check_sums` with the unit check solve. The
+    solve at a leaf is the unit one times the leaf side, a factor the sums,
+    in leaf sides, already carry."""
     check = leaf_check_sums(tree, ops, charges)
-    side = box_side(tree.cube, tree.leaf_level)
     nonempty = tree.level_nonempty[tree.leaf_level]
-    out[nonempty] = side * (check @ ops.uc2e_inv.astype(np.float64, copy=False).T)
+    out[nonempty] = check @ ops.uc2e_inv.astype(np.float64, copy=False).T
     return out
 
 
@@ -582,16 +607,17 @@ def vli_downward(ops, store, plan):
 def d2t(tree, ops, store):
     """Evaluate leaf local expansions at the targets inside each leaf: per
     point, its distances to the leaf's equivalent surface (one template
-    shifted to the leaf center) dotted with the leaf's ``d`` row."""
-    offsets, leaf = tree.leaf_offsets, tree.point_leaf
-    template = ops.down_equiv_grid * box_side(tree.cube, tree.leaf_level)
+    shifted to the leaf center) dotted with the leaf's ``d`` row, in leaf
+    sides and then divided by the side."""
+    points, leaf = tree.leaf_offset_operand, tree.point_leaf
     d = store.d[tree.leaf_level].astype(np.float64, copy=False)
     out = np.empty(tree.n_points, dtype=np.float64)
     rows = _template_rows(ops)
-    work = np.empty(2 * min(rows, tree.n_points) * ops.n_coeff)
+    work = np.empty(min(rows, tree.n_points) * ops.n_coeff)
     d_rows = np.empty((min(rows, tree.n_points), ops.n_coeff))
     for lo in range(0, tree.n_points, rows):
-        r = inverse_distances(offsets[lo : lo + rows], template, work)
+        r = template_inverse_distances(points[:, lo : lo + rows], ops.leaf_template, work)
         np.take(d, leaf[lo : lo + rows], axis=0, out=d_rows[: len(r)])
-        out[lo : lo + rows] = np.einsum("ij,ij->i", r, d_rows[: len(r)])
+        np.einsum("ij,ij->i", r, d_rows[: len(r)], out=out[lo : lo + rows])
+    out /= box_side(tree.cube, tree.leaf_level)
     return out

@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import morton
+from .kernels import point_operand
 from .morton import HALO_OFFSETS, MAX_DEPTH, ancestor_at, anchor_lattice, descendants, make_key
 
 # (ox, oy, oz) for octant o, x in the least significant interleave slot.
@@ -80,11 +81,22 @@ class UniformTree:
         return np.repeat(np.arange(len(counts)), counts)
 
     @cached_property
-    def leaf_offsets(self):
-        """Each point's offset from the center of its leaf."""
-        side = self.cube.side / (1 << self.leaf_level)
-        centers = (anchor_lattice(self.leaves) + 0.5) * side + np.asarray(self.cube.origin)
-        return self.points - centers[self.point_leaf]
+    def leaf_offset_operand(self):
+        """Each point's offset from the center of its leaf, in leaf sides,
+        as the (5, n) :func:`kernels.point_operand` that S2U and D2T read.
+
+        The offset is the point's lattice coordinate, computed as
+        :func:`morton.encode_points` computes it, less its leaf's anchor
+        and 0.5, so it lies within 0.5 of the center exactly when the
+        point's key is its leaf's. Raises ``ValueError`` naming a point
+        outside its leaf, as when the keys a tree was built from do not
+        match its points.
+        """
+        lattice = (self.points - np.asarray(self.cube.origin)) / self.cube.side
+        lattice *= 1 << self.leaf_level
+        lattice -= anchor_lattice(self.leaves)[self.point_leaf]
+        lattice -= 0.5
+        return point_operand(lattice)
 
     @cached_property
     def _leaf_pieces(self):

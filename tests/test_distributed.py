@@ -115,6 +115,25 @@ def test_leaf_expansions_independent_of_rank_count():
     assert rel_l2(concat_potentials(evals), concat_potentials(ref_evals)) <= 1e-14
 
 
+@pytest.mark.parametrize("order", [5, 7])
+def test_leaf_check_sums_bitwise_equal_at_one_and_eight_ranks(order):
+    # The template kernel gives a row the same bits in any block of rows,
+    # so a leaf's check sums do not depend on which leaves share its S2U
+    # blocks, and thus not on the rank count.
+    pts, chg = raw_instance(2048, seed=order)
+    config = cfg(order=order)
+    _, (ref,), _ = distributed_run(pts, chg, 1, config)
+    _, states, _ = distributed_run(pts, chg, 8, config)
+    level = config.leaf_level
+    ref_check = leaf_check_sums(ref.tree, ref.ops, ref.charges)
+    ref_rows = np.flatnonzero(ref.tree.level_nonempty[level])
+    for state in states:
+        keys = state.tree.leaves[state.tree.level_nonempty[level]]
+        pos = np.searchsorted(ref_rows, ref.tree.index_of(level, keys))
+        assert np.array_equal(leaf_check_sums(state.tree, state.ops, state.charges),
+                              ref_check[pos])
+
+
 def test_runtime_collective_schedule():
     pts, chg = raw_instance(512, seed=4)
     for P in (1, 8):
@@ -635,9 +654,10 @@ def test_setup_phase_timings_present():
 
 
 def test_potentials_bitwise_equal_with_subtraction_kernel(monkeypatch):
-    # The kernel's matrix-product differences must give the same bits as
-    # plain subtraction everywhere it runs: P2P, S2U, D2T and the
-    # operator build (a fresh operator cache makes each run build its own).
+    # The exact kernel's matrix-product differences must give the same
+    # bits as plain subtraction everywhere it runs: P2P and the operator
+    # build (a fresh operator cache makes each run build its own). S2U and
+    # D2T use the template kernel, unpatched in both runs.
     pts, chg = raw_instance(2000, seed=14)
     config = cfg(order=5)
 

@@ -18,7 +18,11 @@ from unifmm.kernels import (
     laplace_kernel,
     laplace_potential,
     p2p_uli,
+    point_operand,
+    template_inverse_distances,
+    template_operand,
 )
+from unifmm.operators import UPWARD_CHECK_SCALE, surface_grid
 from unifmm.tree import build_interaction_lists, build_tree
 
 UNIT = morton.BoundingCube(origin=(0.0, 0.0, 0.0), side=1.0)
@@ -286,8 +290,9 @@ def _block_points(rng, n, m):
     return t, s
 
 
-# Block shapes of the callers: a P2P leaf block, S2U and D2T template
-# blocks, a small leaf, one target or source, and empty blocks.
+# Block shapes: a P2P leaf block, tall blocks over 152 and 296 columns (the
+# expansion lengths of orders 6 and 8), a small leaf, one target or
+# source, and empty blocks.
 BLOCK_SHAPES = [(32, 864), (430, 152), (215, 296), (64, 8), (1, 500), (300, 1),
                 (0, 57), (41, 0)]
 
@@ -307,6 +312,50 @@ def test_inverse_distances_bitwise_equals_subtraction_reference():
         wide = np.repeat(s, 2, axis=1)[:, ::2]
         assert np.array_equal(inverse_distances(t, wide, work), want), (n, m)
         work[: 2 * n * m] = -np.inf
+
+
+def _leaf_offsets(rng):
+    """Offsets from a leaf center in leaf sides: its 8 corners, 6 face
+    centers, 12 edge midpoints, the center and random points."""
+    cube = np.stack(np.meshgrid(*[[-0.5, 0.0, 0.5]] * 3, indexing="ij"), axis=-1)
+    return np.vstack([cube.reshape(27, 3), rng.random((300, 3)) - 0.5])
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_template_kernel_within_rounding_of_subtraction(order):
+    # r^2 = |o|^2 + |y|^2 - 2 o.y cancels by at most a factor of 12.3
+    # between a leaf's points and the check template around the leaf.
+    o = _leaf_offsets(np.random.default_rng(order))
+    y = surface_grid(order, scale=UPWARD_CHECK_SCALE)
+    got = template_inverse_distances(point_operand(o), template_operand(y))
+    want = subtraction_inverse_distances(o, y)
+    assert np.abs(got / want - 1.0).max() <= 2e-15
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_template_kernel_rows_keep_their_bits_in_any_block(order):
+    # S2U's check sums have the same bits at any rank count only if a row
+    # does not depend on which rows share its block; a 1-row product alone
+    # would go through GEMV and round differently.
+    rng = np.random.default_rng(order)
+    points = point_operand(rng.random((130, 3)) - 0.5)
+    template = template_operand(surface_grid(order, scale=UPWARD_CHECK_SCALE))
+    want = template_inverse_distances(points, template)
+    work = np.full(120 * template.shape[1], np.nan)
+    for n in list(range(1, 34)) + [47, 64, 97, 120]:
+        for a in range(8):
+            got = template_inverse_distances(points[:, a : a + n], template, work)
+            assert np.shares_memory(got, work)
+            assert np.array_equal(got, want[a : a + n]), (n, a)
+            work[: n * template.shape[1]] = -np.inf
+
+
+def test_point_operand_rejects_an_offset_outside_the_box():
+    offsets = np.array([[0.5, -0.5, 0.25], [0.1, 0.2, -0.5000001], [0.0, 0.0, 0.0]])
+    assert point_operand(offsets[[0, 2]]).shape == (5, 2)
+    assert point_operand(np.empty((0, 3))).shape == (5, 0)
+    with pytest.raises(ValueError, match=r"point 1 lies outside its box"):
+        point_operand(offsets)
 
 
 def test_laplace_potential_blocks_match_per_target_calls():

@@ -16,6 +16,7 @@ from unifmm.operators import (
     UPWARD_CHECK_SCALE,
     UPWARD_EQUIV_SCALE,
     ExpansionStore,
+    _lattice_maps,
     _tsvd_pinv,
     apply_m2l,
     box_side,
@@ -145,6 +146,17 @@ def test_m2l_count_is_316():
     assert ops.m2l.shape[0] == 56 == len(ORTHANT_VECTORS)
     assert np.all(ORTHANT_VECTORS >= 0)
     assert dense_m2l(ops).shape[0] == 316 == len(TRANSFER_VECTORS)
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_stored_m2l_are_bitwise_gathers_of_their_class_matrices(order):
+    # The canonical vector of each class is stored under the identity map.
+    ops = get_operator_set(order)
+    classes, cls, rho, _ = _lattice_maps(order)
+    canonical = [np.flatnonzero((ORTHANT_VECTORS == c).all(axis=1))[0] for c in classes]
+    for i, (c, r) in enumerate(zip(cls, rho)):
+        assert np.array_equal(rho[canonical[c]], np.arange(ops.n_coeff))
+        assert np.array_equal(ops.m2l[i], ops.m2l[canonical[c]][np.ix_(r, r)]), i
 
 
 def test_operator_set_shapes():

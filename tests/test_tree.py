@@ -1,5 +1,7 @@
 """Uniform tree construction and interaction lists."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,34 @@ def test_build_tree_takes_given_keys_without_encoding(monkeypatch):
         build_tree(pts[::-1], UNIT, 1, 2, keys=keys[::-1])
     with pytest.raises(ValueError, match="keys length"):
         build_tree(pts, UNIT, 1, 2, keys=keys[1:])
+
+
+def test_leaf_offset_operand_checks_points_lie_in_their_leaves():
+    # Points on leaf faces and on the upper cube face (clamped into the
+    # last cell) are at most half a leaf side from their leaf's center.
+    rng = np.random.default_rng(6)
+    pts = np.vstack([rng.random((200, 3)), np.indices((9, 9, 9)).reshape(3, -1).T / 8])
+    keys = morton.encode_points(pts, 3, UNIT)
+    order = np.argsort(keys, kind="stable")
+    pts, keys = pts[order], keys[order]
+    tree = build_tree(pts, UNIT, 1, 2, keys=keys)
+    operand = tree.leaf_offset_operand
+    assert operand.shape == (5, len(pts))
+    assert np.abs(operand[:3]).max() == 0.5
+    # Keys that do not match their points: the points in reverse order.
+    bad = build_tree(pts[::-1], UNIT, 1, 2, keys=keys)
+    with pytest.raises(ValueError, match=r"point (\d+) lies outside its box") as err:
+        bad.leaf_offset_operand
+    i = int(re.search(r"point (\d+)", str(err.value)).group(1))
+    assert morton.encode_points(bad.points[i : i + 1], 3, UNIT)[0] != keys[i]
+    # Far from the origin the coordinates round, and the offsets follow
+    # the keys' own rounding.
+    far = 1e6 + rng.random((500, 3)) * 3.7
+    cube = morton.fit_domain(far)
+    keys = morton.encode_points(far, 4, cube)
+    order = np.argsort(keys, kind="stable")
+    tree = build_tree(far[order], cube, 2, 2, keys=keys[order])
+    assert np.abs(tree.leaf_offset_operand[:3]).max() <= 0.5
 
 
 def test_build_tree_empty_rank_with_explicit_root():
