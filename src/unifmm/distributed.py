@@ -23,16 +23,23 @@ is what its own lists will find remotely: the point rows, taken in graph
 order, form the near-field ghost table sorted by leaf key, which the
 receiver recomputes from each point.
 
-Each evaluation then needs exactly three collectives per rank: one
-neighbor exchange delivering ghost expansions for the local V lists (one
-row gather from the store for all neighbors, one row scatter into it for
-all messages received), a gather of local-root expansions to the
-nominated rank (rank 0), which runs the top tree levels in shared
-memory through the level passes of every local tree (``u2u_pass`` and
+Every neighbor exchange is a :class:`Halo`: the rows of a table sent to
+each neighbor, gathered at once, and the row count of each neighbor's
+message, which the exchange's first run in setup fixes. Setup's U
+exchange fixes the near-field halo, and its V-key exchange fixes the
+far-field one. Each replay checks every incoming message against those
+counts, so a lost or extra row raises :class:`UnresolvedDependencyError`
+on the rank it was meant for, naming the sender.
+
+Each evaluation then needs exactly three collectives per rank: the far-
+field halo's exchange of ghost expansions for the local V lists (one row
+gather from the store for all neighbors, one row scatter into it for all
+messages received), a gather of local-root expansions to the nominated
+rank (rank 0), which runs the top tree levels in shared memory through
+the level passes of every local tree (``u2u_pass`` and
 ``vli_downward``), and a scatter returning the local-root incoming
-expansions.
-Near-field work never communicates at runtime; charge-only updates re-run
-just the near-field data exchange.
+expansions. Near-field work never communicates at runtime; charge-only
+updates replay just the near-field halo, with charges for point rows.
 
 Local V lists only ever reference boxes below the root level, whose
 owners are adjacent subdomains: with contiguous Morton runs of roots per
@@ -44,10 +51,11 @@ all root expansions are present.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -135,28 +143,38 @@ def global_message_size(n_roots, order, precision_bits):
 
 
 @dataclass
-class _VGhosts:
-    """Far-field ghost bookkeeping; the ghost rows are in the expansion
-    store. Each neighbor's message holds its boxes in sorted key order.
-    The rows of all messages sent (received) are one array, neighbor after
-    neighbor in graph order, so an exchange gathers (scatters) them at once."""
+class Halo:
+    """One neighbor exchange, fixed at setup. Each neighbor in the graph is
+    sent rows of a table: the rows of all messages are ``send``, neighbor
+    after neighbor in graph order, ``send_counts[k]`` of them for the k-th.
+    ``recv_counts[k]`` is how many rows the k-th neighbor's message holds;
+    the first exchange fixes it (pass None until then), and every later
+    message must hold exactly that many."""
 
-    keys: np.ndarray          # sorted uint64 keys of all ghost boxes
-    send_all: np.ndarray      # store.u_all rows of the boxes sent
-    send_counts: np.ndarray   # per nbr: how many of them it is sent
-    recv_all: np.ndarray      # store.u_all ghost rows the messages fill
-    recv_counts: np.ndarray   # per nbr: how many of them its message fills
-    dropped: set = field(default_factory=set)
+    send: np.ndarray
+    send_counts: np.ndarray
+    recv_counts: np.ndarray | None
 
-    @property
-    def send_rows(self):
-        """Per neighbor, the store.u_all rows of the boxes it is sent."""
-        return _cut(self.send_all, self.send_counts)
-
-    @property
-    def recv_rows(self):
-        """Per neighbor, the store.u_all ghost rows its message fills."""
-        return _cut(self.recv_all, self.recv_counts)
+    def exchange(self, comm, graph, table):
+        """Send each neighbor its rows of ``table``; return the rows received,
+        neighbor after neighbor in graph order. A message of another length
+        than setup's raises :class:`UnresolvedDependencyError` naming its
+        sender."""
+        shape = table.shape[1:]
+        width = math.prod(shape)
+        msgs = comm.neighbor_alltoallv(
+            graph, [rows.ravel() for rows in _cut(table[self.send], self.send_counts)]
+        )
+        sizes = [m.size for m in msgs]
+        if self.recv_counts is None:
+            self.recv_counts = np.array(sizes, dtype=np.int64) // width
+        if sizes != (self.recv_counts * width).tolist():
+            k = next(k for k, n in enumerate(self.recv_counts) if sizes[k] != n * width)
+            raise UnresolvedDependencyError(
+                f"unresolved dependency: rank {graph[k]} sent {sizes[k] / width:.10g} rows "
+                f"where setup fixed {self.recv_counts[k]}"
+            )
+        return np.concatenate([np.empty(0, table.dtype), *msgs]).reshape(-1, *shape)
 
 
 @dataclass
@@ -176,8 +194,10 @@ class DistributedFmm:
     splitters: np.ndarray
     graph: np.ndarray             # sorted neighbor ranks: adjacent subdomains
     near_ghosts: NearFieldGhosts
-    u_send_rows: list             # per neighbor: point rows served, leaf by leaf
-    v_ghosts: _VGhosts
+    u_halo: Halo                  # point rows served, leaf by leaf in key order
+    v_halo: Halo                  # store.u_all rows of the V boxes served
+    v_ghost_keys: np.ndarray      # sorted keys of all V ghost boxes
+    v_recv_rows: np.ndarray       # store.u_all ghost rows v_halo's rows fill
     v_plan: VListPlan
     top_store: object             # top levels 1 .. d_g and their V plan,
     global_plan: VListPlan        # both on the nominated rank only, else None
@@ -201,18 +221,22 @@ class DistributedFmm:
         return len(self.tree.local_roots)
 
     def v_ghost_count(self):
-        return len(self.v_ghosts.keys)
+        return len(self.v_ghost_keys)
 
     def point_count(self):
         return int(self.tree.n_points)
 
-    # Test/fault-injection hook: lose one far-field ghost entry.
+    # Test/fault-injection hook: hold back the first V row this rank sends
+    # in every later evaluate, so its neighbor gets a short message. Returns
+    # the key of that box, or None if this rank sends none.
     def drop_one_v_ghost(self):
-        if not len(self.v_ghosts.keys):
+        halo = self.v_halo
+        if not len(halo.send):
             return None
-        key = int(self.v_ghosts.keys[0])
-        self.v_ghosts.dropped.add(key)
-        return key
+        counts = halo.send_counts.copy()
+        counts[np.flatnonzero(counts)[0]] -= 1
+        self.v_halo = replace(halo, send=halo.send[1:], send_counts=counts)
+        return int(self.store.row_keys[halo.send[0]])
 
 
 @contextmanager
@@ -245,12 +269,6 @@ def _global_cube(comm, points, margin):
     return morton.fit_domain(np.stack([lo, hi]), margin)
 
 
-def _concat_keys(arrays):
-    """Concatenation of the uint64 key ``arrays`` (possibly none) and their lengths."""
-    lengths = np.array([len(a) for a in arrays], dtype=np.int64)
-    return np.concatenate([np.empty(0, np.uint64), *arrays]), lengths
-
-
 def _cut(array, lengths):
     """``array`` cut into consecutive pieces of the given lengths."""
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -259,12 +277,12 @@ def _cut(array, lengths):
 
 
 def _served_rows(tree, keys, per_nbr):
-    """Per neighbor, the point rows of the leaves served to it, leaf by leaf;
-    the leaf ``keys`` come neighbor by neighbor, ``per_nbr`` of them each."""
+    """The halo of the point rows of the leaves served, leaf by leaf; the
+    leaf ``keys`` come neighbor by neighbor, ``per_nbr`` of them each."""
     starts, ends = tree.leaf_ranges[tree.index_of(tree.leaf_level, keys)].T
     counts = ends - starts
     rows = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return _cut(rows, [c.sum() for c in _cut(counts, per_nbr)])
+    return Halo(rows, np.array([c.sum() for c in _cut(counts, per_nbr)], np.int64), None)
 
 
 def _served_boxes(graph, layout, boxes, members):
@@ -345,10 +363,9 @@ def setup(comm, points, charges, config):
         # key order. The graph is in rank order and ranks own rank-ordered
         # Morton runs, so the rows received, taken in graph order, are sorted
         # by leaf key: the point's key, from the same bits in the same cube.
-        u_send_rows = _served_rows(tree, u_leaves, u_per_nbr)
+        u_halo = _served_rows(tree, u_leaves, u_per_nbr)
         table = np.concatenate([tree.points, chg[:, None]], axis=1)
-        rows_in = comm.neighbor_alltoallv(graph, [table[r].ravel() for r in u_send_rows])
-        got = np.concatenate([np.empty(0), *rows_in]).reshape(-1, 4)
+        got = u_halo.exchange(comm, graph, table)
         coords = np.ascontiguousarray(got[:, :3])
         ghost_leaves = morton.encode_points(coords, leaf_level, cube)
         absent = np.setdiff1d(lists.u_member_keys[remote], ghost_leaves)
@@ -361,18 +378,13 @@ def setup(comm, points, charges, config):
             held.append((tree.level_keys[level][tgt[pick]], mkeys[pick]))
         boxes, members = (np.concatenate(parts) for parts in zip(*held))
         send_keys, v_per_nbr = _served_boxes(graph, layout, boxes, members)
-        v_confirmed = comm.neighbor_alltoallv(graph, _cut(send_keys, v_per_nbr))
-
-        recv_keys, recv_lengths = _concat_keys(v_confirmed)
+        # The key exchange fixes the V halo's message lengths; its rows then
+        # become the store rows of the same boxes.
+        v_halo = Halo(np.arange(len(send_keys)), v_per_nbr, None)
+        recv_keys = v_halo.exchange(comm, graph, send_keys)
         ghost_keys = np.unique(recv_keys)
         store = ExpansionStore(tree.level_keys, ghost_keys)
-        ghosts = _VGhosts(
-            keys=ghost_keys,
-            send_all=store.rows_of(send_keys)[0],
-            send_counts=v_per_nbr,
-            recv_all=store.rows_of(recv_keys)[0],
-            recv_counts=recv_lengths,
-        )
+        v_halo = replace(v_halo, send=store.rows_of(send_keys)[0])
         v_plan = _v_plan(store, lists.v_pairs)
 
         # The nominated rank holds every box of the top levels 1 .. d_g.
@@ -402,8 +414,10 @@ def setup(comm, points, charges, config):
         splitters=splitters,
         graph=graph,
         near_ghosts=near,
-        u_send_rows=u_send_rows,
-        v_ghosts=ghosts,
+        u_halo=u_halo,
+        v_halo=v_halo,
+        v_ghost_keys=ghost_keys,
+        v_recv_rows=store.rows_of(recv_keys)[0],
         v_plan=v_plan,
         top_store=top_store,
         global_plan=global_plan,
@@ -423,28 +437,6 @@ def _v_plan(store, pairs):
             tgt[keep], rows[keep] - store.row_start[level], tv_idx[keep]
         )
     return VListPlan(grouped=grouped)
-
-
-def _check_ghosts(state):
-    if state.v_ghosts.dropped:
-        key = sorted(state.v_ghosts.dropped)[0]
-        raise UnresolvedDependencyError(
-            f"unresolved dependency: ghost u vector for box {key:#x} was lost"
-        )
-
-
-def _exchange_ghost_u(state):
-    """The single runtime neighbor exchange of far-field expansions: one
-    gather of every row sent, each neighbor's message a view of it, and one
-    scatter of every row received."""
-    u_all, ghosts = state.store.u_all, state.v_ghosts
-    sent = u_all[ghosts.send_all]
-    recv = state.comm.neighbor_alltoallv(
-        state.graph, [rows.ravel() for rows in _cut(sent, ghosts.send_counts)]
-    )
-    u_all[ghosts.recv_all] = np.concatenate([np.empty(0, u_all.dtype), *recv]).reshape(
-        -1, u_all.shape[1]
-    )
 
 
 def _global_stage(state, gathered):
@@ -477,7 +469,6 @@ def evaluate(state):
     stats_before = comm.stats().snapshot()
     secs_before = comm.stats().seconds_by_kind()
     seconds = {"computation": 0.0, "global_stage": 0.0}
-    _check_ghosts(state)
 
     state.store.reset()
 
@@ -485,7 +476,9 @@ def evaluate(state):
         near = p2p_uli(tree, state.lists, state.charges, state.near_ghosts)
         upward_pass(tree, ops, state.store, state.charges)
 
-    _exchange_ghost_u(state)
+    # The one runtime neighbor exchange: far-field ghost expansions.
+    u_all = state.store.u_all
+    u_all[state.v_recv_rows] = state.v_halo.exchange(comm, state.graph, u_all)
 
     root_u = np.ascontiguousarray(state.store.u[config.global_depth]).ravel()
     gathered = comm.gatherv(root_u, root=NOMINATED_RANK)
@@ -532,11 +525,8 @@ def update_charges(state, new_charges):
         )
     _require_finite(new_charges, "charge")
     state.charges = new_charges
-    recv = state.comm.neighbor_alltoallv(
-        state.graph, [new_charges[rows] for rows in state.u_send_rows]
-    )
     # Charges arrive in the order the point rows did at setup.
-    state.near_ghosts.charges = np.concatenate([np.empty(0), *recv])
+    state.near_ghosts.charges = state.u_halo.exchange(state.comm, state.graph, new_charges)
     state.store.reset()
     return state
 

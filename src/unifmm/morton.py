@@ -101,9 +101,6 @@ class BoundingCube:
         lo = np.asarray(self.origin)
         return np.all((p >= lo) & (p <= lo + self.side), axis=1)
 
-    def center(self):
-        return np.asarray(self.origin) + 0.5 * self.side
-
 
 def fit_domain(points, margin=DEFAULT_MARGIN):
     """Fit a cube around ``points``, grown by a relative ``margin``.

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numbers
 import operator
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -40,7 +39,9 @@ import numpy as np
 
 COLLECTIVE_KINDS = ("allgatherv", "alltoallv", "gatherv", "scatterv", "neighbor_alltoallv")
 
-_WAIT_TIMEOUT = float(os.environ.get("FMM_COLLECTIVE_TIMEOUT", "300"))
+# The one backstop deadline: seconds a rank waits in a collective that some
+# other rank never enters. A rank that finishes or fails ends the wait at once.
+_WAIT_TIMEOUT = 300.0
 
 
 class TransportError(RuntimeError):
@@ -207,14 +208,13 @@ class SimWorld:
                     self._fail(TransportError(f"{kind} failed: {exc}"))
                 slot.done = True
                 self._cond.notify_all()
-            else:
-                deadline = time.perf_counter() + _WAIT_TIMEOUT
-                while not slot.done and self._failure is None:
-                    if not self._cond.wait(timeout=1.0) and time.perf_counter() > deadline:
-                        self._fail(StalledCollectiveError(
-                            f"{kind} timed out at slot {slot_idx}: arrived "
-                            f"{sorted(slot.payloads)} of {self.size}"
-                        ))
+            elif not self._cond.wait_for(
+                lambda: slot.done or self._failure is not None, timeout=_WAIT_TIMEOUT
+            ):
+                self._fail(StalledCollectiveError(
+                    f"{kind} timed out at slot {slot_idx}: arrived "
+                    f"{sorted(slot.payloads)} of {self.size}"
+                ))
             if self._failure is not None:
                 self._raise_failure(kind)
             result = slot.results[rank]

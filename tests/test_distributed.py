@@ -1,8 +1,11 @@
 """Distributed setup and runtime execution across simulated ranks."""
 
+import ast
 import re
 import threading
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +17,10 @@ from conftest import (
     subtraction_inverse_distances,
 )
 
-from unifmm import kernels, morton, operators
+from unifmm import distributed, kernels, morton, operators
 from unifmm.distributed import (
     FmmConfig,
+    _cut,
     evaluate,
     global_message_size,
     run_manifest,
@@ -250,7 +254,7 @@ def test_ghost_sufficiency_and_minimality():
         for level, (tgt, mkeys, tv) in state.lists.v_pairs.items():
             local = state.tree.contains(level, mkeys)
             v_needed |= {int(k) for k in mkeys[~local]}
-        v_held = {int(k) for k in state.v_ghosts.keys}
+        v_held = {int(k) for k in state.v_ghost_keys}
         assert v_held <= v_needed
         # A remote V box left out drops its far-field term without an error.
         assert v_held == v_needed & occupied
@@ -311,7 +315,7 @@ def test_near_ghosts_match_owner_points(config):
 def store_row_keys(state):
     """Key of every row of ``state.store.u_all`` (per level: the tree's
     boxes, then that level's ghosts), and a mask of the ghost rows."""
-    store, ghost_keys = state.store, state.v_ghosts.keys
+    store, ghost_keys = state.store, state.v_ghost_keys
     ghost_levels = morton.key_level(ghost_keys)
     keys = np.zeros(len(store.u_all), np.uint64)
     ghost = np.zeros(len(store.u_all), bool)
@@ -351,15 +355,15 @@ def test_v_ghost_plans_agree_across_ranks():
     n_keys = 0
     for r, state in enumerate(states):
         keys, ghost = row_keys[r]
+        sent = _cut(state.v_halo.send, state.v_halo.send_counts)
         for pos, j in enumerate(state.graph.tolist()):
             back = states[j].graph.tolist().index(r)
-            send_rows = state.v_ghosts.send_rows[pos]
-            recv_rows = states[j].v_ghosts.recv_rows[back]
+            send_rows = sent[pos]
+            recv_rows = _cut(states[j].v_recv_rows, states[j].v_halo.recv_counts)[back]
             assert not ghost[send_rows].any()
             assert np.array_equal(keys[send_rows], row_keys[j][0][recv_rows])
             n_keys += len(send_rows)
-        filled = np.sort(np.concatenate([np.empty(0, np.int64), *state.v_ghosts.recv_rows]))
-        assert np.array_equal(filled, np.flatnonzero(ghost))
+        assert np.array_equal(np.sort(state.v_recv_rows), np.flatnonzero(ghost))
     assert n_keys == sum(s.v_ghost_count() for s in states) > 0
 
 
@@ -414,10 +418,64 @@ def test_unresolved_dependency_after_ghost_drop():
             assert state.drop_one_v_ghost() is not None
         return evaluate(state)
 
-    # Rank 3 fails before its first runtime collective; the abort reaches
-    # every other rank and the root cause surfaces from run_spmd.
-    with pytest.raises(UnresolvedDependencyError, match="unresolved dependency"):
+    # Rank 3 holds back one row it sends; the neighbor whose message comes
+    # up short fails, the abort reaches every other rank and the root
+    # cause surfaces from run_spmd.
+    with pytest.raises(UnresolvedDependencyError, match="unresolved dependency: rank 3 sent"):
         run_spmd(world, program)
+
+
+def resized_message(halo, delta):
+    """``halo`` with its message to the first neighbor it sends rows to
+    ``delta`` (+1 or -1) rows longer: a repeat or a loss of its first row."""
+    k = np.flatnonzero(halo.send_counts)[0]
+    start = int(halo.send_counts[:k].sum())
+    if delta < 0:
+        send = np.delete(halo.send, start)
+    else:
+        send = np.insert(halo.send, start, halo.send[start])
+    counts = halo.send_counts.copy()
+    counts[k] += delta
+    return replace(halo, send=send, send_counts=counts)
+
+
+@pytest.mark.parametrize("name, delta", [("u_halo", -1), ("v_halo", -1), ("v_halo", 1)],
+                         ids=["charges-short", "expansions-short", "expansions-long"])
+def test_wrong_length_halo_message_names_its_sender(name, delta):
+    # A charge message (update_charges) or an expansion message (evaluate)
+    # one row off the length setup fixed is caught by its receiver, which
+    # names the sending rank.
+    pts, chg = raw_instance(2048, seed=10)
+    chunks = np.array_split(np.arange(len(pts)), 8)
+    world = create_world(8, seed=0)
+
+    def program(comm):
+        state = setup(comm, pts[chunks[comm.rank]], chg[chunks[comm.rank]], cfg())
+        if comm.rank == 5:
+            setattr(state, name, resized_message(getattr(state, name), delta))
+        update_charges(state, state.charges)
+        return evaluate(state)
+
+    with pytest.raises(UnresolvedDependencyError, match="rank 5 sent [0-9]+ rows where setup"):
+        run_spmd(world, program)
+
+
+def test_neighbor_exchanges_all_go_through_the_halo():
+    # Every neighbor exchange of the solver is a Halo's, so each one is
+    # checked against the message lengths setup fixed.
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "neighbor_alltoallv":
+                found.append(scope)
+            walk(child, scope)
+
+    walk(ast.parse(Path(distributed.__file__).read_text()), ())
+    assert found == [("Halo", "exchange")]
 
 
 def test_near_field_pairs_counted_exactly_once():

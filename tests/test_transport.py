@@ -1,8 +1,11 @@
 """Simulated multi-rank transport: collectives, stats, determinism."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from unifmm import transport
 from unifmm.transport import (
     CollectiveMismatchError,
     StalledCollectiveError,
@@ -366,6 +369,34 @@ def test_stalled_collective_detected():
 
     with pytest.raises(StalledCollectiveError, match="stalled"):
         run_spmd(world, program)
+
+
+def test_stalled_rank_hits_the_backstop_deadline(monkeypatch):
+    # Rank 1 neither enters the collective nor finishes, so only the
+    # deadline ends rank 0's wait; the error names the ranks that arrived.
+    monkeypatch.setattr(transport, "_WAIT_TIMEOUT", 0.3)
+    world = create_world(2)
+    release = threading.Event()
+    late = []
+
+    def stuck_rank():
+        release.wait(timeout=60)
+        try:
+            world.comm(1).allgatherv(np.zeros(1))
+        except TransportError as exc:
+            late.append(exc)
+
+    thread = threading.Thread(target=stuck_rank)
+    thread.start()
+    try:
+        with pytest.raises(StalledCollectiveError, match=r"slot 0: arrived \[0\] of 2"):
+            world.comm(0).allgatherv(np.zeros(1))
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    # The late rank gets the same failure instead of waiting on its own.
+    assert [type(exc) for exc in late] == [StalledCollectiveError]
 
 
 def test_rank_exception_aborts_world():
