@@ -17,7 +17,7 @@ from .tree import (
     compute_v_list,
     transfer_vector,
 )
-from .kernels import direct_sum, kernel_backend, laplace_kernel, p2p_uli
+from .kernels import direct_sum, kernel_backend, laplace_kernel, near_field_plan, p2p_uli
 from .operators import (
     expansion_length,
     frozen_eps,
@@ -48,6 +48,7 @@ __all__ = [
     "direct_sum",
     "kernel_backend",
     "laplace_kernel",
+    "near_field_plan",
     "p2p_uli",
     "expansion_length",
     "frozen_eps",

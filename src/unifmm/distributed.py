@@ -5,7 +5,11 @@ of time: the distributed sort and per-rank tree build, the global layout
 (which every rank builds from the root runs all ranks hold, and from
 which it reads the sort's splitters and its own roots), the static
 neighbor communication graph, the near-field point/charge exchange, and
-the far-field ghost rows. Those rows live in the expansion store right
+the far-field ghost rows. It also plans both sweeps of an evaluation:
+the near-field blocks over the local points and the ghost table
+(:func:`kernels.near_field_plan`), and the M2L products of the V lists
+(:func:`operators.group_pairs_by_transfer`), so an evaluation only runs
+them. The far-field ghost rows live in the expansion store right
 after each level's own rows, so the V-list kernels read remote sources
 as they read local ones. The store alone lays out its rows and maps keys
 to them: setup asks it for the rows each neighbor is sent, the rows its
@@ -38,8 +42,9 @@ messages received), a gather of local-root expansions to the nominated
 rank (rank 0), which runs the top tree levels in shared memory through
 the level passes of every local tree (``u2u_pass`` and
 ``vli_downward``), and a scatter returning the local-root incoming
-expansions. Near-field work never communicates at runtime; charge-only
-updates replay just the near-field halo, with charges for point rows.
+expansions. Near-field work never communicates at runtime: it runs
+setup's plan with the current charges. Charge-only updates replay just
+the near-field halo, with charges for point rows, and keep both plans.
 
 Local V lists only ever reference boxes below the root level, whose
 owners are adjacent subdomains: with contiguous Morton runs of roots per
@@ -60,7 +65,14 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import morton
-from .kernels import NearFieldGhosts, UnresolvedDependencyError, _require_finite, p2p_uli
+from .kernels import (
+    NearFieldGhosts,
+    NearFieldPlan,
+    UnresolvedDependencyError,
+    _require_finite,
+    near_field_plan,
+    p2p_uli,
+)
 from .operators import (
     ExpansionStore,
     VListPlan,
@@ -194,6 +206,7 @@ class DistributedFmm:
     splitters: np.ndarray
     graph: np.ndarray             # sorted neighbor ranks: adjacent subdomains
     near_ghosts: NearFieldGhosts
+    near_plan: NearFieldPlan      # the near-field sweep's blocks
     u_halo: Halo                  # point rows served, leaf by leaf in key order
     v_halo: Halo                  # store.u_all rows of the V boxes served
     v_ghost_keys: np.ndarray      # sorted keys of all V ghost boxes
@@ -354,7 +367,8 @@ def setup(comm, points, charges, config):
 
     with _phase(timings, "u_list"):
         per_leaf = np.diff(lists.u_member_ptr)
-        remote = ~tree.contains(leaf_level, lists.u_member_keys)
+        found = morton.find_keys(tree.leaves, lists.u_member_keys)
+        remote = ~found[1]
         pick = remote & np.repeat(tree.level_nonempty[leaf_level], per_leaf)
         u_leaves, u_per_nbr = _served_boxes(
             graph, layout, np.repeat(tree.leaves, per_leaf)[pick], lists.u_member_keys[pick]
@@ -368,8 +382,10 @@ def setup(comm, points, charges, config):
         got = u_halo.exchange(comm, graph, table)
         coords = np.ascontiguousarray(got[:, :3])
         ghost_leaves = morton.encode_points(coords, leaf_level, cube)
-        absent = np.setdiff1d(lists.u_member_keys[remote], ghost_leaves)
+        remote_keys = np.unique(lists.u_member_keys[remote])
+        absent = remote_keys[~morton.find_keys(ghost_leaves, remote_keys)[1]]
         near = NearFieldGhosts(ghost_leaves, coords, got[:, 3].copy(), absent)
+        near_plan = near_field_plan(tree, lists, near, found)
 
     with _phase(timings, "v_list"):
         held = []
@@ -385,7 +401,8 @@ def setup(comm, points, charges, config):
         ghost_keys = np.unique(recv_keys)
         store = ExpansionStore(tree.level_keys, ghost_keys)
         v_halo = replace(v_halo, send=store.rows_of(send_keys)[0])
-        v_plan = _v_plan(store, lists.v_pairs)
+        n_coeff = expansion_length(config.order)
+        v_plan = _v_plan(store, lists.v_pairs, n_coeff)
 
         # The nominated rank holds every box of the top levels 1 .. d_g.
         top_store = global_plan = None
@@ -394,7 +411,7 @@ def setup(comm, points, charges, config):
             top_store = ExpansionStore(top_keys)
             global_plan = _v_plan(top_store, {
                 lvl: _v_members_with_vectors(keys, lvl) for lvl, keys in top_keys.items() if lvl > 1
-            })
+            }, n_coeff)
 
     ops = get_operator_set(config.order, config.dtype)
     store.allocate(ops.n_coeff, ops.dtype)
@@ -414,6 +431,7 @@ def setup(comm, points, charges, config):
         splitters=splitters,
         graph=graph,
         near_ghosts=near,
+        near_plan=near_plan,
         u_halo=u_halo,
         v_halo=v_halo,
         v_ghost_keys=ghost_keys,
@@ -425,16 +443,16 @@ def setup(comm, points, charges, config):
     )
 
 
-def _v_plan(store, pairs):
+def _v_plan(store, pairs, n_coeff):
     """V-list plan over ``store`` of the per-level (target index, member
-    key, transfer index) ``pairs``: members by row of the level's own and
-    ghost rows; members the store lacks are dropped (an absent box holds
-    no sources)."""
+    key, transfer index) ``pairs`` of ``n_coeff``-long expansions: members
+    by row of the level's own and ghost rows; members the store lacks are
+    dropped (an absent box holds no sources)."""
     grouped = {}
     for level, (tgt, mkeys, tv_idx) in pairs.items():
         rows, keep = store.rows_of(mkeys)
         grouped[level] = group_pairs_by_transfer(
-            tgt[keep], rows[keep] - store.row_start[level], tv_idx[keep]
+            tgt[keep], rows[keep] - store.row_start[level], tv_idx[keep], n_coeff
         )
     return VListPlan(grouped=grouped)
 
@@ -473,7 +491,7 @@ def evaluate(state):
     state.store.reset()
 
     with _phase(seconds, "computation"):
-        near = p2p_uli(tree, state.lists, state.charges, state.near_ghosts)
+        near = p2p_uli(state.near_plan, state.charges, state.near_ghosts.charges)
         upward_pass(tree, ops, state.store, state.charges)
 
     # The one runtime neighbor exchange: far-field ghost expansions.

@@ -76,6 +76,16 @@ rank thread's largest temporary stays with the allocator after it is
 freed, so the peak resident memory grows with this size. A run whose
 block would exceed ``BLOCK_ENTRIES`` is swept leaf by leaf. A leaf at
 or above the floor is always swept alone, as described above.
+
+All of this depends on the points alone, so it is planned once per tree
+and ghost table (:func:`near_field_plan`, which setup calls): the U
+members are resolved to their rows, unresolved ones raise, and the runs,
+their union columns and membership masks and the single leaves' sources
+are fixed. :func:`p2p_uli` then only gathers the charges and runs the
+blocks, each with the rows, columns and order the plan fixed, so one plan
+serves any charges and gives the bits a fresh plan gives. The plan keeps
+index arrays and boolean masks, never distance blocks; the single
+leaves' source rows are kept as segments and expanded on each call.
 """
 
 from __future__ import annotations
@@ -222,9 +232,15 @@ def template_inverse_distances(points, template, out=None):
 
 
 def _ranges(starts, lengths):
-    """Concatenation of ``arange(s, s + n)`` over ``starts``/``lengths``."""
+    """Concatenation of ``arange(s, s + n)`` over ``starts``/``lengths``,
+    as int32 where it fits: numpy repeats int32 several times faster than
+    int64."""
     ends = np.cumsum(lengths)
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
+    fits = not len(ends) or max(ends[-1], (starts + lengths).max()) < 2**31
+    dtype = np.int32 if fits else np.int64
+    out = np.repeat((starts - (ends - lengths)).astype(dtype), lengths)
+    out += np.arange(len(out), dtype=dtype)
+    return out
 
 
 def _sibling_runs(leaves, small):
@@ -236,101 +252,6 @@ def _sibling_runs(leaves, small):
     first = leaves[small & ~np.append(False, joins)]
     last = leaves[small & ~np.append(joins, False)]
     return zip(first.tolist(), last.tolist())
-
-
-def _uli_sweep(points, src_pts, src_chg, leaf_ranges, member_ptr, a, b, out):
-    """Mutual near-field sweep over the U members' segments ``[a, b)`` of
-    the sources (local points first, then ghosts), grouped per target leaf
-    by ``member_ptr``; see the module docstring."""
-    n_local, n_leaves = points.shape[0], len(leaf_ranges)
-    owner = np.repeat(np.arange(n_leaves), np.diff(member_ptr))
-    lo, hi = leaf_ranges[:, 0], leaf_ranges[:, 1]
-    rows, own_lo, own_hi = hi - lo, lo[owner], hi[owner]
-    ghost = a >= n_local
-    later = ~ghost & (a >= own_hi)
-    keep = (b > a) & (own_hi > own_lo) & (ghost | later | (a == own_lo))
-    n_src = np.bincount(owner, weights=(b - a) * keep, minlength=n_leaves).astype(np.int64)
-    leaves = np.flatnonzero(n_src)
-    small = rows[leaves] * n_src[leaves] < GROUP_FLOOR
-    single, work = leaves[~small].tolist(), np.empty(0)
-
-    # One block per run of small sibling leaves: the run's points against
-    # the union of its leaves' members that start at or after its first
-    # point (a local leaf before the run computes its pairs with the run).
-    # The block is cut into pieces of rows of at most GROUP_ENTRIES
-    # entries; a run whose block would exceed BLOCK_ENTRIES is swept leaf
-    # by leaf.
-    hit = np.zeros(len(src_pts), dtype=bool)
-    for first, last in _sibling_runs(leaves, small):
-        t0, t1, n = lo[first], hi[last], last + 1 - first
-        m0, m1 = member_ptr[first], member_ptr[last + 1]
-        use = m0 + np.flatnonzero((b[m0:m1] > a[m0:m1]) & (a[m0:m1] >= t0))
-        hit[a[use]] = True
-        cols = np.flatnonzero(hit)
-        hit[cols] = False
-        col = np.searchsorted(cols, a[use])
-        col_len = np.empty(len(cols), dtype=np.int64)
-        col_len[col] = b[use] - a[use]
-        n_cols = int(col_len.sum())
-        if (t1 - t0) * n_cols > BLOCK_ENTRIES:
-            single.extend(leaves[(leaves >= first) & (leaves <= last)].tolist())
-            continue
-        idx = _ranges(cols, col_len)
-        # member[i, c]: column c is a source of the run's i-th leaf.
-        member = np.zeros((n, len(cols)))
-        member[owner[use] - first, col] = 1.0
-        member = member.take(np.repeat(np.arange(len(cols)), col_len), axis=1)
-        weights = (member * src_chg[idx]).T
-        src, row_leaf = src_pts[idx], np.repeat(np.arange(n), rows[first : last + 1])
-        # Columns of the local leaves after the run, which get their pairs
-        # with it added back.
-        b0, b1 = np.searchsorted(idx, (t1, n_local))
-        step = max(1, GROUP_ENTRIES // n_cols)
-        if len(work) < 2 * step * n_cols:
-            work = np.empty(2 * step * n_cols)
-        for i0 in range(t0, t1, step):
-            i1 = min(i0 + step, t1)
-            leaf_of_row = row_leaf[i0 - t0 : i1 - t0]
-            r = inverse_distances(points[i0:i1], src, work)
-            # Each row's sum over its own leaf's sources: one product with
-            # the charges masked per leaf, then each row's entry for its leaf.
-            out[i0:i1] += (r @ weights).ravel()[np.arange(i1 - i0) * n + leaf_of_row]
-            if b1 > b0:
-                back = member[leaf_of_row, b0:b1]
-                back *= r[:, b0:b1]
-                out[idx[b0:b1]] += src_chg[i0:i1] @ back
-    if not single:
-        return out
-    single.sort()
-    chunks = _target_chunk(np.maximum(n_src[single], 1))
-    block = int((np.minimum(rows[single], chunks) * n_src[single]).max())
-    if len(work) < 2 * block:
-        work = np.empty(2 * block)
-    # Per target leaf: later local members, then itself, then ghosts,
-    # each group in key order.
-    keep = np.flatnonzero(keep)
-    keep = keep[np.lexsort((ghost[keep], ~later[keep], owner[keep]))]
-    owner, later, a, lens = owner[keep], later[keep], a[keep], (b - a)[keep]
-    seg_ptr = np.searchsorted(owner, np.arange(n_leaves + 1))
-    src_ptr = np.append(0, np.cumsum(lens))[seg_ptr]
-    n_later = np.append(0, np.cumsum(lens * later))[seg_ptr]
-    n_later = n_later[1:] - n_later[:-1]
-    src_idx = _ranges(a, lens)
-    for leaf, chunk in zip(single, chunks.tolist()):
-        t0, t1 = leaf_ranges[leaf]
-        idx = src_idx[src_ptr[leaf] : src_ptr[leaf + 1]]
-        m = n_later[leaf]
-        src, chg = src_pts[idx], src_chg[idx]
-        back = np.zeros(m)
-        for i0 in range(t0, t1, chunk):
-            i1 = min(i0 + chunk, t1)
-            r = inverse_distances(points[i0:i1], src, work)
-            out[i0:i1] += r @ chg
-            if m:
-                back += src_chg[i0:i1] @ r[:, :m]
-        if m:
-            out[idx[:m]] += back
-    return out
 
 
 def _require_finite(values, what):
@@ -406,48 +327,193 @@ class NearFieldGhosts:
         return {k: self.coords[a:b] for k, a, b in zip(leaves.tolist(), starts, ends)}
 
 
-def p2p_uli(tree, lists, charges, ghosts=None, out=None):
-    """Near-field sweep: direct interactions of every local target leaf
-    with all existing members of its U list (local and ghost).
+@dataclass
+class NearFieldPlan:
+    """The near-field sweep of one tree against one ghost table, fixed by
+    :func:`near_field_plan`; :func:`p2p_uli` runs it for any charges.
 
-    Raises :class:`UnresolvedDependencyError` for a member that is
-    neither local nor covered by ghost data.
+    Sources are the points, then the ghost rows. ``runs`` are the grouped
+    blocks, each ``(t0, t1, step, idx, member, col_len, pick, b0, b1,
+    back)``: its target points ``[t0, t1)``, taken ``step`` rows at a
+    time; its source rows ``idx``, the union of its leaves' members, of
+    which the c-th spans ``col_len[c]`` rows and belongs to the leaves
+    ``member[:, c]``; per target row, its entry ``pick`` of its piece's
+    product with the charges masked per leaf; and the rows ``idx[b0:b1]``
+    of the local leaves after the run with, per target row, the mask
+    ``back`` of those its pairs are added back to (None when there are
+    none). ``singles`` are the leaves swept alone, one row ``(t0, t1, s0,
+    s1, m, chunk)`` each: its points, its sources (entries ``s0:s1`` of
+    the expanded ``single_segments``, the first ``m`` of them later local
+    leaves) and the rows per block. ``single_segments`` holds the first
+    row and the length of every source segment, expanded on each call
+    rather than kept. Runs go first, then the single leaves in leaf
+    order, as every target row adds its blocks in that order.
     """
-    charges = np.ascontiguousarray(charges, dtype=np.float64).reshape(-1)
-    if charges.shape[0] != tree.n_points:
-        raise ValueError("charges length does not match tree points")
+
+    points: np.ndarray            # (n, 3) targets, the tree's points
+    ghost_coords: np.ndarray      # the ghost table's, whose rows follow the points
+    runs: list
+    singles: np.ndarray           # (leaves swept alone, 6)
+    single_segments: np.ndarray   # (2, segments): first source row, length
+    work_entries: int             # scratch entries the largest block needs
+
+
+def near_field_plan(tree, lists, ghosts=None, found=None):
+    """Plan the near-field sweep of every local target leaf with all
+    existing members of its U list (local and ghost): resolve the members
+    and fix the blocks; see the module docstring.
+
+    ``found`` is ``morton.find_keys(tree.leaves, lists.u_member_keys)``
+    when the caller has it already. Raises ``ValueError`` for a ghost
+    table whose columns differ in length or whose keys are not sorted, and
+    :class:`UnresolvedDependencyError` for a member that is neither local
+    nor covered by ghost data.
+    """
     if ghosts is None:
         ghosts = NearFieldGhosts()
-
     ghost_keys = ghosts.keys
     if not len(ghost_keys) == len(ghosts.coords) == len(ghosts.charges):
         raise ValueError("ghost keys, points and charges differ in length")
     if np.any(ghost_keys[1:] < ghost_keys[:-1]):
         raise ValueError("ghost keys are not sorted")
-    src_pts = np.concatenate([tree.points, ghosts.coords]) if len(ghost_keys) else tree.points
-    src_chg = np.concatenate([charges, ghosts.charges]) if len(ghost_keys) else charges
+    points, n_local = tree.points, tree.n_points
 
     # Resolve every U member, in leaf order, to a segment [a, b) of the
     # sources: a local leaf, else its run of ghost rows. Empty and
     # confirmed-absent members get an empty segment; any other member is
     # unresolved.
     keys = lists.u_member_keys
-    pos, local = find_keys(tree.leaves, keys)
-    lo = np.searchsorted(ghost_keys, keys, side="left")
-    hi = np.searchsorted(ghost_keys, keys, side="right")
-    missing = ~local & (hi == lo)
-    if missing.any():
-        unresolved = keys[missing][~np.isin(keys[missing], ghosts.confirmed_absent)]
-        if len(unresolved):
-            raise UnresolvedDependencyError(
-                f"unresolved dependency: no ghost data for U-list box {int(unresolved[0]):#x}"
-            )
-    own = tree.leaf_ranges[pos]
-    a = np.where(local, own[:, 0], tree.n_points + lo)
-    b = np.where(local, own[:, 1], tree.n_points + hi)
+    pos, local = find_keys(tree.leaves, keys) if found is None else found
+    g0 = np.searchsorted(ghost_keys, keys, side="left")
+    g1 = np.searchsorted(ghost_keys, keys, side="right")
+    missing = keys[~local & (g1 == g0)]
+    unresolved = missing[~find_keys(ghosts.confirmed_absent, missing)[1]]
+    if len(unresolved):
+        raise UnresolvedDependencyError(
+            f"unresolved dependency: no ghost data for U-list box {int(unresolved[0]):#x}"
+        )
+    lo, hi = tree.leaf_ranges.T
+    a = np.where(local, lo[pos], n_local + g0)
+    b = np.where(local, hi[pos], n_local + g1)
 
-    if out is None:
-        out = np.zeros(tree.n_points, dtype=np.float64)
-    return _uli_sweep(
-        tree.points, src_pts, src_chg, tree.leaf_ranges, lists.u_member_ptr, a, b, out
-    )
+    # A target leaf's sources: its later members (ghosts, then local leaves
+    # at or after its end) and itself; see the module docstring.
+    member_ptr, n_leaves = lists.u_member_ptr, len(lo)
+    owner = np.repeat(np.arange(n_leaves), np.diff(member_ptr))
+    rows = hi - lo
+    keep = (b > a) & (a >= lo[owner]) & (rows[owner] > 0)
+    n_src = np.bincount(owner, weights=(b - a) * keep, minlength=n_leaves).astype(np.int64)
+    leaves = np.flatnonzero(n_src)
+    small = rows[leaves] * n_src[leaves] < GROUP_FLOOR
+    single, runs, work = leaves[~small].tolist(), [], 0
+
+    # One block per run of small sibling leaves: the run's points against
+    # the union of its leaves' members that start at or after its first
+    # point (a local leaf before the run computes its pairs with the run).
+    # The block is cut into pieces of rows of at most GROUP_ENTRIES
+    # entries; a run whose block would exceed BLOCK_ENTRIES is swept leaf
+    # by leaf.
+    hit = np.zeros(n_local + len(ghost_keys), dtype=bool)
+    for first, last in _sibling_runs(leaves, small):
+        t0, t1, n = int(lo[first]), int(hi[last]), last + 1 - first
+        m0, m1 = member_ptr[first], member_ptr[last + 1]
+        use = m0 + np.flatnonzero((b[m0:m1] > a[m0:m1]) & (a[m0:m1] >= t0))
+        starts = a[use]
+        hit[starts] = True
+        cols = np.flatnonzero(hit)
+        hit[cols] = False
+        col = np.searchsorted(cols, starts)
+        col_len = np.empty(len(cols), dtype=np.int64)
+        col_len[col] = b[use] - starts
+        n_cols = int(col_len.sum())
+        if (t1 - t0) * n_cols > BLOCK_ENTRIES:
+            single += range(first, last + 1)
+            continue
+        idx = _ranges(cols, col_len)
+        # member[i, c]: the c-th member of the union is a source of the
+        # run's i-th leaf; it spans col_len[c] columns.
+        member = np.zeros((n, len(cols)), dtype=bool)
+        member[owner[use] - first, col] = True
+        # Columns of the local leaves after the run, which get their pairs
+        # with it added back.
+        b0, b1 = np.searchsorted(idx, (t1, n_local)).tolist()
+        step = max(1, GROUP_ENTRIES // n_cols)
+        work = max(work, 2 * step * n_cols)
+        # Per row, its entry in its piece's (rows, leaves) product with the
+        # charges masked per leaf: row i of a piece reads entry i * n + its
+        # leaf. And its leaf's mask of the columns added back to.
+        leaf_of_row = np.repeat(np.arange(n), rows[first : last + 1])
+        pick = np.arange(t1 - t0) % step * n + leaf_of_row
+        back = np.repeat(member, col_len, axis=1)[leaf_of_row, b0:b1] if b1 > b0 else None
+        runs.append((t0, t1, step, idx, member, col_len, pick.astype(np.int32), b0, b1, back))
+
+    singles, single_segments = np.empty((0, 6), np.int64), np.empty((2, 0), np.int64)
+    if single:
+        # Per single target leaf: later local members, then itself, then
+        # ghosts, each group in key order. An oversized run listed every
+        # leaf from its first to its last; the empty ones among them have
+        # no sources and are dropped.
+        single = np.array(sorted(single))
+        single = single[n_src[single] > 0]
+        chunks = _target_chunk(n_src[single])
+        work = max(work, 2 * int((np.minimum(rows[single], chunks) * n_src[single]).max()))
+        is_single = np.zeros(n_leaves, dtype=bool)
+        is_single[single] = True
+        keep = np.flatnonzero(keep & is_single[owner])
+        owner, a, lens = owner[keep], a[keep], (b - a)[keep]
+        later = (a >= hi[owner]) & (a < n_local)
+        keep = np.lexsort((a >= n_local, ~later, owner))
+        owner, later, a, lens = owner[keep], later[keep], a[keep], lens[keep]
+        seg = np.searchsorted(owner, (single, single + 1))
+        s0, s1 = np.append(0, np.cumsum(lens))[seg]
+        later0, later1 = np.append(0, np.cumsum(lens * later))[seg]
+        single_segments = np.stack([a, lens])
+        singles = np.stack([lo[single], hi[single], s0, s1, later1 - later0, chunks], axis=1)
+    return NearFieldPlan(points, ghosts.coords, runs, singles, single_segments, work)
+
+
+def p2p_uli(plan, charges, ghost_charges=None):
+    """Near-field sweep: run the blocks of a :func:`near_field_plan` with
+    the local ``charges`` (tree order) and the ``ghost_charges`` of the
+    plan's ghost rows; returns the potential at every local point."""
+    n_local = len(plan.points)
+    charges = np.ascontiguousarray(charges, dtype=np.float64).reshape(-1)
+    if charges.shape[0] != n_local:
+        raise ValueError("charges length does not match tree points")
+    n_ghost = len(plan.ghost_coords)
+    ghost_charges = np.empty(0) if ghost_charges is None else ghost_charges
+    if len(ghost_charges) != n_ghost:
+        raise ValueError(
+            f"{len(ghost_charges)} ghost charges for the plan's {n_ghost} ghost rows"
+        )
+    src_pts = np.concatenate([plan.points, plan.ghost_coords]) if n_ghost else plan.points
+    src_chg = np.concatenate([charges, ghost_charges]) if n_ghost else charges
+    points, out = plan.points, np.zeros(n_local, dtype=np.float64)
+    work = np.empty(plan.work_entries)
+
+    for t0, t1, step, idx, member, col_len, pick, b0, b1, back in plan.runs:
+        src = src_pts[idx]
+        weights = (np.repeat(member, col_len, axis=1) * src_chg[idx]).T
+        for i0 in range(t0, t1, step):
+            i1 = min(i0 + step, t1)
+            r = inverse_distances(points[i0:i1], src, work)
+            # Each row's sum over its own leaf's sources: one product with
+            # the charges masked per leaf, then each row's entry for its leaf.
+            out[i0:i1] += (r @ weights).ravel()[pick[i0 - t0 : i1 - t0]]
+            if back is not None:
+                out[idx[b0:b1]] += src_chg[i0:i1] @ (r[:, b0:b1] * back[i0 - t0 : i1 - t0])
+
+    single_idx = _ranges(*plan.single_segments)
+    for t0, t1, s0, s1, m, chunk in plan.singles.tolist():
+        idx = single_idx[s0:s1]
+        src, chg = src_pts[idx], src_chg[idx]
+        back = np.zeros(m)
+        for i0 in range(t0, t1, chunk):
+            i1 = min(i0 + chunk, t1)
+            r = inverse_distances(points[i0:i1], src, work)
+            out[i0:i1] += r @ chg
+            if m:
+                back += src_chg[i0:i1] @ r[:, :m]
+        if m:
+            out[idx[:m]] += back
+    return out

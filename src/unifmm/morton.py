@@ -128,10 +128,10 @@ def make_key(ix, iy, iz, level):
     """Key for the box with lattice coordinates (ix, iy, iz) at ``level``."""
     level = _u64(level)
     shift = np.uint64(MAX_DEPTH) - level
-    code = _spread_bits(_u64(ix) << shift)
-    code |= _spread_bits(_u64(iy) << shift) << np.uint64(1)
-    code |= _spread_bits(_u64(iz) << shift) << np.uint64(2)
-    return (code << _LEVEL_SHIFT) | level
+    # One spread of the three axes stacked: on the small arrays of one
+    # rank's boxes, the numpy calls cost more than their entries.
+    x, y, z = _spread_bits(np.stack(np.broadcast_arrays(ix, iy, iz)).astype(np.uint64) << shift)
+    return ((x | (y << np.uint64(1)) | (z << np.uint64(2))) << _LEVEL_SHIFT) | level
 
 
 def key_level(key):

@@ -44,13 +44,13 @@ order but gives each GEMM fewer rows, and OpenBLAS rounds the rows of a
 GEMM's M remainder differently, so a level of more than one tile may
 differ from the untiled result by rounding (order 7, P=1: 5e-18
 relative L2 on a 4096-point cube; bit-identical at the other orders).
-The rows each product reads and adds to are planned once per set of
-pairs (:func:`group_pairs_by_transfer`), so an evaluate only gathers,
-multiplies and scatter-adds; products too small to earn a call of their
-own share a gather and an ordered scatter-add. The 8 child octants are the
-sign flips of child octant 0 in the same way, so U2U and D2D store one
-matrix each and run one product per level over all children in their
-flip frames. A flipped U2U matrix carries a permuted copy of the
+The rows each product reads and adds to, and which products too small
+to earn a call of their own share a gather and an ordered scatter-add,
+are planned once per set of pairs (:func:`group_pairs_by_transfer`), so
+an evaluate only gathers, multiplies and scatter-adds. The 8 child
+octants are the sign flips of child octant 0 in the same way, so U2U and
+D2D store one matrix each and run one product per level over all
+children in their flip frames. A flipped U2U matrix carries a permuted copy of the
 truncated up solve, equal to the solve S2U uses only to about 4e-7 at
 order 8. There the cutoff keeps singular values down to 1.3e-10 of the
 largest, whose directions only rounding fixes: equally valid
@@ -483,15 +483,16 @@ def upward_pass(tree, ops, store, charges):
     return u2u_pass(ops, store)
 
 
-def group_pairs_by_transfer(tgt_idx, src_rows, tv_idx):
-    """Plan :func:`apply_m2l` over interaction pairs. Targets are cut into
-    tiles of ``tile = M2L_TILE_TARGETS`` consecutive indices, and pairs
-    are sorted by (tile, orthant matrix, flip, target). Returns ``(tgt,
-    rows_in, rows_out, cuts, tile)``: per pair in that order its target,
-    its row in the source frames (``8 * src + flip``) and its row in its
-    tile's accumulator (``flip * w + tgt % tile``, ``w = min(tile, n_t)``,
-    ``n_t`` one more than the largest target); pairs ``cuts[k, m]:cuts[k,
-    m + 1]`` are tile ``k``'s with stored matrix ``m``."""
+def group_pairs_by_transfer(tgt_idx, src_rows, tv_idx, n_coeff):
+    """Plan :func:`apply_m2l` over interaction pairs of ``n_coeff``-long
+    expansions. Targets are cut into tiles of ``tile = M2L_TILE_TARGETS``
+    consecutive indices, and pairs are sorted by (tile, orthant matrix,
+    flip, target). Returns ``(tgt, rows_in, rows_out, runs, tile)``: per
+    pair in that order its target, its row in the source frames (``8 *
+    src + flip``) and its row in its tile's accumulator (``flip * w + tgt
+    % tile``, ``w = min(tile, n_t)``, ``n_t`` one more than the largest
+    target); ``runs[k]`` lists tile ``k``'s products (:func:`_product_runs`),
+    empty for a tile without pairs."""
     mat, flip = TRANSFER_ORTHANT[tv_idx], TRANSFER_FLIP[tv_idx]
     n_t = int(tgt_idx.max()) + 1 if len(tgt_idx) else 0
     tile, n_mat = M2L_TILE_TARGETS, len(ORTHANT_VECTORS)
@@ -502,13 +503,16 @@ def group_pairs_by_transfer(tgt_idx, src_rows, tv_idx):
     n_tiles = -(-n_t // tile)
     bounds = np.searchsorted(block[order], np.arange(n_tiles * n_mat + 1))
     cuts = bounds[np.arange(n_tiles)[:, None] * n_mat + np.arange(n_mat + 1)]
-    return tgt, 8 * src_rows[order] + flip, flip * min(tile, n_t) + tgt % tile, cuts, tile
+    small, most = SMALL_PRODUCT // n_coeff, 4 * SMALL_PRODUCT // n_coeff
+    runs = [_product_runs(tile_cuts, small, most) for tile_cuts in cuts.tolist()]
+    return tgt, 8 * src_rows[order] + flip, flip * min(tile, n_t) + tgt % tile, runs, tile
 
 
 def _product_runs(cuts, small, most):
-    """Runs of products in matrix order over one tile's ``cuts``: one of
-    ``small`` pairs or more, or consecutive smaller ones up to ``most``
-    pairs together; each a list of (matrix, first pair, end pair)."""
+    """Runs of products in matrix order over one tile's ``cuts`` (its pairs
+    ``cuts[m]:cuts[m + 1]`` take stored matrix ``m``): one of ``small``
+    pairs or more, or consecutive smaller ones up to ``most`` pairs
+    together; each a list of (matrix, first pair, end pair)."""
     runs = []
     for m, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
         if b == a:
@@ -549,19 +553,20 @@ def apply_m2l(ops, grouped, u_rows, d):
     rows and adds its result on its own. Consecutive smaller ones, which
     cost more per call than per entry, share one gather of at most 4 times
     as many entries and one ``np.add.at``, which adds in pair order, so
-    every accumulator row still sums its products in matrix order.
+    every accumulator row still sums its products in matrix order. The
+    plan fixes these runs (:func:`_product_runs`); any grouping of
+    consecutive products gives the same bits.
     """
-    tgt, rows_in, rows_out, cuts, tile = grouped
+    tgt, rows_in, rows_out, runs, tile = grouped
     n_t, n_e = (int(tgt.max()) + 1 if len(tgt) else 0), d.shape[1]
     width = min(tile, n_t)
     frames = np.take(u_rows, ops.flip_perm, axis=1).reshape(-1, n_e)
     acc = np.zeros((8 * width, n_e), dtype=d.dtype)
     fold = acc.reshape(8, width, n_e)
-    small, most = SMALL_PRODUCT // n_e, 4 * SMALL_PRODUCT // n_e
-    for k, tile_cuts in enumerate(cuts.tolist()):
-        if tile_cuts[0] == tile_cuts[-1]:
+    for k, tile_runs in enumerate(runs):
+        if not tile_runs:
             continue
-        for run in _product_runs(tile_cuts, small, most):
+        for run in tile_runs:
             g0, g1 = run[0][1], run[-1][2]
             src = frames[rows_in[g0:g1]]
             if len(run) == 1:
@@ -587,7 +592,7 @@ class VListPlan:
     rows index the level's :attr:`ExpansionStore.u_rows` (local rows, then
     ghost rows)."""
 
-    grouped: dict            # level -> (tgt, rows_in, rows_out, cuts, tile)
+    grouped: dict            # level -> (tgt, rows_in, rows_out, runs, tile)
 
 
 def vli_downward(ops, store, plan):

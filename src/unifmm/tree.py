@@ -221,40 +221,50 @@ def compute_v_list(tree, box):
 
 
 def _v_templates():
-    """Per octant of a box in its parent, the offsets of its V members (the
-    children of the parent's 27-cell neighborhood that are not adjacent to
-    it), one plane per axis, (3, 8, 189); and their transfer-vector
-    indices, (8, 189)."""
-    cand = (HALO_OFFSETS[:, None, :] * 2 + _OCTANT_OFFSETS).reshape(216, 3)
-    offs = cand - _OCTANT_OFFSETS[:, None, :]
-    offsets = offs[np.abs(offs).max(axis=2) >= 2].reshape(8, 189, 3).transpose(2, 0, 1)
-    return np.ascontiguousarray(offsets), TRANSFER_INDEX[tuple(offsets + 3)]
+    """Per octant of a box in its parent, the transfer-vector index of each
+    child octant of each cell of the parent's 27-cell neighborhood (in
+    :data:`morton.HALO_OFFSETS` order), -1 for a child adjacent to the
+    box: (8, 27, 8)."""
+    child = HALO_OFFSETS[:, None, :] * 2 + _OCTANT_OFFSETS
+    offsets = child - _OCTANT_OFFSETS[:, None, None, :]
+    return TRANSFER_INDEX[tuple(np.moveaxis(offsets + 3, -1, 0))]
 
 
-V_OFFSETS, V_TRANSFER = _v_templates()
+V_TRANSFER = _v_templates()
 
 
 def _v_members_with_vectors(box_keys, level):
-    """Vectorized V-list enumeration for same-level ``box_keys``: each
-    box's octant template of :data:`V_OFFSETS`, cut to the lattice.
+    """Vectorized V-list enumeration for same-level ``box_keys``: the
+    children of each box's parent-level neighborhood, cut to the lattice,
+    that its octant's :data:`V_TRANSFER` template admits.
 
     Returns (owner_box_positions, member_keys, transfer_index) flattened
     over all boxes; members are emitted in ascending key order per box.
     """
-    n_cells = 1 << level
     coords = anchor_lattice(box_keys)
     octant = (coords & 1) @ np.array([1, 2, 4])
-    cand = [coords[:, axis, None] + V_OFFSETS[axis][octant] for axis in range(3)]
-    keep = np.ones(cand[0].shape, dtype=bool)
-    for c in cand:
-        keep &= (c >= 0) & (c < n_cells)
-    box_pos, flat = np.nonzero(keep)
-    keys = make_key(*(c[keep] for c in cand), level)
-    tv_idx = V_TRANSFER[octant[box_pos], flat]
-    # Members in key order per box. This fixes the lists' order only: M2L
-    # adds in the order operators.group_pairs_by_transfer plans.
-    order = np.lexsort((keys, box_pos))
-    return box_pos[order], keys[order], tv_idx[order]
+    # A child's key is its parent's with the octant below the parent's
+    # anchor bits and the level one higher, so members in (parent key,
+    # octant) order are in key order: only each box's 27 parent-level
+    # cells need sorting. A cell outside the lattice takes the key of the
+    # cell it clips to; none of its children is kept. This fixes the
+    # lists' order only: M2L adds in the order
+    # operators.group_pairs_by_transfer plans.
+    cells = (coords >> 1)[:, None, :] + HALO_OFFSETS
+    top = (1 << (level - 1)) - 1
+    inside = np.all((cells >= 0) & (cells <= top), axis=2)
+    cell_keys = make_key(*np.clip(cells, 0, top).transpose(2, 0, 1), level - 1)
+    order = np.argsort(cell_keys, axis=1)
+    rows = np.arange(len(coords))[:, None]
+    tv = V_TRANSFER[octant[:, None], order]
+    keep = (tv >= 0) & inside[rows, order][:, :, None]
+    box_pos, cell, child = np.nonzero(keep)
+    slot = np.uint64(3 * (MAX_DEPTH - level) + morton.LEVEL_BITS)
+    keys = (cell_keys[box_pos, order[box_pos, cell]] + np.uint64(1)) | (
+        child.astype(np.uint64) << slot
+    )
+    # np.nonzero returns views into one (members, 3) array; keep a copy.
+    return box_pos.copy(), keys, tv[keep]
 
 
 def transfer_vector(source, target):

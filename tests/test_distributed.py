@@ -407,6 +407,50 @@ def test_near_field_blocks_per_rank_at_weak_scaling_shape(monkeypatch):
         assert 0 < calls[f"fmm-rank-{state.rank}"] < occupied
 
 
+def test_evaluate_replays_the_setup_plans(monkeypatch):
+    # Setup fixes the near-field blocks and the M2L product runs; evaluate
+    # and update_charges only run them. With every planning step made to
+    # raise once setup is done, evaluate, update_charges and evaluate
+    # again give the potentials of an unpatched run, bit for bit.
+    pts, chg = raw_instance(4096, seed=19, sphere=True)
+    config = cfg(order=4)
+    chunks = np.array_split(np.arange(len(pts)), 8)
+
+    def planning(*args, **kwargs):
+        raise AssertionError("planned after setup")
+
+    def forbid_planning():
+        for module, name in [(kernels, "find_keys"), (kernels, "near_field_plan"),
+                             (distributed, "near_field_plan"), (operators, "_product_runs")]:
+            monkeypatch.setattr(module, name, planning)
+
+    def run(after_setup):
+        barrier = threading.Barrier(8, action=after_setup)
+
+        def program(comm):
+            state = setup(comm, pts[chunks[comm.rank]], chg[chunks[comm.rank]], config)
+            barrier.wait()
+            first = evaluate(state).potentials
+            new = np.random.default_rng([20, comm.rank]).random(state.tree.n_points)
+            update_charges(state, new)
+            return state, first, evaluate(state).potentials
+
+        return run_spmd(create_world(8, seed=config.seed), program)
+
+    want = run(None)
+    got = run(forbid_planning)
+    for (_, *w), (_, *g) in zip(want, got):
+        assert all(np.array_equal(a, b) for a, b in zip(w, g))
+    # The plans hold grouped and single near-field blocks, ghost rows, and
+    # M2L runs of several products.
+    plans = [state.near_plan for state, *_ in got]
+    assert all(p.runs for p in plans) and any(len(p.singles) for p in plans)
+    assert all(len(p.ghost_coords) for p in plans)
+    m2l_runs = [run for state, *_ in got for g in state.v_plan.grouped.values()
+                for tile_runs in g[3] for run in tile_runs]
+    assert any(len(run) > 1 for run in m2l_runs)
+
+
 def test_unresolved_dependency_after_ghost_drop():
     pts, chg = raw_instance(2048, seed=10)
     chunks = np.array_split(np.arange(len(pts)), 8)

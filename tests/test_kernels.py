@@ -17,6 +17,7 @@ from unifmm.kernels import (
     kernel_backend,
     laplace_kernel,
     laplace_potential,
+    near_field_plan,
     p2p_uli,
     point_operand,
     template_inverse_distances,
@@ -147,7 +148,7 @@ def test_p2p_uli_two_adjacent_leaves():
     tree, _ = _center_point_tree([[0, 0, 0], [1, 0, 0]], 2, 1, 1)
     lists = build_interaction_lists(tree)
     charges = np.ones(2)
-    f = p2p_uli(tree, lists, charges)
+    f = p2p_uli(near_field_plan(tree, lists), charges)
     r = 0.25  # cell centers one cell apart
     np.testing.assert_allclose(f, [1 / r, 1 / r], rtol=1e-14)
 
@@ -159,7 +160,7 @@ def test_p2p_uli_isolated_leaf_sees_only_itself():
     pts = tree.points.copy()
     pts[1] += 0.01
     tree.points[:] = pts
-    f = p2p_uli(tree, lists, np.ones(2))
+    f = p2p_uli(near_field_plan(tree, lists), np.ones(2))
     want = python_double_loop(pts, pts, np.ones(2))
     np.testing.assert_allclose(f, want, rtol=1e-12)
 
@@ -177,7 +178,7 @@ def test_p2p_uli_matches_direct_sum_on_dense_small_domain():
     lists = build_interaction_lists(tree)
     charges = rng.random(64)
     # Only the points in octant 0 interact fully; all lie there by scaling.
-    f = p2p_uli(tree, lists, charges)
+    f = p2p_uli(near_field_plan(tree, lists), charges)
     ref = direct_sum(pts, pts, charges)
     np.testing.assert_allclose(f, ref, rtol=1e-12)
 
@@ -191,7 +192,7 @@ def test_p2p_uli_unresolved_dependency():
     tree = build_tree(pts, UNIT, 1, 1, local_roots=[root])
     lists = build_interaction_lists(tree)
     with pytest.raises(UnresolvedDependencyError, match="unresolved dependency"):
-        p2p_uli(tree, lists, np.ones(1))
+        near_field_plan(tree, lists)
 
 
 def _ghost_table(points, charges, absent=()):
@@ -227,7 +228,7 @@ def test_p2p_uli_ghosts_resolve_remote_members():
     anchor, side = morton.decode(gkey, UNIT)
     gpt = anchor + 0.5 * side
     ghosts = _ghost_table({gkey: gpt[None, :]}, {gkey: np.array([2.0])}, remote[1:])
-    f = p2p_uli(tree, lists, np.ones(1), ghosts)
+    f = p2p_uli(near_field_plan(tree, lists, ghosts), np.ones(1), ghosts.charges)
     want = 2.0 / np.linalg.norm(tree.points[0] - gpt)
     np.testing.assert_allclose(f, [want], rtol=1e-14)
 
@@ -237,19 +238,25 @@ def test_p2p_uli_rejects_malformed_ghost_table():
     k0, k1 = sorted(remote)[:2]
     gpts = {k: morton.decode(k, UNIT)[0][None, :] + 0.01 for k in (k0, k1)}
     ghosts = _ghost_table(gpts, {k0: np.ones(1), k1: np.ones(1)}, set(remote) - {k0, k1})
-    p2p_uli(tree, lists, np.ones(1), ghosts)
+    plan = near_field_plan(tree, lists, ghosts)
+    p2p_uli(plan, np.ones(1), ghosts.charges)
     short = NearFieldGhosts(ghosts.keys, ghosts.coords, ghosts.charges[:1],
                             ghosts.confirmed_absent)
     with pytest.raises(ValueError, match="differ in length"):
-        p2p_uli(tree, lists, np.ones(1), short)
+        near_field_plan(tree, lists, short)
     short = NearFieldGhosts(ghosts.keys[:1], ghosts.coords, ghosts.charges,
                             ghosts.confirmed_absent)
     with pytest.raises(ValueError, match="differ in length"):
-        p2p_uli(tree, lists, np.ones(1), short)
+        near_field_plan(tree, lists, short)
     swapped = NearFieldGhosts(ghosts.keys[::-1], ghosts.coords, ghosts.charges,
                               ghosts.confirmed_absent)
     with pytest.raises(ValueError, match="ghost keys are not sorted"):
-        p2p_uli(tree, lists, np.ones(1), swapped)
+        near_field_plan(tree, lists, swapped)
+    # A run's charges must match the plan's rows.
+    with pytest.raises(ValueError, match="1 ghost charges for the plan's 2 ghost rows"):
+        p2p_uli(plan, np.ones(1), ghosts.charges[:1])
+    with pytest.raises(ValueError, match="charges length does not match tree points"):
+        p2p_uli(plan, np.ones(2), ghosts.charges)
 
 
 def _points_with_duplicates(rng, n_t, n_s):
@@ -392,7 +399,7 @@ def test_p2p_uli_matches_direct_sum_on_clustered_leaves_with_ghost():
     assert gkey in remote
     ghosts = _ghost_table({gkey: gpts}, {gkey: gchg}, remote - {gkey})
     charges = rng.standard_normal(len(pts))
-    f = p2p_uli(tree, lists, charges, ghosts)
+    f = p2p_uli(near_field_plan(tree, lists, ghosts), charges, ghosts.charges)
 
     sees_ghost = np.floor(pts[:, 0] * 4) == 1
     ref = direct_sum(pts, pts, charges) + sees_ghost * direct_sum(pts, gpts, gchg)
@@ -449,29 +456,20 @@ def test_p2p_uli_mutual_matches_one_way_per_leaf_oracle():
     ghosts = _ghost_table(gpts, gchg, remote[1::2])
     charges = rng.random(len(pts))
 
-    got = p2p_uli(tree, lists, charges, ghosts)
+    got = p2p_uli(near_field_plan(tree, lists, ghosts), charges, ghosts.charges)
     np.testing.assert_allclose(got, _one_way_near_field(tree, lists, charges, ghosts), rtol=1e-13)
 
     dropped = remote[0]
     del gpts[dropped], gchg[dropped]
     with pytest.raises(UnresolvedDependencyError, match=f"{dropped:#x}"):
-        p2p_uli(tree, lists, charges, _ghost_table(gpts, gchg, remote[1::2]))
+        near_field_plan(tree, lists, _ghost_table(gpts, gchg, remote[1::2]))
 
 
-@pytest.mark.parametrize("block_entries, n_large", [(None, 3), (2048, 3), (2048, 0)])
-def test_p2p_uli_grouped_blocks_match_one_way_per_leaf_oracle(monkeypatch, block_entries, n_large):
-    # Own root octants 0 and 1 at d_g=1, d_l=2 (leaf lattice 8x4x4). Most
-    # occupied leaves hold 8 points, under the floor, so runs of sibling
-    # leaves share blocks, cut into row pieces; n_large hold 80 points and
-    # are swept leaf by leaf, so pairs between a run and a single leaf are
-    # added back both ways. A fifth of the leaves are empty, some points
-    # coincide, and the remote U members across y=4 and z=4 are split
-    # between ghost rows and confirmed-absent boxes. With 2048-entry blocks
-    # most runs are too large and are swept leaf by leaf, large leaves in
-    # pieces.
-    if block_entries:
-        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block_entries)
-    rng = np.random.default_rng(10)
+def _sibling_leaves_instance(rng, n_large):
+    """Own root octants 0 and 1 at d_g=1, d_l=2 (leaf lattice 8x4x4): most
+    occupied leaves hold 8 points, ``n_large`` hold 80, a fifth are empty
+    and some points coincide. Returns the tree, its lists, 8 ghost points
+    and charges for every other remote U member, and all remote members."""
     level = 3
     roots = [morton.make_key(0, 0, 0, 1), morton.make_key(1, 0, 0, 1)]
     cells = np.array([(x, y, z) for x in range(8) for y in range(4) for z in range(4)])
@@ -490,18 +488,37 @@ def test_p2p_uli_grouped_blocks_match_one_way_per_leaf_oracle(monkeypatch, block
         anchor, side = morton.decode(key, UNIT)
         gpts[key] = anchor + rng.random((8, 3)) * side
         gchg[key] = rng.random(8)
+    return tree, lists, gpts, gchg, remote
+
+
+@pytest.mark.parametrize("block_entries, n_large", [(None, 3), (2048, 3), (2048, 0)])
+def test_p2p_uli_grouped_blocks_match_one_way_per_leaf_oracle(monkeypatch, block_entries, n_large):
+    # Own root octants 0 and 1 at d_g=1, d_l=2 (leaf lattice 8x4x4). Most
+    # occupied leaves hold 8 points, under the floor, so runs of sibling
+    # leaves share blocks, cut into row pieces; n_large hold 80 points and
+    # are swept leaf by leaf, so pairs between a run and a single leaf are
+    # added back both ways. A fifth of the leaves are empty, some points
+    # coincide, and the remote U members across y=4 and z=4 are split
+    # between ghost rows and confirmed-absent boxes. With 2048-entry blocks
+    # most runs are too large and are swept leaf by leaf, large leaves in
+    # pieces.
+    if block_entries:
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(10)
+    tree, lists, gpts, gchg, remote = _sibling_leaves_instance(rng, n_large)
     ghosts = _ghost_table(gpts, gchg, remote[1::2])
-    charges = rng.random(len(pts))
+    charges = rng.random(tree.n_points)
 
     want = _one_way_near_field(tree, lists, charges, ghosts)
+    plan = near_field_plan(tree, lists, ghosts)
     blocks = []
     real = kernels.inverse_distances
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "inverse_distances",
                       lambda t, s, work=None: blocks.append(len(t) * len(s)) or real(t, s, work))
-        got = p2p_uli(tree, lists, charges, ghosts)
+        got = p2p_uli(plan, charges, ghosts.charges)
     np.testing.assert_allclose(got, want, rtol=1e-13)
-    occupied = int(tree.level_nonempty[level].sum())
+    occupied = int(tree.level_nonempty[tree.leaf_level].sum())
     if block_entries:
         assert len(blocks) >= occupied
     else:
@@ -510,4 +527,21 @@ def test_p2p_uli_grouped_blocks_match_one_way_per_leaf_oracle(monkeypatch, block
     dropped = remote[0]
     del gpts[dropped], gchg[dropped]
     with pytest.raises(UnresolvedDependencyError, match=f"{dropped:#x}"):
-        p2p_uli(tree, lists, charges, _ghost_table(gpts, gchg, remote[1::2]))
+        near_field_plan(tree, lists, _ghost_table(gpts, gchg, remote[1::2]))
+
+
+def test_p2p_uli_one_plan_serves_any_charges():
+    # The plan holds no charges: one plan run with two charge vectors gives,
+    # bit for bit, what a fresh plan for each gives, over grouped runs and
+    # single leaves alike.
+    rng = np.random.default_rng(12)
+    tree, lists, gpts, gchg, remote = _sibling_leaves_instance(rng, n_large=3)
+    ghosts = _ghost_table(gpts, gchg, remote[1::2])
+    plan = near_field_plan(tree, lists, ghosts)
+    assert plan.runs and len(plan.singles)
+    for _ in range(2):
+        charges = rng.standard_normal(tree.n_points)
+        ghosts.charges = rng.standard_normal(len(ghosts.keys))
+        got = p2p_uli(plan, charges, ghosts.charges)
+        want = p2p_uli(near_field_plan(tree, lists, ghosts), charges, ghosts.charges)
+        assert np.array_equal(got, want)

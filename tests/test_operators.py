@@ -426,7 +426,7 @@ def check_apply_m2l_against_dense(dtype, rtol, pool, seed):
     u_local = rng.standard_normal((n_local, ops.n_coeff)).astype(dtype)
     ghost = rng.standard_normal((n_ghost, ops.n_coeff)).astype(dtype)
     d0 = rng.standard_normal((n_t, ops.n_coeff)).astype(dtype)
-    grouped = group_pairs_by_transfer(tgt, src, tv)
+    grouped = group_pairs_by_transfer(tgt, src, tv, ops.n_coeff)
     assert len(grouped[0]) == len(tgt)
     got = apply_m2l(ops, grouped, np.concatenate([u_local, ghost]), d0.copy())
 
@@ -455,9 +455,9 @@ def test_apply_m2l_tiles_match_dense_per_vector_sum(dtype, rtol):
     # Targets in tiles 0, 2 and a partial tile 3; tile 1 has no pairs.
     tile = operators.M2L_TILE_TARGETS
     pool = np.concatenate([np.arange(0, tile, 5), np.arange(2 * tile, 3 * tile + tile // 3, 3)])
-    tgt, _, _, cuts, grouped_tile = check_apply_m2l_against_dense(dtype, rtol, pool, seed=31)
+    tgt, _, _, runs, grouped_tile = check_apply_m2l_against_dense(dtype, rtol, pool, seed=31)
     assert grouped_tile == tile and tgt.max() == pool[-1] and (pool[-1] + 1) % tile
-    assert [a == b for a, b in cuts[:, [0, -1]]] == [False, True, False, False]
+    assert [not tile_runs for tile_runs in runs] == [False, True, False, False]
 
 
 def test_apply_m2l_tiles_match_one_tile_per_level(monkeypatch):
@@ -467,9 +467,9 @@ def test_apply_m2l_tiles_match_one_tile_per_level(monkeypatch):
     keys = morton.all_keys(3)
     tgt, members, tv = _v_members_with_vectors(keys, 3)
     u = np.random.default_rng(37).standard_normal((len(keys), ops.n_coeff))
-    tiled = group_pairs_by_transfer(tgt, np.searchsorted(keys, members), tv)
+    tiled = group_pairs_by_transfer(tgt, np.searchsorted(keys, members), tv, ops.n_coeff)
     monkeypatch.setattr(operators, "M2L_TILE_TARGETS", len(keys))
-    whole = group_pairs_by_transfer(tgt, np.searchsorted(keys, members), tv)
+    whole = group_pairs_by_transfer(tgt, np.searchsorted(keys, members), tv, ops.n_coeff)
     assert len(tiled[3]) == len(keys) // tiled[4] > 1 and len(whole[3]) == 1
     got = apply_m2l(ops, tiled, u, np.zeros_like(u))
     want = apply_m2l(ops, whole, u, np.zeros_like(u))
@@ -484,7 +484,7 @@ def test_apply_m2l_memory_stays_near_its_frames():
     ops = get_operator_set(6)
     keys = morton.all_keys(3)
     tgt, members, tv = _v_members_with_vectors(keys, 3)
-    grouped = group_pairs_by_transfer(tgt, np.searchsorted(keys, members), tv)
+    grouped = group_pairs_by_transfer(tgt, np.searchsorted(keys, members), tv, ops.n_coeff)
     u = np.random.default_rng(41).standard_normal((len(keys), ops.n_coeff))
     d = np.zeros_like(u)
     tracemalloc.start()

@@ -213,6 +213,40 @@ def test_v_templates_match_definition_per_box(keys):
         assert got == want
 
 
+def lexsorted_v_members(box_keys, level):
+    """Per box, the children of its parent's 27-cell neighborhood that lie
+    in the lattice and are not adjacent to it, then all members sorted by
+    (box, key) with one lexsort."""
+    halo = np.array(np.meshgrid(*[[-1, 0, 1]] * 3, indexing="ij")).reshape(3, -1).T
+    octants = np.array([[(k >> axis) & 1 for axis in range(3)] for k in range(8)])
+    index = {tuple(v): i for i, v in enumerate(TRANSFER_VECTORS.tolist())}
+    box_pos, keys, tv = [], [], []
+    for i, c in enumerate(anchor_lattice(box_keys)):
+        child = (((c >> 1) + halo)[:, None, :] * 2 + octants).reshape(-1, 3)
+        rel = child - c
+        keep = (np.abs(rel).max(axis=1) >= 2) & np.all((child >= 0) & (child < 1 << level), axis=1)
+        box_pos += [i] * int(keep.sum())
+        keys.append(make_key(*child[keep].T, level))
+        tv += [index[tuple(r)] for r in rel[keep].tolist()]
+    box_pos, keys, tv = np.array(box_pos), np.concatenate(keys), np.array(tv)
+    order = np.lexsort((keys, box_pos))
+    return box_pos[order], keys[order], tv[order]
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_v_members_match_lexsort_order(level):
+    # Sorting each box's 27 parent-level cells, then taking the child
+    # octants in order, gives the (box, key) order of one lexsort over all
+    # members, on full levels whose faces, edges and corners cut the lists.
+    keys = full_level_keys(level)
+    got = _v_members_with_vectors(keys, level)
+    want = lexsorted_v_members(keys, level)
+    for g, w in zip(got, want):
+        assert g.flags.c_contiguous and np.array_equal(g, w)
+    sizes = np.bincount(got[0], minlength=len(keys))
+    assert sizes.min() < sizes.max() <= 189 and (level < 4 or sizes.max() == 189)
+
+
 def test_v_list_low_levels_empty():
     tree = build_tree(sorted_points_at_cell_centers(2), UNIT, 1, 1)
     assert compute_v_list(tree, make_key(0, 0, 0, 0)).size == 0
