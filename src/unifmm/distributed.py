@@ -69,6 +69,7 @@ from .kernels import (
     NearFieldGhosts,
     NearFieldPlan,
     UnresolvedDependencyError,
+    _ranges,
     _require_finite,
     near_field_plan,
     p2p_uli,
@@ -293,9 +294,9 @@ def _served_rows(tree, keys, per_nbr):
     """The halo of the point rows of the leaves served, leaf by leaf; the
     leaf ``keys`` come neighbor by neighbor, ``per_nbr`` of them each."""
     starts, ends = tree.leaf_ranges[tree.index_of(tree.leaf_level, keys)].T
-    counts = ends - starts
-    rows = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return Halo(rows, np.array([c.sum() for c in _cut(counts, per_nbr)], np.int64), None)
+    nbr = np.repeat(np.arange(len(per_nbr)), per_nbr)
+    per_nbr_rows = np.bincount(nbr, weights=ends - starts, minlength=len(per_nbr))
+    return Halo(_ranges(starts, ends - starts), per_nbr_rows.astype(np.int64), None)
 
 
 def _served_boxes(graph, layout, boxes, members):

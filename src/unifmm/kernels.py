@@ -52,40 +52,46 @@ block is formed as two copies of its row. S2U's blocks hold at most
 a block.
 
 The near-field sweep uses the kernel's symmetry (mutual interactions,
-Dehnen, JCP 2002). Each nonempty target leaf builds one distance block
-against, in this order, its later local U members (higher leaf
-position), itself and its ghost members. The block's product with the
-source charges adds to the leaf's targets; the product of the leaf's
-charges with the later members' columns adds back into those members.
-Earlier local members are skipped: U is symmetric between same-level
-local leaves, so their pair already ran when the earlier leaf was the
-target, and every local pair is computed once.
+Dehnen, JCP 2002) and runs one shape of block. A group of consecutive
+sibling leaves (nonempty children of one parent) builds one distance
+block of its points against the union of its leaves' U members that
+start at or after its first point, in row order: its own leaves, the
+local leaves after it, then ghost rows. Local leaves before the group
+are skipped: U is symmetric between same-level local leaves, so their
+pairs already ran when the earlier leaf's group was the target, and
+every local pair is computed once. A 0/1 membership mask, the group's
+source segments by its leaves, restricts each target row to its own
+leaf's members: one matrix product with the charges masked per leaf
+gives every row the sum of each leaf's columns, and each row keeps its
+own leaf's entry. The product of a row's charges with the columns of
+the local leaves after the group, masked the same way, adds back into
+those leaves. Pairs between leaves of one group are thus computed from
+both sides.
 
 A leaf whose own block has fewer than ``GROUP_FLOOR`` (2**12) entries
-costs more per call than per entry, so such leaves share blocks: a run
-of consecutive small leaves under one parent builds one block of its
-points against the union of its members' points, leaving out the local
-leaves before the run (which already computed their pairs with it). A
-0/1 membership matrix, leaves by columns, masks it: each row sums, with
-one matrix product against the charges masked per leaf, only the columns
-of its own leaf's members. Pairs inside the run are thus computed from
-both sides, and the local leaves after the run get theirs added back
-through the same mask. The block is built in pieces of rows of at most
-``GROUP_ENTRIES`` (2**13) entries: with many ranks in one process, each
-rank thread's largest temporary stays with the allocator after it is
-freed, so the peak resident memory grows with this size. A run whose
-block would exceed ``BLOCK_ENTRIES`` is swept leaf by leaf. A leaf at
-or above the floor is always swept alone, as described above.
+costs more per call than per entry, so a run of such leaves under one
+parent is one group. A leaf at or above the floor is a group of one, as
+is each leaf of a run whose block would exceed ``BLOCK_ENTRIES``. A
+group of one's mask is all true, so it skips the mask and the per-row
+pick: its rows sum all columns with one matrix-vector product and add
+back unmasked. This is the sweep's one branch. The two kinds of group
+cut their blocks into pieces of rows of two sizes. A group of several
+leaves takes at most ``GROUP_ENTRIES`` (2**13) entries per piece: with
+many ranks in one process, each rank thread's largest temporary stays
+with the allocator after it is freed, so the peak resident memory grows
+with this size. A group of one takes the multiple of 4 rows within
+``BLOCK_ENTRIES`` that the one-way sum takes (:func:`_target_chunk`).
 
 All of this depends on the points alone, so it is planned once per tree
-and ghost table (:func:`near_field_plan`, which setup calls): the U
-members are resolved to their rows, unresolved ones raise, and the runs,
-their union columns and membership masks and the single leaves' sources
-are fixed. :func:`p2p_uli` then only gathers the charges and runs the
-blocks, each with the rows, columns and order the plan fixed, so one plan
-serves any charges and gives the bits a fresh plan gives. The plan keeps
-index arrays and boolean masks, never distance blocks; the single
-leaves' source rows are kept as segments and expanded on each call.
+and ghost table (:func:`near_field_plan`, which setup calls), in one
+pass over all groups: the U members are resolved to their rows,
+unresolved ones raise, and every group's rows, source segments, mask and
+add-back columns are fixed. :func:`p2p_uli` then only gathers the
+charges and runs the blocks in one loop, each with the rows, columns and
+order the plan fixed, so one plan serves any charges and gives the bits
+a fresh plan gives. The plan keeps index arrays and boolean masks, never
+distance blocks; the source rows are kept as segments and expanded on
+each call.
 """
 
 from __future__ import annotations
@@ -243,15 +249,12 @@ def _ranges(starts, lengths):
     return out
 
 
-def _sibling_runs(leaves, small):
-    """(first, last) leaf of each run of consecutive small leaves under
-    one parent. ``leaves`` are sorted leaf indices and ``small`` marks
-    some of them; the 8 children of a parent are the consecutive leaves
-    from a multiple of 8."""
-    joins = small[1:] & small[:-1] & (leaves[1:] // 8 == leaves[:-1] // 8)
-    first = leaves[small & ~np.append(False, joins)]
-    last = leaves[small & ~np.append(joins, False)]
-    return zip(first.tolist(), last.tolist())
+def _changes(values):
+    """True at the first entry and at every entry unequal to the one before."""
+    out = np.empty(len(values), dtype=bool)
+    out[:1] = True
+    np.not_equal(values[1:], values[:-1], out=out[1:])
+    return out
 
 
 def _require_finite(values, what):
@@ -332,36 +335,34 @@ class NearFieldPlan:
     """The near-field sweep of one tree against one ghost table, fixed by
     :func:`near_field_plan`; :func:`p2p_uli` runs it for any charges.
 
-    Sources are the points, then the ghost rows. ``runs`` are the grouped
-    blocks, each ``(t0, t1, step, idx, member, col_len, pick, b0, b1,
-    back)``: its target points ``[t0, t1)``, taken ``step`` rows at a
-    time; its source rows ``idx``, the union of its leaves' members, of
-    which the c-th spans ``col_len[c]`` rows and belongs to the leaves
-    ``member[:, c]``; per target row, its entry ``pick`` of its piece's
-    product with the charges masked per leaf; and the rows ``idx[b0:b1]``
-    of the local leaves after the run with, per target row, the mask
-    ``back`` of those its pairs are added back to (None when there are
-    none). ``singles`` are the leaves swept alone, one row ``(t0, t1, s0,
-    s1, m, chunk)`` each: its points, its sources (entries ``s0:s1`` of
-    the expanded ``single_segments``, the first ``m`` of them later local
-    leaves) and the rows per block. ``single_segments`` holds the first
-    row and the length of every source segment, expanded on each call
-    rather than kept. Runs go first, then the single leaves in leaf
-    order, as every target row adds its blocks in that order.
+    Sources are the points, then the ghost rows. Each row of ``groups`` is
+    one block, a group of ``n`` consecutive nonempty sibling leaves, in
+    leaf order: ``(t0, t1, piece, n, s0, s1, c0, b0, b1, c1)``. Its target
+    points ``[t0, t1)`` are taken ``piece`` rows at a time. Its sources are
+    the segments ``s0:s1``, each a first row ``seg_start`` and a length
+    ``seg_len``, in row order; ``member[s0:s1, :n]`` marks the leaves each
+    is a source of. Expanded and concatenated over all groups, the
+    segments are the entries ``c0:c1`` of the source rows, of which
+    ``b0:b1`` are the local leaves after the group, which get their pairs
+    added back. ``pick`` gives each target row its entry in its piece's
+    (rows, leaves) product with the charges masked per leaf.
     """
 
     points: np.ndarray            # (n, 3) targets, the tree's points
     ghost_coords: np.ndarray      # the ghost table's, whose rows follow the points
-    runs: list
-    singles: np.ndarray           # (leaves swept alone, 6)
-    single_segments: np.ndarray   # (2, segments): first source row, length
-    work_entries: int             # scratch entries the largest block needs
+    groups: np.ndarray            # (groups, 10)
+    seg_start: np.ndarray         # per source segment, its first source row
+    seg_len: np.ndarray           # and its length
+    member: np.ndarray            # (segments, 8): a group has at most 8 leaves
+    pick: np.ndarray              # per target row
+    work_entries: int             # scratch entries the largest piece needs
 
 
 def near_field_plan(tree, lists, ghosts=None, found=None):
     """Plan the near-field sweep of every local target leaf with all
-    existing members of its U list (local and ghost): resolve the members
-    and fix the blocks; see the module docstring.
+    existing members of its U list (local and ghost): resolve the members,
+    group the leaves and fix every group's block, all groups at once; see
+    the module docstring.
 
     ``found`` is ``morton.find_keys(tree.leaves, lists.u_member_keys)``
     when the caller has it already. Raises ``ValueError`` for a ghost
@@ -374,9 +375,10 @@ def near_field_plan(tree, lists, ghosts=None, found=None):
     ghost_keys = ghosts.keys
     if not len(ghost_keys) == len(ghosts.coords) == len(ghosts.charges):
         raise ValueError("ghost keys, points and charges differ in length")
-    if np.any(ghost_keys[1:] < ghost_keys[:-1]):
+    if (ghost_keys[1:] < ghost_keys[:-1]).any():
         raise ValueError("ghost keys are not sorted")
     points, n_local = tree.points, tree.n_points
+    n_rows = n_local + len(ghost_keys)
 
     # Resolve every U member, in leaf order, to a segment [a, b) of the
     # sources: a local leaf, else its run of ghost rows. Empty and
@@ -384,8 +386,8 @@ def near_field_plan(tree, lists, ghosts=None, found=None):
     # unresolved.
     keys = lists.u_member_keys
     pos, local = find_keys(tree.leaves, keys) if found is None else found
-    g0 = np.searchsorted(ghost_keys, keys, side="left")
-    g1 = np.searchsorted(ghost_keys, keys, side="right")
+    g0 = ghost_keys.searchsorted(keys, side="left")
+    g1 = ghost_keys.searchsorted(keys, side="right")
     missing = keys[~local & (g1 == g0)]
     unresolved = missing[~find_keys(ghosts.confirmed_absent, missing)[1]]
     if len(unresolved):
@@ -396,80 +398,72 @@ def near_field_plan(tree, lists, ghosts=None, found=None):
     a = np.where(local, lo[pos], n_local + g0)
     b = np.where(local, hi[pos], n_local + g1)
 
-    # A target leaf's sources: its later members (ghosts, then local leaves
-    # at or after its end) and itself; see the module docstring.
-    member_ptr, n_leaves = lists.u_member_ptr, len(lo)
-    owner = np.repeat(np.arange(n_leaves), np.diff(member_ptr))
+    # The nonempty members of the nonempty leaves, each with its leaf's
+    # position in leaves (every nonempty leaf is in its own U list), and per
+    # leaf the sources it has alone: its members from its own first point on.
     rows = hi - lo
-    keep = (b > a) & (a >= lo[owner]) & (rows[owner] > 0)
-    n_src = np.bincount(owner, weights=(b - a) * keep, minlength=n_leaves).astype(np.int64)
-    leaves = np.flatnonzero(n_src)
-    small = rows[leaves] * n_src[leaves] < GROUP_FLOOR
-    single, runs, work = leaves[~small].tolist(), [], 0
+    leaves = rows.nonzero()[0]
+    at = np.full(len(lo), -1)
+    at[leaves] = np.arange(len(leaves))
+    ptr = lists.u_member_ptr
+    slot, length = np.repeat(at, ptr[1:] - ptr[:-1]), b - a
+    keep = (length > 0) & (slot >= 0)
+    slot, a, length = slot[keep], a[keep], length[keep]
+    leaf_lo = lo[leaves]
+    n_src = np.bincount(slot, weights=length * (a >= leaf_lo[slot]), minlength=len(leaves))
 
-    # One block per run of small sibling leaves: the run's points against
-    # the union of its leaves' members that start at or after its first
-    # point (a local leaf before the run computes its pairs with the run).
-    # The block is cut into pieces of rows of at most GROUP_ENTRIES
-    # entries; a run whose block would exceed BLOCK_ENTRIES is swept leaf
-    # by leaf.
-    hit = np.zeros(n_local + len(ghost_keys), dtype=bool)
-    for first, last in _sibling_runs(leaves, small):
-        t0, t1, n = int(lo[first]), int(hi[last]), last + 1 - first
-        m0, m1 = member_ptr[first], member_ptr[last + 1]
-        use = m0 + np.flatnonzero((b[m0:m1] > a[m0:m1]) & (a[m0:m1] >= t0))
-        starts = a[use]
-        hit[starts] = True
-        cols = np.flatnonzero(hit)
-        hit[cols] = False
-        col = np.searchsorted(cols, starts)
-        col_len = np.empty(len(cols), dtype=np.int64)
-        col_len[col] = b[use] - starts
-        n_cols = int(col_len.sum())
-        if (t1 - t0) * n_cols > BLOCK_ENTRIES:
-            single += range(first, last + 1)
-            continue
-        idx = _ranges(cols, col_len)
-        # member[i, c]: the c-th member of the union is a source of the
-        # run's i-th leaf; it spans col_len[c] columns.
-        member = np.zeros((n, len(cols)), dtype=bool)
-        member[owner[use] - first, col] = True
-        # Columns of the local leaves after the run, which get their pairs
-        # with it added back.
-        b0, b1 = np.searchsorted(idx, (t1, n_local)).tolist()
-        step = max(1, GROUP_ENTRIES // n_cols)
-        work = max(work, 2 * step * n_cols)
-        # Per row, its entry in its piece's (rows, leaves) product with the
-        # charges masked per leaf: row i of a piece reads entry i * n + its
-        # leaf. And its leaf's mask of the columns added back to.
-        leaf_of_row = np.repeat(np.arange(n), rows[first : last + 1])
-        pick = np.arange(t1 - t0) % step * n + leaf_of_row
-        back = np.repeat(member, col_len, axis=1)[leaf_of_row, b0:b1] if b1 > b0 else None
-        runs.append((t0, t1, step, idx, member, col_len, pick.astype(np.int32), b0, b1, back))
+    # A group is a run of small leaves under one parent, or a leaf of its
+    # own: it starts wherever the run key changes. A run whose block would
+    # exceed BLOCK_ENTRIES is cut into groups of one, and the groups are
+    # formed again.
+    small = rows[leaves] * n_src < GROUP_FLOOR
+    starts = _changes(np.where(small, leaves // 8, ~leaves))
+    while True:
+        group_of = starts.cumsum() - 1
+        first = starts.nonzero()[0]
+        n = np.bincount(group_of, minlength=len(first))
+        # The next group's first point ends a group: only empty leaves lie
+        # between them.
+        edges = np.concatenate((leaf_lo[first], [n_local]))
+        t0, t1, size = edges[:-1], edges[1:], edges[1:] - edges[:-1]
+        # A group's sources: the union of its leaves' nonempty members that
+        # start at or after its first point (a local leaf before it
+        # computes its pairs with it), as (group, first row) keys in row
+        # order; seg[inv] is each member's.
+        group = group_of[slot]
+        use = a >= t0[group]
+        group = group[use]
+        key = group * n_rows + a[use]
+        seg = np.sort(key)
+        seg = seg[_changes(seg)]
+        inv = seg.searchsorted(key)
+        seg_len = np.empty(len(seg), dtype=np.int64)
+        seg_len[inv] = length[use]
+        col = np.zeros(len(seg) + 1, dtype=np.int64)
+        seg_len.cumsum(out=col[1:])
+        # Per group, its first segment, first one after its points, first
+        # ghost one and end, and where each starts in the source rows.
+        base = np.arange(len(first) + 1) * n_rows
+        bounds = seg.searchsorted(np.array([base[:-1], base[:-1] + t1, base[:-1] + n_local, base[1:]]))
+        c0, b0, b1, c1 = col[bounds]
+        n_cols, multi = c1 - c0, n > 1
+        oversized = multi & (size * n_cols > BLOCK_ENTRIES)
+        if not oversized.any():
+            break
+        starts[oversized[group_of]] = True
 
-    singles, single_segments = np.empty((0, 6), np.int64), np.empty((2, 0), np.int64)
-    if single:
-        # Per single target leaf: later local members, then itself, then
-        # ghosts, each group in key order. An oversized run listed every
-        # leaf from its first to its last; the empty ones among them have
-        # no sources and are dropped.
-        single = np.array(sorted(single))
-        single = single[n_src[single] > 0]
-        chunks = _target_chunk(n_src[single])
-        work = max(work, 2 * int((np.minimum(rows[single], chunks) * n_src[single]).max()))
-        is_single = np.zeros(n_leaves, dtype=bool)
-        is_single[single] = True
-        keep = np.flatnonzero(keep & is_single[owner])
-        owner, a, lens = owner[keep], a[keep], (b - a)[keep]
-        later = (a >= hi[owner]) & (a < n_local)
-        keep = np.lexsort((a >= n_local, ~later, owner))
-        owner, later, a, lens = owner[keep], later[keep], a[keep], lens[keep]
-        seg = np.searchsorted(owner, (single, single + 1))
-        s0, s1 = np.append(0, np.cumsum(lens))[seg]
-        later0, later1 = np.append(0, np.cumsum(lens * later))[seg]
-        single_segments = np.stack([a, lens])
-        singles = np.stack([lo[single], hi[single], s0, s1, later1 - later0, chunks], axis=1)
-    return NearFieldPlan(points, ghosts.coords, runs, singles, single_segments, work)
+    # member[j, i]: segment j is a source of the i-th leaf of its group.
+    member = np.zeros((len(seg), 8), dtype=bool)
+    member[inv, slot[use] - first[group]] = True
+    piece = np.where(multi, np.maximum(1, GROUP_ENTRIES // n_cols), _target_chunk(n_cols))
+    # Per target row, its entry in its piece's (rows, leaves) product: row
+    # i of a piece reads entry i * n + its leaf's position in the group.
+    leaf = at[tree.point_leaf]
+    g = group_of[leaf]
+    pick = (np.arange(n_local) - t0[g]) % piece[g] * n[g] + leaf - first[g]
+    groups = np.array([t0, t1, piece, n, bounds[0], bounds[3], c0, b0, b1, c1]).T
+    work = 2 * int((np.minimum(piece, size) * n_cols).max(initial=0))
+    return NearFieldPlan(points, ghosts.coords, groups, seg % n_rows, seg_len, member, pick, work)
 
 
 def p2p_uli(plan, charges, ghost_charges=None):
@@ -490,30 +484,28 @@ def p2p_uli(plan, charges, ghost_charges=None):
     src_chg = np.concatenate([charges, ghost_charges]) if n_ghost else charges
     points, out = plan.points, np.zeros(n_local, dtype=np.float64)
     work = np.empty(plan.work_entries)
+    cols = _ranges(plan.seg_start, plan.seg_len)
 
-    for t0, t1, step, idx, member, col_len, pick, b0, b1, back in plan.runs:
-        src = src_pts[idx]
-        weights = (np.repeat(member, col_len, axis=1) * src_chg[idx]).T
-        for i0 in range(t0, t1, step):
-            i1 = min(i0 + step, t1)
+    for t0, t1, piece, n, s0, s1, c0, b0, b1, c1 in plan.groups.tolist():
+        idx, later = cols[c0:c1], cols[b0:b1]
+        src, weights = src_pts[idx], src_chg[idx]
+        if n > 1:
+            # Column i of the weights: the charges of the i-th leaf's sources.
+            member = np.repeat(plan.member[s0:s1, :n], plan.seg_len[s0:s1], axis=0)
+            weights = member * weights[:, None]
+        k0, k1 = b0 - c0, b1 - c0          # the block's columns of later
+        for i0 in range(t0, t1, piece):
+            i1 = min(i0 + piece, t1)
             r = inverse_distances(points[i0:i1], src, work)
-            # Each row's sum over its own leaf's sources: one product with
-            # the charges masked per leaf, then each row's entry for its leaf.
-            out[i0:i1] += (r @ weights).ravel()[pick[i0 - t0 : i1 - t0]]
-            if back is not None:
-                out[idx[b0:b1]] += src_chg[i0:i1] @ (r[:, b0:b1] * back[i0 - t0 : i1 - t0])
-
-    single_idx = _ranges(*plan.single_segments)
-    for t0, t1, s0, s1, m, chunk in plan.singles.tolist():
-        idx = single_idx[s0:s1]
-        src, chg = src_pts[idx], src_chg[idx]
-        back = np.zeros(m)
-        for i0 in range(t0, t1, chunk):
-            i1 = min(i0 + chunk, t1)
-            r = inverse_distances(points[i0:i1], src, work)
-            out[i0:i1] += r @ chg
-            if m:
-                back += src_chg[i0:i1] @ r[:, :m]
-        if m:
-            out[idx[:m]] += back
+            # A group of one sums all its columns. In a larger group each row
+            # takes its own leaf's sum, and its pairs go back only to its own
+            # leaf's members.
+            if n == 1:
+                out[i0:i1] += r @ weights
+            else:
+                pick = plan.pick[i0:i1]
+                out[i0:i1] += (r @ weights).ravel()[pick]
+            if k1 > k0:
+                back = r[:, k0:k1] if n == 1 else r[:, k0:k1] * member[k0:k1].T[pick % n]
+                out[later] += src_chg[i0:i1] @ back
     return out

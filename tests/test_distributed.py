@@ -441,10 +441,12 @@ def test_evaluate_replays_the_setup_plans(monkeypatch):
     got = run(forbid_planning)
     for (_, *w), (_, *g) in zip(want, got):
         assert all(np.array_equal(a, b) for a, b in zip(w, g))
-    # The plans hold grouped and single near-field blocks, ghost rows, and
-    # M2L runs of several products.
+    # The plans hold near-field groups of several leaves and of one, ghost
+    # rows, and M2L runs of several products.
+    leaves_per_group = [state.near_plan.groups[:, 3] for state, *_ in got]
+    assert all((n > 1).any() for n in leaves_per_group)
+    assert any((n == 1).any() for n in leaves_per_group)
     plans = [state.near_plan for state, *_ in got]
-    assert all(p.runs for p in plans) and any(len(p.singles) for p in plans)
     assert all(len(p.ghost_coords) for p in plans)
     m2l_runs = [run for state, *_ in got for g in state.v_plan.grouped.values()
                 for tile_runs in g[3] for run in tile_runs]

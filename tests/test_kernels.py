@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import subtraction_inverse_distances
 
@@ -465,24 +467,35 @@ def test_p2p_uli_mutual_matches_one_way_per_leaf_oracle():
         near_field_plan(tree, lists, _ghost_table(gpts, gchg, remote[1::2]))
 
 
-def _sibling_leaves_instance(rng, n_large):
-    """Own root octants 0 and 1 at d_g=1, d_l=2 (leaf lattice 8x4x4): most
-    occupied leaves hold 8 points, ``n_large`` hold 80, a fifth are empty
-    and some points coincide. Returns the tree, its lists, 8 ghost points
-    and charges for every other remote U member, and all remote members."""
+LATTICE_CELLS = np.array([(x, y, z) for x in range(8) for y in range(4) for z in range(4)])
+
+
+def _lattice_tree(counts, rng, coincide):
+    """Own root octants 0 and 1 at d_g=1, d_l=2 (leaf lattice 8x4x4), with
+    ``counts[i]`` random points in ``LATTICE_CELLS[i]``; with ``coincide``,
+    every 40th point is copied onto the next. Returns the tree, its lists
+    and its remote U members, sorted."""
     level = 3
     roots = [morton.make_key(0, 0, 0, 1), morton.make_key(1, 0, 0, 1)]
-    cells = np.array([(x, y, z) for x in range(8) for y in range(4) for z in range(4)])
-    counts = np.where(rng.random(len(cells)) < 0.2, 0, 8)
-    counts[rng.choice(np.flatnonzero(counts), n_large, replace=False)] = 80
-    pts = (np.repeat(cells, counts, axis=0) + rng.random((counts.sum(), 3))) / 8
-    pts[1::40] = pts[::40][: len(pts[1::40])]          # coincident points
+    pts = (np.repeat(LATTICE_CELLS, counts, axis=0) + rng.random((counts.sum(), 3))) / 8
+    if coincide:
+        pts[1::40] = pts[::40][: len(pts[1::40])]
     pts = pts[np.argsort(morton.encode_points(pts, level, UNIT), kind="stable")]
     tree = build_tree(pts, UNIT, 1, 2, local_roots=roots)
     lists = build_interaction_lists(tree)
-
     remote = sorted({int(k) for k in lists.u_member_keys
                      if not tree.contains(level, np.asarray([k], dtype=np.uint64))[0]})
+    return tree, lists, remote
+
+
+def _sibling_leaves_instance(rng, n_large):
+    """The lattice of :func:`_lattice_tree`: most occupied leaves hold 8
+    points, ``n_large`` hold 80, a fifth are empty and some points
+    coincide. Returns the tree, its lists, 8 ghost points and charges for
+    every other remote U member, and all remote members."""
+    counts = np.where(rng.random(len(LATTICE_CELLS)) < 0.2, 0, 8)
+    counts[rng.choice(np.flatnonzero(counts), n_large, replace=False)] = 80
+    tree, lists, remote = _lattice_tree(counts, rng, coincide=True)
     gpts, gchg = {}, {}
     for key in remote[::2]:
         anchor, side = morton.decode(key, UNIT)
@@ -532,16 +545,66 @@ def test_p2p_uli_grouped_blocks_match_one_way_per_leaf_oracle(monkeypatch, block
 
 def test_p2p_uli_one_plan_serves_any_charges():
     # The plan holds no charges: one plan run with two charge vectors gives,
-    # bit for bit, what a fresh plan for each gives, over grouped runs and
-    # single leaves alike.
+    # bit for bit, what a fresh plan for each gives, over groups of one
+    # leaf and of several alike.
     rng = np.random.default_rng(12)
     tree, lists, gpts, gchg, remote = _sibling_leaves_instance(rng, n_large=3)
     ghosts = _ghost_table(gpts, gchg, remote[1::2])
     plan = near_field_plan(tree, lists, ghosts)
-    assert plan.runs and len(plan.singles)
+    leaves_per_group = plan.groups[:, 3]
+    assert (leaves_per_group == 1).any() and (leaves_per_group > 1).any()
     for _ in range(2):
         charges = rng.standard_normal(tree.n_points)
         ghosts.charges = rng.standard_normal(len(ghosts.keys))
         got = p2p_uli(plan, charges, ghosts.charges)
         want = p2p_uli(near_field_plan(tree, lists, ghosts), charges, ghosts.charges)
         assert np.array_equal(got, want)
+
+
+NEAR_FIELD_DRAWS = settings(max_examples=12, derandomize=True, deadline=None)
+
+
+@st.composite
+def lattice_near_fields(draw):
+    """Parameters of a tree of :func:`_lattice_tree`: per-leaf point counts
+    from {0, 1, 8, 80}, a seed, whether points coincide, and per remote U
+    member (in key order) whether it arrives as ghost rows or as a
+    confirmed-absent box."""
+    counts = draw(st.lists(st.sampled_from([0, 1, 8, 80]), min_size=128, max_size=128))
+    return (counts, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()),
+            draw(st.lists(st.booleans(), min_size=160, max_size=160)))
+
+
+@pytest.mark.parametrize("block_entries", [None, 2048])
+@NEAR_FIELD_DRAWS
+@given(params=lattice_near_fields())
+def test_p2p_uli_matches_one_way_oracle_on_drawn_lattices(params, block_entries):
+    # Empty leaves inside runs, runs cut at parent boundaries and, with
+    # 2048-entry blocks, oversized runs swept as groups of one: the sweep
+    # matches the one-way per-leaf oracle, and its plan serves new charges
+    # with the bits of a fresh plan. Ghost members hold 1 to 8 points;
+    # positive charges keep the sums free of cancellation.
+    counts, seed, coincide, is_ghost = params
+    rng = np.random.default_rng(seed)
+    tree, lists, remote = _lattice_tree(np.array(counts), rng, coincide)
+    assert len(remote) <= len(is_ghost)
+    gpts, gchg = {}, {}
+    for key in (k for k, ghost in zip(remote, is_ghost) if ghost):
+        anchor, side = morton.decode(key, UNIT)
+        k = int(rng.integers(1, 9))
+        gpts[key] = anchor + rng.random((k, 3)) * side
+        gchg[key] = rng.random(k)
+    ghosts = _ghost_table(gpts, gchg, set(remote) - set(gpts))
+    charges = rng.random(tree.n_points)
+    want = _one_way_near_field(tree, lists, charges, ghosts)
+    with pytest.MonkeyPatch.context() as patch:
+        if block_entries:
+            patch.setattr(kernels, "BLOCK_ENTRIES", block_entries)
+        plan = near_field_plan(tree, lists, ghosts)
+        np.testing.assert_allclose(p2p_uli(plan, charges, ghosts.charges), want, rtol=1e-13)
+
+        charges = charges[::-1].copy()
+        ghosts.charges = ghosts.charges[::-1].copy()
+        fresh = near_field_plan(tree, lists, ghosts)
+        assert np.array_equal(p2p_uli(plan, charges, ghosts.charges),
+                              p2p_uli(fresh, charges, ghosts.charges))
