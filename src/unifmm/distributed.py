@@ -5,17 +5,21 @@ of time: the distributed sort and per-rank tree build, the global layout
 (which every rank builds from the root runs all ranks hold, and from
 which it reads the sort's splitters and its own roots), the static
 neighbor communication graph, the near-field point/charge exchange, and
-the far-field ghost rows. It also plans both sweeps of an evaluation:
-the near-field blocks over the local points and the ghost table
-(:func:`kernels.near_field_plan`), and the M2L products of the V lists
-(:func:`operators.group_pairs_by_transfer`), so an evaluation only runs
-them. The far-field ghost rows live in the expansion store right
-after each level's own rows, so the V-list kernels read remote sources
-as they read local ones. The store alone lays out its rows and maps keys
-to them: setup asks it for the rows each neighbor is sent, the rows its
-messages land in, and the member rows of the V plans. The nominated
-rank's store of the top levels is built the same way, once, and its V
-plan by the same builder.
+the far-field ghost rows. Each rank encodes its input points once: the
+keys travel with their rows through the sort
+(:func:`partition.redistribute`), the receiver sorts by them, and the
+tree build checks each against its point and lays out the per-point
+rows S2U and D2T read (:class:`tree.UniformTree`). Setup also plans both
+sweeps of an evaluation: the near-field blocks over the local points and
+the ghost table (:func:`kernels.near_field_plan`), and the M2L products
+of the V lists (:func:`operators.group_pairs_by_transfer`), so an
+evaluation builds nothing and only runs them. The far-field ghost rows
+live in the expansion store right after each level's own rows, so the
+V-list kernels read remote sources as they read local ones. The store
+alone lays out its rows and maps keys to them: setup asks it for the
+rows each neighbor is sent, the rows its messages land in, and the
+member rows of the V plans. The nominated rank's store of the top levels
+is built the same way, once, and its V plan by the same builder.
 
 No rank asks another which boxes exist. The layout is replicated, and U
 and V are symmetric relations (``A`` is in ``V(B)`` exactly when ``B`` is
@@ -73,6 +77,7 @@ from .kernels import (
     _require_finite,
     near_field_plan,
     p2p_uli,
+    sorted_unique,
 )
 from .operators import (
     ExpansionStore,
@@ -81,6 +86,7 @@ from .operators import (
     expansion_length,
     get_operator_set,
     group_pairs_by_transfer,
+    template_rows,
     u2u_pass,
     upward_pass,
     vli_downward,
@@ -310,8 +316,8 @@ def _served_boxes(graph, layout, boxes, members):
     owns. One sort over (neighbor, box) pairs groups them all.
     """
     owners = layout.owner_of_boxes(members)
-    assert np.isin(owners, graph).all(), "list member outside halo"
     nbr = np.searchsorted(graph, owners)
+    assert (nbr < len(graph)).all() and (graph[nbr] == owners).all(), "list member outside halo"
     order = np.lexsort((boxes, nbr))
     nbr, boxes = nbr[order], boxes[order]
     first = np.ones(len(boxes), dtype=bool)
@@ -355,14 +361,14 @@ def setup(comm, points, charges, config):
 
     with _phase(timings, "sort_tree"):
         splitters = layout.splitters(leaf_level)
-        pts, chg = redistribute(comm, keys, points, charges, splitters)
-        pts, chg, pkeys = sort_local(pts, chg, leaf_level, cube)
+        pts, chg, pkeys = sort_local(*redistribute(comm, keys, points, charges, splitters))
         my_roots = layout.roots_of(comm.rank)
         tree = build_tree(pts, cube, config.global_depth, config.local_depth,
-                          local_roots=my_roots, keys=pkeys)
+                          local_roots=my_roots, keys=pkeys,
+                          piece_rows=template_rows(expansion_length(config.order)))
 
     with _phase(timings, "communicators"):
-        owners = np.unique(layout.owner_of_roots(morton.neighbors(my_roots)))
+        owners = sorted_unique(layout.owner_of_roots(morton.neighbors(my_roots)))
         graph = owners[owners != comm.rank]
         lists = build_interaction_lists(tree)
 
@@ -383,7 +389,7 @@ def setup(comm, points, charges, config):
         got = u_halo.exchange(comm, graph, table)
         coords = np.ascontiguousarray(got[:, :3])
         ghost_leaves = morton.encode_points(coords, leaf_level, cube)
-        remote_keys = np.unique(lists.u_member_keys[remote])
+        remote_keys = sorted_unique(lists.u_member_keys[remote])
         absent = remote_keys[~morton.find_keys(ghost_leaves, remote_keys)[1]]
         near = NearFieldGhosts(ghost_leaves, coords, got[:, 3].copy(), absent)
         near_plan = near_field_plan(tree, lists, near, found)
@@ -399,7 +405,7 @@ def setup(comm, points, charges, config):
         # become the store rows of the same boxes.
         v_halo = Halo(np.arange(len(send_keys)), v_per_nbr, None)
         recv_keys = v_halo.exchange(comm, graph, send_keys)
-        ghost_keys = np.unique(recv_keys)
+        ghost_keys = sorted_unique(recv_keys)
         store = ExpansionStore(tree.level_keys, ghost_keys)
         v_halo = replace(v_halo, send=store.rows_of(send_keys)[0])
         n_coeff = expansion_length(config.order)

@@ -257,6 +257,14 @@ def _changes(values):
     return out
 
 
+def sorted_unique(values):
+    """The distinct entries of a 1-D array, sorted: ``np.unique`` without
+    its first call's import of ``numpy.ma`` (tens of ms) or its per-call
+    overhead on short arrays."""
+    values = np.sort(values)
+    return values[_changes(values)]
+
+
 def _require_finite(values, what):
     """Reject NaN or infinite input, naming the first offending entry."""
     bad = ~np.isfinite(values)

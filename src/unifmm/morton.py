@@ -16,6 +16,7 @@ depends on numpy's type promotion rules.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -107,7 +108,9 @@ def fit_domain(points, margin=DEFAULT_MARGIN):
 
     The cube is anchored at the componentwise minimum; its side is the
     largest axis extent times ``1 + margin``, floored at
-    ``SMALL_SIDE_FLOOR`` for degenerate inputs.
+    ``SMALL_SIDE_FLOOR`` for degenerate inputs. The origin plus the side
+    rounds, so at a margin of about an ulp or less the side then grows by
+    ulps until the cube's upper faces hold every point.
     """
     p = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if p.size == 0:
@@ -116,11 +119,13 @@ def fit_domain(points, margin=DEFAULT_MARGIN):
         raise ValueError(f"expected (n, 3) points, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("non-finite coordinate in input points")
-    lo = p.min(axis=0)
-    extent = float((p.max(axis=0) - lo).max())
+    lo, hi = p.min(axis=0), p.max(axis=0)
+    extent = float((hi - lo).max())
     side = extent * (1.0 + margin)
     if side <= 0.0:
         side = SMALL_SIDE_FLOOR
+    while np.any(lo + side < hi):
+        side = float(np.nextafter(side, np.inf))
     return BoundingCube(origin=tuple(lo), side=side)
 
 
@@ -232,6 +237,27 @@ def children(key):
 def all_keys(level):
     """Every key at ``level``, in Morton order."""
     return descendants(np.uint64(0), level)
+
+
+@functools.cache
+def level_anchors(level):
+    """Anchors of all ``8**level`` boxes of ``level`` in Morton order,
+    (8**level, 3) int64, so row ``i`` is the anchor of the box with
+    Morton index ``i``. Built once per level and read-only."""
+    anchors = anchor_lattice(all_keys(level))
+    anchors.flags.writeable = False
+    return anchors
+
+
+def descendant_anchors(key, level, depth):
+    """Anchors of ``descendants(key, depth)``, in that order, for keys of
+    ``level``: each key's anchor read from :func:`level_anchors` by its
+    Morton index (the key's anchor bits), refined ``depth`` levels, plus
+    the anchors of the ``8**depth`` boxes below one box. Two table reads
+    in place of decoding every descendant's key."""
+    index = _u64(key).reshape(-1) >> np.uint64(LEVEL_BITS + 3 * (MAX_DEPTH - level))
+    coarse = level_anchors(level)[index] << depth
+    return (coarse[:, None, :] + level_anchors(depth)).reshape(-1, 3)
 
 
 def halo(key):

@@ -62,7 +62,7 @@ in the KIFMM of Ying, Biros & Zorin, JCP 2004), in units of the leaf
 side. Each point's offset from its leaf center meets the unit template
 in one distance block, built for many leaves at once by the template
 kernel (:func:`kernels.template_inverse_distances`): one GEMM of the
-offsets' rows [o, |o|^2, 1], cached per tree
+offsets' rows [o, |o|^2, 1], laid out with the tree
 (:attr:`UniformTree.leaf_offset_operand`), with the template's columns
 [-2y; 1; |y|^2], built once per operator set (``leaf_template``). The
 template is at least 0.975 leaf sides from every point of its leaf, so
@@ -292,17 +292,18 @@ def precompute_operators(order, dtype=np.float64):
     d2d = 0.5 * uc2e_inv.T @ inverse_distances(up_equiv * 0.5 - 0.25, up_check)
 
     classes, cls, rho, flip_perm = _lattice_maps(order)
-    class_m2l = [
-        (uc2e_inv.T @ inverse_distances(up_equiv, t0 + up_equiv)).astype(dtype, copy=False)
-        for t0 in classes
-    ]
     n = expansion_length(order)
     m2l = np.empty((len(ORTHANT_VECTORS), n, n), dtype=dtype)
-    # A row take, then a column take straight into the stored matrix; the
-    # indices are permutations, so mode "clip" changes nothing but lets
-    # the take write into ``out`` without a buffer.
+    # Each class's canonical vector is an orthant vector of its own, whose
+    # slot takes the product; the other vectors' matrices are gathers of
+    # those slots. The gather indices are permutations, so mode "clip"
+    # changes nothing but lets the take write into ``out`` without a buffer.
+    canonical = (ORTHANT_VECTORS[:, None] == classes).all(axis=2).argmax(axis=0)
+    for t0, slot in zip(classes, canonical):
+        np.matmul(uc2e_inv.T, inverse_distances(up_equiv, t0 + up_equiv), out=m2l[slot])
     for i, (c, r) in enumerate(zip(cls, rho)):
-        class_m2l[c].take(r, axis=0).take(r, axis=1, out=m2l[i], mode="clip")
+        if i != canonical[c]:
+            m2l[canonical[c]].take(r[:, None] * n + r, out=m2l[i], mode="clip")
 
     return OperatorSet(
         order=order,
@@ -389,10 +390,12 @@ def box_side(cube, level):
     return cube.side / (1 << level)
 
 
-def _template_rows(ops):
-    """Points per D2T distance block. S2U blocks, which keep leaves whole,
-    hold up to twice as many, so neither exceeds BLOCK_ENTRIES entries."""
-    return max(1, BLOCK_ENTRIES // ops.n_coeff // 2)
+def template_rows(n_coeff):
+    """Points per D2T distance block of ``n_coeff``-long expansions, and
+    the length S2U cuts leaves at (:func:`tree.build_tree`'s
+    ``piece_rows``). S2U blocks, which keep leaves whole, hold up to twice
+    as many points, so neither exceeds BLOCK_ENTRIES entries."""
+    return max(1, BLOCK_ENTRIES // n_coeff // 2)
 
 
 def leaf_check_sums(tree, ops, charges):
@@ -402,13 +405,17 @@ def leaf_check_sums(tree, ops, charges):
 
     Leaves are cut into pieces of at most ``rows`` points from their own
     starts, and a block holds the pieces that start in one run of ``rows``
-    points (:meth:`UniformTree.leaf_pieces`, laid out once per tree), so
-    each leaf's sum is formed the same way on any rank.
+    points (:attr:`UniformTree.leaf_pieces`, laid out when the tree is
+    built), so each leaf's sum is formed the same way on any rank. Raises
+    ``ValueError`` for a tree laid out for another ``rows``.
     """
     points, template = tree.leaf_offset_operand, ops.leaf_template
     charges = np.asarray(charges, dtype=np.float64)
-    rows = _template_rows(ops)
-    leaf, starts, ends, cuts = tree.leaf_pieces(rows)
+    rows = template_rows(ops.n_coeff)
+    if tree.piece_rows != rows:
+        raise ValueError(f"the tree's S2U pieces have {tree.piece_rows} rows, not the "
+                         f"{rows} of order {ops.order}: build it with piece_rows={rows}")
+    leaf, starts, ends, cuts = tree.leaf_pieces
     # A block holds at most one piece of each leaf, so the scatter-add
     # below has distinct rows.
     check = np.zeros((np.count_nonzero(tree.level_nonempty[tree.leaf_level]), ops.n_coeff))
@@ -617,7 +624,7 @@ def d2t(tree, ops, store):
     points, leaf = tree.leaf_offset_operand, tree.point_leaf
     d = store.d[tree.leaf_level].astype(np.float64, copy=False)
     out = np.empty(tree.n_points, dtype=np.float64)
-    rows = _template_rows(ops)
+    rows = template_rows(ops.n_coeff)
     work = np.empty(min(rows, tree.n_points) * ops.n_coeff)
     d_rows = np.empty((min(rows, tree.n_points), ops.n_coeff))
     for lo in range(0, tree.n_points, rows):

@@ -78,13 +78,16 @@ def bucket_of(keys, splitters):
 
 
 def redistribute(comm, keys, points, charges, splitters):
-    """Move each point to the rank owning its splitter bucket.
+    """Move each point, with its charge and its Morton key, to the rank
+    owning its splitter bucket, in one ``alltoallv``.
 
-    Returns (points, charges) of the points this rank owns, grouped by
-    source rank and in input order within each source; they are not
-    key-sorted, :func:`sort_local` does that. The buckets are contiguous
-    key ranges in rank order, so the rank-order concatenation of the
-    sorted outputs is globally sorted.
+    A row travels as 5 words: the point, the charge and the key's 64 bits.
+    Returns (points, charges, keys) of the points this rank owns, grouped
+    by source rank and in input order within each source; they are not
+    key-sorted, :func:`sort_local` does that by the keys that came with
+    them, so no rank encodes a received point again. The buckets are
+    contiguous key ranges in rank order, so the rank-order concatenation
+    of the sorted outputs is globally sorted.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -97,16 +100,19 @@ def redistribute(comm, keys, points, charges, splitters):
     order = np.argsort(dest, kind="stable")
     ends = np.cumsum(np.bincount(dest, minlength=comm.size)).tolist()
     starts = [0] + ends[:-1]
-    rows = np.concatenate([points[order], charges[order, None]], axis=1)
+    rows = np.empty((len(points), 5))
+    rows[:, :3] = points[order]
+    rows[:, 3] = charges[order]
+    rows[:, 4] = keys[order].view(np.float64)
     recv = comm.alltoallv([rows[a:b].ravel() for a, b in zip(starts, ends)])
-    rows = np.concatenate(recv).reshape(-1, 4)
-    return rows[:, :3].copy(), rows[:, 3].copy()
+    rows = np.concatenate(recv).reshape(-1, 5)
+    return rows[:, :3].copy(), rows[:, 3].copy(), rows[:, 4].copy().view(np.uint64)
 
 
-def sort_local(points, charges, leaf_level, cube):
-    """Stable local sort by deepest-level Morton key; returns the sorted
-    points, charges and keys."""
-    keys = morton.encode_points(points, leaf_level, cube)
+def sort_local(points, charges, keys):
+    """Stable local sort by the points' deepest-level Morton ``keys``, as
+    :func:`redistribute` delivers them; returns the sorted points, charges
+    and keys. :func:`tree.build_tree` checks each key against its point."""
     order = np.argsort(keys, kind="stable")
     return points[order], charges[order], keys[order]
 

@@ -10,13 +10,20 @@ boxes can be skipped or resolved against remote ranks at runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import morton
-from .kernels import point_operand
-from .morton import HALO_OFFSETS, MAX_DEPTH, ancestor_at, anchor_lattice, descendants, make_key
+from .kernels import _changes, point_operand, sorted_unique
+from .morton import (
+    HALO_OFFSETS,
+    MAX_DEPTH,
+    ancestor_at,
+    anchor_lattice,
+    descendant_anchors,
+    descendants,
+    make_key,
+)
 
 # (ox, oy, oz) for octant o, x in the least significant interleave slot.
 _OCTANT_OFFSETS = np.array(
@@ -49,7 +56,19 @@ for _i, (_tx, _ty, _tz) in enumerate(TRANSFER_VECTORS):
 
 @dataclass
 class UniformTree:
-    """Local uniform octree: boxes per level plus leaf point assignment."""
+    """Local uniform octree: boxes per level, the leaf point assignment and
+    the per-point layouts S2U and D2T read, all fixed by :func:`build_tree`.
+
+    ``leaf_offset_operand`` is each point's offset from the center of its
+    leaf, in leaf sides, as the (5, n) :func:`kernels.point_operand` S2U
+    and D2T measure against the surface template. ``leaf_pieces`` cuts
+    the nonempty leaves' points into pieces of at most ``piece_rows``
+    points from each leaf's own start and groups them into the blocks of
+    S2U: ``(leaf, starts, ends, cuts)``, per piece its nonempty leaf's
+    position and its first point; block ``j`` holds pieces ``cuts[j] :
+    cuts[j + 1]`` (``cuts`` a list) and points ``starts[cuts[j]] :
+    ends[cuts[j + 1]]``. A tree built without ``piece_rows`` has none.
+    """
 
     cube: morton.BoundingCube
     global_depth: int
@@ -59,6 +78,10 @@ class UniformTree:
     level_nonempty: dict = field(repr=False)   # level -> bool mask
     leaf_ranges: np.ndarray = field(repr=False)  # (n_leaves, 2) into points
     points: np.ndarray = field(repr=False)     # (n, 3) sorted by leaf key
+    point_leaf: np.ndarray = field(repr=False)  # (n,) index of each point's leaf
+    leaf_offset_operand: np.ndarray = field(repr=False)  # (5, n)
+    piece_rows: int | None = None
+    leaf_pieces: tuple | None = field(default=None, repr=False)
 
     @property
     def leaf_level(self):
@@ -72,61 +95,6 @@ class UniformTree:
     def n_points(self):
         return self.points.shape[0]
 
-    # The point-to-leaf maps below are computed once, on first use: the
-    # points and their leaves do not change after the build.
-    @cached_property
-    def point_leaf(self):
-        """Index of each point's leaf."""
-        counts = self.leaf_ranges[:, 1] - self.leaf_ranges[:, 0]
-        return np.repeat(np.arange(len(counts)), counts)
-
-    @cached_property
-    def leaf_offset_operand(self):
-        """Each point's offset from the center of its leaf, in leaf sides,
-        as the (5, n) :func:`kernels.point_operand` that S2U and D2T read.
-
-        The offset is the point's lattice coordinate, computed as
-        :func:`morton.encode_points` computes it, less its leaf's anchor
-        and 0.5, so it lies within 0.5 of the center exactly when the
-        point's key is its leaf's. Raises ``ValueError`` naming a point
-        outside its leaf, as when the keys a tree was built from do not
-        match its points.
-        """
-        lattice = (self.points - np.asarray(self.cube.origin)) / self.cube.side
-        lattice *= 1 << self.leaf_level
-        lattice -= anchor_lattice(self.leaves)[self.point_leaf]
-        lattice -= 0.5
-        return point_operand(lattice)
-
-    @cached_property
-    def _leaf_pieces(self):
-        return {}
-
-    def leaf_pieces(self, rows):
-        """The nonempty leaves' points cut into pieces of at most ``rows``
-        points from each leaf's own start, and the pieces grouped into
-        blocks of those that start in one run of ``rows`` points; computed
-        once per ``rows``.
-
-        Returns ``(leaf, starts, ends, cuts)``: per piece its nonempty
-        leaf's position and its first point; block ``j`` holds pieces
-        ``cuts[j]:cuts[j + 1]`` (``cuts`` a list) and points
-        ``starts[cuts[j]] : ends[cuts[j + 1]]``.
-        """
-        pieces = self._leaf_pieces.get(rows)
-        if pieces is None:
-            lo, hi = self.leaf_ranges[self.level_nonempty[self.leaf_level]].T
-            n_pieces = -(-(hi - lo) // rows)
-            leaf = np.repeat(np.arange(len(lo)), n_pieces)
-            first = np.cumsum(n_pieces) - n_pieces
-            starts = lo[leaf] + (np.arange(len(leaf)) - first[leaf]) * rows
-            # Pieces of one leaf start ``rows`` apart, so a block holds at
-            # most one piece of each leaf.
-            cuts = np.append(np.flatnonzero(np.diff(starts // rows, prepend=-1)), len(starts))
-            pieces = self._leaf_pieces[rows] = (leaf, starts, np.append(starts, self.n_points),
-                                                cuts.tolist())
-        return pieces
-
     def index_of(self, level, keys):
         """Dense per-level indices of ``keys`` (Morton-sorted ordering)."""
         idx, found = morton.find_keys(self.level_keys[level], keys)
@@ -138,14 +106,40 @@ class UniformTree:
         return morton.find_keys(self.level_keys.get(level, np.empty(0, np.uint64)), keys)[1]
 
 
-def build_tree(points, cube, global_depth, local_depth, local_roots=None, keys=None):
-    """Build the rank-local uniform tree over ``points`` sorted by leaf key.
+def leaf_pieces(lo, hi, rows):
+    """The S2U pieces of the nonempty leaves whose points are
+    ``lo[i]:hi[i]``, in one pass: each leaf cut into pieces of at most
+    ``rows`` points from its own start, and the pieces grouped into blocks
+    of those that start in one run of ``rows`` points; returns
+    :attr:`UniformTree.leaf_pieces`."""
+    n_pieces = (hi - lo + rows - 1) // rows
+    leaf = np.repeat(np.arange(len(lo)), n_pieces)
+    piece_starts = np.arange(len(leaf)) * rows
+    piece_starts += np.repeat(lo - (np.cumsum(n_pieces) - n_pieces) * rows, n_pieces)
+    # Pieces of one leaf start ``rows`` apart, so a block holds at most one
+    # piece of each leaf.
+    cuts = _changes(piece_starts // rows).nonzero()[0].tolist() + [len(leaf)]
+    return leaf, piece_starts, np.concatenate([piece_starts, hi[-1:]]), cuts
+
+
+def build_tree(points, cube, global_depth, local_depth, local_roots=None, keys=None,
+               piece_rows=None):
+    """Build the rank-local uniform tree over ``points`` sorted by leaf key,
+    with the layouts S2U and D2T read (see :class:`UniformTree`).
 
     ``local_roots`` lists the level-``global_depth`` boxes this rank owns;
     when omitted it defaults to the distinct root ancestors of the points.
     ``keys`` are the points' Morton keys at the leaf level in ``cube``, as
     :func:`partition.sort_local` returns them; when omitted they are
-    encoded here.
+    encoded here. ``piece_rows`` is the S2U piece length of the expansion
+    order the tree serves (:func:`operators.template_rows`); when omitted
+    the tree has no S2U pieces.
+
+    Each point's offset from its leaf's center is its lattice coordinate,
+    computed as :func:`morton.encode_points` computes it, less its leaf's
+    anchor and 0.5, so it lies within 0.5 of the center exactly when the
+    point's key is its leaf's. Raises ``ValueError`` naming a point outside
+    its leaf, as when the keys given do not match the points.
     """
     if global_depth < 1 or local_depth < 1:
         raise ValueError("global_depth and local_depth must each be >= 1")
@@ -165,7 +159,7 @@ def build_tree(points, cube, global_depth, local_depth, local_roots=None, keys=N
     if local_roots is None:
         if points.size == 0:
             raise ValueError("cannot infer local roots from an empty point set")
-        local_roots = np.unique(ancestor_at(pkeys, global_depth))
+        local_roots = sorted_unique(ancestor_at(pkeys, global_depth))
     local_roots = np.sort(np.asarray(local_roots, dtype=np.uint64))
 
     level_keys = {
@@ -180,9 +174,20 @@ def build_tree(points, cube, global_depth, local_depth, local_roots=None, keys=N
         raise ValueError("points fall outside the rank's local roots")
     leaf_ranges = np.stack([starts, ends], axis=1)
 
-    level_nonempty = {leaf_level: ends > starts}
+    nonempty = ends > starts
+    level_nonempty = {leaf_level: nonempty}
     for level in range(leaf_level - 1, global_depth - 1, -1):
         level_nonempty[level] = level_nonempty[level + 1].reshape(-1, 8).any(axis=1)
+
+    point_leaf = np.repeat(np.arange(len(leaves)), ends - starts)
+    lattice = (points - np.asarray(cube.origin)) / cube.side
+    lattice *= 1 << leaf_level
+    lattice -= descendant_anchors(local_roots, global_depth, local_depth)[point_leaf]
+    lattice -= 0.5
+    try:
+        operand = point_operand(lattice)
+    except ValueError as exc:
+        raise ValueError(f"{exc}: the Morton key it was given names another leaf") from exc
 
     return UniformTree(
         cube=cube,
@@ -193,6 +198,11 @@ def build_tree(points, cube, global_depth, local_depth, local_roots=None, keys=N
         level_nonempty=level_nonempty,
         leaf_ranges=leaf_ranges,
         points=points,
+        point_leaf=point_leaf,
+        leaf_offset_operand=operand,
+        piece_rows=piece_rows,
+        leaf_pieces=(None if piece_rows is None
+                     else leaf_pieces(starts[nonempty], ends[nonempty], piece_rows)),
     )
 
 

@@ -179,7 +179,7 @@ def test_criterion_7_sort_invariants():
             mine = chunks[comm.rank]
             keys = morton.encode_points(pts[mine], leaf_level, cube)
             spl = sample_splitters(comm, keys, 200, seed=seed, snap_level=3)
-            p, c = redistribute(comm, keys, pts[mine], chg[mine], spl)
+            p, c, _ = redistribute(comm, keys, pts[mine], chg[mine], spl)
             out_keys = np.sort(morton.encode_points(p, leaf_level, cube)) if collect_keys else None
             return len(p), out_keys
 

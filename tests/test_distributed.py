@@ -1,7 +1,10 @@
 """Distributed setup and runtime execution across simulated ranks."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import threading
 from collections import Counter
 from dataclasses import replace
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     concat_potentials,
     distributed_run,
@@ -17,7 +22,7 @@ from conftest import (
     subtraction_inverse_distances,
 )
 
-from unifmm import distributed, kernels, morton, operators
+from unifmm import distributed, kernels, morton, operators, tree
 from unifmm.distributed import (
     FmmConfig,
     _cut,
@@ -155,7 +160,7 @@ def test_setup_collective_schedule():
     # Each owner pushes what its neighbors' lists need, so setup makes no
     # query round trip, and every rank derives the layout from the
     # splitters it holds. Per rank: one allgather (bounding cube), one
-    # all-to-all (point and charge rows) and two neighbor exchanges (U
+    # all-to-all (point, charge and key rows) and two neighbor exchanges (U
     # point rows, from which the receiver derives the leaf keys, and V
     # keys).
     pts, chg = raw_instance(4096, seed=4)
@@ -165,6 +170,122 @@ def test_setup_collective_schedule():
             calls = {kind: s["calls"] for kind, s in state.comm.stats().snapshot().items()}
             assert calls == {"allgatherv": 1, "alltoallv": 1, "neighbor_alltoallv": 2,
                              "gatherv": 0, "scatterv": 0}
+
+
+@pytest.mark.parametrize("mode", ["roots", "sampled"])
+def test_setup_encodes_each_point_once(monkeypatch, mode):
+    # Each rank encodes its own input points (the keys then travel with
+    # their rows through the sort) and the ghost rows it receives: two
+    # calls, none in sort_local or build_tree.
+    calls = Counter()
+    encode = morton.encode_points
+
+    def counting(*args, **kwargs):
+        calls[threading.current_thread().name] += 1
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(morton, "encode_points", counting)
+    pts, chg = raw_instance(4096, seed=4)
+    config = cfg(global_depth=2, local_depth=1, balance_mode=mode, samples_per_rank=32)
+    distributed_run(pts, chg, 8, config, evaluate_runs=0)
+    assert calls == {f"fmm-rank-{r}": 2 for r in range(8)}
+
+
+@st.composite
+def face_and_duplicate_inputs(draw):
+    """Points on the cube's upper faces at margin 0, with duplicates, over
+    P ranks; some ranks may hold no input points."""
+    P = draw(st.sampled_from([1, 3, 8]))
+    n = draw(st.integers(8, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.random((n, 3)) * draw(st.sampled_from([1.0, 0.7, 3.1e3])) + rng.random(3)
+    hi = pts.max(axis=0)
+    face = rng.random((n, 3)) < draw(st.sampled_from([0.0, 0.2, 0.5]))
+    pts = np.where(face, hi, pts)
+    dups = rng.integers(0, n, size=draw(st.integers(0, n)))
+    pts = rng.permutation(np.concatenate([pts, pts[dups]]))
+    local_depth = draw(st.integers(1, 2))
+    return P, pts, local_depth
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(params=face_and_duplicate_inputs())
+def test_carried_keys_are_the_final_points_keys(params):
+    # The keys a rank's points arrive with through the sort are the keys
+    # of those points, and the tree they build is the tree build_tree
+    # encodes for itself.
+    P, pts, local_depth = params
+    config = cfg(local_depth=local_depth, order=2, margin=0.0)
+    keys, build = {}, distributed.build_tree
+
+    def capture(*args, **kwargs):
+        keys[threading.current_thread().name] = kwargs["keys"]
+        return build(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distributed, "build_tree", capture)
+        _, states, _ = distributed_run(pts, np.ones(len(pts)), P, config, evaluate_runs=0)
+    assert sum(s.tree.n_points for s in states) == len(pts)
+    for state in states:
+        got = keys[f"fmm-rank-{state.rank}"]
+        assert np.array_equal(got, morton.encode_points(state.points, config.leaf_level,
+                                                        state.cube))
+        want = tree.build_tree(state.points, state.cube, 1, local_depth,
+                               local_roots=state.tree.local_roots,
+                               piece_rows=state.tree.piece_rows)
+        for name, value in vars(want).items():
+            if isinstance(value, dict):
+                assert value.keys() == vars(state.tree)[name].keys()
+                assert all(np.array_equal(v, vars(state.tree)[name][k]) for k, v in value.items())
+            elif name == "leaf_pieces":
+                assert all(np.array_equal(a, b) for a, b in zip(value, state.tree.leaf_pieces))
+            else:
+                assert np.array_equal(value, vars(state.tree)[name]), name
+
+
+def test_key_corrupted_in_flight_fails_setup(monkeypatch):
+    # A key that arrives naming the leaf next to its point's fails the
+    # tree build, which checks every point against its key's leaf.
+    redistribute = distributed.redistribute
+
+    def corrupting(*args):
+        points, charges, keys = redistribute(*args)
+        keys = keys.copy()
+        keys[:1] ^= np.uint64(1) << np.uint64(morton.LEVEL_BITS + 3 * (morton.MAX_DEPTH - 3))
+        return points, charges, keys
+
+    monkeypatch.setattr(distributed, "redistribute", corrupting)
+    pts, chg = raw_instance(512, seed=5)
+    with pytest.raises(ValueError, match=r"^\[sort_tree\] point \d+ lies outside its box.*"
+                                         r"the Morton key it was given names another leaf$"):
+        distributed_run(pts, chg, 2, cfg(), evaluate_runs=0)
+
+
+def test_pipeline_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, tens of ms; setup,
+    # evaluate and update_charges use none of it.
+    script = """
+import sys
+import numpy as np
+from unifmm import distributed, transport
+rng = np.random.default_rng(0)
+pts, chg = rng.random((2000, 3)), rng.random(2000)
+chunks = np.array_split(np.arange(2000), 8)
+config = distributed.FmmConfig(global_depth=1, local_depth=2, order=3)
+
+def program(comm):
+    state = distributed.setup(comm, pts[chunks[comm.rank]], chg[chunks[comm.rank]], config)
+    distributed.evaluate(state)
+    distributed.update_charges(state, state.charges + 1.0)
+    distributed.evaluate(state)
+
+transport.run_spmd(transport.create_world(8), program)
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(distributed.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("P, config", [
@@ -408,10 +529,11 @@ def test_near_field_blocks_per_rank_at_weak_scaling_shape(monkeypatch):
 
 
 def test_evaluate_replays_the_setup_plans(monkeypatch):
-    # Setup fixes the near-field blocks and the M2L product runs; evaluate
-    # and update_charges only run them. With every planning step made to
-    # raise once setup is done, evaluate, update_charges and evaluate
-    # again give the potentials of an unpatched run, bit for bit.
+    # Setup fixes the near-field blocks, the M2L product runs and the
+    # tree's S2U/D2T layouts; evaluate and update_charges only run them.
+    # With every planning and layout step made to raise once setup is
+    # done, evaluate, update_charges and evaluate again give the
+    # potentials of an unpatched run, bit for bit.
     pts, chg = raw_instance(4096, seed=19, sphere=True)
     config = cfg(order=4)
     chunks = np.array_split(np.arange(len(pts)), 8)
@@ -421,7 +543,11 @@ def test_evaluate_replays_the_setup_plans(monkeypatch):
 
     def forbid_planning():
         for module, name in [(kernels, "find_keys"), (kernels, "near_field_plan"),
-                             (distributed, "near_field_plan"), (operators, "_product_runs")]:
+                             (distributed, "near_field_plan"), (operators, "_product_runs"),
+                             (morton, "anchor_lattice"), (tree, "anchor_lattice"),
+                             (morton, "descendant_anchors"), (tree, "descendant_anchors"),
+                             (kernels, "point_operand"), (tree, "point_operand"),
+                             (tree, "leaf_pieces")]:
             monkeypatch.setattr(module, name, planning)
 
     def run(after_setup):

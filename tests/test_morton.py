@@ -70,6 +70,26 @@ def test_fit_domain_containment_scan():
     assert cube.contains(pts).all()
 
 
+def test_fit_domain_at_zero_margin_holds_its_points():
+    # The origin plus the extent can round below the largest coordinate
+    # (0.2 + (0.9 - 0.2) < 0.9): the side grows by ulps until encoding
+    # accepts every point, and the extreme points sit in the last cells.
+    pts = np.array([[0.2, 0.2, 0.2], [0.9, 0.9, 0.9]])
+    assert 0.2 + (0.9 - 0.2) < 0.9
+    cube = fit_domain(pts, margin=0.0)
+    assert cube.side == np.nextafter(0.9 - 0.2, 1.0)
+    assert cube.contains(pts).all()
+    assert encode_points(pts, 3, cube)[1] == make_key(7, 7, 7, 3)
+    # Random clouds: about 1 in 70 needs the growth.
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        cloud = rng.random((5, 3)) * rng.random() * 10 + rng.random(3) * 5
+        cube = fit_domain(cloud, margin=0.0)
+        assert cube.contains(cloud).all()
+        assert cube.side - (cloud.max(axis=0) - cloud.min(axis=0)).max() <= 1e-14 * cube.side
+        encode_points(cloud, 4, cube)
+
+
 def test_fit_domain_errors():
     with pytest.raises(ValueError, match="no points"):
         fit_domain(np.empty((0, 3)))

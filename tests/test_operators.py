@@ -27,6 +27,7 @@ from unifmm.operators import (
     leaf_s2u_all,
     precompute_operators,
     surface_grid,
+    template_rows,
     u2u_level,
     upward_pass,
 )
@@ -210,8 +211,8 @@ def test_s2u_empty_leaf_is_zero():
     pts = np.array([[0.1, 0.1, 0.1]])
     keys = morton.encode_points(pts, 2, UNIT)
     roots = np.sort(morton.descendants(make_key(0, 0, 0, 0), 1))
-    tree = build_tree(pts, UNIT, 1, 1, local_roots=roots)
     ops = get_operator_set(3)
+    tree = build_tree(pts, UNIT, 1, 1, local_roots=roots, piece_rows=template_rows(ops.n_coeff))
     empty_leaf = int(tree.leaves[-1])
     assert np.all(leaf_u(tree, ops, np.ones(1), empty_leaf) == 0.0)
     assert np.any(leaf_u(tree, ops, np.ones(1), int(tree.leaves[0])) != 0.0)
@@ -226,9 +227,10 @@ def test_s2u_point_charge_far_field(order):
     center = anchor + side / 2
     pts = center[None, :]
     keys = morton.encode_points(pts, 2, UNIT)
-    tree = build_tree(pts, UNIT, 1, 1,
-                      local_roots=np.sort(morton.descendants(make_key(0, 0, 0, 0), 1)))
     ops = get_operator_set(order)
+    tree = build_tree(pts, UNIT, 1, 1,
+                      local_roots=np.sort(morton.descendants(make_key(0, 0, 0, 0), 1)),
+                      piece_rows=template_rows(ops.n_coeff))
     u = leaf_u(tree, ops, np.ones(1), leaf)
     far = center + np.array([[5 * side, 0, 0], [0, 5 * side, 5 * side], [-4 * side, 3 * side, 0]])
     got = evaluate_u_field(ops, UNIT, int(leaf), u, far)
@@ -241,9 +243,10 @@ def test_s2u_linearity():
     pts = np.sort(rng.random((16, 3)) * 0.25, axis=0)
     keys = morton.encode_points(pts, 2, UNIT)
     pts = pts[np.argsort(keys, kind="stable")]
-    tree = build_tree(pts, UNIT, 1, 1,
-                      local_roots=np.sort(morton.descendants(make_key(0, 0, 0, 0), 1)))
     ops = get_operator_set(3)
+    tree = build_tree(pts, UNIT, 1, 1,
+                      local_roots=np.sort(morton.descendants(make_key(0, 0, 0, 0), 1)),
+                      piece_rows=template_rows(ops.n_coeff))
     chg = rng.random(16)
     leaf = int(tree.leaves[np.nonzero(tree.level_nonempty[2])[0][0]])
     np.testing.assert_allclose(
@@ -254,8 +257,8 @@ def test_s2u_linearity():
 def test_upward_pass_zero_charges_zero_everywhere():
     pts, _, cube = sorted_instance(100, seed=1)
     roots = np.sort(morton.descendants(make_key(0, 0, 0, 0), 1))
-    tree = build_tree(pts, cube, 1, 2, local_roots=roots)
     ops = get_operator_set(3)
+    tree = build_tree(pts, cube, 1, 2, local_roots=roots, piece_rows=template_rows(ops.n_coeff))
     store = ExpansionStore(tree.level_keys).allocate(ops.n_coeff, ops.dtype)
     upward_pass(tree, ops, store, np.zeros(len(pts)))
     for lvl in store.u:
@@ -268,8 +271,8 @@ def test_upward_pass_point_mass_root_far_field(order):
     cube = UNIT
     keys = morton.encode_points(pts, 3, cube)
     roots = np.sort(morton.descendants(make_key(0, 0, 0, 0), 1))
-    tree = build_tree(pts, cube, 1, 2, local_roots=roots)
     ops = get_operator_set(order)
+    tree = build_tree(pts, cube, 1, 2, local_roots=roots, piece_rows=template_rows(ops.n_coeff))
     store = ExpansionStore(tree.level_keys).allocate(ops.n_coeff, ops.dtype)
     upward_pass(tree, ops, store, np.ones(1))
     # Root of the occupied octant, evaluated well outside the unit cube.

@@ -104,14 +104,39 @@ def test_redistribute_p1_is_local_sort():
     world = create_world(1)
 
     def program(comm):
-        p, c = redistribute(comm, keys, pts, chg, np.empty(0, np.uint64))
-        return sort_local(p, c, 3, UNIT)
+        return sort_local(*redistribute(comm, keys, pts, chg, np.empty(0, np.uint64)))
 
     [(p, c, k)] = run_spmd(world, program)
     assert np.all(np.diff(k.astype(np.int64)) >= 0)
     order = np.argsort(keys, kind="stable")
     assert np.array_equal(p, pts[order])
     assert np.array_equal(c, chg[order])
+    assert np.array_equal(k, keys[order])
+
+
+def test_redistribute_carries_every_key_bit():
+    # A key travels as the bits of a float64 word; keys whose bits read as
+    # NaNs or infinities must arrive unchanged.
+    rng = np.random.default_rng(1)
+    keys = rng.integers(0, 2**64, size=200, dtype=np.uint64, endpoint=False)
+    keys[:4] = [0x7FF0000000000001, 0xFFF8000000000000, 0x7FF0000000000000, 2**64 - 1]
+    pts, chg = rng.random((200, 3)), rng.random(200)
+    world = create_world(3)
+    splitters = np.sort(keys)[[70, 140]]
+
+    def program(comm):
+        mine = slice(70 * comm.rank, 70 * (comm.rank + 1))
+        return redistribute(comm, keys[mine], pts[mine], chg[mine], splitters)
+
+    results = run_spmd(world, program)
+    got = np.concatenate([k for _, _, k in results])
+    assert got.dtype == np.uint64
+    assert np.array_equal(np.sort(got), np.sort(keys))
+    for rank, (p, c, k) in enumerate(results):
+        assert np.array_equal(np.searchsorted(splitters, k, side="right"), np.full(len(k), rank))
+        # Each row's point and charge still belong to its key.
+        idx = np.array([np.flatnonzero(keys == key)[0] for key in k], dtype=np.int64)
+        assert np.array_equal(p, pts[idx]) and np.array_equal(c, chg[idx])
 
 
 def _scatter_inputs(n, P, seed, leaf_level):
@@ -131,10 +156,7 @@ def test_redistribute_global_sort_oracle():
         mine = chunks[comm.rank]
         keys = morton.encode_points(pts[mine], leaf_level, cube)
         splitters = sample_splitters(comm, keys, 64, seed=5, snap_level=2)
-        return sort_local(
-            *redistribute(comm, keys, pts[mine], chg[mine], splitters),
-            leaf_level, cube,
-        )
+        return sort_local(*redistribute(comm, keys, pts[mine], chg[mine], splitters))
 
     world = create_world(P)
     results = run_spmd(world, program)
@@ -152,6 +174,9 @@ def test_redistribute_global_sort_oracle():
 
     got = np.concatenate([np.column_stack([p, c]) for p, c, _ in results])
     assert np.array_equal(sorted_rows(got), sorted_rows(np.column_stack([pts, chg])))
+    # Each point arrives with its own key.
+    for p, _, k in results:
+        assert np.array_equal(k, morton.encode_points(p, leaf_level, cube))
 
 
 def test_redistribute_imbalance_uniform():
@@ -166,7 +191,7 @@ def test_redistribute_imbalance_uniform():
             mine = chunks[comm.rank]
             keys = morton.encode_points(pts[mine], 4, cube)
             splitters = sample_splitters(comm, keys, 200, seed=seed, snap_level=2)
-            p, _ = redistribute(comm, keys, pts[mine], chg[mine], splitters)
+            p, _, _ = redistribute(comm, keys, pts[mine], chg[mine], splitters)
             return len(p)
 
         world = create_world(P)
