@@ -12,8 +12,9 @@ tree build checks each against its point and lays out the per-point
 rows S2U and D2T read (:class:`tree.UniformTree`). Setup also plans both
 sweeps of an evaluation: the near-field blocks over the local points and
 the ghost table (:func:`kernels.near_field_plan`), and the M2L products
-of the V lists (:func:`operators.group_pairs_by_transfer`), so an
-evaluation builds nothing and only runs them. The far-field ghost rows
+of the V lists (:func:`operators.plan_m2l`, which also fixes whether setup
+builds the orthant M2L matrices), so an evaluation builds nothing and
+only runs them. The far-field ghost rows
 live in the expansion store right after each level's own rows, so the
 V-list kernels read remote sources as they read local ones. The store
 alone lays out its rows and maps keys to them: setup asks it for the
@@ -83,9 +84,10 @@ from .operators import (
     ExpansionStore,
     VListPlan,
     d2t,
+    ensure_orthant_m2l,
     expansion_length,
     get_operator_set,
-    group_pairs_by_transfer,
+    plan_m2l,
     template_rows,
     u2u_pass,
     upward_pass,
@@ -421,6 +423,8 @@ def setup(comm, points, charges, config):
             }, n_coeff)
 
     ops = get_operator_set(config.order, config.dtype)
+    if v_plan.tiled or (global_plan is not None and global_plan.tiled):
+        ensure_orthant_m2l(ops)
     store.allocate(ops.n_coeff, ops.dtype)
     if top_store is not None:
         top_store.allocate(ops.n_coeff, ops.dtype)
@@ -458,7 +462,7 @@ def _v_plan(store, pairs, n_coeff):
     grouped = {}
     for level, (tgt, mkeys, tv_idx) in pairs.items():
         rows, keep = store.rows_of(mkeys)
-        grouped[level] = group_pairs_by_transfer(
+        grouped[level] = plan_m2l(
             tgt[keep], rows[keep] - store.row_start[level], tv_idx[keep], n_coeff
         )
     return VListPlan(grouped=grouped)

@@ -25,37 +25,80 @@ cube. Such a map ``g`` permutes the lattice points, so
 ``m2l[g t] = m2l[t][rho][:, rho]`` with ``rho`` its index permutation
 (the solve commutes with it because the check system is invariant).
 
-Only the 56 transfer vectors with no negative component (one orthant)
-are stored. They fall into 16 classes under the axis permutations; a
-canonical vector of each class (its sorted components) gets a kernel
-matrix and a product with the solve, and the other 40 are index gathers
-of those 16. Every other transfer vector ``t`` is a sign flip of its
-orthant vector ``|t|``, and flips are involutions, so its matrix is
-``m2l[|t|][p][:, p]`` with ``p = flip_perm[f]``, ``f`` the bit mask of
-the negative axes of ``t``. :func:`apply_m2l` never forms it: it writes
-the 8 flipped frames ``u[:, flip_perm[f]]`` of the source rows once and
-takes the targets in tiles of :data:`M2L_TILE_TARGETS`. Per tile it runs
-one product per stored matrix over the tile's pairs of its (up to 8)
-flipped vectors into per-flip accumulators and folds accumulator ``f``
-back into ``d`` through ``flip_perm[f]``. A tile's accumulators fit in
-L2, where a whole level's (4.75 MB at order 6 for 512 targets) did not,
-and the scatter-adds into them missed. Tiling keeps every sum in its
-order but gives each GEMM fewer rows, and OpenBLAS rounds the rows of a
-GEMM's M remainder differently, so a level of more than one tile may
-differ from the untiled result by rounding (order 7, P=1: 5e-18
-relative L2 on a 4096-point cube; bit-identical at the other orders).
-The rows each product reads and adds to, and which products too small
-to earn a call of their own share a gather and an ordered scatter-add,
-are planned once per set of pairs (:func:`group_pairs_by_transfer`), so
-an evaluate only gathers, multiplies and scatter-adds. The 8 child
-octants are the sign flips of child octant 0 in the same way, so U2U and
-D2D store one matrix each and run one product per level over all
-children in their flip frames. A flipped U2U matrix carries a permuted copy of the
-truncated up solve, equal to the solve S2U uses only to about 4e-7 at
-order 8. There the cutoff keeps singular values down to 1.3e-10 of the
-largest, whose directions only rounding fixes: equally valid
-factorizations of the one system put the order-8 error against direct
-summation anywhere from 1.9e-9 to 1.9e-8 (2.5e-9 to 2.9e-9 with numpy's).
+The 316 transfer vectors fall into 16 classes under these maps. The
+canonical vector of each (its sorted absolute components,
+:data:`CLASS_VECTORS`) gets a kernel matrix and a product with the
+solve, and these 16 class matrices are all an operator set stores at
+first: vector ``t`` reads its class matrix under the permutation of the
+symmetry that maps it to its canonical vector (:data:`TRANSFER_CLASS`,
+:data:`TRANSFER_SYM`, :attr:`OperatorSet.sym_perm`). M2L runs a level
+one of two ways, chosen per level by its pair count (:func:`plan_m2l`):
+
+- A sparse level, of at most :data:`SPARSE_PAIRS` pairs (1792, 32 per
+  orthant matrix on average), runs through the class matrices
+  (:func:`group_pairs_by_class`). Its pairs are sorted by (class,
+  symmetry, target) and cut into chunks of at most
+  :data:`CLASS_CHUNK_ENTRIES` entries. Per chunk one take gathers each
+  source row under its symmetry's inverse permutation, one GEMM per
+  class runs with the class matrix, one take reads the products back
+  under their permutations in target order, and one ``np.add.reduceat``
+  sums each target's rows into ``d``. A level of few pairs reads 16
+  matrices once instead of 56, in GEMMs of more rows.
+- A dense level runs in the 8 sign-flip frames of the 56 transfer
+  vectors with no negative component (one orthant;
+  :func:`group_pairs_by_transfer`). The orthant matrices are the class
+  matrices of the 16 canonical vectors and gathered copies for the
+  other 40, which :func:`ensure_orthant_m2l` builds once per operator
+  set, and setup only when some level of its plans is dense (at order 8
+  28 MB, against 11 MB for the class matrices). Every other transfer
+  vector ``t`` is a sign flip of its orthant vector ``|t|``, and flips
+  are involutions, so its matrix is ``m2l[|t|][p][:, p]`` with ``p =
+  flip_perm[f]``, ``f`` the bit mask of the negative axes of ``t``.
+  :func:`apply_m2l` never forms it: it writes the 8 flipped frames
+  ``u[:, flip_perm[f]]`` of the source rows once and takes the targets
+  in tiles of :data:`M2L_TILE_TARGETS`. Per tile it runs one product
+  per stored matrix over the tile's pairs of its (up to 8) flipped
+  vectors into per-flip accumulators and folds accumulator ``f`` back
+  into ``d`` through ``flip_perm[f]``. A tile's accumulators fit in
+  L2, where a whole level's (4.75 MB at order 6 for 512 targets) did
+  not, and the scatter-adds into them missed. Tiling keeps every sum in
+  its order but gives each GEMM fewer rows, and OpenBLAS rounds the rows
+  of a GEMM's M remainder differently, so a level of more than one tile
+  may differ from the untiled result by rounding (order 7, P=1: 5e-18
+  relative L2 on a 4096-point cube; bit-identical at the other orders).
+  The rows each product reads and adds to, and which products too small
+  to earn a call of their own share a gather and an ordered scatter-add,
+  are planned once per set of pairs.
+
+The two ways form the same products and sum each target's in another
+order, so they agree to rounding (about 1e-15 relative). The class path
+wins where a level has few pairs per stored matrix, the tiled one where
+its frames and tiles pay off. Time of the class path over the tiled one
+on one level, the V pairs of the first k boxes of a full level-4 cube
+with ``u`` holding just the rows they read (one BLAS thread, one CPU, a
+2-vCPU host whose speed swings by up to 2x):
+
+=====  =========  =========  =========  =========  =========
+order  387 pairs  1005       1623       2595       6669
+=====  =========  =========  =========  =========  =========
+2      0.43       0.52       0.53       0.63       0.67
+4      0.56       0.61       0.77       0.99       1.39
+6      0.52       0.67       0.77       0.97       1.33
+8      0.46       0.70       0.84       1.01       1.32
+=====  =========  =========  =========  =========  =========
+
+Orders 4-8 cross near 2600 pairs, so :data:`SPARSE_PAIRS` sits below the
+crossover at every order; order 2 gains at every count measured (0.67 at
+14817 pairs). Either way an evaluate only gathers, multiplies and adds.
+The 8 child octants are the sign flips of child octant 0 in the same
+way, so U2U and D2D store one matrix each and run one product per level
+over all children in their flip frames.
+A flipped U2U matrix carries a permuted copy of the truncated up solve,
+equal to the solve S2U uses only to about 4e-7 at order 8. There the
+cutoff keeps singular values down to 1.3e-10 of the largest, whose
+directions only rounding fixes: equally valid factorizations of the one
+system put the order-8 error against direct summation anywhere from
+1.9e-9 to 1.9e-8 (2.5e-9 to 2.9e-9 with numpy's).
 
 S2U and D2T evaluate one fixed surface template shifted to each leaf (as
 in the KIFMM of Ying, Biros & Zorin, JCP 2004), in units of the leaf
@@ -84,7 +127,9 @@ uniform cube N=4096, d_g=1, d_l=2, seeds 0-3) the potentials differ by
 
 from __future__ import annotations
 
+import itertools
 import threading
+from typing import NamedTuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +137,7 @@ import numpy as np
 from . import morton
 from .kernels import (
     BLOCK_ENTRIES,
+    _changes,
     inverse_distances,
     template_inverse_distances,
     template_operand,
@@ -106,6 +152,36 @@ ORTHANT_VECTORS, TRANSFER_ORTHANT = np.unique(
 )
 TRANSFER_ORTHANT = TRANSFER_ORTHANT.reshape(-1)
 TRANSFER_FLIP = (TRANSFER_VECTORS < 0) @ np.array([1, 2, 4])
+
+# The 48 symmetries of the cube, index ``perm * 8 + flip``: the sign flip of
+# the axes in the bits of ``flip``, then the axis permutation
+# ``AXIS_PERMS[perm]`` (identity first), so indices 0-7 are the flips. As a
+# signed permutation matrix, symmetry ``s`` maps ``x`` to ``SYM_MATRICES[s]
+# @ x``, whose axis ``b`` is axis ``AXIS_PERMS[perm][b]`` of the flipped
+# ``x``; ``SYM_INVERSE[s]`` is the index of its inverse.
+AXIS_PERMS = np.array(list(itertools.permutations(range(3))))
+_FLIP_SIGNS = 1 - 2 * ((np.arange(8)[:, None] >> np.arange(3)) & 1)      # (8, 3)
+SYM_MATRICES = (np.eye(3, dtype=np.int64)[AXIS_PERMS][:, None]
+                * _FLIP_SIGNS[:, None, :]).reshape(48, 3, 3)
+SYM_INVERSE = (SYM_MATRICES[:, None] == SYM_MATRICES.transpose(0, 2, 1)).all(axis=(2, 3)).argmax(0)
+SYM_INVERSE = SYM_INVERSE.astype(np.int8)
+
+# The 16 classes of transfer vectors under the symmetries, each named by its
+# sorted absolute components (its canonical vector); per transfer vector
+# ``t`` its class and the symmetry that maps it to the canonical vector:
+# the flip of its negative axes, then the permutation that sorts ``|t|``.
+_SORT_AXES = np.argsort(np.abs(TRANSFER_VECTORS), axis=1, kind="stable")
+CLASS_VECTORS, TRANSFER_CLASS = np.unique(
+    np.take_along_axis(np.abs(TRANSFER_VECTORS), _SORT_AXES, axis=1), axis=0, return_inverse=True
+)
+TRANSFER_CLASS = TRANSFER_CLASS.reshape(-1)
+TRANSFER_SYM = (_SORT_AXES[:, None] == AXIS_PERMS).all(axis=2).argmax(axis=1) * 8 + TRANSFER_FLIP
+TRANSFER_SYM = TRANSFER_SYM.astype(np.int8)
+# The same per orthant vector; its symmetry is an axis permutation, the
+# identity exactly for the canonical vector of its class.
+ORTHANT_CLASS, ORTHANT_SYM = np.empty((2, len(ORTHANT_VECTORS)), dtype=np.int64)
+ORTHANT_CLASS[TRANSFER_ORTHANT] = TRANSFER_CLASS
+ORTHANT_SYM[TRANSFER_ORTHANT] = TRANSFER_SYM - TRANSFER_FLIP
 
 # Surface scale factors relative to the box side: equivalent surface just
 # outside the box, check surface just inside the colleague halo (3x box).
@@ -216,14 +292,26 @@ class OperatorSet:
     the downward one; at a box of side ``s`` it scales by ``s``.
     ``down_equiv_grid`` is ``up_check_grid``, and ``leaf_template`` is
     its :func:`kernels.template_operand`, which S2U and D2T measure
-    points against in units of the leaf side. ``u2u`` and
-    ``d2d`` are the matrices of child octant 0, ``m2l`` is indexed by the
-    row of :data:`ORTHANT_VECTORS`. ``flip_perm[f]`` is the surface-lattice
-    permutation of the sign flip of the axes in the bits of ``f``; the
-    transfer matrix of a vector ``t`` is ``m2l[|t|][p][:, p]`` with
-    ``p = flip_perm[TRANSFER_FLIP[t]]``, and child octant ``o`` (bit a
-    set: upper half along axis a) is the flip ``o`` of octant 0, so its
-    U2U matrix is ``u2u[p][:, p]`` with ``p = flip_perm[o]`` (D2D alike).
+    points against in units of the leaf side. ``u2u`` and ``d2d`` are the
+    matrices of child octant 0. ``sym_perm[s]`` is the surface-lattice
+    permutation of symmetry ``s``: ``sym_perm[s][k]`` is the index of the
+    lattice point ``SYM_MATRICES[s] @ x_k``, ``x_k`` the point ``k``
+    (centered), and its first 8 rows are the sign flips (``flip_perm``).
+
+    ``m2l_class`` holds one transfer matrix per class, that of its
+    canonical vector (:data:`CLASS_VECTORS`); the matrix of a transfer
+    vector ``t`` is ``m2l_class[c][p][:, p]`` with ``c =
+    TRANSFER_CLASS[t]`` and ``p = sym_perm[TRANSFER_SYM[t]]``. The tiled
+    M2L path reads the 56 orthant matrices instead, ``m2l[i]`` for row
+    ``i`` of :data:`ORTHANT_VECTORS` (the vector ``t`` reads row
+    ``TRANSFER_ORTHANT[t]`` under ``flip_perm[TRANSFER_FLIP[t]]``): the
+    16 class matrices and 40 axis-permuted copies of them
+    (``m2l_copies``). ``m2l_class`` is the head of one block of 56
+    matrices whose tail holds the copies; ``m2l`` and ``m2l_copies`` are
+    None, and the tail unwritten, until :func:`ensure_orthant_m2l` writes
+    them. Child octant ``o`` (bit a set: upper half along axis a)
+    is the flip ``o`` of octant 0, so its U2U matrix is ``u2u[p][:, p]``
+    with ``p = flip_perm[o]`` (D2D alike).
     """
 
     order: int
@@ -232,49 +320,44 @@ class OperatorSet:
     uc2e_inv: np.ndarray
     u2u: np.ndarray        # (n_e, n_e), child octant 0
     d2d: np.ndarray        # (n_e, n_e), child octant 0
-    m2l: np.ndarray        # (56, n_e, n_e), one per orthant vector
-    flip_perm: np.ndarray  # (8, n_e) lattice permutation per axis sign flip
+    m2l_class: np.ndarray  # (16, n_e, n_e), one per class
+    sym_perm: np.ndarray   # (48, n_e) lattice permutation per cube symmetry
     up_equiv_grid: np.ndarray = field(repr=False)   # unit templates
     up_check_grid: np.ndarray = field(repr=False)
     leaf_template: np.ndarray = field(repr=False)   # (5, n_e)
+    m2l_copies: np.ndarray = field(default=None, repr=False)  # (40, n_e, n_e)
+    m2l: tuple = field(default=None, repr=False)              # 56 x (n_e, n_e)
 
     @property
     def down_equiv_grid(self):
         return self.up_check_grid
 
     @property
+    def flip_perm(self):
+        return self.sym_perm[:8]
+
+    @property
     def n_coeff(self):
         return expansion_length(self.order)
 
 
-def _lattice_maps(order):
-    """Surface-lattice permutations of the maps M2L is stored under.
-
-    Returns ``(classes, cls, rho, flip_perm)``: the 16 canonical vectors
-    (sorted components), the class of every row of
-    :data:`ORTHANT_VECTORS`, per row the permutation ``rho`` of the axis
-    permutation ``g`` with ``g classes[cls[i]] == ORTHANT_VECTORS[i]``
-    (``rho[i][k]`` is the index of the point ``g^-1`` sends lattice point
-    ``k`` to), and per flip mask ``f`` the permutation of that sign flip.
-    """
+def _symmetry_perms(order):
+    """The (48, n) surface-lattice permutations of the cube's symmetries,
+    in the order of :data:`SYM_MATRICES`: the 8 flip maps composed with the
+    6 axis-permutation maps."""
     lattice = _surface_lattice(order)
-    lookup = np.empty((order,) * 3, dtype=np.int64)
+    lookup = np.empty((order,) * 3, dtype=np.intp)
     lookup[tuple(lattice.T)] = np.arange(len(lattice))
-    # g: t[a] = t0[perm[a]], perm the inverse of sort_axes, so g^-1 reads
-    # axis sort_axes[b] of a point.
-    sort_axes = np.argsort(ORTHANT_VECTORS, axis=1, kind="stable")
-    classes, cls = np.unique(
-        np.take_along_axis(ORTHANT_VECTORS, sort_axes, axis=1), axis=0, return_inverse=True
-    )
-    rho = lookup[tuple(lattice[:, sort_axes].T)]             # (56, n)
-    flips = (np.arange(8)[:, None] >> np.arange(3)) & 1       # (8, 3)
+    flips = (np.arange(8)[:, None] >> np.arange(3)) & 1
     flipped = np.where(flips[:, None, :] == 1, order - 1 - lattice, lattice)
-    flip_perm = lookup[tuple(flipped.transpose(2, 0, 1))]     # (8, n)
-    return classes, cls.reshape(-1), rho, flip_perm
+    flip_perm = lookup[tuple(flipped.transpose(2, 0, 1))]                 # (8, n)
+    axis_perm = lookup[tuple(lattice[:, AXIS_PERMS].transpose(2, 1, 0))]  # (6, n)
+    return axis_perm[:, flip_perm].reshape(48, len(lattice))
 
 
 def precompute_operators(order, dtype=np.float64):
-    """Build the complete operator set for ``order`` at working ``dtype``.
+    """Build the operator set for ``order`` at working ``dtype``, without
+    the orthant M2L matrices (:func:`ensure_orthant_m2l`).
 
     Matrices are assembled and factorized in float64 and stored at the
     working precision; at float64 no copy is made.
@@ -291,19 +374,17 @@ def precompute_operators(order, dtype=np.float64):
     u2u = uc2e_inv @ inverse_distances(up_check, up_equiv * 0.5 - 0.25)
     d2d = 0.5 * uc2e_inv.T @ inverse_distances(up_equiv * 0.5 - 0.25, up_check)
 
-    classes, cls, rho, flip_perm = _lattice_maps(order)
     n = expansion_length(order)
-    m2l = np.empty((len(ORTHANT_VECTORS), n, n), dtype=dtype)
-    # Each class's canonical vector is an orthant vector of its own, whose
-    # slot takes the product; the other vectors' matrices are gathers of
-    # those slots. The gather indices are permutations, so mode "clip"
-    # changes nothing but lets the take write into ``out`` without a buffer.
-    canonical = (ORTHANT_VECTORS[:, None] == classes).all(axis=2).argmax(axis=0)
-    for t0, slot in zip(classes, canonical):
-        np.matmul(uc2e_inv.T, inverse_distances(up_equiv, t0 + up_equiv), out=m2l[slot])
-    for i, (c, r) in enumerate(zip(cls, rho)):
-        if i != canonical[c]:
-            m2l[canonical[c]].take(r[:, None] * n + r, out=m2l[i], mode="clip")
+    # One block for all 56 orthant matrices: the class matrices are its head,
+    # and ensure_orthant_m2l writes the copies into its tail, so a run of
+    # sparse levels never writes the tail's pages. Allocated as two arrays
+    # instead, a loop of cold cube-p1-deep setups page-faulted about 3000
+    # times per setup where the one block faulted almost never, and
+    # setup_s read 9% slower.
+    block = np.empty((len(ORTHANT_VECTORS), n, n), dtype=dtype)
+    m2l_class = block[: len(CLASS_VECTORS)]
+    for t0, out in zip(CLASS_VECTORS, m2l_class):
+        np.matmul(uc2e_inv.T, inverse_distances(up_equiv, t0 + up_equiv), out=out)
 
     return OperatorSet(
         order=order,
@@ -312,12 +393,30 @@ def precompute_operators(order, dtype=np.float64):
         uc2e_inv=uc2e_inv.astype(dtype, copy=False),
         u2u=u2u.astype(dtype, copy=False),
         d2d=d2d.astype(dtype, copy=False),
-        m2l=m2l,
-        flip_perm=flip_perm,
+        m2l_class=m2l_class,
+        sym_perm=_symmetry_perms(order),
         up_equiv_grid=up_equiv,
         up_check_grid=up_check,
         leaf_template=template_operand(up_check),
     )
+
+
+def _orthant_m2l(m2l_class, sym_perm):
+    """The 56 orthant transfer matrices of :attr:`OperatorSet.m2l`: the 16
+    class matrices, which the canonical vectors read, and gathered copies
+    of them for the other 40 vectors, written into the rest of the block
+    whose head ``m2l_class`` is. Returns ``(copies, matrices)``,
+    ``matrices[i]`` the matrix of orthant vector ``i``."""
+    n_cls, n = m2l_class.shape[:2]
+    block = m2l_class.base
+    assert block is not None and len(block) == len(ORTHANT_VECTORS)
+    slot = np.where(ORTHANT_SYM == 0, ORTHANT_CLASS, n_cls + np.cumsum(ORTHANT_SYM != 0) - 1)
+    # The gather indices are permutations, so mode "clip" changes nothing
+    # but lets the take write into ``out`` without a buffer.
+    for i in np.flatnonzero(ORTHANT_SYM != 0):
+        r = sym_perm[ORTHANT_SYM[i]]
+        m2l_class[ORTHANT_CLASS[i]].take(r[:, None] * n + r, out=block[slot[i]], mode="clip")
+    return block[n_cls:], tuple(block[k] for k in slot)
 
 
 _OP_CACHE = {}
@@ -326,13 +425,24 @@ _OP_LOCK = threading.Lock()
 
 def get_operator_set(order, dtype=np.float64):
     """Memoized :func:`precompute_operators`; safe to share across ranks
-    (operator sets are immutable after construction)."""
+    (operator sets are immutable after construction, apart from the
+    orthant M2L matrices that :func:`ensure_orthant_m2l` adds once)."""
     key = (order, np.dtype(dtype).str)
     with _OP_LOCK:
         ops = _OP_CACHE.get(key)
         if ops is None:
             ops = precompute_operators(order, dtype)
             _OP_CACHE[key] = ops
+    return ops
+
+
+def ensure_orthant_m2l(ops):
+    """Give ``ops`` its orthant M2L matrices, which the tiled M2L path reads,
+    unless it has them; returns ``ops``. Built once per operator set, under
+    the cache's lock, since ranks share the set."""
+    with _OP_LOCK:
+        if ops.m2l is None:
+            ops.m2l_copies, ops.m2l = _orthant_m2l(ops.m2l_class, ops.sym_perm)
     return ops
 
 
@@ -453,6 +563,14 @@ SMALL_PRODUCT = 1 << 10
 # 32 at order 8, 10% slower than no tiles).
 M2L_TILE_TARGETS = 64
 
+# Pairs up to which a level's M2L runs through the 16 class matrices rather
+# than the 56 orthant ones, 32 pairs per orthant matrix on average; see the
+# module docstring for the crossover it sits in.
+SPARSE_PAIRS = 56 * 32
+
+# Entries per chunk of the class path's buffers (256 KB each in f64).
+CLASS_CHUNK_ENTRIES = 1 << 15
+
 
 def u2u_level(ops, u_child, u_parent):
     """Accumulate child expansions into parents (children are 8*i .. 8*i+7).
@@ -490,16 +608,50 @@ def upward_pass(tree, ops, store, charges):
     return u2u_pass(ops, store)
 
 
+class TiledPlan(NamedTuple):
+    """M2L plan of a dense level (:func:`group_pairs_by_transfer`)."""
+
+    tgt: np.ndarray       # per pair, in plan order
+    rows_in: np.ndarray
+    rows_out: np.ndarray
+    runs: list
+    tile: int
+
+
+class ClassPlan(NamedTuple):
+    """M2L plan of a sparse level (:func:`group_pairs_by_class`). Per pair
+    it holds 18 bytes, fewer than a tiled plan's 24: each rank keeps its
+    plans, and 40 bytes per pair raised cube-p64-weak's peak RSS by 2 MB."""
+
+    src_off: np.ndarray     # per pair in plan order, its source row times n_coeff
+    in_sym: np.ndarray      # and the symmetry its source is read under (int8)
+    out_off: np.ndarray     # per pair of a chunk in target order, its chunk row times n_coeff
+    out_sym: np.ndarray     # and the symmetry of that pair (int8)
+    chunks: list            # (start, end, class runs, target row starts, targets)
+
+
+def plan_m2l(tgt_idx, src_rows, tv_idx, n_coeff):
+    """The M2L plan of one level's pairs (target index, source row,
+    transfer-vector index) of ``n_coeff``-long expansions: a class plan
+    (:func:`group_pairs_by_class`) for at most :data:`SPARSE_PAIRS` pairs,
+    else a tiled plan (:func:`group_pairs_by_transfer`)."""
+    sparse = len(tgt_idx) <= SPARSE_PAIRS
+    planner = group_pairs_by_class if sparse else group_pairs_by_transfer
+    return planner(tgt_idx, src_rows, tv_idx, n_coeff)
+
+
 def group_pairs_by_transfer(tgt_idx, src_rows, tv_idx, n_coeff):
-    """Plan :func:`apply_m2l` over interaction pairs of ``n_coeff``-long
-    expansions. Targets are cut into tiles of ``tile = M2L_TILE_TARGETS``
+    """Tiled plan of :func:`apply_m2l` over interaction pairs of
+    ``n_coeff``-long expansions, run with the 56 orthant matrices in the 8
+    flip frames. Targets are cut into tiles of ``tile = M2L_TILE_TARGETS``
     consecutive indices, and pairs are sorted by (tile, orthant matrix,
-    flip, target). Returns ``(tgt, rows_in, rows_out, runs, tile)``: per
-    pair in that order its target, its row in the source frames (``8 *
-    src + flip``) and its row in its tile's accumulator (``flip * w + tgt
-    % tile``, ``w = min(tile, n_t)``, ``n_t`` one more than the largest
-    target); ``runs[k]`` lists tile ``k``'s products (:func:`_product_runs`),
-    empty for a tile without pairs."""
+    flip, target). Returns a :class:`TiledPlan` ``(tgt, rows_in, rows_out,
+    runs, tile)``: per pair in that order its target, its row in the
+    source frames (``8 * src + flip``) and its row in its tile's
+    accumulator (``flip * w + tgt % tile``, ``w = min(tile, n_t)``,
+    ``n_t`` one more than the largest target); ``runs[k]`` lists tile
+    ``k``'s products (:func:`_product_runs`), empty for a tile without
+    pairs."""
     mat, flip = TRANSFER_ORTHANT[tv_idx], TRANSFER_FLIP[tv_idx]
     n_t = int(tgt_idx.max()) + 1 if len(tgt_idx) else 0
     tile, n_mat = M2L_TILE_TARGETS, len(ORTHANT_VECTORS)
@@ -512,7 +664,8 @@ def group_pairs_by_transfer(tgt_idx, src_rows, tv_idx, n_coeff):
     cuts = bounds[np.arange(n_tiles)[:, None] * n_mat + np.arange(n_mat + 1)]
     small, most = SMALL_PRODUCT // n_coeff, 4 * SMALL_PRODUCT // n_coeff
     runs = [_product_runs(tile_cuts, small, most) for tile_cuts in cuts.tolist()]
-    return tgt, 8 * src_rows[order] + flip, flip * min(tile, n_t) + tgt % tile, runs, tile
+    return TiledPlan(tgt, 8 * src_rows[order] + flip, flip * min(tile, n_t) + tgt % tile, runs,
+                     tile)
 
 
 def _product_runs(cuts, small, most):
@@ -532,11 +685,77 @@ def _product_runs(cuts, small, most):
     return runs
 
 
+def _stable_argsort(keys):
+    """``np.argsort(keys, kind="stable")`` of nonnegative integer keys,
+    cast to 16 bits when they fit: numpy sorts those by radix, 4x faster
+    than its merge sort on 1600 keys."""
+    if len(keys) and keys.max() < 1 << 15:
+        keys = keys.astype(np.int16)
+    return np.argsort(keys, kind="stable")
+
+
+def group_pairs_by_class(tgt_idx, src_rows, tv_idx, n_coeff):
+    """Class plan of :func:`apply_m2l` over interaction pairs of
+    ``n_coeff``-long expansions, run with the 16 class matrices. Pairs are
+    sorted by (class, symmetry), stably, so by (class, symmetry, target)
+    when the targets come in ascending order, as the V lists give them
+    (:func:`tree.build_interaction_lists`), and cut into chunks of at most
+    ``rows = CLASS_CHUNK_ENTRIES // n_coeff`` pairs: whole classes while
+    they fit, a class of more than ``rows`` pairs cut at multiples of
+    ``rows`` from its start. Returns a :class:`ClassPlan`; per chunk
+    ``(a, b, runs, starts, targets)``: its pairs ``a:b``, its classes as
+    (class, first row, end row) in chunk rows, and in the chunk's target
+    order the first row of each target and the targets. Built from the
+    module tables alone, so no operator set is needed."""
+    cls, sym = TRANSFER_CLASS[tv_idx], TRANSFER_SYM[tv_idx]
+    n_t = int(tgt_idx.max()) + 1 if len(tgt_idx) else 0
+    order = _stable_argsort(cls * 48 + sym)
+    tgt, cls, sym = tgt_idx[order], cls[order], sym[order]
+    rows = max(1, CLASS_CHUNK_ENTRIES // n_coeff)
+    bounds = np.searchsorted(cls, np.arange(len(CLASS_VECTORS) + 1)).tolist()
+    cuts, runs = [0], [[]]
+    for c, (p, q) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if p == q:
+            continue
+        if q - cuts[-1] > rows and p > cuts[-1]:
+            cuts.append(p)
+            runs.append([])
+        for cut in range(cuts[-1] + rows, q, rows):
+            runs[-1].append((c, p - cuts[-1], cut - cuts[-1]))
+            cuts.append(cut)
+            runs.append([])
+            p = cut
+        runs[-1].append((c, p - cuts[-1], q - cuts[-1]))
+    cuts.append(len(tgt))
+    # Per pair its chunk; within a chunk the pairs in target order.
+    sizes = np.diff(cuts)
+    chunk = np.repeat(np.arange(len(sizes)), sizes)
+    key = chunk * n_t + tgt
+    by_tgt = _stable_argsort(key)
+    new_tgt = np.flatnonzero(_changes(key[by_tgt]))
+    first = np.repeat(cuts[:-1], sizes)
+    split = np.searchsorted(new_tgt, cuts).tolist()
+    targets = tgt[by_tgt[new_tgt]]
+    chunks = [(a, b, r, new_tgt[i:j] - a, targets[i:j])
+              for a, b, r, i, j in zip(cuts[:-1], cuts[1:], runs, split[:-1], split[1:])
+              if b > a]
+    return ClassPlan(
+        (src_rows[order] * n_coeff).astype(np.intp, copy=False),
+        SYM_INVERSE[sym],
+        ((by_tgt - first) * n_coeff).astype(np.intp, copy=False),
+        sym[by_tgt],
+        chunks,
+    )
+
+
 def apply_m2l(ops, grouped, u_rows, d):
     """d[tgt] += m2l_t @ u_rows[src] for all grouped pairs, ``m2l_t`` the
-    transfer matrix of the pair's vector.
+    transfer matrix of the pair's vector, by the plan's kind: through the
+    class matrices for a :class:`ClassPlan` (:func:`_apply_by_class`),
+    through the orthant matrices in the flip frames for a
+    :class:`TiledPlan`.
 
-    Runs in the 8 sign-flip frames, which are written once per call: source
+    The tiled path writes the 8 sign-flip frames once per call: source
     row ``src`` in frame ``f`` is ``u_rows[src][flip_perm[f]]``. The targets
     are taken one tile at a time (see :func:`group_pairs_by_transfer`), and
     a tile's pairs accumulate into row ``f * w + tgt % tile`` of one zeroed
@@ -562,8 +781,14 @@ def apply_m2l(ops, grouped, u_rows, d):
     as many entries and one ``np.add.at``, which adds in pair order, so
     every accumulator row still sums its products in matrix order. The
     plan fixes these runs (:func:`_product_runs`); any grouping of
-    consecutive products gives the same bits.
+    consecutive products gives the same bits. Raises ``ValueError`` when
+    ``ops`` lacks its orthant matrices (:func:`ensure_orthant_m2l`).
     """
+    if isinstance(grouped, ClassPlan):
+        return _apply_by_class(ops, grouped, u_rows, d)
+    if ops.m2l is None:
+        raise ValueError("a tiled M2L plan needs the orthant matrices: "
+                         "call ensure_orthant_m2l(ops) first")
     tgt, rows_in, rows_out, runs, tile = grouped
     n_t, n_e = (int(tgt.max()) + 1 if len(tgt) else 0), d.shape[1]
     width = min(tile, n_t)
@@ -592,14 +817,55 @@ def apply_m2l(ops, grouped, u_rows, d):
     return d
 
 
+def _apply_by_class(ops, plan, u_rows, d):
+    """:func:`apply_m2l` of a :class:`ClassPlan`, one chunk at a time, in
+    three buffers of the largest chunk's rows: one index and two of
+    coefficients. Symmetry ``s`` of a pair relates its matrix to its class
+    matrix ``M`` by ``m2l_t = M[p][:, p]``, ``p = sym_perm[s]``, so
+    ``m2l_t @ u = (M @ u[q])[p]`` with ``q`` the permutation of the
+    inverse symmetry. Per chunk, one take gathers every source row under
+    its ``q``, one product per class runs with the class matrix, one take
+    reads each product under its ``p`` into target order, and one
+    ``np.add.reduceat`` sums each target's rows, which add into ``d``.
+    Every index is a valid flat position, so mode "clip" changes nothing
+    but lets each take write into its buffer directly."""
+    n_e, width = d.shape[1], max((b - a for a, b, *_ in plan.chunks), default=0)
+    u_flat = u_rows.reshape(-1)
+    idx = np.empty((width, n_e), dtype=np.intp)
+    x = np.empty((width, n_e), dtype=d.dtype)
+    y = np.empty_like(x)
+    for a, b, runs, starts, targets in plan.chunks:
+        i, xs, ys = idx[: b - a], x[: b - a], y[: b - a]
+        np.take(ops.sym_perm, plan.in_sym[a:b], axis=0, out=i, mode="clip")
+        i += plan.src_off[a:b, None]
+        np.take(u_flat, i, out=xs, mode="clip")
+        for c, p, q in runs:
+            np.matmul(xs[p:q], ops.m2l_class[c].T, out=ys[p:q])
+        np.take(ops.sym_perm, plan.out_sym[a:b], axis=0, out=i, mode="clip")
+        i += plan.out_off[a:b, None]
+        np.take(ys.reshape(-1), i, out=xs, mode="clip")
+        sums = np.add.reduceat(xs, starts, axis=0, out=y[: len(starts)])
+        rows = np.take(d, targets, axis=0, out=x[: len(starts)], mode="clip")
+        rows += sums
+        d[targets] = rows
+    return d
+
+
 @dataclass
 class VListPlan:
-    """Static V-list application plan: per level, the
-    :func:`group_pairs_by_transfer` plan of the level's pairs, whose source
-    rows index the level's :attr:`ExpansionStore.u_rows` (local rows, then
-    ghost rows)."""
+    """Static V-list application plan: per level, the :func:`plan_m2l` plan
+    of the level's pairs, a :class:`ClassPlan` or a :class:`TiledPlan`,
+    whose source rows index the level's :attr:`ExpansionStore.u_rows`
+    (local rows, then ghost rows). The first element of each plan has
+    one entry per pair."""
 
-    grouped: dict            # level -> (tgt, rows_in, rows_out, runs, tile)
+    grouped: dict            # level -> ClassPlan | TiledPlan
+
+    @property
+    def tiled(self):
+        """Whether a level runs the tiled path, which reads the orthant
+        matrices."""
+        return any(isinstance(g, TiledPlan) for g in self.grouped.values())
 
 
 def vli_downward(ops, store, plan):

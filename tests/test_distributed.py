@@ -33,7 +33,7 @@ from unifmm.distributed import (
     update_charges,
 )
 from unifmm.kernels import UnresolvedDependencyError, direct_sum
-from unifmm.operators import frozen_eps, leaf_check_sums
+from unifmm.operators import ClassPlan, TiledPlan, frozen_eps, leaf_check_sums
 from unifmm.transport import create_world, run_spmd
 
 
@@ -529,8 +529,9 @@ def test_near_field_blocks_per_rank_at_weak_scaling_shape(monkeypatch):
 
 
 def test_evaluate_replays_the_setup_plans(monkeypatch):
-    # Setup fixes the near-field blocks, the M2L product runs and the
-    # tree's S2U/D2T layouts; evaluate and update_charges only run them.
+    # Setup fixes the near-field blocks, the M2L plans of both kinds, the
+    # orthant M2L matrices and the tree's S2U/D2T layouts; evaluate and
+    # update_charges only run them.
     # With every planning and layout step made to raise once setup is
     # done, evaluate, update_charges and evaluate again give the
     # potentials of an unpatched run, bit for bit.
@@ -544,6 +545,7 @@ def test_evaluate_replays_the_setup_plans(monkeypatch):
     def forbid_planning():
         for module, name in [(kernels, "find_keys"), (kernels, "near_field_plan"),
                              (distributed, "near_field_plan"), (operators, "_product_runs"),
+                             (operators, "group_pairs_by_class"), (operators, "_orthant_m2l"),
                              (morton, "anchor_lattice"), (tree, "anchor_lattice"),
                              (morton, "descendant_anchors"), (tree, "descendant_anchors"),
                              (kernels, "point_operand"), (tree, "point_operand"),
@@ -568,15 +570,54 @@ def test_evaluate_replays_the_setup_plans(monkeypatch):
     for (_, *w), (_, *g) in zip(want, got):
         assert all(np.array_equal(a, b) for a, b in zip(w, g))
     # The plans hold near-field groups of several leaves and of one, ghost
-    # rows, and M2L runs of several products.
+    # rows, and M2L levels of both kinds: level 2 sparse (350 pairs per
+    # rank), level 3 dense (about 4700).
     leaves_per_group = [state.near_plan.groups[:, 3] for state, *_ in got]
     assert all((n > 1).any() for n in leaves_per_group)
     assert any((n == 1).any() for n in leaves_per_group)
     plans = [state.near_plan for state, *_ in got]
     assert all(len(p.ghost_coords) for p in plans)
-    m2l_runs = [run for state, *_ in got for g in state.v_plan.grouped.values()
-                for tile_runs in g[3] for run in tile_runs]
-    assert any(len(run) > 1 for run in m2l_runs)
+    kinds = {level: {type(state.v_plan.grouped[level]) for state, *_ in got} for level in (2, 3)}
+    assert kinds == {2: {ClassPlan}, 3: {TiledPlan}}
+
+
+@pytest.mark.parametrize("n, sphere, P, config, kinds, builds", [
+    # sphere-p8-o8-update: every rank's one V level is sparse.
+    (8192, True, 8, cfg(global_depth=1, local_depth=1, order=8), {2: ClassPlan}, 0),
+    # cube-p64-weak: the rank levels are sparse, rank 0's top level dense.
+    (4096, False, 64, cfg(global_depth=2, local_depth=1, order=2),
+     {3: ClassPlan, "top 2": TiledPlan}, 1),
+    # cube-p1-deep: both levels are dense.
+    (16384, False, 1, cfg(global_depth=1, local_depth=2, order=6),
+     {2: TiledPlan, 3: TiledPlan}, 1),
+], ids=["sphere-p8-o8", "cube-p64-weak", "cube-p1-deep"])
+def test_benchmark_shapes_plan_their_levels_by_pair_count(monkeypatch, n, sphere, P, config, kinds,
+                                                          builds):
+    # A level's plan kind follows its pair count (operators.SPARSE_PAIRS),
+    # and the orthant M2L matrices are built, once, only for a run with a
+    # dense level.
+    monkeypatch.setattr(operators, "_OP_CACHE", {})
+    built = []
+    real = operators._orthant_m2l
+
+    def spy(*args):
+        built.append(threading.current_thread().name)
+        return real(*args)
+
+    monkeypatch.setattr(operators, "_orthant_m2l", spy)
+    pts, chg = raw_instance(n, seed=7, sphere=sphere)
+    _, states, _ = distributed_run(pts, chg, P, config, evaluate_runs=0)
+    got = {}
+    for state in states:
+        plans = [(lvl, g) for lvl, g in state.v_plan.grouped.items()]
+        if state.global_plan is not None:
+            plans += [(f"top {lvl}", g) for lvl, g in state.global_plan.grouped.items()]
+        for lvl, g in plans:
+            got.setdefault(lvl, set()).add(type(g))
+            assert (len(g[0]) <= operators.SPARSE_PAIRS) == (type(g) is ClassPlan)
+    assert got == {lvl: {kind} for lvl, kind in kinds.items()}
+    assert len(built) == builds
+    assert (states[0].ops.m2l is None) == (builds == 0)
 
 
 def test_unresolved_dependency_after_ghost_drop():

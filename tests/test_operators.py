@@ -11,19 +11,27 @@ from unifmm.distributed import FmmConfig, evaluate, update_charges
 from unifmm.kernels import direct_sum, inverse_distances, laplace_potential
 from unifmm.morton import BoundingCube, make_key
 from unifmm.operators import (
+    CLASS_VECTORS,
     ORTHANT_VECTORS,
     SVD_CUTOFF,
+    TRANSFER_CLASS,
+    TRANSFER_SYM,
     UPWARD_CHECK_SCALE,
     UPWARD_EQUIV_SCALE,
+    ClassPlan,
     ExpansionStore,
-    _lattice_maps,
+    TiledPlan,
+    _surface_lattice,
     _tsvd_pinv,
     apply_m2l,
     box_side,
     d2d_level,
+    ensure_orthant_m2l,
     expansion_length,
     get_operator_set,
+    group_pairs_by_class,
     group_pairs_by_transfer,
+    plan_m2l,
     leaf_s2u_all,
     precompute_operators,
     surface_grid,
@@ -63,14 +71,16 @@ def flipped(mat, ops, flip):
     return mat[np.ix_(p, p)]
 
 
+def transfer_matrix(ops, t):
+    """The transfer matrix of vector ``t``: the orthant matrix of its
+    absolute vector under the sign flip of its negative axes."""
+    m = np.flatnonzero((ORTHANT_VECTORS == np.abs(t)).all(axis=1))[0]
+    return flipped(ensure_orthant_m2l(ops).m2l[m], ops, int(((t < 0) * [1, 2, 4]).sum()))
+
+
 def dense_m2l(ops):
-    """All 316 transfer matrices, each the stored matrix of its absolute
-    vector under the sign flip of its negative axes."""
-    out = []
-    for t in TRANSFER_VECTORS:
-        m = np.flatnonzero((ORTHANT_VECTORS == np.abs(t)).all(axis=1))[0]
-        out.append(flipped(ops.m2l[m], ops, int(((t < 0) * [1, 2, 4]).sum())))
-    return np.stack(out)
+    """All 316 transfer matrices (:func:`transfer_matrix`)."""
+    return np.stack([transfer_matrix(ops, t) for t in TRANSFER_VECTORS])
 
 
 def dense_u2u(ops):
@@ -143,21 +153,57 @@ def test_surface_grid_rejects_order_1():
 
 
 def test_m2l_count_is_316():
-    ops = get_operator_set(3)
-    assert ops.m2l.shape[0] == 56 == len(ORTHANT_VECTORS)
+    ops = ensure_orthant_m2l(precompute_operators(3))
+    assert ops.m2l_class.shape[0] == 16 == len(CLASS_VECTORS)
+    assert len(ops.m2l) == 56 == len(ORTHANT_VECTORS) == 16 + len(ops.m2l_copies)
     assert np.all(ORTHANT_VECTORS >= 0)
     assert dense_m2l(ops).shape[0] == 316 == len(TRANSFER_VECTORS)
 
 
 @pytest.mark.parametrize("order", range(2, 9))
 def test_stored_m2l_are_bitwise_gathers_of_their_class_matrices(order):
-    # The canonical vector of each class is stored under the identity map.
-    ops = get_operator_set(order)
-    classes, cls, rho, _ = _lattice_maps(order)
-    canonical = [np.flatnonzero((ORTHANT_VECTORS == c).all(axis=1))[0] for c in classes]
-    for i, (c, r) in enumerate(zip(cls, rho)):
-        assert np.array_equal(rho[canonical[c]], np.arange(ops.n_coeff))
-        assert np.array_equal(ops.m2l[i], ops.m2l[canonical[c]][np.ix_(r, r)]), i
+    # The canonical vector of each class reads its class matrix itself;
+    # every transfer matrix, the orthant matrix of its absolute vector
+    # under its flip, is its class matrix under the permutation of its
+    # symmetry, bit for bit.
+    ops = ensure_orthant_m2l(precompute_operators(order))
+    canonical = [np.flatnonzero((ORTHANT_VECTORS == c).all(axis=1))[0] for c in CLASS_VECTORS]
+    assert all(np.shares_memory(ops.m2l[i], ops.m2l_class[c]) for c, i in enumerate(canonical))
+    assert not any(np.shares_memory(m, ops.m2l_class) for m in ops.m2l_copies)
+    for t, vec in enumerate(TRANSFER_VECTORS):
+        p = ops.sym_perm[TRANSFER_SYM[t]]
+        want = ops.m2l_class[TRANSFER_CLASS[t]][np.ix_(p, p)]
+        assert np.array_equal(transfer_matrix(ops, vec), want), t
+
+
+def test_symmetry_tables_map_each_vector_to_its_class():
+    # Symmetry s maps x to SYM_MATRICES[s] @ x; it takes each transfer
+    # vector to the canonical vector of its class, and its inverse undoes it.
+    mats = operators.SYM_MATRICES
+    assert len({m.tobytes() for m in mats}) == 48
+    assert np.array_equal(mats[:8], [np.diag(1 - 2 * ((f >> np.arange(3)) & 1)) for f in range(8)])
+    inverse = mats[operators.SYM_INVERSE]
+    assert all(np.array_equal(m @ inv, np.eye(3)) for m, inv in zip(mats, inverse))
+    mapped = np.einsum("tij,tj->ti", mats[TRANSFER_SYM], TRANSFER_VECTORS)
+    assert np.array_equal(mapped, CLASS_VECTORS[TRANSFER_CLASS])
+    assert np.all(np.diff(CLASS_VECTORS, axis=1) >= 0) and np.all(CLASS_VECTORS >= 0)
+
+
+@pytest.mark.parametrize("order", [2, 3, 6])
+def test_sym_perm_is_the_lattice_map_of_each_symmetry(order):
+    # Row s sends lattice point k to the point SYM_MATRICES[s] @ x_k, so its
+    # first 8 rows are the old per-axis mirror permutations.
+    ops = precompute_operators(order)
+    lattice = _surface_lattice(order)
+    centered = 2 * lattice - (order - 1)
+    index = {tuple(x): k for k, x in enumerate(centered.tolist())}
+    for s, mat in enumerate(operators.SYM_MATRICES):
+        want = [index[tuple(x)] for x in (centered @ mat.T).tolist()]
+        assert np.array_equal(ops.sym_perm[s], want), s
+    for f in range(8):
+        mirrored = np.where((f >> np.arange(3)) & 1, order - 1 - lattice, lattice)
+        old = [index[tuple(x)] for x in (2 * mirrored - (order - 1)).tolist()]
+        assert np.array_equal(ops.flip_perm[f], old)
 
 
 def test_operator_set_shapes():
@@ -166,6 +212,7 @@ def test_operator_set_shapes():
     assert ops.u2u.shape == (n, n)
     assert ops.d2d.shape == (n, n)
     assert dense_u2u(ops).shape == dense_d2d(ops).shape == (8, n, n)
+    assert ops.sym_perm.shape == (48, n)
     assert ops.flip_perm.shape == (8, n)
     assert ops.uc2e_inv.shape == (n, n)
 
@@ -407,14 +454,15 @@ def test_swapped_check_system_is_bitwise_transpose(order):
     assert ops.down_equiv_grid is ops.up_check_grid
 
 
-def check_apply_m2l_against_dense(dtype, rtol, pool, seed):
+def check_apply_m2l_against_dense(dtype, rtol, pool, seed, order=3,
+                                  planner=group_pairs_by_transfer):
     """apply_m2l against a dense per-vector sum: every transfer vector,
     targets from ``pool`` (its first in every vector) repeated across
     vectors and across the flips of one stored matrix, sources in the
     local rows and in the ghost rows appended below them, and d
-    accumulated onto nonzero values. Returns the plan."""
+    accumulated onto nonzero values. Returns the plan ``planner`` made."""
     rng = np.random.default_rng(seed)
-    ops = precompute_operators(3, dtype=dtype)
+    ops = ensure_orthant_m2l(precompute_operators(order, dtype=dtype))
     n_t, n_local, n_ghost = int(pool[-1]) + 1, 7, 5
     tgt, src, tv = [], [], []
     for t in range(len(TRANSFER_VECTORS)):
@@ -429,15 +477,16 @@ def check_apply_m2l_against_dense(dtype, rtol, pool, seed):
     u_local = rng.standard_normal((n_local, ops.n_coeff)).astype(dtype)
     ghost = rng.standard_normal((n_ghost, ops.n_coeff)).astype(dtype)
     d0 = rng.standard_normal((n_t, ops.n_coeff)).astype(dtype)
-    grouped = group_pairs_by_transfer(tgt, src, tv, ops.n_coeff)
+    grouped = planner(tgt, src, tv, ops.n_coeff)
     assert len(grouped[0]) == len(tgt)
     got = apply_m2l(ops, grouped, np.concatenate([u_local, ghost]), d0.copy())
 
-    m2l = dense_m2l(ops).astype(np.float64)
     u_rows = np.concatenate([u_local, ghost]).astype(np.float64)
     want = d0.astype(np.float64)
-    for t, s, v in zip(tgt, src, tv):
-        want[t] += m2l[v] @ u_rows[s]
+    for v, vec in enumerate(TRANSFER_VECTORS):
+        m2l = transfer_matrix(ops, vec).astype(np.float64)
+        for t, s in zip(tgt[tv == v], src[tv == v]):
+            want[t] += m2l @ u_rows[s]
     assert got.dtype == dtype
     np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
     return grouped
@@ -454,6 +503,56 @@ def test_apply_m2l_matches_dense_per_vector_sum(dtype, rtol):
 
 
 @M2L_DENSE_TOL
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+@pytest.mark.parametrize("kind", [ClassPlan, TiledPlan], ids=["class", "tiled"])
+def test_apply_m2l_plan_kinds_match_dense_per_vector_sum(monkeypatch, kind, order, dtype, rtol):
+    # The same pairs (about 1400, a sparse level) planned either way.
+    monkeypatch.setattr(operators, "SPARSE_PAIRS", 10**9 if kind is ClassPlan else 0)
+    plan = check_apply_m2l_against_dense(dtype, rtol, np.arange(9), seed=order, order=order,
+                                         planner=plan_m2l)
+    assert type(plan) is kind
+
+
+def test_class_plan_chunks_cut_inside_and_between_classes(monkeypatch):
+    # Chunks of 40 rows against classes of about 25 to 200 pairs.
+    monkeypatch.setattr(operators, "CLASS_CHUNK_ENTRIES", 40 * 8)
+    plan = check_apply_m2l_against_dense(np.float64, 1e-13, np.arange(9), seed=43, order=2,
+                                         planner=group_pairs_by_class)
+    starts = [a for a, *_ in plan.chunks[1:]]
+    assert all(b - a <= 40 for a, b, *_ in plan.chunks)
+    classes = [[c for c, _, _ in runs] for _, _, runs, _, _ in plan.chunks]
+    inside = [prev[-1] == nxt[0] for prev, nxt in zip(classes[:-1], classes[1:])]
+    assert any(inside) and not all(inside), starts
+    assert all(len(set(c)) == len(c) for c in classes)
+
+
+def test_class_plan_of_one_pair_and_of_none():
+    ops = precompute_operators(4)
+    u = np.random.default_rng(47).standard_normal((3, ops.n_coeff))
+    d0 = np.random.default_rng(48).standard_normal((2, ops.n_coeff))
+    t = 123
+    one = group_pairs_by_class(np.array([1]), np.array([2]), np.array([t]), ops.n_coeff)
+    got = apply_m2l(ops, one, u, d0.copy())
+    want = d0.copy()
+    want[1] += transfer_matrix(ops, TRANSFER_VECTORS[t]) @ u[2]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    # np.add.reduceat rejects an empty index list: a level without pairs
+    # has no chunks and leaves d as it is.
+    empty = np.empty(0, dtype=np.int64)
+    none = group_pairs_by_class(empty, empty, empty, ops.n_coeff)
+    assert len(none[0]) == 0 and none.chunks == []
+    assert np.array_equal(apply_m2l(ops, none, u, d0.copy()), d0)
+
+
+def test_tiled_apply_needs_the_orthant_matrices():
+    ops = precompute_operators(2)
+    plan = group_pairs_by_transfer(np.array([0]), np.array([0]), np.array([5]), ops.n_coeff)
+    u = np.ones((1, ops.n_coeff))
+    with pytest.raises(ValueError, match="ensure_orthant_m2l"):
+        apply_m2l(ops, plan, u, np.zeros_like(u))
+
+
+@M2L_DENSE_TOL
 def test_apply_m2l_tiles_match_dense_per_vector_sum(dtype, rtol):
     # Targets in tiles 0, 2 and a partial tile 3; tile 1 has no pairs.
     tile = operators.M2L_TILE_TARGETS
@@ -466,7 +565,7 @@ def test_apply_m2l_tiles_match_dense_per_vector_sum(dtype, rtol):
 def test_apply_m2l_tiles_match_one_tile_per_level(monkeypatch):
     # The 512 targets of a full level in tiles, against one tile covering
     # the level: the same sums, up to the GEMMs' rounding.
-    ops = get_operator_set(6)
+    ops = ensure_orthant_m2l(get_operator_set(6))
     keys = morton.all_keys(3)
     tgt, members, tv = _v_members_with_vectors(keys, 3)
     u = np.random.default_rng(37).standard_normal((len(keys), ops.n_coeff))
@@ -479,25 +578,50 @@ def test_apply_m2l_tiles_match_one_tile_per_level(monkeypatch):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
+def traced_peak(call):
+    """Peak bytes tracemalloc sees during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_apply_m2l_memory_stays_near_its_frames():
     # One call on a full 512-box level at order 6 allocates its 8 flip
     # frames (4.75 MB) and at most 2 MB more: the tiles keep the
     # accumulator and the gathered rows small. A whole-level accumulator
     # peaks near 17.7 MB.
-    ops = get_operator_set(6)
+    ops = ensure_orthant_m2l(get_operator_set(6))
     keys = morton.all_keys(3)
     tgt, members, tv = _v_members_with_vectors(keys, 3)
     grouped = group_pairs_by_transfer(tgt, np.searchsorted(keys, members), tv, ops.n_coeff)
     u = np.random.default_rng(41).standard_normal((len(keys), ops.n_coeff))
     d = np.zeros_like(u)
-    tracemalloc.start()
-    try:
-        apply_m2l(ops, grouped, u, d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: apply_m2l(ops, grouped, u, d))
     frames = 8 * u.nbytes
     assert peak < frames + (2 << 20), f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_class_apply_memory_stays_near_its_chunk_buffers():
+    # A sparse level at order 6 (1700 pairs of a full 512-box level, 10
+    # chunks): one call allocates its index buffer and its two coefficient
+    # buffers of one chunk each (255 KiB apiece) and numpy's 64 KiB buffer
+    # of the broadcast index add, not a level's worth of gathered rows
+    # (1700 x 152 coefficients, 2 MiB per buffer). Measured: 835 KiB.
+    ops = get_operator_set(6)
+    keys = morton.all_keys(3)
+    tgt, members, tv = _v_members_with_vectors(keys, 3)
+    pick = np.sort(np.random.default_rng(53).choice(len(tgt), 1700, replace=False))
+    src = np.searchsorted(keys, members[pick])
+    plan = group_pairs_by_class(tgt[pick], src, tv[pick], ops.n_coeff)
+    assert len(plan.chunks) > 8
+    u = np.random.default_rng(54).standard_normal((len(keys), ops.n_coeff))
+    d = np.zeros_like(u)
+    peak = traced_peak(lambda: apply_m2l(ops, plan, u, d))
+    chunk = operators.CLASS_CHUNK_ENTRIES * u.itemsize
+    assert peak < 3 * chunk + (128 << 10), f"peak {peak / 2**10:.0f} KiB"
 
 
 def test_full_pipeline_matches_direct_sum():
@@ -546,6 +670,6 @@ def test_d_depends_only_on_points_outside_halo():
 
 
 def test_operators_f32_mode():
-    ops = precompute_operators(3, dtype=np.float32)
-    assert ops.m2l.dtype == np.float32
+    ops = ensure_orthant_m2l(precompute_operators(3, dtype=np.float32))
+    assert ops.m2l_class.dtype == ops.m2l_copies.dtype == np.float32
     assert ops.svd_cutoff == 1e-5
