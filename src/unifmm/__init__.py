@@ -10,14 +10,8 @@ and communication/computation statistics sweeps.
 __version__ = "0.1.0"
 
 from .morton import MAX_DEPTH, BoundingCube, encode_points, fit_domain
-from .tree import (
-    UniformTree,
-    build_tree,
-    compute_u_list,
-    compute_v_list,
-    transfer_vector,
-)
-from .kernels import direct_sum, kernel_backend, laplace_kernel, near_field_plan, p2p_uli
+from .tree import UniformTree, build_tree
+from .kernels import direct_sum, kernel_backend, near_field_plan, p2p_uli
 from .operators import (
     expansion_length,
     frozen_eps,
@@ -42,12 +36,8 @@ __all__ = [
     "fit_domain",
     "UniformTree",
     "build_tree",
-    "compute_u_list",
-    "compute_v_list",
-    "transfer_vector",
     "direct_sum",
     "kernel_backend",
-    "laplace_kernel",
     "near_field_plan",
     "p2p_uli",
     "expansion_length",

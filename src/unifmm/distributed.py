@@ -33,10 +33,10 @@ order, form the near-field ghost table sorted by leaf key, which the
 receiver recomputes from each point.
 
 Every neighbor exchange is a :class:`Halo`: the rows of a table sent to
-each neighbor, gathered at once, and the row count of each neighbor's
-message, which the exchange's first run in setup fixes. Setup's U
-exchange fixes the near-field halo, and its V-key exchange fixes the
-far-field one. Each replay checks every incoming message against those
+each neighbor, gathered at once into one send buffer with a count per
+neighbor, and the row count of each neighbor's message, which the
+exchange's first run in setup fixes. Setup's U exchange fixes the
+near-field halo, and its V-key exchange fixes the far-field one. Each replay checks every incoming message against those
 counts, so a lost or extra row raises :class:`UnresolvedDependencyError`
 on the rank it was meant for, naming the sender.
 
@@ -183,19 +183,17 @@ class Halo:
         sender."""
         shape = table.shape[1:]
         width = math.prod(shape)
-        msgs = comm.neighbor_alltoallv(
-            graph, [rows.ravel() for rows in _cut(table[self.send], self.send_counts)]
-        )
-        sizes = [m.size for m in msgs]
+        recv, sizes = comm.neighbor_alltoallv(graph, table[self.send], self.send_counts * width)
         if self.recv_counts is None:
-            self.recv_counts = np.array(sizes, dtype=np.int64) // width
-        if sizes != (self.recv_counts * width).tolist():
-            k = next(k for k, n in enumerate(self.recv_counts) if sizes[k] != n * width)
+            self.recv_counts = sizes // width
+        wrong = np.flatnonzero(sizes != self.recv_counts * width)
+        if len(wrong):
+            k = wrong[0]
             raise UnresolvedDependencyError(
                 f"unresolved dependency: rank {graph[k]} sent {sizes[k] / width:.10g} rows "
                 f"where setup fixed {self.recv_counts[k]}"
             )
-        return np.concatenate([np.empty(0, table.dtype), *msgs]).reshape(-1, *shape)
+        return recv.reshape(-1, *shape)
 
 
 @dataclass
@@ -283,19 +281,12 @@ def _global_cube(comm, points, margin):
     else:
         lo = np.full(3, np.inf)
         hi = np.full(3, -np.inf)
-    bounds = np.concatenate(comm.allgatherv(np.concatenate([lo, hi])))
+    bounds, _ = comm.allgatherv(np.concatenate([lo, hi]))
     lo = bounds.reshape(-1, 6)[:, :3].min(axis=0)
     hi = bounds.reshape(-1, 6)[:, 3:].max(axis=0)
     if not np.all(np.isfinite(lo)):
         raise ValueError("no points on any rank")
     return morton.fit_domain(np.stack([lo, hi]), margin)
-
-
-def _cut(array, lengths):
-    """``array`` cut into consecutive pieces of the given lengths."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    return [array[a:b] for a, b in zip((ends - lengths).tolist(), ends.tolist())]
 
 
 def _served_rows(tree, keys, per_nbr):
@@ -478,7 +469,7 @@ def _global_stage(state, gathered):
     (level-1 boxes are all adjacent)."""
     ops, d_g, top = state.ops, state.config.global_depth, state.top_store
     top.reset()
-    top.u[d_g][:] = np.concatenate(gathered).reshape(-1, ops.n_coeff)
+    top.u[d_g][:] = gathered.reshape(-1, ops.n_coeff)
     u2u_pass(ops, top)
     vli_downward(ops, top, state.global_plan)
     return top.d[d_g]
@@ -514,10 +505,9 @@ def evaluate(state):
 
     if comm.rank == NOMINATED_RANK:
         with _phase(seconds, "global_stage"):
-            root_d = _global_stage(state, gathered)
-        runs = state.layout.run_starts
-        segments = [root_d[runs[r] : runs[r + 1]].ravel() for r in range(comm.size)]
-        mine = comm.scatterv(segments, root=NOMINATED_RANK)
+            root_d = _global_stage(state, gathered[0])
+        counts = np.diff(state.layout.run_starts) * ops.n_coeff
+        mine = comm.scatterv(root_d, counts, root=NOMINATED_RANK)
     else:
         mine = comm.scatterv(root=NOMINATED_RANK)
 

@@ -112,13 +112,6 @@ class UnresolvedDependencyError(RuntimeError):
     """A near- or far-field member exists remotely but has no ghost data."""
 
 
-def laplace_kernel(x, y):
-    """1/|x - y|, with 0 at coincident points."""
-    d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    r = float(np.sqrt(np.dot(d, d)))
-    return 0.0 if r == 0.0 else 1.0 / r
-
-
 # Entries of one (targets, sources) distance block. Blocks hold a multiple
 # of 4 targets: OpenBLAS's matrix-vector product sums rows in groups of 4,
 # so aligned blocks give each target the sum one unblocked product gives.

@@ -184,11 +184,6 @@ def decode(key, cube):
     return np.asarray(cube.origin) + anchor_lattice(key) * side[..., None], side
 
 
-def box_center(key, cube):
-    anchor, side = decode(key, cube)
-    return anchor + 0.5 * side[..., None]
-
-
 def ancestor_at(key, level):
     """Ancestor of ``key`` at the given coarser ``level``."""
     key = _u64(key)
@@ -197,14 +192,6 @@ def ancestor_at(key, level):
     # At level 0 the shift is 64, which numpy defines to give 0.
     drop = np.uint64(LEVEL_BITS + 48) - np.uint64(3) * _u64(level)
     return ((key >> drop) << drop) | _u64(level)
-
-
-def parent(key):
-    """Parent key one level up; errors at the root."""
-    level = key_level(key)
-    if np.any(level < 1):
-        raise ValueError("root box has no parent")
-    return ancestor_at(key, level - 1)
 
 
 def first_descendant(key, level):
@@ -227,11 +214,6 @@ def descendants(key, depth):
     # anchor bits of the depth levels below the key's own.
     slot = _u64(3 * (MAX_DEPTH - level) + LEVEL_BITS)
     return ((key + np.uint64(depth)) | (np.arange(8**depth, dtype=np.uint64) << slot)).reshape(-1)
-
-
-def children(key):
-    """The 8 child keys in ascending (Morton) order."""
-    return descendants(key, 1)
 
 
 def all_keys(level):

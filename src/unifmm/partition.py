@@ -46,7 +46,7 @@ def sample_splitters(comm, keys, samples_per_rank, seed, snap_level=None):
     if b < 1:
         raise ValueError("samples_per_rank must be >= 1")
     keys = np.asarray(keys, dtype=np.uint64)
-    counts = np.concatenate(comm.allgatherv(np.array([len(keys)], dtype=np.int64)))
+    counts, _ = comm.allgatherv(np.array([len(keys)], dtype=np.int64))
     if counts.min() < 1 or counts.sum() < b * comm.size:
         raise ValueError(
             f"too few points to sample: need >= {b} * {comm.size} total and >= 1 per rank"
@@ -55,15 +55,15 @@ def sample_splitters(comm, keys, samples_per_rank, seed, snap_level=None):
     local = rng.choice(keys, size=b, replace=True)
     gathered = comm.gatherv(local, root=0)
     if comm.rank == 0:
-        pool = np.sort(np.concatenate(gathered).astype(np.uint64))
+        pool = np.sort(gathered[0].astype(np.uint64))
         splitters = pool[b * np.arange(1, comm.size)]
         if snap_level is not None:
             splitters = snap_to_boxes(splitters, snap_level)
     else:
         splitters = np.empty(0, dtype=np.uint64)
     # Broadcast via allgatherv: only rank 0 contributes.
-    parts = comm.allgatherv(splitters)
-    return np.concatenate(parts).astype(np.uint64)
+    splitters, _ = comm.allgatherv(splitters)
+    return splitters.astype(np.uint64)
 
 
 def snap_to_boxes(splitters, snap_level):
@@ -98,14 +98,12 @@ def redistribute(comm, keys, points, charges, splitters):
     dest = bucket_of(keys, splitters)
     # A stable sort keeps each destination's points in input order.
     order = np.argsort(dest, kind="stable")
-    ends = np.cumsum(np.bincount(dest, minlength=comm.size)).tolist()
-    starts = [0] + ends[:-1]
     rows = np.empty((len(points), 5))
     rows[:, :3] = points[order]
     rows[:, 3] = charges[order]
     rows[:, 4] = keys[order].view(np.float64)
-    recv = comm.alltoallv([rows[a:b].ravel() for a, b in zip(starts, ends)])
-    rows = np.concatenate(recv).reshape(-1, 5)
+    rows, _ = comm.alltoallv(rows, 5 * np.bincount(dest, minlength=comm.size))
+    rows = rows.reshape(-1, 5)
     return rows[:, :3].copy(), rows[:, 3].copy(), rows[:, 4].copy().view(np.uint64)
 
 

@@ -1,23 +1,45 @@
 """Deterministic in-process multi-rank transport.
 
 Each simulated rank runs its program in its own thread and talks to the
-others only through the five collectives the algorithm needs. Collective
-calls rendezvous on a global slot counter: every live rank must arrive at
-slot k with the same collective kind before any of them proceeds, which
-makes mismatched schedules and stalled ranks detectable instead of
-hanging. Each send buffer is snapshotted once, when its rank calls the
-collective, into a private read-only array, and every receiver of that
-buffer is handed the snapshot itself: a sender may reuse its buffer
-right after the call, and a receiver that needs to write copies first.
-Results are assembled in rank order from the snapshots, so received
-buffers (and all count/byte statistics) are a pure function of the
-inputs: two runs with the same seed and programs are bit-identical
-regardless of thread scheduling. Wall times are the only nondeterministic
-output and are reported separately from the deterministic statistics.
+others only through the five collectives the algorithm needs, in the
+shape of MPI's v-collectives. A rank sends one buffer, flattened, with
+a count per destination in elements (``alltoallv``,
+``neighbor_alltoallv``, and ``scatterv`` at the root): destination k
+gets the next ``counts[k]`` elements. A rank receives one buffer with a
+count per source (``allgatherv``, ``alltoallv``, ``neighbor_alltoallv``,
+and ``gatherv`` at the root), the sources' parts in rank order (in the
+receiver's neighbor order for ``neighbor_alltoallv``). The interface
+maps one to one onto mpi4py's ``Allgatherv``, ``Alltoallv``,
+``Gatherv``, ``Scatterv`` and ``Neighbor_alltoallv``. Counts that are
+not one per destination, are negative, or do not sum to the buffer's
+length raise :class:`TransportError` naming the rank, at the call.
+
+Collective calls rendezvous on a global slot counter: every live rank
+must arrive at slot k with the same collective kind before any of them
+proceeds, which makes mismatched schedules and stalled ranks detectable
+instead of hanging. Each call snapshots its rank's one send buffer, at
+the call, into a private read-only array (a ``scatterv`` rank other than
+the root sends nothing and snapshots nothing), so a sender may reuse its
+buffer right after the call. The last rank to arrive checks the slot and
+counts its traffic under the world lock; each receiver then assembles
+its own result after it leaves the lock, so that work is charged to the
+receiver's thread. A result of one part is a view of the snapshot, one
+of several parts a new array; ``allgatherv``'s is joined once and shared.
+Received buffers and counts are read-only (a receiver that needs to
+write copies first) and are a pure function of the inputs: two runs
+with the same seed and programs are bit-identical regardless of thread
+scheduling. Wall times are the only nondeterministic output and are
+reported separately from the deterministic statistics.
+
+A neighbor list must be strictly increasing, must not hold its own rank
+and must name ranks of the world, and the graph must be symmetric. The
+lists are checked only when some rank's list differs from the lists last
+validated, so a graph fixed at setup is checked once, not on every
+exchange; a list that changes is checked again.
 
 One rule counts every collective's traffic: a message is a nonempty
-buffer sent to another rank (a rank's own part never travels), counted
-in the sender's ``msgs_sent`` and ``bytes_sent`` and the receiver's
+part sent to another rank (a rank's own part never travels), counted in
+the sender's ``msgs_sent`` and ``bytes_sent`` and the receiver's
 ``bytes_recv``. ``payload_bytes`` is a rank's own buffer for allgatherv
 and gatherv, its own segment for scatterv (the root's included in both),
 and the bytes it sends other ranks for alltoallv and neighbor_alltoallv.
@@ -102,21 +124,34 @@ def stats_delta(before, after):
 
 
 class _Slot:
-    __slots__ = ("kind", "payloads", "results", "done", "picked")
+    __slots__ = ("kind", "payloads", "deliver", "done", "picked")
 
     def __init__(self, kind):
         self.kind = kind
         self.payloads = {}
-        self.results = None
+        self.deliver = None
         self.done = False
         self.picked = 0
 
 
-def _snapshot(arr):
-    """Private read-only copy of a send buffer: what goes on the wire."""
-    snap = np.array(arr, copy=True)
+def _snapshot(send):
+    """Private read-only flat copy of a send buffer: what goes on the wire."""
+    snap = np.array(send, order="C").ravel()
     snap.setflags(write=False)
     return snap
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+def _joined(parts, empty):
+    """One read-only buffer of ``parts`` in order: a lone part as it is (a
+    view of a snapshot), several joined into a new array, ``empty`` if none."""
+    if len(parts) == 1:
+        return parts[0]
+    return _read_only(np.concatenate(parts)) if parts else empty
 
 
 class SimWorld:
@@ -131,6 +166,8 @@ class SimWorld:
         self._slots = {}
         self._finished = set()
         self._failure = None
+        self._graph = None     # the neighbor lists last validated, by rank,
+        self._edges = None     # and their edge arrays (see _check_graph)
         self.stats = [RankStats() for _ in range(size)]
 
     def comm(self, rank):
@@ -201,7 +238,7 @@ class SimWorld:
             slot.payloads[rank] = payload
             if len(slot.payloads) == self.size:
                 try:
-                    slot.results = getattr(self, f"_complete_{kind}")(slot.payloads)
+                    slot.deliver = getattr(self, f"_complete_{kind}")(slot.payloads)
                 except TransportError as exc:
                     self._fail(exc)
                 except Exception as exc:
@@ -217,25 +254,33 @@ class SimWorld:
                 ))
             if self._failure is not None:
                 self._raise_failure(kind)
-            result = slot.results[rank]
+            deliver = slot.deliver
             slot.picked += 1
             if slot.picked == self.size:
                 slot.payloads.clear()
-                slot.results = None
+                slot.deliver = None
                 del self._slots[slot_idx]
-            self.stats[rank].by_kind[kind].seconds += time.perf_counter() - t0
-            return result
+        result = deliver(rank)
+        self.stats[rank].by_kind[kind].seconds += time.perf_counter() - t0
+        return result
 
     # -- completion rules (run once per slot, under the lock) ---------------
+    #
+    # Each checks the slot, counts its traffic and returns ``deliver(rank)``,
+    # which every rank calls for its own result after leaving the lock.
 
-    def _tally(self, kind, nbytes, payload):
-        """The one counting rule. ``nbytes[i, j]`` is what rank i sends rank
-        j; the diagonal never travels and an empty buffer is no message."""
-        np.fill_diagonal(nbytes, 0)
-        msgs = np.count_nonzero(nbytes, axis=1).tolist()
-        sent = nbytes.sum(axis=1).tolist()
-        recv = nbytes.sum(axis=0).tolist()
-        payload = np.asarray(payload).tolist()
+    def _tally(self, kind, src, dst, nbytes, payload=None):
+        """The one counting rule. Rank ``src[k]`` addresses ``nbytes[k]``
+        bytes to rank ``dst[k]``; a rank's own part never travels and an
+        empty part is no message. ``payload`` defaults to the bytes sent."""
+        n = self.size
+        travels = (src != dst) & (nbytes > 0)
+        src, dst, nbytes = src[travels], dst[travels], nbytes[travels]
+        msgs = np.bincount(src, minlength=n).tolist()
+        sent = np.bincount(src, nbytes, minlength=n).astype(np.int64)
+        recv = np.bincount(dst, nbytes, minlength=n).astype(np.int64).tolist()
+        payload = (sent if payload is None else payload).tolist()
+        sent = sent.tolist()
         for r, st in enumerate(rank_stats.by_kind[kind] for rank_stats in self.stats):
             st.calls += 1
             st.msgs_sent += msgs[r]
@@ -257,56 +302,72 @@ class SimWorld:
         return int(root)
 
     def _complete_allgatherv(self, payloads):
-        arrays = [payloads[r] for r in range(self.size)]
-        sizes = np.array([a.nbytes for a in arrays], dtype=np.int64)
-        self._tally("allgatherv", np.repeat(sizes[:, None], self.size, axis=1), sizes)
-        return {r: list(arrays) for r in range(self.size)}
+        n = self.size
+        snaps = [payloads[r] for r in range(n)]
+        sizes = _read_only(np.array([s.size for s in snaps], dtype=np.int64))
+        nbytes = sizes * [s.itemsize for s in snaps]
+        senders = np.flatnonzero(nbytes)
+        self._tally("allgatherv", np.repeat(senders, n), np.tile(np.arange(n), len(senders)),
+                    np.repeat(nbytes[senders], n), nbytes)
+        joined = _joined(snaps, None)
+        return lambda rank: (joined, sizes)
 
     def _complete_alltoallv(self, payloads):
-        for r, send in payloads.items():
-            if len(send) != self.size:
-                raise TransportError(
-                    f"alltoallv: rank {r} passed {len(send)} buffers for world size {self.size}"
-                )
-        nbytes = np.array(
-            [[b.nbytes for b in payloads[r]] for r in range(self.size)], dtype=np.int64
-        )
-        self._tally("alltoallv", nbytes, nbytes.sum(axis=1) - nbytes.diagonal())
-        return {r: [payloads[i][r] for i in range(self.size)] for r in range(self.size)}
+        n = self.size
+        snaps = [payloads[r][0] for r in range(n)]
+        counts = _read_only(np.stack([payloads[r][1] for r in range(n)]))  # [from, to]
+        displ = np.cumsum(counts, axis=1) - counts
+        src, dst = np.nonzero(counts)
+        self._tally("alltoallv", src, dst,
+                    counts[src, dst] * np.array([s.itemsize for s in snaps])[src])
+
+        def deliver(rank):
+            got = counts[:, rank]
+            senders = np.flatnonzero(got)
+            parts = [snaps[i][at : at + c] for i, at, c in zip(
+                senders.tolist(), displ[senders, rank].tolist(), got[senders].tolist())]
+            return _joined(parts, snaps[rank][:0]), got
+        return deliver
 
     def _complete_gatherv(self, payloads):
+        n = self.size
         root = self._root("gatherv", payloads)
-        arrays = [payloads[r][1] for r in range(self.size)]
-        sizes = np.array([a.nbytes for a in arrays], dtype=np.int64)
-        nbytes = np.zeros((self.size, self.size), dtype=np.int64)
-        nbytes[:, root] = sizes
-        self._tally("gatherv", nbytes, sizes)
-        return {r: arrays if r == root else None for r in range(self.size)}
+        snaps = [payloads[r][1] for r in range(n)]
+        sizes = _read_only(np.array([s.size for s in snaps], dtype=np.int64))
+        nbytes = sizes * [s.itemsize for s in snaps]
+        self._tally("gatherv", np.arange(n), np.full(n, root), nbytes, nbytes)
+
+        def deliver(rank):
+            if rank != root:
+                return None
+            return _joined([s for s in snaps if s.size], snaps[root][:0]), sizes
+        return deliver
 
     def _complete_scatterv(self, payloads):
+        n = self.size
         root = self._root("scatterv", payloads)
-        segments = payloads[root][1]
-        if segments is None or len(segments) != self.size:
-            raise TransportError(f"scatterv: root must pass exactly {self.size} segments")
-        sizes = np.array([s.nbytes for s in segments], dtype=np.int64)
-        nbytes = np.zeros((self.size, self.size), dtype=np.int64)
-        nbytes[root] = sizes
-        self._tally("scatterv", nbytes, sizes)
-        return {r: segments[r] for r in range(self.size)}
+        _, snap, counts = payloads[root]
+        nbytes = counts * snap.itemsize
+        self._tally("scatterv", np.full(n, root), np.arange(n), nbytes, nbytes)
+        ends = np.cumsum(counts).tolist()
+        counts = counts.tolist()
+        return lambda rank: snap[ends[rank] - counts[rank] : ends[rank]]
 
-    def _complete_neighbor_alltoallv(self, payloads):
-        graphs = {r: payloads[r][0] for r in payloads}
-        sends = {r: payloads[r][1] for r in payloads}
-        # Every listed edge (r, j) at once, rank by rank in list order:
-        # ``at`` is j's position in r's list, and an edge is good when j is
-        # a rank that lists r back.
-        n, degree = self.size, [len(g) for g in graphs.values()]
-        src = np.repeat(np.array(list(graphs), dtype=np.int64), degree)
+    def _check_graph(self, graph):
+        """Raise :class:`TransportError` for the first bad list, rank by
+        rank; else return the graph's edges, ``(src, dst, degree, inc,
+        inc_start)``: every listed edge, rank by rank in list order; each
+        rank's list length; and the edges into each rank, by sender, at
+        ``inc[inc_start[r] : inc_start[r + 1]]``."""
+        # ``at`` is each edge's position in its rank's list, and an edge is
+        # good when its end is a rank that lists its start back.
+        n, degree = self.size, [len(g) for g in graph]
+        src = np.repeat(np.arange(n), degree)
         at = np.arange(len(src)) - np.repeat(np.cumsum(degree) - degree, degree)
         try:
-            dst = np.fromiter((j for g in graphs.values() for j in g), np.int64, len(src))
+            dst = np.fromiter((j for g in graph for j in g), np.int64, len(src))
         except OverflowError:  # a rank beyond int64 is unknown, as n is
-            dst = np.array([min(max(j, -1), n) for g in graphs.values() for j in g], dtype=np.int64)
+            dst = np.array([min(max(j, -1), n) for g in graph for j in g], dtype=np.int64)
         known = (dst >= 0) & (dst < n)
         listed = np.zeros((n, n), dtype=bool)
         listed[src[known], dst[known]] = True
@@ -314,13 +375,8 @@ class SimWorld:
         good[known] = listed[dst[known], src[known]]
         first_bad = {}    # rank -> its first neighbor on a bad edge
         for r, k in zip(src[~good][::-1].tolist(), at[~good][::-1].tolist()):
-            first_bad[r] = graphs[r][k]
-        for r, nbrs in graphs.items():
-            if len(sends[r]) != len(nbrs):
-                raise TransportError(
-                    f"neighbor_alltoallv: rank {r} passed {len(sends[r])} buffers "
-                    f"for {len(nbrs)} neighbors"
-                )
+            first_bad[r] = graph[r][k]
+        for r, nbrs in enumerate(graph):
             if any(map(operator.ge, nbrs, nbrs[1:])):
                 raise TransportError(
                     f"neighbor_alltoallv: rank {r} lists {nbrs}, not strictly increasing"
@@ -335,14 +391,33 @@ class SimWorld:
                     f"neighbor_alltoallv: asymmetric graph, {r} lists {j} "
                     f"but {j} does not list {r}"
                 )
-        nbytes = np.zeros((n, n), dtype=np.int64)
-        nbytes[src, dst] = [buf.nbytes for r in graphs for buf in sends[r]]
-        self._tally("neighbor_alltoallv", nbytes, nbytes.sum(axis=1))
-        # What j addressed to r travels the (j, r) edge only.
-        place = np.zeros((n, n), dtype=np.int64)
-        place[src, dst] = at
-        place = place.tolist()
-        return {r: [sends[j][place[j][r]] for j in nbrs] for r, nbrs in graphs.items()}
+        # The graph is symmetric, so a rank receives on as many edges as it
+        # sends on; with the lists sorted, its senders come in list order.
+        inc_start = np.concatenate([[0], np.cumsum(degree)]).tolist()
+        return src, dst, np.array(degree), np.lexsort((src, dst)), inc_start
+
+    def _complete_neighbor_alltoallv(self, payloads):
+        n = self.size
+        graph = tuple(payloads[r][0] for r in range(n))
+        if graph != self._graph:
+            self._edges = self._check_graph(graph)
+            self._graph = graph
+        src, dst, degree, inc, inc_start = self._edges
+        snaps = [payloads[r][1] for r in range(n)]
+        counts = np.concatenate([payloads[r][2] for r in range(n)])
+        sizes = np.array([s.size for s in snaps], dtype=np.int64)
+        # Each edge's offset in its sender's buffer.
+        displ = np.cumsum(counts) - counts - np.repeat(np.cumsum(sizes) - sizes, degree)
+        self._tally("neighbor_alltoallv", src, dst,
+                    counts * np.repeat([s.itemsize for s in snaps], degree))
+
+        def deliver(rank):
+            edges = inc[inc_start[rank] : inc_start[rank + 1]]
+            got = _read_only(counts[edges])
+            parts = [snaps[i][at : at + c] for i, at, c in
+                     zip(src[edges].tolist(), displ[edges].tolist(), got.tolist()) if c]
+            return _joined(parts, snaps[rank][:0]), got
+        return deliver
 
 
 class RankComm:
@@ -354,46 +429,68 @@ class RankComm:
         self.size = world.size
         self._calls = 0
 
-    def _next_slot(self):
-        idx = self._calls
+    def _call(self, kind, payload):
+        slot = self._calls
         self._calls += 1
-        return idx
+        return self.world._rendezvous(self.rank, slot, kind, payload)
 
-    def allgatherv(self, array):
-        """Every rank receives the rank-ordered list of all contributions."""
-        return self.world._rendezvous(
-            self.rank, self._next_slot(), "allgatherv", _snapshot(array)
-        )
+    def _counts(self, kind, counts, n_dest, dest, size):
+        """``counts`` as int64, one per destination, splitting ``size``."""
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (n_dest,):
+            raise TransportError(
+                f"{kind}: rank {self.rank} passed {counts.size} counts for {n_dest} {dest}"
+            )
+        if (counts < 0).any() or counts.sum() != size:
+            raise TransportError(
+                f"{kind}: rank {self.rank} passed counts {counts.tolist()} "
+                f"for a buffer of {size} elements"
+            )
+        return counts
 
-    def alltoallv(self, send_list):
-        """Full exchange: ``send_list[j]`` goes to rank j; returns buffers
-        received from every rank, in rank order."""
-        payload = [_snapshot(b) for b in send_list]
-        return self.world._rendezvous(self.rank, self._next_slot(), "alltoallv", payload)
+    def allgatherv(self, send):
+        """Every rank receives ``(recv, counts)``: all ranks' buffers joined
+        in rank order, and each rank's element count."""
+        return self._call("allgatherv", _snapshot(send))
 
-    def gatherv(self, array, root=0):
-        """Root receives the rank-ordered list of contributions; others None."""
-        return self.world._rendezvous(
-            self.rank, self._next_slot(), "gatherv", (root, _snapshot(array))
-        )
+    def alltoallv(self, send, counts):
+        """Full exchange: rank k gets the next ``counts[k]`` elements of
+        ``send``. Returns ``(recv, counts)``: what every rank sent this
+        one, in rank order, and the element count from each rank."""
+        snap = _snapshot(send)
+        counts = self._counts("alltoallv", counts, self.size, "ranks", snap.size)
+        return self._call("alltoallv", (snap, counts))
 
-    def scatterv(self, segments=None, root=0):
-        """Root distributes ``segments[j]`` to rank j; returns own segment."""
-        payload = (root, None if segments is None else [_snapshot(s) for s in segments])
-        return self.world._rendezvous(self.rank, self._next_slot(), "scatterv", payload)
+    def gatherv(self, send, root=0):
+        """The root receives ``(recv, counts)``: all ranks' buffers joined
+        in rank order, and each rank's element count. Others get None."""
+        return self._call("gatherv", (root, _snapshot(send)))
 
-    def neighbor_alltoallv(self, neighbors, send_list):
+    def scatterv(self, send=None, counts=None, root=0):
+        """The root sends rank k the next ``counts[k]`` elements of
+        ``send``; every rank returns its own segment. Only the root passes
+        ``send`` and ``counts``."""
+        if root != self.rank:
+            return self._call("scatterv", (root, None, None))
+        if send is None or counts is None:
+            raise TransportError(f"scatterv: root rank {self.rank} passed no buffer or counts")
+        snap = _snapshot(send)
+        counts = self._counts("scatterv", counts, self.size, "ranks", snap.size)
+        return self._call("scatterv", (root, snap, counts))
+
+    def neighbor_alltoallv(self, neighbors, send, counts):
         """Sparse exchange along a symmetric rank graph.
 
-        ``neighbors`` is this rank's sorted neighbor list; ``send_list`` is
-        aligned with it. Returns received buffers in the same alignment.
-        Zero bytes ever move between ranks that do not list each other.
+        ``neighbors`` is this rank's sorted neighbor list; its k-th
+        neighbor gets the next ``counts[k]`` elements of ``send``. Returns
+        ``(recv, counts)``: what the neighbors sent this rank, in list
+        order, and the element count from each. Zero bytes ever move
+        between ranks that do not list each other.
         """
-        nbrs = tuple(int(n) for n in neighbors)
-        payload = (nbrs, [_snapshot(b) for b in send_list])
-        return self.world._rendezvous(
-            self.rank, self._next_slot(), "neighbor_alltoallv", payload
-        )
+        nbrs = tuple(map(int, neighbors))
+        snap = _snapshot(send)
+        counts = self._counts("neighbor_alltoallv", counts, len(nbrs), "neighbors", snap.size)
+        return self._call("neighbor_alltoallv", (nbrs, snap, counts))
 
     def stats(self):
         return self.world.stats[self.rank]

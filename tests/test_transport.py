@@ -1,6 +1,7 @@
 """Simulated multi-rank transport: collectives, stats, determinism."""
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,15 +31,18 @@ def test_p1_collectives_are_local_copies():
     world = create_world(1)
     comm = world.comm(0)
     x = np.arange(4.0)
-    (got,) = comm.allgatherv(x)
+    got, got_counts = comm.allgatherv(x)
     assert np.array_equal(got, x)
     assert got is not x
-    [back] = comm.alltoallv([x])
+    back, back_counts = comm.alltoallv(x, [4])
     assert np.array_equal(back, x)
-    [g] = comm.gatherv(x, root=0)
+    g, g_counts = comm.gatherv(x, root=0)
     assert np.array_equal(g, x)
-    s = comm.scatterv([x], root=0)
+    s = comm.scatterv(x, [4], root=0)
     assert np.array_equal(s, x)
+    for counts in (got_counts, back_counts, g_counts):
+        assert counts.tolist() == [4]
+        assert not counts.flags.writeable
     # Each buffer was snapshotted at its call: later writes to x stay local.
     x[:] = -1.0
     for received in (got, back, g, s):
@@ -51,17 +55,18 @@ def test_p1_collectives_are_local_copies():
     # Every receiver of one allgatherv sees the same, read-only contributions.
     def program(comm):
         mine = np.full(comm.rank + 1, float(comm.rank))
-        parts = comm.allgatherv(mine)
+        recv = comm.allgatherv(mine)
         mine[:] = -1.0
-        return parts
+        return recv
 
     results = run_spmd(create_world(3), program)
-    for parts in results:
-        assert len(parts) == 3
+    for recv, counts in results:
+        assert counts.tolist() == [1, 2, 3]
+        assert not recv.flags.writeable
+        assert np.array_equal(recv, results[0][0])
+        parts = np.split(recv, np.cumsum(counts)[:-1])
         for rank, part in enumerate(parts):
             assert np.array_equal(part, np.full(rank + 1, float(rank)))
-            assert np.array_equal(part, results[0][rank])
-            assert not part.flags.writeable
 
 
 def test_allgatherv_sizes_and_agreement():
@@ -69,8 +74,8 @@ def test_allgatherv_sizes_and_agreement():
 
     def program(comm):
         payload = np.arange(comm.rank + 1, dtype=np.float64)
-        parts = comm.allgatherv(payload)
-        return np.concatenate(parts)
+        recv, _ = comm.allgatherv(payload)
+        return recv
 
     results = run_spmd(world, program)
     assert all(len(r) == 6 for r in results)
@@ -86,7 +91,7 @@ def test_gatherv_scatterv_round_trip_and_message_counts():
         mine = np.full(3, float(comm.rank))
         gathered = comm.gatherv(mine, root=0)
         if comm.rank == 0:
-            back = comm.scatterv(gathered, root=0)
+            back = comm.scatterv(*gathered, root=0)
         else:
             assert gathered is None
             back = comm.scatterv(root=0)
@@ -107,11 +112,14 @@ def test_scatterv_segment_count_mismatch():
 
     def program(comm):
         if comm.rank == 0:
-            return comm.scatterv([np.zeros(1)], root=0)  # one segment short
+            return comm.scatterv(np.zeros(1), [1], root=0)  # one count short
         return comm.scatterv(root=0)
 
-    with pytest.raises(TransportError, match="segments"):
+    with pytest.raises(TransportError, match="rank 0 passed 1 counts for 2 ranks"):
         run_spmd(world, program)
+    # A root that passes no buffer is named too.
+    with pytest.raises(TransportError, match="root rank 0 passed no buffer or counts"):
+        run_spmd(create_world(2), lambda comm: comm.scatterv(root=0))
 
 
 def test_three_rank_ring_hand_count():
@@ -120,9 +128,10 @@ def test_three_rank_ring_hand_count():
 
     def program(comm):
         nbrs = ring[comm.rank]
-        send = [np.array([10.0 * comm.rank + n]) for n in nbrs]
-        recv = comm.neighbor_alltoallv(nbrs, send)
-        return np.concatenate(recv)
+        send = np.array([10.0 * comm.rank + n for n in nbrs])
+        recv, counts = comm.neighbor_alltoallv(nbrs, send, [1] * len(nbrs))
+        assert counts.tolist() == [1] * len(nbrs)
+        return recv
 
     results = run_spmd(world, program)
     assert np.array_equal(results[0], [10.0 * 1 + 0, 10.0 * 2 + 0])
@@ -146,14 +155,19 @@ def test_neighbor_alltoallv_matches_pairwise_oracle():
 
     def program(comm):
         send = [payloads[(comm.rank, j)] for j in nbrs[comm.rank]]
-        return comm.neighbor_alltoallv(nbrs[comm.rank], send)
+        return comm.neighbor_alltoallv(
+            nbrs[comm.rank], np.concatenate([np.empty(0), *send]), [len(b) for b in send]
+        )
 
     world = create_world(P)
     results = run_spmd(world, program)
     # Oracle: enumerate point-to-point deliveries directly.
     for r in range(P):
+        recv, counts = results[r]
+        assert counts.tolist() == [len(payloads[(j, r)]) for j in nbrs[r]]
+        parts = np.split(recv, np.cumsum(counts)[:-1]) if len(counts) else []
         for pos, j in enumerate(nbrs[r]):
-            assert np.array_equal(results[r][pos], payloads[(j, r)])
+            assert np.array_equal(parts[pos], payloads[(j, r)])
     world.check_conservation()
 
 
@@ -162,8 +176,8 @@ def test_neighbor_alltoallv_rejects_asymmetric_graph():
 
     def program(comm):
         if comm.rank == 0:
-            return comm.neighbor_alltoallv((1,), [np.zeros(1)])
-        return comm.neighbor_alltoallv((), [])
+            return comm.neighbor_alltoallv((1,), np.zeros(1), [1])
+        return comm.neighbor_alltoallv((), np.empty(0), [])
 
     with pytest.raises(TransportError, match="asymmetric"):
         run_spmd(world, program)
@@ -176,8 +190,8 @@ def test_neighbor_alltoallv_rejects_unknown_rank(nbrs, unknown):
 
     def program(comm):
         if comm.rank == 0:
-            return comm.neighbor_alltoallv(nbrs, [np.zeros(1), np.zeros(1)])
-        return comm.neighbor_alltoallv((0,), [np.zeros(1)])
+            return comm.neighbor_alltoallv(nbrs, np.zeros(2), [1, 1])
+        return comm.neighbor_alltoallv((0,), np.zeros(1), [1])
 
     with pytest.raises(TransportError, match=f"rank 0 lists unknown rank {unknown}$"):
         run_spmd(world, program)
@@ -188,11 +202,130 @@ def test_neighbor_alltoallv_buffer_count_mismatch():
 
     def program(comm):
         other = 1 - comm.rank
-        bufs = [np.zeros(1)] * (2 if comm.rank == 0 else 1)
-        return comm.neighbor_alltoallv((other,), bufs)
+        counts = [1] * (2 if comm.rank == 0 else 1)
+        return comm.neighbor_alltoallv((other,), np.zeros(len(counts)), counts)
 
-    with pytest.raises(TransportError, match="buffers"):
+    with pytest.raises(TransportError, match="rank 0 passed 2 counts for 1 neighbors"):
         run_spmd(world, program)
+
+
+@pytest.mark.parametrize("kind, counts, fault", [
+    ("alltoallv", [2], "passed 1 counts for 2 ranks"),
+    ("alltoallv", [1, 2], r"passed counts \[1, 2\] for a buffer of 2 elements"),
+    ("alltoallv", [3, -1], r"passed counts \[3, -1\] for a buffer of 2 elements"),
+    ("neighbor_alltoallv", [3], r"passed counts \[3\] for a buffer of 2 elements"),
+    ("scatterv", [1, 0], r"passed counts \[1, 0\] for a buffer of 2 elements"),
+])
+def test_counts_must_split_the_send_buffer(kind, counts, fault):
+    # Rank 1 passes a 2-element buffer with bad counts; rank 0's are good.
+    def program(comm):
+        bad = comm.rank == 1
+        if kind == "alltoallv":
+            return comm.alltoallv(np.zeros(2), counts if bad else [1, 1])
+        if kind == "scatterv":
+            return comm.scatterv(np.zeros(2), counts, root=1) if bad else comm.scatterv(root=1)
+        return comm.neighbor_alltoallv((1 - comm.rank,), np.zeros(2), counts if bad else [2])
+
+    world = create_world(2)
+    with pytest.raises(TransportError, match=f"^{kind}: rank 1 {fault}$"):
+        run_spmd(world, program)
+    assert world.stats[0].by_kind[kind].calls == 0
+
+
+def test_graph_is_checked_once_per_distinct_graph(monkeypatch):
+    # A repeated graph is validated once; a list that turns asymmetric
+    # after validated exchanges is checked again and still rejected.
+    checks = []
+    check_graph = transport.SimWorld._check_graph
+
+    def counting(self, graph):
+        checks.append(graph)
+        return check_graph(self, graph)
+
+    monkeypatch.setattr(transport.SimWorld, "_check_graph", counting)
+    full = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
+
+    def program(comm):
+        for _ in range(3):
+            nbrs = full[comm.rank]
+            recv, _ = comm.neighbor_alltoallv(nbrs, np.full(2, float(comm.rank)), [1, 1])
+            assert recv.tolist() == [float(j) for j in nbrs]
+        nbrs = (1,) if comm.rank == 2 else full[comm.rank]   # 0 lists 2, 2 drops 0
+        return comm.neighbor_alltoallv(nbrs, np.zeros(len(nbrs)), [1] * len(nbrs))
+
+    world = create_world(3)
+    with pytest.raises(TransportError, match="asymmetric graph, 0 lists 2 but 2 does not list 0"):
+        run_spmd(world, program)
+    assert checks == [((1, 2), (0, 2), (0, 1)), ((1, 2), (0, 2), (1,))]
+    assert all(s.by_kind["neighbor_alltoallv"].calls == 3 for s in world.stats)
+
+
+def test_zero_counts_are_not_messages_at_p64():
+    # Stats of sparse alltoallv and neighbor traffic at P=64 match a
+    # pairwise count in which only nonzero counts to other ranks travel.
+    P = 64
+    rng = np.random.default_rng(3)
+    sizes = rng.integers(0, 3, size=(P, P)) * (rng.random((P, P)) < 0.1)
+    adjacent = np.triu(rng.random((P, P)) < 0.3, 1)
+    adjacent |= adjacent.T
+    nbrs = [tuple(np.flatnonzero(adjacent[r]).tolist()) for r in range(P)]
+
+    def program(comm):
+        r = comm.rank
+        comm.alltoallv(np.zeros(sizes[r].sum()), sizes[r])
+        counts = sizes[r, list(nbrs[r])]
+        comm.neighbor_alltoallv(nbrs[r], np.zeros(counts.sum(), dtype=np.int32), counts)
+
+    world = create_world(P)
+    run_spmd(world, program)
+    stats = world.deterministic_stats()
+    off_diagonal = sizes * ~np.eye(P, dtype=bool)
+    on_graph = sizes * adjacent
+    for r in range(P):
+        for kind, sent, itemsize in (("alltoallv", off_diagonal, 8),
+                                     ("neighbor_alltoallv", on_graph, 4)):
+            st = stats[r][kind]
+            assert st["msgs_sent"] == np.count_nonzero(sent[r])
+            assert st["bytes_sent"] == itemsize * sent[r].sum()
+            assert st["bytes_recv"] == itemsize * sent[:, r].sum()
+    assert world.check_conservation()
+
+
+def test_each_call_snapshots_one_buffer_per_sending_rank(monkeypatch):
+    # Every rank sends one buffer per call, snapshotted once; in scatterv
+    # only the root sends.
+    snapshots = []
+    snapshot = transport._snapshot
+
+    def counting(send):
+        snapshots.append(threading.current_thread().name)
+        return snapshot(send)
+
+    monkeypatch.setattr(transport, "_snapshot", counting)
+    P = 4
+    calls = {
+        "allgatherv": lambda comm: comm.allgatherv(np.zeros(3)),
+        "alltoallv": lambda comm: comm.alltoallv(np.zeros(2 * P), [2] * P),
+        "gatherv": lambda comm: comm.gatherv(np.zeros(3), root=1),
+        "scatterv": lambda comm: (comm.scatterv(np.zeros(P), [1] * P, root=2)
+                                  if comm.rank == 2 else comm.scatterv(root=2)),
+        "neighbor_alltoallv": lambda comm: comm.neighbor_alltoallv(
+            sorted([(comm.rank - 1) % P, (comm.rank + 1) % P]),
+            np.zeros(4), [2, 2]),
+    }
+    counts = {}
+    for kind, call in calls.items():
+        snapshots.clear()
+        run_spmd(create_world(P), call)
+        counts[kind] = Counter(snapshots)
+    every_rank = Counter(f"fmm-rank-{r}" for r in range(P))
+    assert counts == {
+        "allgatherv": every_rank,
+        "alltoallv": every_rank,
+        "gatherv": every_rank,
+        "scatterv": Counter(["fmm-rank-2"]),
+        "neighbor_alltoallv": every_rank,
+    }
 
 
 def test_alltoallv_permutation_reassembles():
@@ -201,14 +334,15 @@ def test_alltoallv_permutation_reassembles():
     data = rng.random((P, P, 3))
 
     def program(comm):
-        send = [data[comm.rank, j] for j in range(P)]
-        return comm.alltoallv(send)
+        return comm.alltoallv(data[comm.rank], [3] * P)
 
     world = create_world(P)
     results = run_spmd(world, program)
     for r in range(P):
+        recv, counts = results[r]
+        assert counts.tolist() == [3] * P
         for i in range(P):
-            assert np.array_equal(results[r][i], data[i, r])
+            assert np.array_equal(recv.reshape(P, 3)[i], data[i, r])
     world.check_conservation()
 
 
@@ -222,9 +356,13 @@ def test_alltoallv_allgatherv_stats_match_pairwise_count():
 
     def program(comm):
         r = comm.rank
-        recv = comm.alltoallv([np.full(sizes[r, j], 10.0 * r + j) for j in range(P)])
-        parts = comm.allgatherv(np.full(gather_sizes[r], r, dtype=np.int32))
-        return recv, parts
+        send = np.concatenate([np.full(sizes[r, j], 10.0 * r + j) for j in range(P)])
+        recv, recv_counts = comm.alltoallv(send, sizes[r])
+        parts, part_counts = comm.allgatherv(np.full(gather_sizes[r], r, dtype=np.int32))
+        assert recv_counts.tolist() == sizes[:, r].tolist()
+        assert part_counts.tolist() == gather_sizes.tolist()
+        return (np.split(recv, np.cumsum(recv_counts)[:-1]),
+                np.split(parts, np.cumsum(part_counts)[:-1]))
 
     world = create_world(P)
     results = run_spmd(world, program)
@@ -262,12 +400,17 @@ def test_rooted_and_neighbor_stats_match_pairwise_count():
     def program(comm):
         r = comm.rank
         gathered = comm.gatherv(np.full(gather_sizes[r], float(r)), root=2)
-        segments = [np.full(n, 10.0 + j) for j, n in enumerate(scatter_sizes)]
-        mine = comm.scatterv(segments if r == 1 else None, root=1)
-        recv = comm.neighbor_alltoallv(
-            nbrs[r], [np.full(sizes[r, j], 10 * r + j, dtype=np.int32) for j in nbrs[r]]
+        if gathered is not None:
+            gathered = np.split(gathered[0], np.cumsum(gathered[1])[:-1])
+        segments = np.concatenate([np.full(n, 10.0 + j) for j, n in enumerate(scatter_sizes)])
+        mine = (comm.scatterv(segments, scatter_sizes, root=1) if r == 1
+                else comm.scatterv(root=1))
+        recv, counts = comm.neighbor_alltoallv(
+            nbrs[r],
+            np.concatenate([np.full(sizes[r, j], 10 * r + j, dtype=np.int32) for j in nbrs[r]]),
+            [sizes[r, j] for j in nbrs[r]],
         )
-        return gathered, mine, recv
+        return gathered, mine, np.split(recv, np.cumsum(counts)[:-1])
 
     world = create_world(P)
     results = run_spmd(world, program)
@@ -312,7 +455,7 @@ def test_rooted_collectives_reject_out_of_range_root():
             def program(comm, _kind=kind, _root=root):
                 if _kind == "gatherv":
                     return comm.gatherv(np.zeros(2), root=_root)
-                return comm.scatterv([np.zeros(2)] * 3, root=_root)
+                return comm.scatterv(np.zeros(6), [2, 2, 2], root=_root)
 
             world = create_world(3)
             with pytest.raises(TransportError, match=rf"{kind}: root {root} .* size 3"):
@@ -326,7 +469,7 @@ def test_neighbor_alltoallv_rejects_unsorted_or_repeated_neighbors():
 
         def program(comm, _graphs=graphs):
             nbrs = _graphs[comm.rank]
-            return comm.neighbor_alltoallv(nbrs, [np.zeros(2)] * len(nbrs))
+            return comm.neighbor_alltoallv(nbrs, np.zeros(2 * len(nbrs)), [2] * len(nbrs))
 
         listed = ", ".join(map(str, graphs[0]))
         with pytest.raises(TransportError, match=rf"rank 0 lists \({listed}\)"):
@@ -338,11 +481,10 @@ def test_alltoallv_empty_sends_allowed():
     world = create_world(2)
 
     def program(comm):
-        send = [np.empty(0), np.empty(0)]
-        return comm.alltoallv(send)
+        return comm.alltoallv(np.empty(0), [0, 0])
 
     results = run_spmd(world, program)
-    assert all(part.size == 0 for r in results for part in r)
+    assert all(recv.size == 0 and counts.tolist() == [0, 0] for recv, counts in results)
     stats = world.deterministic_stats()
     assert sum(s["alltoallv"]["msgs_sent"] for s in stats) == 0
 
@@ -415,14 +557,14 @@ def test_replay_determinism():
     def program(comm):
         rng = np.random.default_rng([comm.world.seed, comm.rank])
         mine = rng.random(comm.rank + 1)
-        parts = comm.allgatherv(mine)
-        total = comm.gatherv(np.array([float(sum(p.sum() for p in parts))]), root=0)
+        parts, _ = comm.allgatherv(mine)
+        total = comm.gatherv(np.array([parts.sum()]), root=0)
         if comm.rank == 0:
-            out = comm.scatterv([np.array([v]) for v in np.arange(comm.size, dtype=float)])
+            out = comm.scatterv(np.arange(comm.size, dtype=float), [1] * comm.size)
         else:
             out = comm.scatterv(root=0)
         del total
-        return np.concatenate([out] + parts)
+        return np.concatenate([out, parts])
 
     runs = []
     for _ in range(2):
@@ -438,8 +580,8 @@ def test_p64_smoke_barrier_equivalent():
     world = create_world(64)
 
     def program(comm):
-        parts = comm.allgatherv(np.array([comm.rank], dtype=np.int64))
-        return int(np.concatenate(parts).sum())
+        parts, _ = comm.allgatherv(np.array([comm.rank], dtype=np.int64))
+        return int(parts.sum())
 
     results = run_spmd(world, program)
     assert all(r == 64 * 63 // 2 for r in results)

@@ -12,10 +12,9 @@ from unifmm.tree import (
     _v_members_with_vectors,
     build_interaction_lists,
     build_tree,
-    compute_u_list,
-    compute_v_list,
-    transfer_vector,
 )
+
+from reference import children, compute_u_list, compute_v_list, parent, transfer_vector
 
 UNIT = BoundingCube(origin=(0.0, 0.0, 0.0), side=1.0)
 
@@ -147,7 +146,7 @@ def test_build_tree_levels_and_parent_closure():
     tree = build_tree(pts, UNIT, 1, 2)
     assert sorted(tree.level_keys) == [1, 2, 3]
     for level in (2, 3):
-        parents = np.unique(morton.parent(tree.level_keys[level]))
+        parents = np.unique(parent(tree.level_keys[level]))
         assert np.all(np.isin(parents, tree.level_keys[level - 1]))
     # Uniform refinement: full 8^local_depth leaves under each root.
     assert len(tree.leaves) == len(tree.local_roots) * 8**2
@@ -206,7 +205,7 @@ def test_v_templates_match_definition_per_box(keys):
     index = {tuple(v): i for i, v in enumerate(TRANSFER_VECTORS.tolist())}
     ptr = np.searchsorted(box_pos, np.arange(len(keys) + 1))
     for i, box in enumerate(keys):
-        cand = morton.children(morton.halo(morton.parent(box))[0])
+        cand = children(morton.halo(parent(box))[0])
         offsets = (anchor_lattice(cand) - anchor_lattice(box)).tolist()
         want = sorted(
             (int(k), index[tuple(o)]) for k, o in zip(cand, offsets) if max(map(abs, o)) >= 2
@@ -309,7 +308,7 @@ def test_near_far_partition_counts_each_leaf_once():
             for v in compute_v_list(tree, anc):
                 for d in morton.descendants(int(v), leaf_level - level):
                     cover[int(d)] += 1
-            anc = morton.parent(anc)
+            anc = parent(anc)
         counts = set(cover.values())
         assert counts == {1}, f"partition failed for box {box:#x}"
 
