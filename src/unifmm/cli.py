@@ -174,6 +174,9 @@ def cmd_verify(args):
             f"--p must be between 1 and {n_roots} (8^{config.global_depth} roots "
             f"at --global-depth {config.global_depth}), got {args.p}"
         )
+    if args.test_drop_ghost is not None and not 0 <= args.test_drop_ghost < args.p:
+        raise ValueError(f"--test-drop-ghost must name a rank below --p {args.p}, "
+                         f"got {args.test_drop_ghost}")
     points = generate_points(args.dist, args.n, args.seed)
     charges = generate_charges(args.n, args.seed)
 

@@ -248,11 +248,11 @@ class DistributedFmm:
 
     # Test/fault-injection hook: hold back the first V row this rank sends
     # in every later evaluate, so its neighbor gets a short message. Returns
-    # the key of that box, or None if this rank sends none.
+    # the key of that box; raises ValueError if this rank sends none.
     def drop_one_v_ghost(self):
         halo = self.v_halo
         if not len(halo.send):
-            return None
+            raise ValueError(f"rank {self.rank} sends no V row to drop")
         counts = halo.send_counts.copy()
         counts[np.flatnonzero(counts)[0]] -= 1
         self.v_halo = replace(halo, send=halo.send[1:], send_counts=counts)
@@ -536,7 +536,8 @@ def update_charges(state, new_charges):
     Only the length can be checked; a vector in another order of the same
     length is taken as given.
     """
-    new_charges = np.asarray(new_charges, dtype=np.float64).reshape(-1)
+    # A private copy: the caller may reuse its buffer after the update.
+    new_charges = np.array(new_charges, dtype=np.float64).reshape(-1)
     if len(new_charges) != state.tree.n_points:
         raise ValueError(
             f"charge length mismatch for update: got {len(new_charges)} charges for the "

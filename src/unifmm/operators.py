@@ -66,9 +66,8 @@ one of two ways, chosen per level by its pair count (:func:`plan_m2l`):
   of a GEMM's M remainder differently, so a level of more than one tile
   may differ from the untiled result by rounding (order 7, P=1: 5e-18
   relative L2 on a 4096-point cube; bit-identical at the other orders).
-  The rows each product reads and adds to, and which products too small
-  to earn a call of their own share a gather and an ordered scatter-add,
-  are planned once per set of pairs.
+  The rows each product reads and adds to are planned once per set of
+  pairs.
 
 The two ways form the same products and sum each target's in another
 order, so they agree to rounding (about 1e-15 relative). The class path
@@ -81,14 +80,14 @@ with ``u`` holding just the rows they read (one BLAS thread, one CPU, a
 =====  =========  =========  =========  =========  =========
 order  387 pairs  1005       1623       2595       6669
 =====  =========  =========  =========  =========  =========
-2      0.43       0.52       0.53       0.63       0.67
-4      0.56       0.61       0.77       0.99       1.39
-6      0.52       0.67       0.77       0.97       1.33
-8      0.46       0.70       0.84       1.01       1.32
+2      0.19       0.25       0.32       0.43       0.69
+4      0.43       0.63       0.78       1.01       1.48
+6      0.60       0.79       0.90       1.07       1.43
+8      0.50       0.72       0.88       1.08       1.35
 =====  =========  =========  =========  =========  =========
 
 Orders 4-8 cross near 2600 pairs, so :data:`SPARSE_PAIRS` sits below the
-crossover at every order; order 2 gains at every count measured (0.67 at
+crossover at every order; order 2 gains at every count measured (0.73 at
 14817 pairs). Either way an evaluate only gathers, multiplies and adds.
 The 8 child octants are the sign flips of child octant 0 in the same
 way, so U2U and D2D store one matrix each and run one product per level
@@ -550,10 +549,6 @@ def leaf_s2u_all(tree, ops, charges, out):
 
 _OCTANTS = np.arange(8)[:, None]
 
-# Entries below which one M2L product costs more per call than per entry;
-# see apply_m2l.
-SMALL_PRODUCT = 1 << 10
-
 # Targets per M2L tile, a power of two so that tiles split every full level
 # of 64 boxes or more evenly. Its accumulator of 8 flips by 64 targets by
 # n_e coefficients is 0.6 MB at order 6 and 1.2 MB at order 8, inside a
@@ -614,7 +609,7 @@ class TiledPlan(NamedTuple):
     tgt: np.ndarray       # per pair, in plan order
     rows_in: np.ndarray
     rows_out: np.ndarray
-    runs: list
+    products: list        # per tile, its (orthant matrix, first pair, end pair)
     tile: int
 
 
@@ -646,12 +641,12 @@ def group_pairs_by_transfer(tgt_idx, src_rows, tv_idx, n_coeff):
     flip frames. Targets are cut into tiles of ``tile = M2L_TILE_TARGETS``
     consecutive indices, and pairs are sorted by (tile, orthant matrix,
     flip, target). Returns a :class:`TiledPlan` ``(tgt, rows_in, rows_out,
-    runs, tile)``: per pair in that order its target, its row in the
+    products, tile)``: per pair in that order its target, its row in the
     source frames (``8 * src + flip``) and its row in its tile's
     accumulator (``flip * w + tgt % tile``, ``w = min(tile, n_t)``,
-    ``n_t`` one more than the largest target); ``runs[k]`` lists tile
-    ``k``'s products (:func:`_product_runs`), empty for a tile without
-    pairs."""
+    ``n_t`` one more than the largest target); ``products[k]`` lists tile
+    ``k``'s products, one per stored matrix it reads, in matrix order, as
+    (matrix, first pair, end pair), empty for a tile without pairs."""
     mat, flip = TRANSFER_ORTHANT[tv_idx], TRANSFER_FLIP[tv_idx]
     n_t = int(tgt_idx.max()) + 1 if len(tgt_idx) else 0
     tile, n_mat = M2L_TILE_TARGETS, len(ORTHANT_VECTORS)
@@ -660,29 +655,13 @@ def group_pairs_by_transfer(tgt_idx, src_rows, tv_idx, n_coeff):
     order = np.argsort((block * 8 + flip) * tile + tgt_idx % tile)
     tgt, flip = tgt_idx[order], flip[order]
     n_tiles = -(-n_t // tile)
-    bounds = np.searchsorted(block[order], np.arange(n_tiles * n_mat + 1))
-    cuts = bounds[np.arange(n_tiles)[:, None] * n_mat + np.arange(n_mat + 1)]
-    small, most = SMALL_PRODUCT // n_coeff, 4 * SMALL_PRODUCT // n_coeff
-    runs = [_product_runs(tile_cuts, small, most) for tile_cuts in cuts.tolist()]
-    return TiledPlan(tgt, 8 * src_rows[order] + flip, flip * min(tile, n_t) + tgt % tile, runs,
-                     tile)
-
-
-def _product_runs(cuts, small, most):
-    """Runs of products in matrix order over one tile's ``cuts`` (its pairs
-    ``cuts[m]:cuts[m + 1]`` take stored matrix ``m``): one of ``small``
-    pairs or more, or consecutive smaller ones up to ``most`` pairs
-    together; each a list of (matrix, first pair, end pair)."""
-    runs = []
-    for m, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-        if b == a:
-            continue
-        run = runs[-1] if runs else None
-        if run and b - a < small and run[-1][2] - run[-1][1] < small and b - run[0][1] <= most:
-            run.append((m, a, b))
-        else:
-            runs.append([(m, a, b)])
-    return runs
+    bounds = np.searchsorted(block[order], np.arange(n_tiles * n_mat + 1)).tolist()
+    products = [[] for _ in range(n_tiles)]
+    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if b > a:
+            products[i // n_mat].append((i % n_mat, a, b))
+    return TiledPlan(tgt, 8 * src_rows[order] + flip, flip * min(tile, n_t) + tgt % tile,
+                     products, tile)
 
 
 def _stable_argsort(keys):
@@ -759,11 +738,13 @@ def apply_m2l(ops, grouped, u_rows, d):
     row ``src`` in frame ``f`` is ``u_rows[src][flip_perm[f]]``. The targets
     are taken one tile at a time (see :func:`group_pairs_by_transfer`), and
     a tile's pairs accumulate into row ``f * w + tgt % tile`` of one zeroed
-    accumulator of ``8 * w`` rows. A stored matrix and a flip fix the
-    vector, and each target appears at most once per vector, so the rows
-    one product adds to are distinct. After its pairs, accumulator ``f``
-    adds back into the tile's rows of ``d`` through ``flip_perm[f]``, flips
-    0..7 in order, and is zeroed for the next tile.
+    accumulator of ``8 * w`` rows: one product per stored matrix the tile
+    reads, in matrix order, gathers its pairs' source rows and adds its
+    result. A stored matrix and a flip fix the vector, and each target
+    appears at most once per vector, so the rows one product adds to are
+    distinct. After its products, accumulator ``f`` adds back into the
+    tile's rows of ``d`` through ``flip_perm[f]``, flips 0..7 in order, and
+    is zeroed for the next tile.
 
     The tiles exist for the cache. A whole level's accumulator (8 flips by
     512 targets by 152 coefficients is 4.75 MB at order 6) does not fit in
@@ -775,40 +756,25 @@ def apply_m2l(ops, grouped, u_rows, d):
     remainder differently, so a row may differ from the untiled result by
     rounding (see the module docstring).
 
-    A product of at least :data:`SMALL_PRODUCT` entries gathers its source
-    rows and adds its result on its own. Consecutive smaller ones, which
-    cost more per call than per entry, share one gather of at most 4 times
-    as many entries and one ``np.add.at``, which adds in pair order, so
-    every accumulator row still sums its products in matrix order. The
-    plan fixes these runs (:func:`_product_runs`); any grouping of
-    consecutive products gives the same bits. Raises ``ValueError`` when
-    ``ops`` lacks its orthant matrices (:func:`ensure_orthant_m2l`).
+    Raises ``ValueError`` when ``ops`` lacks its orthant matrices
+    (:func:`ensure_orthant_m2l`).
     """
     if isinstance(grouped, ClassPlan):
         return _apply_by_class(ops, grouped, u_rows, d)
     if ops.m2l is None:
         raise ValueError("a tiled M2L plan needs the orthant matrices: "
                          "call ensure_orthant_m2l(ops) first")
-    tgt, rows_in, rows_out, runs, tile = grouped
+    tgt, rows_in, rows_out, products, tile = grouped
     n_t, n_e = (int(tgt.max()) + 1 if len(tgt) else 0), d.shape[1]
     width = min(tile, n_t)
     frames = np.take(u_rows, ops.flip_perm, axis=1).reshape(-1, n_e)
     acc = np.zeros((8 * width, n_e), dtype=d.dtype)
     fold = acc.reshape(8, width, n_e)
-    for k, tile_runs in enumerate(runs):
-        if not tile_runs:
+    for k, tile_products in enumerate(products):
+        if not tile_products:
             continue
-        for run in tile_runs:
-            g0, g1 = run[0][1], run[-1][2]
-            src = frames[rows_in[g0:g1]]
-            if len(run) == 1:
-                acc[rows_out[g0:g1]] += src @ ops.m2l[run[0][0]].T
-                continue
-            prod = np.empty_like(src)
-            for m, a, b in run:
-                np.matmul(src[a - g0 : b - g0], ops.m2l[m].T, out=prod[a - g0 : b - g0])
-            flat = (rows_out[g0:g1, None] * n_e + np.arange(n_e)).ravel()
-            np.add.at(acc.reshape(-1), flat, prod.reshape(-1))
+        for m, a, b in tile_products:
+            acc[rows_out[a:b]] += frames[rows_in[a:b]] @ ops.m2l[m].T
         t0 = k * tile
         t1 = min(t0 + tile, n_t)
         for f in range(8):

@@ -137,6 +137,31 @@ def test_verify_corrupted_ghost_fails(capsys):
     assert "unresolved dependency" in captured.err
 
 
+@pytest.mark.parametrize("rank", [8, -1])
+def test_verify_rejects_drop_ghost_rank_outside_world(monkeypatch, capsys, rank):
+    # Out of range, the hook would drop nothing and verify would pass: it is
+    # rejected before the world exists.
+    def no_world(*args, **kwargs):
+        raise AssertionError("create_world called")
+
+    monkeypatch.setattr("unifmm.cli.create_world", no_world)
+    rc = main(["verify", "--n", "64", "--p", "8", "--local-depth", "1",
+               "--test-drop-ghost", str(rank)])
+    captured = capsys.readouterr()
+    assert rc == 1 and "verify: PASS" not in captured.out
+    assert "--test-drop-ghost must name a rank below --p 8" in captured.err
+    assert captured.err.rstrip().endswith(f"got {rank}"), captured.err
+
+
+def test_verify_drop_ghost_on_a_rank_that_sends_no_v_row_fails(capsys):
+    # One rank has no neighbor to send V rows to, so there is nothing to drop.
+    rc = main(["verify", "--n", "400", "--p", "1", "--order", "3",
+               "--local-depth", "1", "--seed", "6", "--test-drop-ghost", "0"])
+    captured = capsys.readouterr()
+    assert rc == 1 and "verify: PASS" not in captured.out
+    assert "rank 0 sends no V row to drop" in captured.err
+
+
 @pytest.mark.parametrize("flags, got", [
     (["--p", "0"], "got 0"),
     (["--p", "-2"], "got -2"),

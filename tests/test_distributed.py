@@ -544,7 +544,8 @@ def test_evaluate_replays_the_setup_plans(monkeypatch):
 
     def forbid_planning():
         for module, name in [(kernels, "find_keys"), (kernels, "near_field_plan"),
-                             (distributed, "near_field_plan"), (operators, "_product_runs"),
+                             (distributed, "near_field_plan"),
+                             (operators, "group_pairs_by_transfer"),
                              (operators, "group_pairs_by_class"), (operators, "_orthant_m2l"),
                              (morton, "anchor_lattice"), (tree, "anchor_lattice"),
                              (morton, "descendant_anchors"), (tree, "descendant_anchors"),
@@ -846,6 +847,24 @@ def test_update_charges_rejects_non_finite_charge():
         return True
 
     assert run_spmd(world, program) == [True]
+
+
+def test_update_charges_keeps_its_own_copy_of_the_charges():
+    # The caller reuses its buffer after the update: the next evaluate must
+    # still see the charges passed in, on every rank.
+    pts, chg = raw_instance(2048, seed=12)
+    chunks = np.array_split(np.arange(len(pts)), 8)
+
+    def program(comm):
+        state = setup(comm, pts[chunks[comm.rank]], chg[chunks[comm.rank]], cfg(order=4))
+        new = np.random.default_rng([21, comm.rank]).random(state.tree.n_points)
+        update_charges(state, new)
+        before = evaluate(state).potentials
+        new[:] = np.nan
+        return before, evaluate(state).potentials
+
+    for before, after in run_spmd(create_world(8, seed=0), program):
+        assert np.array_equal(before, after)
 
 
 def test_sampled_balance_mode_runs_and_matches():

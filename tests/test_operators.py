@@ -558,9 +558,9 @@ def test_apply_m2l_tiles_match_dense_per_vector_sum(dtype, rtol):
     # Targets in tiles 0, 2 and a partial tile 3; tile 1 has no pairs.
     tile = operators.M2L_TILE_TARGETS
     pool = np.concatenate([np.arange(0, tile, 5), np.arange(2 * tile, 3 * tile + tile // 3, 3)])
-    tgt, _, _, runs, grouped_tile = check_apply_m2l_against_dense(dtype, rtol, pool, seed=31)
+    tgt, _, _, products, grouped_tile = check_apply_m2l_against_dense(dtype, rtol, pool, seed=31)
     assert grouped_tile == tile and tgt.max() == pool[-1] and (pool[-1] + 1) % tile
-    assert [not tile_runs for tile_runs in runs] == [False, True, False, False]
+    assert [not tile_products for tile_products in products] == [False, True, False, False]
 
 
 def test_apply_m2l_tiles_match_one_tile_per_level(monkeypatch):
@@ -577,6 +577,34 @@ def test_apply_m2l_tiles_match_one_tile_per_level(monkeypatch):
     got = apply_m2l(ops, tiled, u, np.zeros_like(u))
     want = apply_m2l(ops, whole, u, np.zeros_like(u))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("level, order", [(3, 6), (2, 2)], ids=["full-level-3", "p64-top"])
+def test_tiled_plan_runs_one_product_per_stored_matrix_per_tile(level, order):
+    # A full level-3 cube (cube-p1-deep's shape) and the full level 2 that
+    # is rank 0's top level on cube-p64-weak, both dense. Each tile's
+    # products read strictly increasing stored matrices and cover its pairs
+    # contiguously, each product exactly the tile's pairs of its matrix.
+    keys = morton.all_keys(level)
+    tgt, members, tv = _v_members_with_vectors(keys, level)
+    src = np.searchsorted(keys, members)
+    plan = plan_m2l(tgt, src, tv, expansion_length(order))
+    assert type(plan) is TiledPlan
+    # Each pair's orthant matrix, found by its (target, source) in the input.
+    pair_key = tgt * len(keys) + src
+    by_key = np.argsort(pair_key)
+    found = by_key[np.searchsorted(pair_key[by_key], plan.tgt * len(keys) + plan.rows_in // 8)]
+    mat = operators.TRANSFER_ORTHANT[tv[found]]
+    end = 0
+    for k, products in enumerate(plan.products):
+        in_tile = np.flatnonzero(plan.tgt // plan.tile == k)
+        assert [m for m, _, _ in products] == sorted(set(mat[in_tile].tolist()))
+        _, starts, ends = zip(*products)
+        assert starts[0] == end == in_tile[0] and ends[-1] == in_tile[-1] + 1
+        assert starts[1:] == ends[:-1]
+        assert all(a < b and (mat[a:b] == m).all() for m, a, b in products)
+        end = ends[-1]
+    assert end == len(tgt)
 
 
 def traced_peak(call):
