@@ -19,13 +19,15 @@ Subcommands:
     deterministic stats CSV (one row per rank, repeat, and collective),
     a timings CSV with measured wall times (by nature not reproducible
     run to run), and a JSON manifest holding the deterministic run
-    description. Mean/stddev rows over repeats are appended per phase.
+    description. Per P and phase, the timings CSV ends with the mean and
+    stddev over repeats of the slowest rank's seconds.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import struct
 import sys
@@ -232,33 +234,31 @@ def cmd_sweep(args):
     p_list = [int(s) for s in args.p.split(",")]
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
-    depths = []
+    depths = {}
     for p in p_list:
         if p < 1:
             raise ValueError(f"--p entries must be >= 1, got {p}")
+        if p in depths:
+            raise ValueError(f"--p lists {p} more than once")
         d_g = round(np.log2(p) / 3)
         if 8**d_g != p or d_g < 1:
             raise ValueError(
                 f"infeasible config: P = {p} is not 8^d_g for a global depth >= 1"
             )
-        depths.append(d_g)
+        depths[p] = d_g
     stats_rows = []
     timing_rows = []
+    aggregate_rows = []
     manifest = None
-    for p, d_g in zip(p_list, depths):
-        config = FmmConfig(
-            global_depth=d_g,
-            local_depth=args.local_depth,
-            order=args.order,
-            precision=args.precision,
-            seed=args.seed,
-        )
+    for p, d_g in depths.items():
+        config = dataclasses.replace(_config_from_args(args), global_depth=d_g)
         n, points, charges = _sweep_points(args, p, args.mode)
         t0 = time.perf_counter()
         world, states, evals = _run_world(points, charges, p, config, repeats=args.repeats)
         wall = time.perf_counter() - t0
         print(f"P={p} N={n} d_g={d_g} d_l={args.local_depth}: "
               f"{args.repeats} evaluations in {wall:.2f}s total")
+        slowest = {phase: [0.0] * args.repeats for phase in TIMING_PHASES}
         for rank, (state, per_rank) in enumerate(zip(states, evals)):
             for rep, ev in enumerate(per_rank):
                 for kind in COLLECTIVE_KINDS:
@@ -281,6 +281,12 @@ def cmd_sweep(args):
                         {"p": p, "repeat": rep, "rank": rank, "phase": phase,
                          "seconds": secs}
                     )
+                    slowest[phase][rep] = max(slowest[phase][rep], secs)
+        # Aggregate rows: mean and stddev over repeats of the slowest rank.
+        for phase, per_repeat in slowest.items():
+            for stat, fn in (("mean", np.mean), ("std", np.std)):
+                aggregate_rows.append({"p": p, "repeat": stat, "rank": "all",
+                                       "phase": phase, "seconds": float(fn(per_repeat))})
         if manifest is None:
             manifest = run_manifest(states[0], world)
             manifest["sweep"] = {"mode": args.mode, "p_list": p_list,
@@ -298,20 +304,7 @@ def cmd_sweep(args):
         writer = csv.DictWriter(f, fieldnames=["p", "repeat", "rank", "phase", "seconds"])
         writer.writeheader()
         writer.writerows(timing_rows)
-        # Aggregate rows: mean and stddev over repeats, summed over ranks.
-        for p in p_list:
-            for phase in TIMING_PHASES:
-                per_repeat = []
-                for rep in range(args.repeats):
-                    total = sum(
-                        r["seconds"] for r in timing_rows
-                        if r["p"] == p and r["phase"] == phase and r["repeat"] == rep
-                    )
-                    per_repeat.append(total)
-                writer.writerow({"p": p, "repeat": "mean", "rank": "all",
-                                 "phase": phase, "seconds": float(np.mean(per_repeat))})
-                writer.writerow({"p": p, "repeat": "std", "rank": "all",
-                                 "phase": phase, "seconds": float(np.std(per_repeat))})
+        writer.writerows(aggregate_rows)
 
     manifest_path = args.out + ".manifest.json"
     with open(manifest_path, "w") as f:

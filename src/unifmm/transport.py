@@ -17,14 +17,16 @@ length raise :class:`TransportError` naming the rank, at the call.
 Collective calls rendezvous on a global slot counter: every live rank
 must arrive at slot k with the same collective kind before any of them
 proceeds, which makes mismatched schedules and stalled ranks detectable
-instead of hanging. Each call snapshots its rank's one send buffer, at
-the call, into a private read-only array (a ``scatterv`` rank other than
-the root sends nothing and snapshots nothing), so a sender may reuse its
-buffer right after the call. The last rank to arrive checks the slot and
-counts its traffic under the world lock; each receiver then assembles
-its own result after it leaves the lock, so that work is charged to the
-receiver's thread. A result of one part is a view of the snapshot, one
-of several parts a new array; ``allgatherv``'s is joined once and shared.
+instead of hanging. A slot leaves the world as soon as it completes:
+every rank has arrived, and each waiter holds the slot itself. Each call
+snapshots its rank's one send buffer, at the call, into a private
+read-only array (a ``scatterv`` rank other than the root sends nothing
+and snapshots nothing), so a sender may reuse its buffer right after
+the call. The last rank to arrive checks the slot and counts its traffic
+under the world lock; each receiver then assembles its own result after
+it leaves the lock, so that work is charged to the receiver's thread. A
+result of one part is a view of the snapshot, one of several parts a
+new array; ``allgatherv``'s is joined once and shared.
 Received buffers and counts are read-only (a receiver that needs to
 write copies first) and are a pure function of the inputs: two runs
 with the same seed and programs are bit-identical regardless of thread
@@ -32,10 +34,11 @@ scheduling. Wall times are the only nondeterministic output and are
 reported separately from the deterministic statistics.
 
 A neighbor list must be strictly increasing, must not hold its own rank
-and must name ranks of the world, and the graph must be symmetric. The
-lists are checked only when some rank's list differs from the lists last
-validated, so a graph fixed at setup is checked once, not on every
-exchange; a list that changes is checked again.
+and must name ranks of the world, and the graph must be symmetric. As an
+MPI graph communicator fixes its neighbors once, at creation, the lists
+are checked once per distinct graph: only when some rank's list differs
+from the lists last validated. A graph fixed at setup is checked once,
+not on every exchange; a list that changes is checked again.
 
 One rule counts every collective's traffic: a message is a nonempty
 part sent to another rank (a rank's own part never travels), counted in
@@ -124,14 +127,13 @@ def stats_delta(before, after):
 
 
 class _Slot:
-    __slots__ = ("kind", "payloads", "deliver", "done", "picked")
+    __slots__ = ("kind", "payloads", "deliver", "done")
 
     def __init__(self, kind):
         self.kind = kind
         self.payloads = {}
         self.deliver = None
         self.done = False
-        self.picked = 0
 
 
 def _snapshot(send):
@@ -185,7 +187,7 @@ class SimWorld:
         with self._cond:
             self._finished.add(rank)
             for slot in self._slots.values():
-                if not slot.done and slot.payloads and rank not in slot.payloads:
+                if slot.payloads and rank not in slot.payloads:
                     self._failure = self._failure or StalledCollectiveError(
                         f"{slot.kind} stalled: rank {rank} finished without joining "
                         f"(arrived: {sorted(slot.payloads)})"
@@ -244,6 +246,7 @@ class SimWorld:
                 except Exception as exc:
                     self._fail(TransportError(f"{kind} failed: {exc}"))
                 slot.done = True
+                del self._slots[slot_idx]   # every rank has arrived
                 self._cond.notify_all()
             elif not self._cond.wait_for(
                 lambda: slot.done or self._failure is not None, timeout=_WAIT_TIMEOUT
@@ -254,13 +257,7 @@ class SimWorld:
                 ))
             if self._failure is not None:
                 self._raise_failure(kind)
-            deliver = slot.deliver
-            slot.picked += 1
-            if slot.picked == self.size:
-                slot.payloads.clear()
-                slot.deliver = None
-                del self._slots[slot_idx]
-        result = deliver(rank)
+        result = slot.deliver(rank)
         self.stats[rank].by_kind[kind].seconds += time.perf_counter() - t0
         return result
 
@@ -359,40 +356,28 @@ class SimWorld:
         inc_start)``: every listed edge, rank by rank in list order; each
         rank's list length; and the edges into each rank, by sender, at
         ``inc[inc_start[r] : inc_start[r + 1]]``."""
-        # ``at`` is each edge's position in its rank's list, and an edge is
-        # good when its end is a rank that lists its start back.
-        n, degree = self.size, [len(g) for g in graph]
-        src = np.repeat(np.arange(n), degree)
-        at = np.arange(len(src)) - np.repeat(np.cumsum(degree) - degree, degree)
-        try:
-            dst = np.fromiter((j for g in graph for j in g), np.int64, len(src))
-        except OverflowError:  # a rank beyond int64 is unknown, as n is
-            dst = np.array([min(max(j, -1), n) for g in graph for j in g], dtype=np.int64)
-        known = (dst >= 0) & (dst < n)
-        listed = np.zeros((n, n), dtype=bool)
-        listed[src[known], dst[known]] = True
-        good = known.copy()
-        good[known] = listed[dst[known], src[known]]
-        first_bad = {}    # rank -> its first neighbor on a bad edge
-        for r, k in zip(src[~good][::-1].tolist(), at[~good][::-1].tolist()):
-            first_bad[r] = graph[r][k]
+        n = self.size
+        listed = [set(nbrs) for nbrs in graph]
         for r, nbrs in enumerate(graph):
             if any(map(operator.ge, nbrs, nbrs[1:])):
                 raise TransportError(
                     f"neighbor_alltoallv: rank {r} lists {nbrs}, not strictly increasing"
                 )
-            if r in nbrs:
+            if r in listed[r]:
                 raise TransportError(f"neighbor_alltoallv: rank {r} lists itself")
-            j = first_bad.get(r)
-            if j is not None and not 0 <= j < n:
-                raise TransportError(f"neighbor_alltoallv: rank {r} lists unknown rank {j}")
-            if j is not None:
-                raise TransportError(
-                    f"neighbor_alltoallv: asymmetric graph, {r} lists {j} "
-                    f"but {j} does not list {r}"
-                )
+            for j in nbrs:
+                if not 0 <= j < n:
+                    raise TransportError(f"neighbor_alltoallv: rank {r} lists unknown rank {j}")
+                if r not in listed[j]:
+                    raise TransportError(
+                        f"neighbor_alltoallv: asymmetric graph, {r} lists {j} "
+                        f"but {j} does not list {r}"
+                    )
         # The graph is symmetric, so a rank receives on as many edges as it
         # sends on; with the lists sorted, its senders come in list order.
+        degree = [len(nbrs) for nbrs in graph]
+        src = np.repeat(np.arange(n), degree)
+        dst = np.fromiter((j for nbrs in graph for j in nbrs), np.int64, len(src))
         inc_start = np.concatenate([[0], np.cumsum(degree)]).tolist()
         return src, dst, np.array(degree), np.lexsort((src, dst)), inc_start
 

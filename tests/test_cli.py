@@ -199,6 +199,14 @@ def test_sweep_rejects_values_below_1(tmp_path, capsys, flags, message):
     assert not (tmp_path / "s.stats.csv").exists()
 
 
+def test_sweep_rejects_a_repeated_rank_count(tmp_path, capsys):
+    # A repeated P would run twice and write each (P, phase) twice.
+    rc = main(["sweep", "--p", "8,64,8", "--n", "64", "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert "--p lists 8 more than once" in capsys.readouterr().err
+    assert not (tmp_path / "s.stats.csv").exists()
+
+
 def test_sweep_weak_emits_stats_timings_manifest(tmp_path):
     out = tmp_path / "weak"
     rc = main(["sweep", "--p", "8,64", "--mode", "weak", "--n", "64",
@@ -225,6 +233,28 @@ def test_sweep_weak_emits_stats_timings_manifest(tmp_path):
     assert manifest["transport_backend"] == "sim"
 
 
+def test_sweep_aggregates_take_the_slowest_rank(tmp_path):
+    out = tmp_path / "agg"
+    rc = main(["sweep", "--p", "8", "--n", "64", "--local-depth", "1",
+               "--order", "2", "--repeats", "2", "--out", str(out)])
+    assert rc == 0
+    with open(str(out) + ".timings.csv") as f:
+        rows = list(csv.DictReader(f))
+    # The per-rank rows come first, then two aggregate rows per phase.
+    per_rank, aggregates = rows[:-20], rows[-20:]
+    slowest = {}
+    for r in per_rank:
+        key = (r["phase"], int(r["repeat"]))
+        slowest[key] = max(slowest.get(key, 0.0), float(r["seconds"]))
+    expected = []
+    for phase in dict.fromkeys(r["phase"] for r in per_rank):
+        maxima = [slowest[phase, rep] for rep in range(2)]
+        expected += [("8", "mean", "all", phase, float(np.mean(maxima))),
+                     ("8", "std", "all", phase, float(np.std(maxima)))]
+    assert [(r["p"], r["repeat"], r["rank"], r["phase"], float(r["seconds"]))
+            for r in aggregates] == expected
+
+
 def test_sweep_strong_mode_runs(tmp_path):
     out = tmp_path / "strong"
     rc = main(["sweep", "--p", "8,64", "--mode", "strong", "--n", "512",
@@ -242,19 +272,23 @@ def test_sweep_strong_mode_runs(tmp_path):
     assert n_by_p["8"] == n_by_p["64"] == 512
 
 
-
-def test_sweep_deterministic_outputs_are_pinned(tmp_path):
+@pytest.mark.parametrize("flags, stats_digest, manifest_digest", [
+    (["--p", "8,64", "--n", "64", "--local-depth", "1", "--order", "3"],
+     "3d545861768f11fe6101cd97acad05cd014fe7b1b4bca17de82f68153bc8cda8",
+     "f69d9bd529dc6aeb9ad0466cd4589fced60a343a52a2b198c18795a681594cb0"),
+    (["--p", "8,64", "--mode", "strong", "--n", "512", "--local-depth", "1",
+      "--order", "3", "--precision", "f32", "--repeats", "2", "--seed", "4"],
+     "f05fbddf126b498b213ae6cb5169ef4774287f6c3f371b352a46071ae7ea6624",
+     "2d4e6691f902b124a005b81bf2a5616269a2c28886c3e9d11df71f1e1412a656"),
+], ids=["weak", "strong-f32-2-repeats"])
+def test_sweep_deterministic_outputs_are_pinned(tmp_path, flags, stats_digest, manifest_digest):
     # The stats CSV and manifest are pure functions of the config; a change
     # that moves a byte of either changes what the sweep reports.
     out = tmp_path / "pin"
-    rc = main(["sweep", "--p", "8,64", "--n", "64", "--local-depth", "1",
-               "--order", "3", "--out", str(out)])
+    rc = main(["sweep", *flags, "--out", str(out)])
     assert rc == 0
     digests = {
         suffix: hashlib.sha256((tmp_path / f"pin{suffix}").read_bytes()).hexdigest()
         for suffix in (".stats.csv", ".manifest.json")
     }
-    assert digests == {
-        ".stats.csv": "3d545861768f11fe6101cd97acad05cd014fe7b1b4bca17de82f68153bc8cda8",
-        ".manifest.json": "f69d9bd529dc6aeb9ad0466cd4589fced60a343a52a2b198c18795a681594cb0",
-    }
+    assert digests == {".stats.csv": stats_digest, ".manifest.json": manifest_digest}

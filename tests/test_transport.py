@@ -464,17 +464,34 @@ def test_rooted_collectives_reject_out_of_range_root():
 
 
 def test_neighbor_alltoallv_rejects_unsorted_or_repeated_neighbors():
-    for graphs in ({0: (1, 1), 1: (0,)}, {0: (2, 1), 1: (0,), 2: (0,)}):
+    # Rank 0's list repeats, is unsorted, or names rank 0 itself.
+    for graphs, fault in (({0: (1, 1), 1: (0,)}, r"lists \(1, 1\)"),
+                          ({0: (2, 1), 1: (0,), 2: (0,)}, r"lists \(2, 1\)"),
+                          ({0: (0, 1), 1: (0,)}, "lists itself$")):
         world = create_world(len(graphs))
 
         def program(comm, _graphs=graphs):
             nbrs = _graphs[comm.rank]
             return comm.neighbor_alltoallv(nbrs, np.zeros(2 * len(nbrs)), [2] * len(nbrs))
 
-        listed = ", ".join(map(str, graphs[0]))
-        with pytest.raises(TransportError, match=rf"rank 0 lists \({listed}\)"):
+        with pytest.raises(TransportError, match=f"rank 0 {fault}"):
             run_spmd(world, program)
         assert world.stats[1].by_kind["neighbor_alltoallv"].calls == 0
+
+
+def test_graph_check_reports_the_first_bad_list_by_rank():
+    # Rank 0 lists 2, which does not list it back; rank 1's list is
+    # unsorted. The check walks the ranks in order, so rank 0 is named.
+    graphs = {0: (1, 2), 1: (2, 0), 2: (1,)}
+    world = create_world(3)
+
+    def program(comm):
+        nbrs = graphs[comm.rank]
+        return comm.neighbor_alltoallv(nbrs, np.zeros(len(nbrs)), [1] * len(nbrs))
+
+    with pytest.raises(TransportError,
+                       match="^neighbor_alltoallv: asymmetric graph, 0 lists 2 but 2 does not list 0$"):
+        run_spmd(world, program)
 
 
 def test_alltoallv_empty_sends_allowed():
