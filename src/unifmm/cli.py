@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import struct
 import sys
@@ -128,9 +127,9 @@ def read_charges(path):
     return _read_binary(path, CHARGES_MAGIC, 1).reshape(-1)
 
 
-def _config_from_args(args):
+def _config_from_args(args, global_depth):
     return FmmConfig(
-        global_depth=args.global_depth,
+        global_depth=global_depth,
         local_depth=args.local_depth,
         order=args.order,
         precision=args.precision,
@@ -168,7 +167,7 @@ def cmd_generate(args):
 
 
 def cmd_verify(args):
-    config = _config_from_args(args)
+    config = _config_from_args(args, args.global_depth)
     # Every rank needs a root: reject P before any rank thread starts.
     n_roots = 8**config.global_depth
     if not 1 <= args.p <= n_roots:
@@ -251,7 +250,7 @@ def cmd_sweep(args):
     aggregate_rows = []
     manifest = None
     for p, d_g in depths.items():
-        config = dataclasses.replace(_config_from_args(args), global_depth=d_g)
+        config = _config_from_args(args, d_g)
         n, points, charges = _sweep_points(args, p, args.mode)
         t0 = time.perf_counter()
         world, states, evals = _run_world(points, charges, p, config, repeats=args.repeats)
@@ -335,13 +334,14 @@ def build_parser():
     gen.set_defaults(fn=cmd_generate)
 
     fmm_common = argparse.ArgumentParser(add_help=False, parents=[common])
-    fmm_common.add_argument("--global-depth", type=int, default=1, dest="global_depth")
     fmm_common.add_argument("--local-depth", type=int, default=2, dest="local_depth")
     fmm_common.add_argument("--order", type=int, default=6, help="expansion order")
 
     ver = sub.add_parser("verify", parents=[fmm_common],
                          help="check distributed vs reference vs direct summation")
     ver.add_argument("--p", type=int, default=8, help="simulated rank count")
+    # sweep takes each P's global depth from P itself, so only verify has this.
+    ver.add_argument("--global-depth", type=int, default=1, dest="global_depth")
     ver.add_argument("--out", default=None, help="optional manifest output path")
     ver.add_argument("--test-drop-ghost", type=int, default=None, metavar="RANK",
                      help=argparse.SUPPRESS)  # fault-injection hook

@@ -12,27 +12,41 @@ level-dependent factor (it scales linearly with the box side); the
 up-to-up, transfer (M2L), and down-to-down matrices are shared by every
 level.
 
-The build makes exactly one SVD. The downward surfaces are the upward
-ones with their roles swapped and the kernel is symmetric, so the
-downward check system is the transpose of the upward one and M2L solves
-it with ``uc2e_inv.T``. A child's downward check system is the parent's
-halved in size and moved, so by homogeneity and translation invariance
-it is twice the parent's matrix and D2D solves it with
-``0.5 * uc2e_inv.T``. The source equivalent and
-target check surfaces of M2L are the same origin-symmetric lattice, and
-it maps onto itself under the 48 axis permutations and sign flips of the
-cube. Such a map ``g`` permutes the lattice points, so
+The build factorizes one check system, the upward one. Its check and
+equivalent surfaces are one lattice, which maps onto itself under the 8
+axis sign flips, and the system commutes with them; in the orthonormal
+basis of the flip group's 8 characters it is block diagonal
+(:func:`flip_blocks`: 8 blocks of 37 at order 8 for the 296 lattice
+points, of unequal sizes at odd orders, whose center planes hold orbits
+of fewer than 8 points). The build evaluates the system's rows at one
+point per orbit, takes one SVD per block, drops the singular values
+below the per-order :data:`SVD_CUTOFF` times the largest of all blocks,
+and assembles a solve that depends on two points' flips only through
+their xor, so it commutes with every flip exactly. The downward surfaces
+are the upward ones with their roles swapped and the kernel is
+symmetric, so the downward check system is the transpose of the upward
+one and M2L solves it with ``uc2e_inv.T``. A child's downward check
+system is the parent's halved in size and moved, so by homogeneity and
+translation invariance it is twice the parent's matrix and D2D solves
+it with ``0.5 * uc2e_inv.T``. The source equivalent and target check
+surfaces of M2L are the same origin-symmetric lattice, and it maps onto
+itself under the 48 axis permutations and sign flips of the cube. Such
+a map ``g`` permutes the lattice points, so
 ``m2l[g t] = m2l[t][rho][:, rho]`` with ``rho`` its index permutation
 (the solve commutes with it because the check system is invariant).
 
 The 316 transfer vectors fall into 16 classes under these maps. The
 canonical vector of each (its sorted absolute components,
 :data:`CLASS_VECTORS`) gets a kernel matrix and a product with the
-solve, and these 16 class matrices are all an operator set stores at
-first: vector ``t`` reads its class matrix under the permutation of the
-symmetry that maps it to its canonical vector (:data:`TRANSFER_CLASS`,
-:data:`TRANSFER_SYM`, :attr:`OperatorSet.sym_perm`). M2L runs a level
-one of two ways, chosen per level by its pair count (:func:`plan_m2l`):
+solve. The kernel between two lattice points depends only on the
+difference of their lattice indices, so the 16 kernels are gathered
+with one index from one table over the (2 * order - 1)**3 differences
+(:func:`class_kernel_table`). These 16 class matrices are all an
+operator set stores at first: vector ``t`` reads its class matrix under
+the permutation of the symmetry that maps it to its canonical vector
+(:data:`TRANSFER_CLASS`, :data:`TRANSFER_SYM`,
+:attr:`OperatorSet.sym_perm`). M2L runs a level one of two ways,
+chosen per level by its pair count (:func:`plan_m2l`):
 
 - A sparse level, of at most :data:`SPARSE_PAIRS` pairs (1792, 32 per
   orthant matrix on average), runs through the class matrices
@@ -93,11 +107,14 @@ The 8 child octants are the sign flips of child octant 0 in the same
 way, so U2U and D2D store one matrix each and run one product per level
 over all children in their flip frames.
 A flipped U2U matrix carries a permuted copy of the truncated up solve,
-equal to the solve S2U uses only to about 4e-7 at order 8. There the
-cutoff keeps singular values down to 1.3e-10 of the largest, whose
-directions only rounding fixes: equally valid factorizations of the one
-system put the order-8 error against direct summation anywhere from
-1.9e-9 to 1.9e-8 (2.5e-9 to 2.9e-9 with numpy's).
+which is the solve S2U uses, since the solve commutes with the flips
+(one dense SVD of the whole system commuted only to 4.3e-7 at order 8).
+The kept singular values nearest the cutoff have directions that only
+rounding fixes, so the error against direct summation still depends on
+the factorization: over numpy's and scipy's SVDs of the blocks and of
+their transposes the order-8 error read 1.9e-9 to 3.1e-9 (``fmm
+verify`` on 4096 uniform points, P=1, seeds 0-3; 2.0e-9 to 2.1e-9 with
+numpy's), against 1.9e-9 to 1.9e-8 for one dense SVD at cutoff 1e-10.
 
 S2U and D2T evaluate one fixed surface template shifted to each leaf (as
 in the KIFMM of Ying, Biros & Zorin, JCP 2004), in units of the leaf
@@ -120,8 +137,8 @@ its block, and thus have the same bits at any rank count. The expansions
 do not: the one GEMM with the solve rounds a row differently depending
 on how many rows share the call. At P=8 against P=1 (``fmm verify``:
 uniform cube N=4096, d_g=1, d_l=2, seeds 0-3) the potentials differ by
-1.4e-12 to 2.3e-12 relative L2 at order 7, and by under 2e-16 at orders
-2-6 and 8.
+7.9e-14 to 3.8e-13 relative L2 at order 7, 2.0e-14 to 2.6e-14 at order
+5, and by under 2e-16 at the even orders.
 """
 
 from __future__ import annotations
@@ -187,8 +204,21 @@ ORTHANT_SYM[TRANSFER_ORTHANT] = TRANSFER_SYM - TRANSFER_FLIP
 UPWARD_EQUIV_SCALE = 1.05
 UPWARD_CHECK_SCALE = 2.95
 
-# Relative singular-value cutoffs for the check->equivalent solves.
-SVD_CUTOFF = {"f64": 1e-10, "f32": 1e-5}
+# Relative singular-value cutoffs of the check solve, per precision and
+# order (an order past a table's last falls back to it). Each sits in a
+# gap of its order's spectrum, so rounding cannot move a singular value
+# across it. At orders 7 and 8 the f64 cutoff drops directions that only
+# rounding fixes: at 1e-10 the flip-block solve read errors against
+# direct summation of 3.7e-8 (order 7) and 5.4e-8 (order 8), where 5e-9
+# and 1.3e-9 read 1.1-1.2e-8 and 1.9-2.1e-9 (``fmm verify``, 4096 uniform
+# points, d_g=1, d_l=2, seeds 0-3). In f32 the rounding of the stored
+# matrices, amplified by the kept spectrum, dominates from order 5 on,
+# and the error jumps by up to 100x between neighbouring cutoffs; orders 6
+# and 7 keep less than 1e-5 (4.4e-5 and 1.1e-5 against 8.1e-5 and 7.9e-5).
+SVD_CUTOFF = {
+    "f64": {2: 1e-10, 3: 1e-10, 4: 1e-10, 5: 1e-10, 6: 1e-10, 7: 5e-9, 8: 1.3e-9},
+    "f32": {2: 1e-5, 3: 1e-5, 4: 1e-5, 5: 1e-5, 6: 3e-5, 7: 4.5e-5, 8: 1e-5},
+}
 
 # Measured end-to-end relative L2 error of the depth-3 uniform pipeline
 # versus direct summation (2000 and 4096 uniform points: 1.5e-2, 1.9e-4,
@@ -219,17 +249,26 @@ F32_EPS = {
 }
 
 
+def _at_order(table, order, what):
+    """``table``'s entry for ``order``, else that of the highest order
+    below it."""
+    lower = [o for o in table if o <= order]
+    if not lower:
+        raise ValueError(f"no {what} at or below order {order}")
+    return table[max(lower)]
+
+
 def frozen_eps(order, precision="f64"):
     """Frozen measured accuracy bound for ``order`` at ``precision``;
     errors for orders without a recorded measurement fall back to the
     next looser bound."""
-    table = F32_EPS if precision == "f32" else FROZEN_EPS
-    if order in table:
-        return table[order]
-    lower = [o for o in table if o < order]
-    if not lower:
-        raise ValueError(f"no frozen accuracy bound at or below order {order}")
-    return table[max(lower)]
+    return _at_order(F32_EPS if precision == "f32" else FROZEN_EPS, order,
+                     "frozen accuracy bound")
+
+
+def svd_cutoff(order, precision="f64"):
+    """Relative singular-value cutoff of the check solve (:data:`SVD_CUTOFF`)."""
+    return _at_order(SVD_CUTOFF[precision], order, "check-solve cutoff")
 
 
 class OperatorFactorizationError(RuntimeError):
@@ -265,22 +304,101 @@ def surface_grid(order, center=(0.0, 0.0, 0.0), side=1.0, scale=1.0):
     return np.asarray(center, dtype=np.float64) + pts * (side * scale)
 
 
-def _tsvd_pinv(mat, cutoff):
-    """Pseudo-inverse with singular values below ``cutoff * s_max`` dropped."""
+# The characters of the flip group: ``FLIP_CHARACTERS[f, g]`` is
+# (-1)^popcount(f & g), the value of character ``g`` at the flip ``f``.
+FLIP_CHARACTERS = 1.0 - 2.0 * (np.bitwise_count(np.arange(8)[:, None] & np.arange(8)) & 1)
+
+
+class FlipOrbits(NamedTuple):
+    """The surface lattice's orbits under the 8 sign flips (:func:`flip_orbits`)."""
+
+    reps: np.ndarray       # per orbit its representative, as a lattice index
+    centered: np.ndarray   # per orbit the bit mask of the axes it is centered on
+    orbit: np.ndarray      # per point its orbit
+    flip: np.ndarray       # per point the flip that maps its representative to it (int8)
+
+
+def flip_orbits(order):
+    """The :class:`FlipOrbits` of the surface lattice of ``order``. An
+    orbit's representative is its point with no coordinate below the
+    lattice's center; the representatives come in ascending lattice order.
+    A point on the center plane of an axis (at odd orders) is fixed by that
+    axis's flip, so its orbit has half as many points per such axis, and
+    its ``flip`` has no bit for them."""
+    lattice = _surface_lattice(order)
+    twice = 2 * lattice - (order - 1)       # coordinates from the center, doubled
+    bits = np.array([1, 2, 4])
+    flip = (twice < 0) @ bits
+    reps = np.flatnonzero(flip == 0)
+    lookup = np.empty((order,) * 3, dtype=np.intp)
+    lookup[tuple(lattice[reps].T)] = np.arange(len(reps))
+    orbit = lookup[tuple(((np.abs(twice) + order - 1) // 2).T)]
+    return FlipOrbits(reps, (twice[reps] == 0) @ bits, orbit, flip.astype(np.int8))
+
+
+def _orbit_norms(centered):
+    """sqrt(|O| |O'|) for every two orbits with centered-axis masks
+    ``centered``: an orbit has 8 points, halved per centered axis."""
+    size = 8.0 / (1 << np.bitwise_count(centered))
+    return np.sqrt(np.outer(size, size))
+
+
+def flip_blocks(a_rep, orbits, flip_perm):
+    """The check system ``A`` (check points by equivalent points of one
+    surface lattice) in the orthonormal basis of the flip group's
+    characters, from its rows at the orbit representatives, ``a_rep``.
+    ``A`` commutes with the flips, so the basis makes it block diagonal.
+
+    The basis vector of character ``g`` on an orbit ``O`` is the sum of
+    ``g(f_y) e_y / sqrt(|O|)`` over the orbit's points ``y``, ``f_y`` the
+    flip that maps the representative to ``y``. It exists for the ``g``
+    with no bit on an axis the orbit is centered on, and by the flip
+    invariance the block entry of two such orbits ``O, O'`` is
+    ``sqrt(|O| |O'|) / 8`` times the sum over the flips ``f`` of ``g(f)
+    A[x_O, f x_O']``. Returns per character its orbits and its block over
+    them: 8 blocks of ``len(reps)`` at even orders; at odd orders only the
+    trivial character's block is that large."""
+    c = a_rep[:, flip_perm[:, orbits.reps].T]       # c[O, O', f] = A[x_O, f x_O']
+    b = (c @ FLIP_CHARACTERS).transpose(2, 0, 1)    # b[g, O, O']
+    b *= _orbit_norms(orbits.centered) / 8
+    blocks = []
+    for g in range(8):
+        keep = np.flatnonzero((orbits.centered & g) == 0)
+        blocks.append((keep, b[g][np.ix_(keep, keep)]))
+    return blocks
+
+
+def _flip_solve(blocks, orbits, cutoff):
+    """The check solve ``A⁺`` from the flip blocks of ``A``
+    (:func:`flip_blocks`), truncated at ``cutoff`` times the largest
+    singular value over all blocks, in the lattice's point order.
+
+    Each block's truncated pseudo-inverse ``P_g`` is written into an orbit
+    by orbit matrix, zero at the orbits the character skips. Entry ``(y,
+    z)`` of ``A⁺``, ``y`` in orbit ``O'`` and ``z`` in ``O``, is then
+    ``sum_g g(f_y ^ f_z) P_g[O', O] / sqrt(|O'| |O|)``: it depends on the
+    flips only through ``f_y ^ f_z``, so the solve commutes with every
+    flip exactly, not just to rounding."""
     try:
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        factors = [np.linalg.svd(block) for _, block in blocks]
     except np.linalg.LinAlgError as exc:
         raise OperatorFactorizationError(
-            f"SVD of {mat.shape} check-surface system failed: {exc}"
+            f"SVD of a check-surface flip block failed: {exc}"
         ) from exc
-    if s[0] == 0.0:
+    s_max = max(s[0] for _, s, _ in factors)
+    if s_max == 0.0:
         raise OperatorFactorizationError(
             "check-surface system is identically zero (condition number inf)"
         )
-    keep = s >= cutoff * s[0]
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    return (vt.T * inv_s) @ u.T
+    n_orb = len(orbits.reps)
+    pinv = np.zeros((8, n_orb, n_orb))
+    for (keep, _), (u, s, vt), out in zip(blocks, factors, pinv):
+        k = s >= cutoff * s_max
+        out[np.ix_(keep, keep)] = (vt[k].T / s[k]) @ u[:, k].T
+    by_flip = (FLIP_CHARACTERS @ pinv.reshape(8, -1)).reshape(8, n_orb, n_orb)
+    by_flip /= _orbit_norms(orbits.centered)
+    flip, orbit = orbits.flip, orbits.orbit
+    return by_flip[flip[:, None] ^ flip, orbit[:, None], orbit]
 
 
 @dataclass
@@ -354,20 +472,52 @@ def _symmetry_perms(order):
     return axis_perm[:, flip_perm].reshape(48, len(lattice))
 
 
+def class_kernel_table(order):
+    """The kernel between the unit equivalent lattice and its translates by
+    the 16 class vectors, once per lattice difference: entry ``(c, k)`` is
+    1/|CLASS_VECTORS[c] + UPWARD_EQUIV_SCALE * m / (order - 1)| for the
+    difference ``m`` of lattice indices at flat index ``k`` of the
+    (2 * order - 1)**3 grid of differences (:func:`_lattice_differences`)."""
+    steps = np.arange(1 - order, order) * (UPWARD_EQUIV_SCALE / (order - 1))
+    sq = np.square(CLASS_VECTORS[:, :, None] + steps)           # (16, 3, 2 * order - 1)
+    r = sq[:, 0, :, None, None] + sq[:, 1, None, :, None]
+    r = r + sq[:, 2, None, None, :]
+    np.sqrt(r, out=r)
+    return np.reciprocal(r, out=r).reshape(len(CLASS_VECTORS), -1)
+
+
+def _lattice_differences(order):
+    """(n, n) flat indices into :func:`class_kernel_table`'s grid of the
+    lattice differences ``l_j - l_i`` of surface points ``i, j``, in the
+    smallest signed integer type that holds them (int16 up to order 16)."""
+    width = 2 * order - 1
+    center = (order - 1) * (width * width + width + 1)
+    base = (_surface_lattice(order) @ np.array([width * width, width, 1]))
+    base = base.astype(np.min_scalar_type(-(width**3)))
+    return base - (base - center)[:, None]
+
+
 def precompute_operators(order, dtype=np.float64):
     """Build the operator set for ``order`` at working ``dtype``, without
     the orthant M2L matrices (:func:`ensure_orthant_m2l`).
 
     Matrices are assembled and factorized in float64 and stored at the
-    working precision; at float64 no copy is made.
+    working precision; at float64 no copy is made. The check solve is
+    factorized in the flip blocks of its system (:func:`flip_blocks`),
+    whose rows at the orbit representatives are the only check-system
+    kernel entries evaluated; the class transfer kernels are gathered from
+    one table of lattice differences (:func:`class_kernel_table`).
     """
     dtype = np.dtype(dtype)
-    svd_cutoff = SVD_CUTOFF["f32" if dtype == np.float32 else "f64"]
+    cutoff = svd_cutoff(order, "f32" if dtype == np.float32 else "f64")
 
     up_equiv = surface_grid(order, scale=UPWARD_EQUIV_SCALE)
     up_check = surface_grid(order, scale=UPWARD_CHECK_SCALE)
+    sym_perm = _symmetry_perms(order)
 
-    uc2e_inv = _tsvd_pinv(inverse_distances(up_check, up_equiv), svd_cutoff)
+    orbits = flip_orbits(order)
+    blocks = flip_blocks(inverse_distances(up_check[orbits.reps], up_equiv), orbits, sym_perm[:8])
+    uc2e_inv = _flip_solve(blocks, orbits, cutoff)
 
     # Child octant 0 is centered at -1/4 of the parent side on every axis.
     u2u = uc2e_inv @ inverse_distances(up_check, up_equiv * 0.5 - 0.25)
@@ -382,18 +532,22 @@ def precompute_operators(order, dtype=np.float64):
     # setup_s read 9% slower.
     block = np.empty((len(ORTHANT_VECTORS), n, n), dtype=dtype)
     m2l_class = block[: len(CLASS_VECTORS)]
-    for t0, out in zip(CLASS_VECTORS, m2l_class):
-        np.matmul(uc2e_inv.T, inverse_distances(up_equiv, t0 + up_equiv), out=out)
+    # Every difference index is in range, so mode "clip" changes nothing but
+    # lets the take write into ``kernel`` directly.
+    diff = _lattice_differences(order)
+    kernel = np.empty((n, n))
+    for table, out in zip(class_kernel_table(order), m2l_class):
+        np.matmul(uc2e_inv.T, np.take(table, diff, out=kernel, mode="clip"), out=out)
 
     return OperatorSet(
         order=order,
         dtype=dtype,
-        svd_cutoff=svd_cutoff,
+        svd_cutoff=cutoff,
         uc2e_inv=uc2e_inv.astype(dtype, copy=False),
         u2u=u2u.astype(dtype, copy=False),
         d2d=d2d.astype(dtype, copy=False),
         m2l_class=m2l_class,
-        sym_perm=_symmetry_perms(order),
+        sym_perm=sym_perm,
         up_equiv_grid=up_equiv,
         up_check_grid=up_check,
         leaf_template=template_operand(up_check),

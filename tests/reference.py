@@ -2,11 +2,14 @@
 children, one leaf's U list and one box's V list, the transfer vector of
 two boxes, and the scalar Laplace kernel. The library works on key
 arrays and interaction lists built for a whole tree at once; these
-answer the same questions for one key or one pair of points."""
+answer the same questions for one key or one pair of points. Also a
+dense truncated pseudo-inverse, for reference operators built from one
+level's real geometry."""
 
 import numpy as np
 
 from unifmm import morton
+from unifmm.operators import OperatorFactorizationError
 from unifmm.tree import _v_members_with_vectors
 
 
@@ -65,3 +68,21 @@ def laplace_kernel(x, y):
     d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
     r = float(np.sqrt(np.dot(d, d)))
     return 0.0 if r == 0.0 else 1.0 / r
+
+
+def tsvd_pinv(mat, cutoff):
+    """Pseudo-inverse with singular values below ``cutoff * s_max`` dropped."""
+    try:
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise OperatorFactorizationError(
+            f"SVD of {mat.shape} check-surface system failed: {exc}"
+        ) from exc
+    if s[0] == 0.0:
+        raise OperatorFactorizationError(
+            "check-surface system is identically zero (condition number inf)"
+        )
+    keep = s >= cutoff * s[0]
+    inv_s = np.zeros_like(s)
+    inv_s[keep] = 1.0 / s[keep]
+    return (vt.T * inv_s) @ u.T

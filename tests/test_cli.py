@@ -207,6 +207,17 @@ def test_sweep_rejects_a_repeated_rank_count(tmp_path, capsys):
     assert not (tmp_path / "s.stats.csv").exists()
 
 
+def test_sweep_does_not_take_a_global_depth(tmp_path, capsys):
+    # sweep takes each P's global depth from P, so a --global-depth would be
+    # ignored; argparse rejects it instead of running at another depth.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--p", "8", "--global-depth", "3", "--n", "64", "--local-depth", "1",
+              "--order", "2", "--out", str(tmp_path / "s")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --global-depth 3" in capsys.readouterr().err
+    assert not (tmp_path / "s.stats.csv").exists()
+
+
 def test_sweep_weak_emits_stats_timings_manifest(tmp_path):
     out = tmp_path / "weak"
     rc = main(["sweep", "--p", "8,64", "--mode", "weak", "--n", "64",

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import distributed_run, raw_instance, rel_l2, sorted_instance
-from reference import box_center, children
+from reference import box_center, children, tsvd_pinv
 
 from unifmm import morton, operators
 from unifmm.distributed import FmmConfig, evaluate, update_charges
@@ -14,7 +14,6 @@ from unifmm.morton import BoundingCube, make_key
 from unifmm.operators import (
     CLASS_VECTORS,
     ORTHANT_VECTORS,
-    SVD_CUTOFF,
     TRANSFER_CLASS,
     TRANSFER_SYM,
     UPWARD_CHECK_SCALE,
@@ -23,12 +22,15 @@ from unifmm.operators import (
     ExpansionStore,
     TiledPlan,
     _surface_lattice,
-    _tsvd_pinv,
+    _lattice_differences,
     apply_m2l,
     box_side,
+    class_kernel_table,
     d2d_level,
     ensure_orthant_m2l,
     expansion_length,
+    flip_blocks,
+    flip_orbits,
     get_operator_set,
     group_pairs_by_class,
     group_pairs_by_transfer,
@@ -36,6 +38,7 @@ from unifmm.operators import (
     leaf_s2u_all,
     precompute_operators,
     surface_grid,
+    svd_cutoff,
     template_rows,
     u2u_level,
     upward_pass,
@@ -50,14 +53,14 @@ OP_TOL = {2: 5e-2, 3: 5e-3, 4: 2e-3, 6: 5e-5, 8: 5e-7}
 
 
 def build_m2l_at_level(order, cube, level, equiv_scale=UPWARD_EQUIV_SCALE,
-                       check_scale=UPWARD_CHECK_SCALE, svd_cutoff=SVD_CUTOFF["f64"]):
+                       check_scale=UPWARD_CHECK_SCALE):
     """Reference transfer matrices: one kernel matrix and solve per vector,
     from the real geometry of one tree level. For the 1/r kernel the
     result must match the level-shared symmetry-built set to rounding."""
     side = cube.side / (1 << level)
     down_check = surface_grid(order, scale=equiv_scale, side=side)
     down_equiv = surface_grid(order, scale=check_scale, side=side)
-    dc2e_inv = _tsvd_pinv(inverse_distances(down_check, down_equiv), svd_cutoff)
+    dc2e_inv = tsvd_pinv(inverse_distances(down_check, down_equiv), svd_cutoff(order))
     up_equiv = surface_grid(order, scale=equiv_scale, side=side)
     n = expansion_length(order)
     m2l = np.empty((len(TRANSFER_VECTORS), n, n))
@@ -417,30 +420,81 @@ def test_d2d_reproduces_parent_field_in_every_child(order):
 
 
 def test_build_solves_once_and_forms_16_m2l_products(monkeypatch):
-    # One SVD (the up check system; the down system is its transpose) and
-    # one kernel matrix per transfer-vector class (16); the other 40 stored
-    # transfer matrices are index gathers, and U2U and D2D are built for
-    # child octant 0 only: 1 + 2 + 16 kernel matrices.
-    svds, m2l_centers, kernels = [], [], []
-    kernel_matrix = operators.inverse_distances
+    # One check system, factorized as its 8 flip blocks (the down system is
+    # its transpose); its kernel rows are evaluated at the orbit
+    # representatives only. U2U and D2D are built for child octant 0 only,
+    # so the build evaluates 3 kernel matrices, and the 16 class transfer
+    # kernels are gathered from one table of lattice differences over the
+    # 16 canonical vectors; the other 40 stored transfer matrices are index
+    # gathers of the class matrices.
+    order = 4
+    svds, kernels, tables = [], [], []
+    real_svd, real_kernel = np.linalg.svd, operators.inverse_distances
 
-    def counting_svd(mat, cutoff):
+    def counting_svd(mat, *args, **kwargs):
         svds.append(mat.shape)
-        return _tsvd_pinv(mat, cutoff)
+        return real_svd(mat, *args, **kwargs)
 
     def recording_kernel(targets, sources):
-        kernels.append(targets.shape)
-        center = sources.mean(axis=0)
-        if np.abs(center).max() >= 1.5:     # translated by a transfer vector
-            m2l_centers.append(tuple(np.rint(center).astype(int)))
-        return kernel_matrix(targets, sources)
+        kernels.append((targets.shape, sources.shape))
+        return real_kernel(targets, sources)
 
-    monkeypatch.setattr(operators, "_tsvd_pinv", counting_svd)
+    def recording_table(order):
+        tables.append(class_kernel_table(order))
+        return tables[-1]
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(operators, "inverse_distances", recording_kernel)
-    precompute_operators(4)
-    assert len(svds) == 1
-    assert len(m2l_centers) == len(set(m2l_centers)) == 16
-    assert len(kernels) == 19
+    monkeypatch.setattr(operators, "class_kernel_table", recording_table)
+    ops = precompute_operators(order)
+    n, n_orb = expansion_length(order), len(flip_orbits(order).reps)
+    assert svds == [(n_orb, n_orb)] * 8 and 8 * n_orb == n
+    assert kernels == [((n_orb, 3), (n, 3)), ((n, 3), (n, 3)), ((n, 3), (n, 3))]
+    assert len(tables) == 1 and tables[0].shape == (len(CLASS_VECTORS), (2 * order - 1) ** 3)
+    # The product with the directly evaluated kernel, to the rounding of
+    # the kernel's few ulps through the solve's entries.
+    kernel = real_kernel(ops.up_equiv_grid, CLASS_VECTORS[5] + ops.up_equiv_grid)
+    scale = np.abs(ops.uc2e_inv.T) @ np.abs(kernel)
+    assert np.all(np.abs(ops.m2l_class[5] - ops.uc2e_inv.T @ kernel) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_check_solve_commutes_with_every_flip(order):
+    # The flip-block solve depends on two points' flips only through their
+    # xor, so it is invariant under each flip to rounding of the reads
+    # (the dense SVD's solve was invariant only to 4.3e-7 at order 8).
+    ops = get_operator_set(order)
+    solve = ops.uc2e_inv
+    scale = np.abs(solve).max()
+    for p in ops.flip_perm:
+        assert np.abs(solve[p][:, p] - solve).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_flip_blocks_hold_the_check_systems_spectrum(order):
+    # The character basis is orthonormal, so the blocks' singular values,
+    # pooled, are the dense check system's.
+    up_equiv = surface_grid(order, scale=UPWARD_EQUIV_SCALE)
+    up_check = surface_grid(order, scale=UPWARD_CHECK_SCALE)
+    orbits = flip_orbits(order)
+    flip_perm = get_operator_set(order).flip_perm
+    blocks = flip_blocks(inverse_distances(up_check[orbits.reps], up_equiv), orbits, flip_perm)
+    pooled = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for _, b in blocks]))
+    dense = np.linalg.svd(inverse_distances(up_check, up_equiv), compute_uv=False)
+    assert len(pooled) == len(dense) == expansion_length(order)
+    assert np.abs(pooled[::-1] - dense).max() <= 1e-12 * dense[0]
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_class_kernels_from_the_difference_table_match_the_kernel(order):
+    # Each class's transfer kernel, gathered from the lattice-difference
+    # table, is the directly evaluated block to a few ulps.
+    up_equiv = surface_grid(order, scale=UPWARD_EQUIV_SCALE)
+    diff = _lattice_differences(order)
+    assert diff.dtype.itemsize <= 2       # no (n, n) index of 8-byte entries
+    for table, t0 in zip(class_kernel_table(order), CLASS_VECTORS):
+        want = inverse_distances(up_equiv, t0 + up_equiv)
+        assert np.all(np.abs(table[diff] - want) <= 4 * np.spacing(want)), t0
 
 
 @pytest.mark.parametrize("order", range(2, 9))
