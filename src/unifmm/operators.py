@@ -37,11 +37,26 @@ a map ``g`` permutes the lattice points, so
 
 The 316 transfer vectors fall into 16 classes under these maps. The
 canonical vector of each (its sorted absolute components,
-:data:`CLASS_VECTORS`) gets a kernel matrix and a product with the
-solve. The kernel between two lattice points depends only on the
-difference of their lattice indices, so the 16 kernels are gathered
-with one index from one table over the (2 * order - 1)**3 differences
-(:func:`class_kernel_table`). These 16 class matrices are all an
+:data:`CLASS_VECTORS`) gets a class matrix, the solve times its kernel.
+A map that fixes the canonical vector (one of the class's stabilizer,
+:data:`CLASS_STABILIZERS`, 1 to 8 maps) leaves the class matrix
+invariant, so the build forms only its columns at one lattice point per
+orbit of the stabilizer (:func:`stabilizer_orbits`; 2090 of the 16
+classes' 4736 columns at order 8, 1102 of 2432 at order 6) and fills the
+others with permuted copies (:func:`orbit_fill`). The kernel between two
+lattice points depends only on the difference of their lattice indices,
+so those kernel columns are gathered from one table over the
+(2 * order - 1)**3 differences (:func:`class_kernel_table`). U2U and D2D
+are invariant under the 6 axis permutations, which fix child octant 0's
+center, and are built the same way (64 of 296 columns at order 8). Each
+built matrix is thus invariant under its group bit for bit, where dense
+products were only to rounding of the solve (up to 5.8e-8 of the largest
+entry at order 8). The build takes, in thread CPU with one BLAS thread
+on one pinned CPU of a 2-vCPU AVX-512 Xeon host (medians of 30
+alternating builds, dense products in brackets): 1.2 ms (0.8) at order
+2, 1.9 (1.4) at 4, 5.5 (5.7) at 6, 11.3 (13.4) at 7 and 22.0 (30.2) at
+8; below order 6 the orbit bookkeeping costs more than the products it
+saves. These 16 class matrices are all an
 operator set stores at first: vector ``t`` reads its class matrix under
 the permutation of the symmetry that maps it to its canonical vector
 (:data:`TRANSFER_CLASS`, :data:`TRANSFER_SYM`,
@@ -198,6 +213,15 @@ TRANSFER_SYM = TRANSFER_SYM.astype(np.int8)
 ORTHANT_CLASS, ORTHANT_SYM = np.empty((2, len(ORTHANT_VECTORS)), dtype=np.int64)
 ORTHANT_CLASS[TRANSFER_ORTHANT] = TRANSFER_CLASS
 ORTHANT_SYM[TRANSFER_ORTHANT] = TRANSFER_SYM - TRANSFER_FLIP
+
+# Per class the symmetries that fix its canonical vector (its stabilizer),
+# ascending, so the identity first: 8, 8, 2, 2, 4, 2, 4, 2, 2, 2, 1, 2, 6,
+# 2, 2, 6 of them. Each class matrix is invariant under its stabilizer, and
+# U2U and D2D under the 6 axis permutations, which fix child octant 0's
+# center (-1/4, -1/4, -1/4); the build forms them at one column per orbit
+# (:func:`stabilizer_orbits`).
+CLASS_STABILIZERS = tuple(np.flatnonzero((SYM_MATRICES @ v == v).all(axis=1)) for v in CLASS_VECTORS)
+AXIS_PERM_SYMS = np.arange(len(AXIS_PERMS)) * 8
 
 # Surface scale factors relative to the box side: equivalent surface just
 # outside the box, check surface just inside the colleague halo (3x box).
@@ -472,6 +496,57 @@ def _symmetry_perms(order):
     return axis_perm[:, flip_perm].reshape(48, len(lattice))
 
 
+class StabilizerOrbits(NamedTuple):
+    """The surface lattice's orbits under a group of cube symmetries
+    (:func:`stabilizer_orbits`), as :func:`orbit_fill` reads them."""
+
+    reps: np.ndarray      # per orbit its least point, ascending
+    fixed: np.ndarray     # the orbits whose representative a non-identity element fixes
+    least: np.ndarray     # per such orbit and point, the flat index of its least image
+    inverse: np.ndarray   # (m, n) the elements' inverse lattice permutations
+    source: np.ndarray    # per point, the row of its orbit and first element
+
+
+def stabilizer_orbits(syms, sym_perm):
+    """The :class:`StabilizerOrbits` of the group of the ``m`` symmetries
+    ``syms`` (identity first), acting on the lattice through ``sym_perm``.
+    Point ``j`` has ``source[j] = k * m + s``: it lies in orbit ``k``, and
+    ``s`` is the first element that maps the orbit's representative to
+    ``j``. For an orbit ``k`` whose representative ``r`` some non-identity
+    element fixes, ``least`` holds at each point the flat index, into
+    ``n_r`` rows of ``n``, of row ``k`` at the point's least image under
+    the elements that fix ``r``."""
+    perms, inverse = sym_perm[syms], sym_perm[SYM_INVERSE[syms]]
+    n = perms.shape[1]
+    points = np.arange(n)
+    first = inverse.argmin(axis=0)
+    rep = inverse[first, points]
+    reps = np.flatnonzero(rep == points)
+    fixes = perms[:, reps] == reps
+    fixed = np.flatnonzero(fixes.sum(axis=0) > 1)
+    least = np.where(fixes[:, fixed, None], perms[:, None, :], n).min(axis=0)
+    least += fixed[:, None] * n
+    source = np.searchsorted(reps, rep) * len(syms) + first
+    return StabilizerOrbits(reps, fixed, least, inverse, source)
+
+
+def orbit_fill(cols, orbits):
+    """The (n, n) matrix ``M`` invariant under the group of ``orbits``
+    (``M[p][:, p] == M`` bit for bit for every element's permutation
+    ``p``) whose columns at the orbit representatives are the rows of
+    ``cols`` (n_r, n), which this overwrites. ``M`` is returned as the
+    transpose of a C-contiguous array.
+
+    Invariance fixes every other column: ``M[:, p_s[r]] = M[p_s^-1, r]``.
+    A representative's column is first read at each point's least image
+    under the elements that fix the representative, which makes it
+    invariant under them; column ``p_s[r]`` is then read through the first
+    element ``s`` that maps ``r`` to it."""
+    cols[orbits.fixed] = np.take(cols, orbits.least)
+    images = np.take(cols, orbits.inverse, axis=1)          # (n_r, m, n)
+    return np.take(images.reshape(-1, cols.shape[1]), orbits.source, axis=0).T
+
+
 def class_kernel_table(order):
     """The kernel between the unit equivalent lattice and its translates by
     the 16 class vectors, once per lattice difference: entry ``(c, k)`` is
@@ -505,8 +580,11 @@ def precompute_operators(order, dtype=np.float64):
     working precision; at float64 no copy is made. The check solve is
     factorized in the flip blocks of its system (:func:`flip_blocks`),
     whose rows at the orbit representatives are the only check-system
-    kernel entries evaluated; the class transfer kernels are gathered from
-    one table of lattice differences (:func:`class_kernel_table`).
+    kernel entries evaluated. The class transfer matrices, U2U and D2D
+    are each multiplied out at one column per orbit of the symmetries
+    that leave them invariant (:func:`orbit_fill`); the class kernels'
+    columns are gathered from one table of lattice differences
+    (:func:`class_kernel_table`).
     """
     dtype = np.dtype(dtype)
     cutoff = svd_cutoff(order, "f32" if dtype == np.float32 else "f64")
@@ -519,10 +597,6 @@ def precompute_operators(order, dtype=np.float64):
     blocks = flip_blocks(inverse_distances(up_check[orbits.reps], up_equiv), orbits, sym_perm[:8])
     uc2e_inv = _flip_solve(blocks, orbits, cutoff)
 
-    # Child octant 0 is centered at -1/4 of the parent side on every axis.
-    u2u = uc2e_inv @ inverse_distances(up_check, up_equiv * 0.5 - 0.25)
-    d2d = 0.5 * uc2e_inv.T @ inverse_distances(up_equiv * 0.5 - 0.25, up_check)
-
     n = expansion_length(order)
     # One block for all 56 orthant matrices: the class matrices are its head,
     # and ensure_orthant_m2l writes the copies into its tail, so a run of
@@ -532,12 +606,28 @@ def precompute_operators(order, dtype=np.float64):
     # setup_s read 9% slower.
     block = np.empty((len(ORTHANT_VECTORS), n, n), dtype=dtype)
     m2l_class = block[: len(CLASS_VECTORS)]
-    # Every difference index is in range, so mode "clip" changes nothing but
-    # lets the take write into ``kernel`` directly.
+    # Each matrix is formed at its group's orbit representatives only, one
+    # column each, and filled by :func:`orbit_fill`; the 16 classes share 7
+    # stabilizers. A class kernel's column r holds at point i the table at
+    # l_r - l_i, whose index is that of l_i - l_r (``diff[r, i]``) mirrored
+    # through the grid.
     diff = _lattice_differences(order)
-    kernel = np.empty((n, n))
-    for table, out in zip(class_kernel_table(order), m2l_class):
-        np.matmul(uc2e_inv.T, np.take(table, diff, out=kernel, mode="clip"), out=out)
+    tables = class_kernel_table(order)
+    groups = {}
+    for c, syms in enumerate(CLASS_STABILIZERS):
+        group = groups.get(syms.tobytes())
+        if group is None:
+            group = groups[syms.tobytes()] = stabilizer_orbits(syms, sym_perm)
+        cols = np.take(tables[c][::-1], diff[group.reps]) @ uc2e_inv
+        m2l_class[c] = orbit_fill(cols, group)
+
+    # Child octant 0 is centered at -1/4 of the parent side on every axis.
+    # The kernel is symmetric, so column r of a kernel is its row r with the
+    # grids swapped.
+    child_equiv = up_equiv * 0.5 - 0.25
+    axis = groups[AXIS_PERM_SYMS.tobytes()]
+    u2u = orbit_fill(inverse_distances(child_equiv[axis.reps], up_check) @ uc2e_inv.T, axis).copy()
+    d2d = orbit_fill(0.5 * inverse_distances(up_check[axis.reps], child_equiv) @ uc2e_inv, axis).copy()
 
     return OperatorSet(
         order=order,

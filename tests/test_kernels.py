@@ -376,6 +376,16 @@ def test_laplace_potential_blocks_match_per_target_calls():
     np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
+def test_laplace_potential_over_source_chunks_matches_one_product():
+    # 2**15 sources are cut into 4 chunks of 2**13 under 8-target blocks;
+    # 42 targets span 6 blocks, the last of 2 targets. Positive charges,
+    # so rtol measures the rounding of the split sums alone.
+    rng = np.random.default_rng(8)
+    t, s, q = _points_with_duplicates(rng, 42, 1 << 15)
+    assert kernels.BLOCK_ENTRIES // kernels.ONE_WAY_ROWS == 1 << 13
+    np.testing.assert_allclose(laplace_potential(t, s, q), inverse_distances(t, s) @ q, rtol=1e-14)
+
+
 def test_p2p_uli_matches_direct_sum_on_clustered_leaves_with_ghost():
     # Own root octant 0 only (leaf lattice {0,1}^3 at level 2). Points
     # cluster in 4 of its 8 leaves; the other 4 are empty. Each clustered
