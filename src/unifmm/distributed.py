@@ -52,11 +52,15 @@ setup's plan with the current charges. Charge-only updates replay just
 the near-field halo, with charges for point rows, and keep both plans.
 
 Local V lists only ever reference boxes below the root level, whose
-owners are adjacent subdomains: with contiguous Morton runs of roots per
-rank, the one communication graph, shared by the U and V exchanges, is
-bounded by the 26 possible neighbor subdomains no matter how many ranks
-run. Root-level V interactions are handled on the nominated rank, where
-all root expansions are present.
+owners are adjacent subdomains, so the one communication graph, shared
+by the U and V exchanges, joins each rank to the owners of the roots
+adjacent to its own. When each rank's roots form one aligned box (``roots``
+mode with P = 8^k ranks, k <= d_g) those owners are at most the 26
+neighbor subdomains, no matter how many ranks run. Other contiguous Morton
+runs can border more: in ``roots`` mode the largest degree measured from
+the layout is 29 at d_g=3 and P=63, 34 at P=100, 40 at P=500, and 43 at
+d_g=4 and P=700 (26 at d_g=3 and P=511). Root-level V interactions are
+handled on the nominated rank, where all root expansions are present.
 """
 
 from __future__ import annotations

@@ -41,27 +41,38 @@ canonical vector of each (its sorted absolute components,
 A map that fixes the canonical vector (one of the class's stabilizer,
 :data:`CLASS_STABILIZERS`, 1 to 8 maps) leaves the class matrix
 invariant, so the build forms only its columns at one lattice point per
-orbit of the stabilizer (:func:`stabilizer_orbits`; 2090 of the 16
-classes' 4736 columns at order 8, 1102 of 2432 at order 6) and fills the
-others with permuted copies (:func:`orbit_fill`). The kernel between two
-lattice points depends only on the difference of their lattice indices,
-so those kernel columns are gathered from one table over the
-(2 * order - 1)**3 differences (:func:`class_kernel_table`). U2U and D2D
-are invariant under the 6 axis permutations, which fix child octant 0's
-center, and are built the same way (64 of 296 columns at order 8). Each
-built matrix is thus invariant under its group bit for bit, where dense
-products were only to rounding of the solve (up to 5.8e-8 of the largest
-entry at order 8). The build takes, in thread CPU with one BLAS thread
-on one pinned CPU of a 2-vCPU AVX-512 Xeon host (medians of 30
-alternating builds, dense products in brackets): 1.2 ms (0.8) at order
-2, 1.9 (1.4) at 4, 5.5 (5.7) at 6, 11.3 (13.4) at 7 and 22.0 (30.2) at
-8; below order 6 the orbit bookkeeping costs more than the products it
-saves. These 16 class matrices are all an
-operator set stores at first: vector ``t`` reads its class matrix under
-the permutation of the symmetry that maps it to its canonical vector
-(:data:`TRANSFER_CLASS`, :data:`TRANSFER_SYM`,
-:attr:`OperatorSet.sym_perm`). M2L runs a level one of two ways,
-chosen per level by its pair count (:func:`plan_m2l`):
+orbit of the stabilizer (2090 of the 16 classes' 4736 columns at order
+8, 1102 of 2432 at order 6) and fills the others with permuted copies
+(:func:`orbit_fill`). The kernel between two lattice points depends only
+on the difference of their lattice indices, so those kernel columns are
+gathered from one table over the (2 * order - 1)**3 differences
+(:func:`class_kernel_table`). U2U and D2D are invariant under the 6 axis
+permutations, which fix child octant 0's center, and are built the same
+way (64 of 296 columns at order 8). Each built matrix is thus invariant
+under its group bit for bit, where dense products were only to rounding
+of the solve (up to 5.8e-8 of the largest entry at order 8).
+
+One construction, :func:`lattice_orbits`, serves every group the build
+uses: the 8 flips of the check solve, the 7 distinct class stabilizers
+and the axis permutations, each acting on the lattice through its rows
+of :attr:`OperatorSet.sym_perm`, which is one lookup of every
+:data:`SYM_MATRICES` map of the lattice. It represents each orbit by its
+greatest lattice index (for the flips, the point with no coordinate
+below the center), and gives each point's orbit and the least element
+that maps the representative to it, each orbit's size, and the elements
+that fix its representative: a flip character lives on an orbit when it
+is 1 on every flip that fixes the representative. The build takes, in
+thread CPU with one BLAS thread on one pinned CPU of a 2-vCPU AVX-512
+Xeon host (medians of 30 alternating builds, dense products in
+brackets): 1.0 ms (0.8) at order 2, 1.9 (1.4) at 4, 5.4 (5.9) at 6, 10.8
+(13.5) at 7 and 21.7 (30.5) at 8; below order 6 the orbit bookkeeping
+still costs more than the products it saves.
+
+These 16 class matrices are all an operator set stores at first: vector
+``t`` reads its class matrix under the permutation of the symmetry that
+maps it to its canonical vector (:data:`TRANSFER_CLASS`,
+:data:`TRANSFER_SYM`, :attr:`OperatorSet.sym_perm`). M2L runs a level
+one of two ways, chosen per level by its pair count (:func:`plan_m2l`):
 
 - A sparse level, of at most :data:`SPARSE_PAIRS` pairs (1792, 32 per
   orthant matrix on average), runs through the class matrices
@@ -219,7 +230,7 @@ ORTHANT_SYM[TRANSFER_ORTHANT] = TRANSFER_SYM - TRANSFER_FLIP
 # 2, 2, 6 of them. Each class matrix is invariant under its stabilizer, and
 # U2U and D2D under the 6 axis permutations, which fix child octant 0's
 # center (-1/4, -1/4, -1/4); the build forms them at one column per orbit
-# (:func:`stabilizer_orbits`).
+# (:func:`lattice_orbits`).
 CLASS_STABILIZERS = tuple(np.flatnonzero((SYM_MATRICES @ v == v).all(axis=1)) for v in CLASS_VECTORS)
 AXIS_PERM_SYMS = np.arange(len(AXIS_PERMS)) * 8
 
@@ -309,11 +320,8 @@ def expansion_length(order):
 def _surface_lattice(order):
     """Integer indices (n, 3) into the order**3 lattice of its outer shell,
     in the point order of :func:`surface_grid`."""
-    ii, jj, kk = np.meshgrid(np.arange(order), np.arange(order), np.arange(order), indexing="ij")
-    on_surface = (
-        (ii == 0) | (ii == order - 1) | (jj == 0) | (jj == order - 1) | (kk == 0) | (kk == order - 1)
-    )
-    return np.stack([ii, jj, kk], axis=-1)[on_surface]
+    lattice = np.indices((order,) * 3).reshape(3, -1).T
+    return lattice[((lattice == 0) | (lattice == order - 1)).any(axis=1)]
 
 
 def surface_grid(order, center=(0.0, 0.0, 0.0), side=1.0, scale=1.0):
@@ -333,66 +341,33 @@ def surface_grid(order, center=(0.0, 0.0, 0.0), side=1.0, scale=1.0):
 FLIP_CHARACTERS = 1.0 - 2.0 * (np.bitwise_count(np.arange(8)[:, None] & np.arange(8)) & 1)
 
 
-class FlipOrbits(NamedTuple):
-    """The surface lattice's orbits under the 8 sign flips (:func:`flip_orbits`)."""
-
-    reps: np.ndarray       # per orbit its representative, as a lattice index
-    centered: np.ndarray   # per orbit the bit mask of the axes it is centered on
-    orbit: np.ndarray      # per point its orbit
-    flip: np.ndarray       # per point the flip that maps its representative to it (int8)
-
-
-def flip_orbits(order):
-    """The :class:`FlipOrbits` of the surface lattice of ``order``. An
-    orbit's representative is its point with no coordinate below the
-    lattice's center; the representatives come in ascending lattice order.
-    A point on the center plane of an axis (at odd orders) is fixed by that
-    axis's flip, so its orbit has half as many points per such axis, and
-    its ``flip`` has no bit for them."""
-    lattice = _surface_lattice(order)
-    twice = 2 * lattice - (order - 1)       # coordinates from the center, doubled
-    bits = np.array([1, 2, 4])
-    flip = (twice < 0) @ bits
-    reps = np.flatnonzero(flip == 0)
-    lookup = np.empty((order,) * 3, dtype=np.intp)
-    lookup[tuple(lattice[reps].T)] = np.arange(len(reps))
-    orbit = lookup[tuple(((np.abs(twice) + order - 1) // 2).T)]
-    return FlipOrbits(reps, (twice[reps] == 0) @ bits, orbit, flip.astype(np.int8))
-
-
-def _orbit_norms(centered):
-    """sqrt(|O| |O'|) for every two orbits with centered-axis masks
-    ``centered``: an orbit has 8 points, halved per centered axis."""
-    size = 8.0 / (1 << np.bitwise_count(centered))
-    return np.sqrt(np.outer(size, size))
-
-
-def flip_blocks(a_rep, orbits, flip_perm):
+def flip_blocks(a_rep, flips):
     """The check system ``A`` (check points by equivalent points of one
     surface lattice) in the orthonormal basis of the flip group's
-    characters, from its rows at the orbit representatives, ``a_rep``.
-    ``A`` commutes with the flips, so the basis makes it block diagonal.
+    characters, from ``a_rep``, its rows at the representatives of
+    ``flips``: the :func:`lattice_orbits` of the 8 flips, ``syms`` 0-7, so
+    an element's index is its flip. ``A`` commutes with the flips, so the
+    basis makes it block diagonal.
 
     The basis vector of character ``g`` on an orbit ``O`` is the sum of
     ``g(f_y) e_y / sqrt(|O|)`` over the orbit's points ``y``, ``f_y`` the
     flip that maps the representative to ``y``. It exists for the ``g``
-    with no bit on an axis the orbit is centered on, and by the flip
-    invariance the block entry of two such orbits ``O, O'`` is
+    that are 1 on every flip that fixes the representative, and by the
+    flip invariance the block entry of two such orbits ``O, O'`` is
     ``sqrt(|O| |O'|) / 8`` times the sum over the flips ``f`` of ``g(f)
     A[x_O, f x_O']``. Returns per character its orbits and its block over
     them: 8 blocks of ``len(reps)`` at even orders; at odd orders only the
     trivial character's block is that large."""
-    c = a_rep[:, flip_perm[:, orbits.reps].T]       # c[O, O', f] = A[x_O, f x_O']
+    # The flips are involutions, so their inverse permutations are theirs.
+    c = a_rep[:, flips.inverse[:, flips.reps].T]    # c[O, O', f] = A[x_O, f x_O']
     b = (c @ FLIP_CHARACTERS).transpose(2, 0, 1)    # b[g, O, O']
-    b *= _orbit_norms(orbits.centered) / 8
-    blocks = []
-    for g in range(8):
-        keep = np.flatnonzero((orbits.centered & g) == 0)
-        blocks.append((keep, b[g][np.ix_(keep, keep)]))
-    return blocks
+    b *= np.sqrt(np.outer(flips.size, flips.size)) / 8
+    stab = flips.stabilizer
+    keeps = [np.flatnonzero(row) for row in FLIP_CHARACTERS @ stab == stab.sum(axis=0)]
+    return [(keep, block[np.ix_(keep, keep)]) for keep, block in zip(keeps, b)]
 
 
-def _flip_solve(blocks, orbits, cutoff):
+def _flip_solve(blocks, flips, cutoff):
     """The check solve ``A⁺`` from the flip blocks of ``A``
     (:func:`flip_blocks`), truncated at ``cutoff`` times the largest
     singular value over all blocks, in the lattice's point order.
@@ -414,14 +389,14 @@ def _flip_solve(blocks, orbits, cutoff):
         raise OperatorFactorizationError(
             "check-surface system is identically zero (condition number inf)"
         )
-    n_orb = len(orbits.reps)
+    n_orb = len(flips.reps)
     pinv = np.zeros((8, n_orb, n_orb))
     for (keep, _), (u, s, vt), out in zip(blocks, factors, pinv):
         k = s >= cutoff * s_max
         out[np.ix_(keep, keep)] = (vt[k].T / s[k]) @ u[:, k].T
     by_flip = (FLIP_CHARACTERS @ pinv.reshape(8, -1)).reshape(8, n_orb, n_orb)
-    by_flip /= _orbit_norms(orbits.centered)
-    flip, orbit = orbits.flip, orbits.orbit
+    by_flip /= np.sqrt(np.outer(flips.size, flips.size))
+    flip, orbit = flips.element, flips.orbit
     return by_flip[flip[:, None] ^ flip, orbit[:, None], orbit]
 
 
@@ -484,50 +459,61 @@ class OperatorSet:
 
 def _symmetry_perms(order):
     """The (48, n) surface-lattice permutations of the cube's symmetries,
-    in the order of :data:`SYM_MATRICES`: the 8 flip maps composed with the
-    6 axis-permutation maps."""
+    in the order of :data:`SYM_MATRICES`: row ``s`` sends each point to
+    the one at ``SYM_MATRICES[s]`` times its coordinates from the
+    lattice's center, found by its flat index in the order**3 lattice."""
     lattice = _surface_lattice(order)
-    lookup = np.empty((order,) * 3, dtype=np.intp)
-    lookup[tuple(lattice.T)] = np.arange(len(lattice))
-    flips = (np.arange(8)[:, None] >> np.arange(3)) & 1
-    flipped = np.where(flips[:, None, :] == 1, order - 1 - lattice, lattice)
-    flip_perm = lookup[tuple(flipped.transpose(2, 0, 1))]                 # (8, n)
-    axis_perm = lookup[tuple(lattice[:, AXIS_PERMS].transpose(2, 1, 0))]  # (6, n)
-    return axis_perm[:, flip_perm].reshape(48, len(lattice))
+    strides = np.array([order * order, order, 1])
+    lookup = np.empty(order**3, dtype=np.intp)
+    lookup[lattice @ strides] = np.arange(len(lattice))
+    # Symmetry S sends the doubled coordinates c from the center to S c, at
+    # flat index (strides . (S c + order - 1)) / 2, and strides . S c is
+    # (S^T strides) . c.
+    doubled = (SYM_MATRICES.transpose(0, 2, 1) @ strides) @ (2 * lattice - (order - 1)).T
+    return lookup[(doubled + (order - 1) * strides.sum()) // 2]
 
 
-class StabilizerOrbits(NamedTuple):
-    """The surface lattice's orbits under a group of cube symmetries
-    (:func:`stabilizer_orbits`), as :func:`orbit_fill` reads them."""
+class LatticeOrbits(NamedTuple):
+    """The surface lattice's orbits under a group of ``m`` cube symmetries
+    (:func:`lattice_orbits`)."""
 
-    reps: np.ndarray      # per orbit its least point, ascending
-    fixed: np.ndarray     # the orbits whose representative a non-identity element fixes
-    least: np.ndarray     # per such orbit and point, the flat index of its least image
-    inverse: np.ndarray   # (m, n) the elements' inverse lattice permutations
-    source: np.ndarray    # per point, the row of its orbit and first element
+    reps: np.ndarray        # per orbit its greatest point, ascending
+    size: np.ndarray        # per orbit its number of points
+    stabilizer: np.ndarray  # (m, n_r) whether each element fixes each representative
+    orbit: np.ndarray       # per point its orbit
+    element: np.ndarray     # per point the least element that maps its representative to it
+    fixed: np.ndarray       # the orbits whose representative a non-identity element fixes
+    least: np.ndarray       # per such orbit and point, the flat index of its least image
+    inverse: np.ndarray     # (m, n) the elements' inverse lattice permutations
+    source: np.ndarray      # per point, orbit * m + element
 
 
-def stabilizer_orbits(syms, sym_perm):
-    """The :class:`StabilizerOrbits` of the group of the ``m`` symmetries
-    ``syms`` (identity first), acting on the lattice through ``sym_perm``.
-    Point ``j`` has ``source[j] = k * m + s``: it lies in orbit ``k``, and
-    ``s`` is the first element that maps the orbit's representative to
-    ``j``. For an orbit ``k`` whose representative ``r`` some non-identity
-    element fixes, ``least`` holds at each point the flat index, into
-    ``n_r`` rows of ``n``, of row ``k`` at the point's least image under
-    the elements that fix ``r``."""
+def lattice_orbits(syms, sym_perm):
+    """The :class:`LatticeOrbits` of the group of the ``m`` symmetries
+    ``syms`` (identity first), acting on the lattice through ``sym_perm``;
+    its elements are indexed by their position in ``syms``. Each orbit is
+    represented by its greatest lattice index, for the 8 flips the point
+    with no coordinate below the lattice's center. Point ``j`` lies in
+    orbit ``orbit[j]``, and ``element[j]`` is the least ``s`` with ``p_s[r]
+    = j``, ``r`` the orbit's representative; ``source`` combines the two
+    for :func:`orbit_fill`. For an orbit ``k`` whose representative ``r``
+    some non-identity element fixes, ``least`` holds at each point the
+    flat index, into ``n_r`` rows of ``n``, of row ``k`` at the point's
+    least image under the elements that fix ``r``."""
     perms, inverse = sym_perm[syms], sym_perm[SYM_INVERSE[syms]]
-    n = perms.shape[1]
+    m, n = perms.shape
     points = np.arange(n)
-    first = inverse.argmin(axis=0)
-    rep = inverse[first, points]
+    element = inverse.argmax(axis=0)
+    rep = inverse[element, points]
     reps = np.flatnonzero(rep == points)
-    fixes = perms[:, reps] == reps
-    fixed = np.flatnonzero(fixes.sum(axis=0) > 1)
-    least = np.where(fixes[:, fixed, None], perms[:, None, :], n).min(axis=0)
+    stabilizer = perms[:, reps] == reps
+    count = stabilizer.sum(axis=0)
+    fixed = np.flatnonzero(count > 1)
+    least = np.where(stabilizer[:, fixed, None], perms[:, None, :], n).min(axis=0)
     least += fixed[:, None] * n
-    source = np.searchsorted(reps, rep) * len(syms) + first
-    return StabilizerOrbits(reps, fixed, least, inverse, source)
+    orbit = np.searchsorted(reps, rep)
+    return LatticeOrbits(reps, m // count, stabilizer, orbit, element, fixed, least, inverse,
+                         orbit * m + element)
 
 
 def orbit_fill(cols, orbits):
@@ -540,7 +526,7 @@ def orbit_fill(cols, orbits):
     Invariance fixes every other column: ``M[:, p_s[r]] = M[p_s^-1, r]``.
     A representative's column is first read at each point's least image
     under the elements that fix the representative, which makes it
-    invariant under them; column ``p_s[r]`` is then read through the first
+    invariant under them; column ``p_s[r]`` is then read through the least
     element ``s`` that maps ``r`` to it."""
     cols[orbits.fixed] = np.take(cols, orbits.least)
     images = np.take(cols, orbits.inverse, axis=1)          # (n_r, m, n)
@@ -593,9 +579,9 @@ def precompute_operators(order, dtype=np.float64):
     up_check = surface_grid(order, scale=UPWARD_CHECK_SCALE)
     sym_perm = _symmetry_perms(order)
 
-    orbits = flip_orbits(order)
-    blocks = flip_blocks(inverse_distances(up_check[orbits.reps], up_equiv), orbits, sym_perm[:8])
-    uc2e_inv = _flip_solve(blocks, orbits, cutoff)
+    flips = lattice_orbits(np.arange(8), sym_perm)
+    blocks = flip_blocks(inverse_distances(up_check[flips.reps], up_equiv), flips)
+    uc2e_inv = _flip_solve(blocks, flips, cutoff)
 
     n = expansion_length(order)
     # One block for all 56 orthant matrices: the class matrices are its head,
@@ -617,7 +603,7 @@ def precompute_operators(order, dtype=np.float64):
     for c, syms in enumerate(CLASS_STABILIZERS):
         group = groups.get(syms.tobytes())
         if group is None:
-            group = groups[syms.tobytes()] = stabilizer_orbits(syms, sym_perm)
+            group = groups[syms.tobytes()] = lattice_orbits(syms, sym_perm)
         cols = np.take(tables[c][::-1], diff[group.reps]) @ uc2e_inv
         m2l_class[c] = orbit_fill(cols, group)
 

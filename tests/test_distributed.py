@@ -34,6 +34,7 @@ from unifmm.distributed import (
 )
 from unifmm.kernels import UnresolvedDependencyError, direct_sum
 from unifmm.operators import ClassPlan, TiledPlan, frozen_eps, leaf_check_sums
+from unifmm.partition import build_layout, equal_root_runs
 from unifmm.transport import create_world, run_spmd
 
 
@@ -766,6 +767,42 @@ def test_comm_graph_confined_to_adjacent_subdomains():
             adjacent |= {int(o) for o in owners if o != state.rank}
         assert set(state.graph.tolist()) == adjacent
         assert state.u_graph is state.graph and state.v_graph is state.graph
+
+
+def layout_degrees(global_depth, size):
+    """Per rank of ``roots`` mode, its neighbor-graph degree as setup derives
+    it: the owners of the roots adjacent to its own, from the layout alone
+    (no setup runs and no rank thread starts)."""
+    layout = build_layout(global_depth, equal_root_runs(global_depth, size))
+    degrees = []
+    for rank in range(size):
+        owners = np.unique(layout.owner_of_roots(morton.neighbors(layout.roots_of(rank))))
+        degrees.append(np.count_nonzero(owners != rank))
+    return np.array(degrees)
+
+
+@pytest.mark.parametrize("global_depth", [1, 2, 3, 4])
+def test_aligned_root_runs_keep_26_neighbors(global_depth):
+    # P = 8^k ranks with k <= d_g each own one aligned box of 8^(d_g - k)
+    # roots, whose adjacent boxes number at most 26.
+    for k in range(1, global_depth + 1):
+        degrees = layout_degrees(global_depth, 8**k)
+        assert degrees.max() == (7 if k == 1 else 26), k
+
+
+@pytest.mark.parametrize("global_depth, size, max_degree, above_26", [
+    (2, 27, 19, 0), (2, 50, 25, 0), (2, 63, 26, 0),
+    (3, 63, 29, 4), (3, 100, 34, 13), (3, 200, 39, 33), (3, 300, 38, 69),
+    (3, 500, 40, 8), (3, 511, 26, 0),
+    (4, 100, 34, 16), (4, 700, 43, 341), (4, 1000, 41, 509), (4, 4000, 40, 73),
+])
+def test_unaligned_root_runs_reach_their_measured_degree(global_depth, size, max_degree,
+                                                         above_26):
+    # Runs that are not one aligned box each can border more than 26 other
+    # ranks; these are the maxima (and counts of ranks above 26) that the
+    # module docstring and README quote.
+    degrees = layout_degrees(global_depth, size)
+    assert (degrees.max(), np.count_nonzero(degrees > 26)) == (max_degree, above_26)
 
 
 def test_update_charges_matches_fresh_run():

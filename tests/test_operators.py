@@ -33,14 +33,13 @@ from unifmm.operators import (
     ensure_orthant_m2l,
     expansion_length,
     flip_blocks,
-    flip_orbits,
     get_operator_set,
     group_pairs_by_class,
     group_pairs_by_transfer,
     plan_m2l,
     leaf_s2u_all,
+    lattice_orbits,
     precompute_operators,
-    stabilizer_orbits,
     surface_grid,
     svd_cutoff,
     template_rows,
@@ -452,9 +451,9 @@ def test_build_solves_once_and_forms_16_m2l_products(monkeypatch):
     monkeypatch.setattr(operators, "inverse_distances", recording_kernel)
     monkeypatch.setattr(operators, "class_kernel_table", recording_table)
     ops = precompute_operators(order)
-    n, n_orb = expansion_length(order), len(flip_orbits(order).reps)
+    n, n_orb = expansion_length(order), len(lattice_orbits(np.arange(8), ops.sym_perm).reps)
     assert svds == [(n_orb, n_orb)] * 8 and 8 * n_orb == n
-    n_axis = len(stabilizer_orbits(AXIS_PERM_SYMS, ops.sym_perm).reps)
+    n_axis = len(lattice_orbits(AXIS_PERM_SYMS, ops.sym_perm).reps)
     assert kernels == [((n_orb, 3), (n, 3)), ((n_axis, 3), (n, 3)), ((n_axis, 3), (n, 3))]
     assert len(tables) == 1 and tables[0].shape == (len(CLASS_VECTORS), (2 * order - 1) ** 3)
     # The product with the directly evaluated kernel, to the rounding of
@@ -475,9 +474,9 @@ def test_class_stabilizers_fix_their_canonical_vectors():
 
 
 def orbit_representatives(syms, sym_perm):
-    """Per orbit of the group ``syms`` on the lattice, its least point."""
+    """Per orbit of the group ``syms`` on the lattice, its greatest point."""
     images = sym_perm[syms]
-    return np.flatnonzero(images.min(axis=0) == np.arange(images.shape[1]))
+    return np.flatnonzero(images.max(axis=0) == np.arange(images.shape[1]))
 
 
 @pytest.mark.parametrize("order", [6, 8])
@@ -489,26 +488,46 @@ def test_stabilizers_leave_their_measured_free_columns(order):
     axis = len(orbit_representatives(AXIS_PERM_SYMS, sym_perm))
     assert (free, axis) == {6: (1102, 36), 8: (2090, 64)}[order]
     for syms in CLASS_STABILIZERS + (AXIS_PERM_SYMS,):
-        assert np.array_equal(stabilizer_orbits(syms, sym_perm).reps,
+        assert np.array_equal(lattice_orbits(syms, sym_perm).reps,
                               orbit_representatives(syms, sym_perm))
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_lattice_orbits_follow_their_definitions(order):
+    # For the flips and every class stabilizer: each point is its
+    # representative's image under its element, and under no lesser one;
+    # an orbit's size times its representative's stabilizer is the group.
+    # The flips' representatives have no coordinate below the center.
+    sym_perm = get_operator_set(order).sym_perm
+    for syms in (np.arange(8),) + CLASS_STABILIZERS:
+        orbits = lattice_orbits(syms, sym_perm)
+        perms = sym_perm[syms]
+        rep = orbits.reps[orbits.orbit]
+        assert np.array_equal(perms[orbits.element, rep], np.arange(perms.shape[1]))
+        for j, (e, r) in enumerate(zip(orbits.element, rep)):
+            assert not (perms[:e, r] == j).any()
+        assert np.array_equal(orbits.size, np.bincount(orbits.orbit))
+        assert np.all(orbits.size * orbits.stabilizer.sum(axis=0) == len(syms))
+        assert np.array_equal(orbits.source, orbits.orbit * len(syms) + orbits.element)
+    centered = 2 * _surface_lattice(order) - (order - 1)
+    flips = lattice_orbits(np.arange(8), sym_perm)
+    assert np.array_equal(flips.reps, np.flatnonzero((centered >= 0).all(axis=1)))
 
 
 @pytest.mark.parametrize("order", range(2, 9))
 def test_built_matrices_repeat_their_representatives_columns(order):
-    # Column p_s[r] of each class matrix is its representative column r read
-    # through p_s inverted, bit for bit, for every element s of the class's
-    # stabilizer, so the matrix is invariant under it; U2U and D2D alike
-    # under the axis permutations. Dense products break this by up to
-    # 5.8e-8 of the largest entry at order 8.
+    # Each class matrix is invariant bit for bit under every element of
+    # its class's stabilizer, M[p][:, p] == M for the element's lattice
+    # permutation p, and U2U and D2D under the axis permutations: the
+    # columns off the representatives are read from theirs. Dense products
+    # break this by up to 5.8e-8 of the largest entry at order 8.
     ops = precompute_operators(order)
-    inverse = np.argsort(ops.sym_perm, axis=1)
     pairs = list(zip(ops.m2l_class, CLASS_STABILIZERS))
     pairs += [(ops.u2u, AXIS_PERM_SYMS), (ops.d2d, AXIS_PERM_SYMS)]
     for mat, syms in pairs:
-        reps = orbit_representatives(syms, ops.sym_perm)
         for s in syms:
-            p, p_inv = ops.sym_perm[s], inverse[s]
-            assert np.array_equal(mat[:, p[reps]], mat[p_inv][:, reps]), s
+            p = ops.sym_perm[s]
+            assert np.array_equal(mat[p][:, p], mat), s
 
 
 @pytest.mark.parametrize("order", range(2, 9))
@@ -549,13 +568,12 @@ def test_build_temporaries_stay_within_six_matrices():
 @pytest.mark.parametrize("order", range(2, 9))
 def test_check_solve_commutes_with_every_flip(order):
     # The flip-block solve depends on two points' flips only through their
-    # xor, so it is invariant under each flip to rounding of the reads
-    # (the dense SVD's solve was invariant only to 4.3e-7 at order 8).
-    ops = get_operator_set(order)
-    solve = ops.uc2e_inv
-    scale = np.abs(solve).max()
-    for p in ops.flip_perm:
-        assert np.abs(solve[p][:, p] - solve).max() <= 1e-14 * scale
+    # xor, so it is invariant under each flip bit for bit (the dense SVD's
+    # solve was invariant only to 4.3e-7 at order 8).
+    for dtype in (np.float64, np.float32):
+        ops = get_operator_set(order, dtype)
+        for p in ops.flip_perm:
+            assert np.array_equal(ops.uc2e_inv[p][:, p], ops.uc2e_inv)
 
 
 @pytest.mark.parametrize("order", range(2, 9))
@@ -564,9 +582,8 @@ def test_flip_blocks_hold_the_check_systems_spectrum(order):
     # pooled, are the dense check system's.
     up_equiv = surface_grid(order, scale=UPWARD_EQUIV_SCALE)
     up_check = surface_grid(order, scale=UPWARD_CHECK_SCALE)
-    orbits = flip_orbits(order)
-    flip_perm = get_operator_set(order).flip_perm
-    blocks = flip_blocks(inverse_distances(up_check[orbits.reps], up_equiv), orbits, flip_perm)
+    flips = lattice_orbits(np.arange(8), get_operator_set(order).sym_perm)
+    blocks = flip_blocks(inverse_distances(up_check[flips.reps], up_equiv), flips)
     pooled = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for _, b in blocks]))
     dense = np.linalg.svd(inverse_distances(up_check, up_equiv), compute_uv=False)
     assert len(pooled) == len(dense) == expansion_length(order)
