@@ -14,9 +14,12 @@ sweeps of an evaluation: the near-field blocks over the local points and
 the ghost table (:func:`kernels.near_field_plan`), and the M2L products
 of the V lists (:func:`operators.plan_m2l`, which also fixes whether setup
 builds the orthant M2L matrices), so an evaluation builds nothing and
-only runs them. The far-field ghost rows
-live in the expansion store right after each level's own rows, so the
-V-list kernels read remote sources as they read local ones. The store
+only runs them. The lists are sets: no plan reads the order of the
+members within a leaf or box. The state keeps the U lists; the V lists
+are built, planned and dropped in setup's ``v_list`` phase. The
+far-field ghost rows live in the expansion store right after each
+level's own rows, so the V-list kernels read remote sources as they
+read local ones. The store
 alone lays out its rows and maps keys to them: setup asks it for the
 rows each neighbor is sent, the rows its messages land in, and the
 member rows of the V plans. The nominated rank's store of the top levels
@@ -208,7 +211,7 @@ class DistributedFmm:
     config: FmmConfig
     cube: morton.BoundingCube
     tree: object
-    lists: object
+    lists: object                 # the U lists (tree.InteractionLists)
     layout: object
     ops: object
     store: object
@@ -392,8 +395,12 @@ def setup(comm, points, charges, config):
         near_plan = near_field_plan(tree, lists, near, found)
 
     with _phase(timings, "v_list"):
+        # The V lists of the levels below the roots, used here and dropped:
+        # the root level's are the nominated rank's.
+        v_pairs = {level: _v_members_with_vectors(tree.level_keys[level], level)
+                   for level in range(config.global_depth + 1, leaf_level + 1)}
         held = []
-        for level, (tgt, mkeys, _) in lists.v_pairs.items():
+        for level, (tgt, mkeys, _) in v_pairs.items():
             pick = tree.level_nonempty[level][tgt] & ~tree.contains(level, mkeys)
             held.append((tree.level_keys[level][tgt[pick]], mkeys[pick]))
         boxes, members = (np.concatenate(parts) for parts in zip(*held))
@@ -406,7 +413,7 @@ def setup(comm, points, charges, config):
         store = ExpansionStore(tree.level_keys, ghost_keys)
         v_halo = replace(v_halo, send=store.rows_of(send_keys)[0])
         n_coeff = expansion_length(config.order)
-        v_plan = _v_plan(store, lists.v_pairs, n_coeff)
+        v_plan = _v_plan(store, v_pairs, n_coeff)
 
         # The nominated rank holds every box of the top levels 1 .. d_g.
         top_store = global_plan = None

@@ -21,8 +21,8 @@ more the BLAS product forms the differences several times faster than a
 broadcast subtraction. Squared distances are summed per axis
 (dx*dx + dy*dy + dz*dz) in place, without an (n, m, 3) temporary; the
 root is taken in place, coincident pairs are set to inf so the
-reciprocal gives exactly 0. The one-way sum (:func:`laplace_potential`,
-the oracle) applies the charges with one matrix-vector product per
+reciprocal gives exactly 0. The one-way sum (:func:`direct_sum`, the
+oracle) applies the charges with one matrix-vector product per
 block of at most 2**16 (target, source) entries. A block keeps at least
 ``ONE_WAY_ROWS`` (8) targets, since on shorter blocks the product forms
 the differences no faster than a subtraction, so over more than 2**13
@@ -283,8 +283,9 @@ def _point_array(points, what):
     return points
 
 
-def laplace_potential(targets, sources, charges):
-    """sum_j charges[j] / |targets_i - sources_j| for every target.
+def direct_sum(targets, sources, charges):
+    """Brute-force O(n*m) potential evaluation, the verification oracle:
+    sum_j charges[j] / |targets_i - sources_j| for every target.
 
     Coincident target/source pairs contribute zero. Raises ``ValueError``
     for targets or sources not of shape (n, 3) and for a NaN or infinite
@@ -309,11 +310,6 @@ def laplace_potential(targets, sources, charges):
             block = inverse_distances(targets[lo : lo + rows], sources[at : at + cols], work)
             out[lo : lo + rows] += block @ charges[at : at + cols]
     return out
-
-
-def direct_sum(targets, sources, charges):
-    """Brute-force O(n*m) potential evaluation (the verification oracle)."""
-    return laplace_potential(targets, sources, charges)
 
 
 @dataclass

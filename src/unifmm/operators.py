@@ -908,7 +908,9 @@ def group_pairs_by_class(tgt_idx, src_rows, tv_idx, n_coeff):
     ``n_coeff``-long expansions, run with the 16 class matrices. Pairs are
     sorted by (class, symmetry), stably, so by (class, symmetry, target)
     when the targets come in ascending order, as the V lists give them
-    (:func:`tree.build_interaction_lists`), and cut into chunks of at most
+    (:func:`tree._v_members_with_vectors`); a (class, symmetry) fixes the
+    vector, which a target meets at most once, so the order of one
+    target's pairs is never read. They are cut into chunks of at most
     ``rows = CLASS_CHUNK_ENTRIES // n_coeff`` pairs: whole classes while
     they fit, a class of more than ``rows`` pairs cut at multiples of
     ``rows`` from its start. Returns a :class:`ClassPlan`; per chunk

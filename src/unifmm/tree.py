@@ -1,4 +1,6 @@
-"""Per-rank uniform linear octrees and U/V interaction lists.
+"""Per-rank uniform linear octrees and U/V interaction lists. A list is a
+set: its members come leaf by leaf or box by box, in an order within a
+leaf or box that nothing reads.
 
 A rank's tree is the union of fully refined subtrees hanging under its
 local roots (level ``global_depth``), refined uniformly for another
@@ -225,67 +227,46 @@ def _v_members_with_vectors(box_keys, level):
     that its octant's :data:`V_TRANSFER` template admits.
 
     Returns (owner_box_positions, member_keys, transfer_index) flattened
-    over all boxes; members are emitted in ascending key order per box.
+    over all boxes, box by box in ``box_keys`` order; within a box the
+    members come in (parent cell, child octant) order, which nothing
+    reads: each list is a set.
     """
     coords = anchor_lattice(box_keys)
     octant = (coords & 1) @ np.array([1, 2, 4])
-    # A child's key is its parent's with the octant below the parent's
-    # anchor bits and the level one higher, so members in (parent key,
-    # octant) order are in key order: only each box's 27 parent-level
-    # cells need sorting. A cell outside the lattice takes the key of the
-    # cell it clips to; none of its children is kept. This fixes the
-    # lists' order only: M2L adds in the order
-    # operators.group_pairs_by_transfer plans.
+    # A cell outside the lattice takes the key of the cell it clips to;
+    # none of its children is kept.
     cells = (coords >> 1)[:, None, :] + HALO_OFFSETS
     top = (1 << (level - 1)) - 1
     inside = np.all((cells >= 0) & (cells <= top), axis=2)
     cell_keys = make_key(*np.clip(cells, 0, top).transpose(2, 0, 1), level - 1)
-    order = np.argsort(cell_keys, axis=1)
-    rows = np.arange(len(coords))[:, None]
-    tv = V_TRANSFER[octant[:, None], order]
-    keep = (tv >= 0) & inside[rows, order][:, :, None]
+    tv = V_TRANSFER[octant]
+    keep = (tv >= 0) & inside[:, :, None]
     box_pos, cell, child = np.nonzero(keep)
+    # A child's key is its parent's with the level one higher and the
+    # octant below the parent's anchor bits.
     slot = np.uint64(3 * (MAX_DEPTH - level) + morton.LEVEL_BITS)
-    keys = (cell_keys[box_pos, order[box_pos, cell]] + np.uint64(1)) | (
-        child.astype(np.uint64) << slot
-    )
+    keys = (cell_keys[box_pos, cell] + np.uint64(1)) | (child.astype(np.uint64) << slot)
     # np.nonzero returns views into one (members, 3) array; keep a copy.
     return box_pos.copy(), keys, tv[keep]
 
 
 @dataclass
 class InteractionLists:
-    """Static per-tree interaction lists.
-
-    ``u_member_keys``/``u_member_ptr`` form a CSR layout over leaves in
-    tree order. ``v_pairs[level]`` holds flattened (target_index,
-    source_key, transfer_index) triples, key-sorted per target.
-    """
+    """A tree's U lists: ``u_member_keys``/``u_member_ptr`` form a CSR
+    layout over the leaves in tree order, each leaf's members in no
+    particular order. The V lists exist only while setup plans them
+    (:func:`_v_members_with_vectors`)."""
 
     u_member_keys: np.ndarray
     u_member_ptr: np.ndarray
-    v_pairs: dict
 
     def u_members(self, leaf_pos):
         return self.u_member_keys[self.u_member_ptr[leaf_pos] : self.u_member_ptr[leaf_pos + 1]]
 
 
 def build_interaction_lists(tree):
-    """Enumerate U lists for all leaves and V lists for the levels below
-    the roots: the root level's V interactions are handled by the global
-    stage, never locally.
-    """
-    leaf_level = tree.leaf_level
-    # A leaf's U list is its in-lattice 27-cell neighborhood, key-sorted.
-    cells, box_pos = morton.halo(tree.leaves)
-    order = np.lexsort((cells, box_pos))
-    keys, box_pos = cells[order], box_pos[order]
+    """The U list of every leaf: its in-lattice 27-cell neighborhood."""
+    keys, leaf_pos = morton.halo(tree.leaves)
     ptr = np.zeros(len(tree.leaves) + 1, dtype=np.int64)
-    np.add.at(ptr, box_pos + 1, 1)
-    ptr = np.cumsum(ptr)
-
-    v_pairs = {
-        level: _v_members_with_vectors(tree.level_keys[level], level)
-        for level in range(tree.global_depth + 1, leaf_level + 1)
-    }
-    return InteractionLists(u_member_keys=keys, u_member_ptr=ptr, v_pairs=v_pairs)
+    np.cumsum(np.bincount(leaf_pos, minlength=len(tree.leaves)), out=ptr[1:])
+    return InteractionLists(u_member_keys=keys, u_member_ptr=ptr)

@@ -36,6 +36,7 @@ from unifmm.kernels import UnresolvedDependencyError, direct_sum
 from unifmm.operators import ClassPlan, TiledPlan, frozen_eps, leaf_check_sums
 from unifmm.partition import build_layout, equal_root_runs
 from unifmm.transport import create_world, run_spmd
+from unifmm.tree import _v_members_with_vectors
 
 
 def cfg(**kw):
@@ -393,13 +394,73 @@ def test_ghost_sufficiency_and_minimality():
         assert not absent & occupied
         # Same for V ghosts, per level.
         v_needed = set()
-        for level, (tgt, mkeys, tv) in state.lists.v_pairs.items():
-            local = state.tree.contains(level, mkeys)
+        for level in range(tree.global_depth + 1, tree.leaf_level + 1):
+            _, mkeys, _ = _v_members_with_vectors(tree.level_keys[level], level)
+            local = tree.contains(level, mkeys)
             v_needed |= {int(k) for k in mkeys[~local]}
         v_held = {int(k) for k in state.v_ghost_keys}
         assert v_held <= v_needed
         # A remote V box left out drops its far-field term without an error.
         assert v_held == v_needed & occupied
+
+
+_ORDER_CASES = {}
+
+
+def _order_case(name):
+    """(tree, U lists, near ghosts) of a cube or a sphere tree at P=1,
+    d_g=1, d_l=2, or of one P=8 rank's tree; built once."""
+    if name not in _ORDER_CASES:
+        pts, chg = raw_instance(4096, seed=31, sphere=name == "sphere-p1")
+        P = 8 if name == "cube-p8-rank" else 1
+        _, states, _ = distributed_run(pts, chg, P, cfg(local_depth=2), evaluate_runs=0)
+        state = states[-1]
+        _ORDER_CASES[name] = state.tree, state.lists, state.near_ghosts
+    return _ORDER_CASES[name]
+
+
+def _assert_same_bytes(got, want):
+    if isinstance(got, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    elif isinstance(got, (tuple, list)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_bytes(g, w)
+    elif isinstance(got, kernels.NearFieldPlan):
+        _assert_same_bytes(list(vars(got).values()), list(vars(want).values()))
+    else:
+        assert got == want
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(case=st.sampled_from(["cube-p1", "sphere-p1", "cube-p8-rank"]),
+       order=st.sampled_from([2, 8]), seed=st.integers(0, 2**32 - 1))
+def test_plans_ignore_member_order_within_a_leaf_or_box(case, order, seed):
+    # The lists are sets: members permuted within each leaf of the U CSR
+    # and within each box of every V level give the near-field plan and
+    # both M2L planners' plans byte for byte.
+    tree, lists, ghosts = _order_case(case)
+    rng = np.random.default_rng(seed)
+
+    def shuffled(owner):
+        perm = np.lexsort((rng.random(len(owner)), owner))
+        assert not np.array_equal(perm, np.arange(len(owner)))
+        return perm
+
+    ptr = lists.u_member_ptr
+    perm = shuffled(np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)))
+    moved = replace(lists, u_member_keys=lists.u_member_keys[perm])
+    _assert_same_bytes(kernels.near_field_plan(tree, moved, ghosts),
+                       kernels.near_field_plan(tree, lists, ghosts))
+    n_coeff = operators.expansion_length(order)
+    for level in range(tree.global_depth + 1, tree.leaf_level + 1):
+        tgt, keys, tv = _v_members_with_vectors(tree.level_keys[level], level)
+        rows = np.searchsorted(kernels.sorted_unique(keys), keys)
+        perm = shuffled(tgt)
+        for planner in (operators.group_pairs_by_class, operators.group_pairs_by_transfer):
+            _assert_same_bytes(planner(tgt[perm], rows[perm], tv[perm], n_coeff),
+                               planner(tgt, rows, tv, n_coeff))
 
 
 @pytest.mark.parametrize("config", [

@@ -18,7 +18,6 @@ from unifmm.kernels import (
     direct_sum,
     inverse_distances,
     kernel_backend,
-    laplace_potential,
     near_field_plan,
     p2p_uli,
     point_operand,
@@ -92,7 +91,7 @@ def test_direct_sum_length_mismatch():
         direct_sum([[0.0, 0, 0]], [[1.0, 0, 0]], [1.0, 2.0])
 
 
-@pytest.mark.parametrize("fn", [direct_sum, laplace_potential])
+@pytest.mark.parametrize("fn", [direct_sum])
 @pytest.mark.parametrize("bad, shape", [
     ("targets", (6, 2)), ("targets", (12,)), ("targets", (2, 3, 1)),
     ("sources", (6, 2)), ("sources", (3,)),
@@ -113,8 +112,6 @@ def test_direct_sum_rejects_non_finite_input(bad, value):
     args[bad].reshape(len(args[bad]), -1)[3, -1] = value
     with pytest.raises(ValueError, match=f"{bad} 3 is not finite"):
         direct_sum(args["target"], args["source"], args["charge"])
-    with pytest.raises(ValueError, match=f"{bad} 3 is not finite"):
-        laplace_potential(args["target"], args["source"], args["charge"])
 
 
 def test_direct_sum_linearity():
@@ -280,7 +277,7 @@ def test_laplace_potential_bitwise_equals_plain_formula(n_t, n_s):
     with np.errstate(divide="ignore"):
         inv = 1.0 / np.sqrt(d2)
     inv[d2 == 0.0] = 0.0
-    assert np.array_equal(laplace_potential(t, s, q), inv @ q)
+    assert np.array_equal(direct_sum(t, s, q), inv @ q)
 
 
 def _block_points(rng, n, m):
@@ -371,8 +368,8 @@ def test_laplace_potential_blocks_match_per_target_calls():
     # 1500 sources give blocks of 40 targets: 203 targets span 6 blocks.
     rng = np.random.default_rng(7)
     t, s, q = _points_with_duplicates(rng, 203, 1500)
-    got = laplace_potential(t, s, q)
-    want = np.array([laplace_potential(t[i : i + 1], s, q)[0] for i in range(len(t))])
+    got = direct_sum(t, s, q)
+    want = np.array([direct_sum(t[i : i + 1], s, q)[0] for i in range(len(t))])
     np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
@@ -383,7 +380,7 @@ def test_laplace_potential_over_source_chunks_matches_one_product():
     rng = np.random.default_rng(8)
     t, s, q = _points_with_duplicates(rng, 42, 1 << 15)
     assert kernels.BLOCK_ENTRIES // kernels.ONE_WAY_ROWS == 1 << 13
-    np.testing.assert_allclose(laplace_potential(t, s, q), inverse_distances(t, s) @ q, rtol=1e-14)
+    np.testing.assert_allclose(direct_sum(t, s, q), inverse_distances(t, s) @ q, rtol=1e-14)
 
 
 def test_p2p_uli_matches_direct_sum_on_clustered_leaves_with_ghost():
@@ -419,8 +416,8 @@ def test_p2p_uli_matches_direct_sum_on_clustered_leaves_with_ghost():
 
 
 def _one_way_near_field(tree, lists, charges, ghosts):
-    """Per target leaf, one laplace_potential call over the points of all
-    of its U members (local, then ghost, in key order)."""
+    """Per target leaf, one direct_sum call over the points of all
+    of its U members, in list order."""
     level = tree.leaf_level
     out = np.zeros(tree.n_points)
     for pos, (t0, t1) in enumerate(tree.leaf_ranges):
@@ -434,7 +431,7 @@ def _one_way_near_field(tree, lists, charges, ghosts):
                 run = ghosts.keys == key
                 src.append(ghosts.coords[run])
                 chg.append(ghosts.charges[run])
-        out[t0:t1] = laplace_potential(tree.points[t0:t1], np.concatenate(src), np.concatenate(chg))
+        out[t0:t1] = direct_sum(tree.points[t0:t1], np.concatenate(src), np.concatenate(chg))
     return out
 
 

@@ -9,7 +9,7 @@ from reference import box_center, children, tsvd_pinv
 
 from unifmm import morton, operators
 from unifmm.distributed import FmmConfig, evaluate, update_charges
-from unifmm.kernels import direct_sum, inverse_distances, laplace_potential
+from unifmm.kernels import direct_sum, inverse_distances
 from unifmm.morton import BoundingCube, make_key
 from unifmm.operators import (
     AXIS_PERM_SYMS,
@@ -104,14 +104,14 @@ def evaluate_u_field(ops, cube, key, u, points):
     """Field of an outgoing expansion at arbitrary points."""
     side = box_side(cube, morton.key_level(key))
     equiv = box_center(key, cube) + ops.up_equiv_grid * side
-    return laplace_potential(points, equiv, u.astype(np.float64))
+    return direct_sum(points, equiv, u.astype(np.float64))
 
 
 def evaluate_d_field(ops, cube, key, d, points):
     """Field of an incoming expansion at arbitrary points."""
     side = box_side(cube, morton.key_level(key))
     equiv = box_center(key, cube) + ops.down_equiv_grid * side
-    return laplace_potential(points, equiv, d.astype(np.float64))
+    return direct_sum(points, equiv, d.astype(np.float64))
 
 
 def leaf_u(tree, ops, charges, leaf):
@@ -250,7 +250,7 @@ def test_u2u_reproduces_far_field_of_children(order):
         pts = anchor + rng.random((5, 3)) * side
         chg = rng.random(5)
         check_pts = anchor + side / 2 + ops.up_check_grid * side
-        q = laplace_potential(check_pts, pts, chg)
+        q = direct_sum(check_pts, pts, chg)
         u_child = side * (ops.uc2e_inv @ q)
         u_parent += u2u[o] @ u_child
         all_pts.append(pts)
@@ -384,7 +384,7 @@ def test_m2l_two_separated_boxes(order):
         src_anchor, _ = morton.decode(src_key, UNIT)
         src_pts = src_anchor + rng.random((20, 3)) * side
         chg = rng.random(20)
-        q = laplace_potential(
+        q = direct_sum(
             box_center(src_key, UNIT) + ops.up_check_grid * side, src_pts, chg
         )
         u_src = side * (ops.uc2e_inv @ q)
@@ -411,7 +411,7 @@ def test_d2d_reproduces_parent_field_in_every_child(order):
     # The downward check surface is the upward equivalent one, and its
     # solve is the transpose of the upward solve.
     check = box_center(parent, cube) + ops.up_equiv_grid * side
-    d_parent = side * (ops.uc2e_inv.T @ laplace_potential(check, src_pts, chg))
+    d_parent = side * (ops.uc2e_inv.T @ direct_sum(check, src_pts, chg))
     d2d = dense_d2d(ops)
     for o, child in enumerate(children(parent)):
         d_child = d2d[o] @ d_parent

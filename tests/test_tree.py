@@ -197,8 +197,8 @@ def test_v_list_corner_level_2_matches_brute_force():
     ids=["level2", "level3", "level4", "subtree3"],
 )
 def test_v_templates_match_definition_per_box(keys):
-    # Per box: the children of the parent's in-lattice 27-cell
-    # neighborhood that are not adjacent, key-sorted, and their vectors.
+    # Per box, as a set: the children of the parent's in-lattice 27-cell
+    # neighborhood that are not adjacent, and their vectors.
     level = int(key_level(keys[0]))
     box_pos, members, tv_idx = _v_members_with_vectors(keys, level)
     assert np.all(np.diff(box_pos) >= 0)
@@ -210,7 +210,7 @@ def test_v_templates_match_definition_per_box(keys):
         want = sorted(
             (int(k), index[tuple(o)]) for k, o in zip(cand, offsets) if max(map(abs, o)) >= 2
         )
-        got = list(zip(members[ptr[i] : ptr[i + 1]].tolist(), tv_idx[ptr[i] : ptr[i + 1]].tolist()))
+        got = sorted(zip(members[ptr[i] : ptr[i + 1]].tolist(), tv_idx[ptr[i] : ptr[i + 1]].tolist()))
         assert got == want
 
 
@@ -236,14 +236,16 @@ def lexsorted_v_members(box_keys, level):
 
 @pytest.mark.parametrize("level", [2, 3, 4])
 def test_v_members_match_lexsort_order(level):
-    # Sorting each box's 27 parent-level cells, then taking the child
-    # octants in order, gives the (box, key) order of one lexsort over all
-    # members, on full levels whose faces, edges and corners cut the lists.
+    # Box by box, and sorted by key within each box, the members are the
+    # (box, key) order of one lexsort over all members, on full levels
+    # whose faces, edges and corners cut the lists.
     keys = full_level_keys(level)
     got = _v_members_with_vectors(keys, level)
     want = lexsorted_v_members(keys, level)
+    assert np.all(np.diff(got[0]) >= 0)
+    order = np.lexsort((got[1], got[0]))
     for g, w in zip(got, want):
-        assert g.flags.c_contiguous and np.array_equal(g, w)
+        assert g.flags.c_contiguous and np.array_equal(g[order], w)
     sizes = np.bincount(got[0], minlength=len(keys))
     assert sizes.min() < sizes.max() <= 189 and (level < 4 or sizes.max() == 189)
 
@@ -318,12 +320,13 @@ def test_interaction_lists_match_per_box_ops():
     lists = build_interaction_lists(tree)
     for pos in (0, 17, 301, 511):
         leaf = tree.leaves[pos]
-        got = lists.u_members(pos)
+        got = np.sort(lists.u_members(pos))
         assert np.array_equal(got, compute_u_list(tree, int(leaf)))
-    for level, (tgt, keys, tv_idx) in lists.v_pairs.items():
-        assert level >= tree.global_depth + 1
+    # The V lists of the levels below the roots, as setup enumerates them.
+    for level in range(tree.global_depth + 1, tree.leaf_level + 1):
+        tgt, keys, tv_idx = _v_members_with_vectors(tree.level_keys[level], level)
         for pos in (0, len(tree.level_keys[level]) // 2):
-            mine = keys[tgt == pos]
+            mine = np.sort(keys[tgt == pos])
             assert np.array_equal(mine, compute_v_list(tree, int(tree.level_keys[level][pos])))
         vec = TRANSFER_VECTORS[tv_idx]
         src = anchor_lattice(keys)
