@@ -16,7 +16,8 @@ of the V lists (:func:`operators.plan_m2l`, which also fixes whether setup
 builds the orthant M2L matrices), so an evaluation builds nothing and
 only runs them. The lists are sets: no plan reads the order of the
 members within a leaf or box. The state keeps the U lists; the V lists
-are built, planned and dropped in setup's ``v_list`` phase. The
+are built in setup's ``u_list`` phase, where the count exchange reads
+them, and planned and dropped in its ``v_list`` phase. The
 far-field ghost rows live in the expansion store right after each
 level's own rows, so the V-list kernels read remote sources as they
 read local ones. The store
@@ -27,20 +28,26 @@ is built the same way, once, and its V plan by the same builder.
 
 No rank asks another which boxes exist. The layout is replicated, and U
 and V are symmetric relations (``A`` is in ``V(B)`` exactly when ``B`` is
-in ``V(A)``, likewise for U), so the boxes a neighbor's lists need from
-this rank are this rank's occupied boxes whose own lists hold a box of
-that neighbor. Each rank pushes the keys of those V boxes and the point
-rows of those U leaves, one message per neighbor each. What it receives
-is what its own lists will find remotely: the point rows, taken in graph
-order, form the near-field ghost table sorted by leaf key, which the
-receiver recomputes from each point.
+in ``V(A)``, likewise for U), so each rank finds both sides of what it
+shares with a neighbor from its own lists alone: the boxes it shares out
+are its own boxes whose lists hold a box of that neighbor, and the boxes
+it shares in are the neighbor's boxes its lists hold, which the neighbor
+finds as its shared-out ones, in the same key order. Each rank sends each
+neighbor the point count of every box it shares out, one message per
+neighbor. The counts it receives tell it, before anything else moves,
+which shared-in boxes are occupied and how many rows each later message
+holds: the point rows of the occupied shared leaves, which, taken in graph
+order, form the near-field ghost table sorted by leaf key, and the
+expansions of the occupied shared boxes. A shared leaf whose owner counts
+no points is confirmed absent, never inferred from silence.
 
 Every neighbor exchange is a :class:`Halo`: the rows of a table sent to
 each neighbor, gathered at once into one send buffer with a count per
-neighbor, and the row count of each neighbor's message, which the
-exchange's first run in setup fixes. Setup's U exchange fixes the
-near-field halo, and its V-key exchange fixes the far-field one. Each replay checks every incoming message against those
-counts, so a lost or extra row raises :class:`UnresolvedDependencyError`
+neighbor, and the row count of each neighbor's message, all fixed before
+its first run. The count exchange's own lengths come from the lists
+alone, and the counts it brings fix the near-field and far-field halos.
+Every run, setup's included, checks each incoming message against
+its count, so a lost or extra row raises :class:`UnresolvedDependencyError`
 on the rank it was meant for, naming the sender.
 
 Each evaluation then needs exactly three collectives per rank: the far-
@@ -81,6 +88,7 @@ from .kernels import (
     NearFieldGhosts,
     NearFieldPlan,
     UnresolvedDependencyError,
+    _changes,
     _ranges,
     _require_finite,
     near_field_plan,
@@ -172,16 +180,15 @@ def global_message_size(n_roots, order, precision_bits):
 
 @dataclass
 class Halo:
-    """One neighbor exchange, fixed at setup. Each neighbor in the graph is
-    sent rows of a table: the rows of all messages are ``send``, neighbor
-    after neighbor in graph order, ``send_counts[k]`` of them for the k-th.
-    ``recv_counts[k]`` is how many rows the k-th neighbor's message holds;
-    the first exchange fixes it (pass None until then), and every later
-    message must hold exactly that many."""
+    """One neighbor exchange, fixed at setup before its first run. Each
+    neighbor in the graph is sent rows of a table: the rows of all messages
+    are ``send``, neighbor after neighbor in graph order, ``send_counts[k]``
+    of them for the k-th. ``recv_counts[k]`` is how many rows the k-th
+    neighbor's message must hold."""
 
     send: np.ndarray
     send_counts: np.ndarray
-    recv_counts: np.ndarray | None
+    recv_counts: np.ndarray
 
     def exchange(self, comm, graph, table):
         """Send each neighbor its rows of ``table``; return the rows received,
@@ -191,8 +198,6 @@ class Halo:
         shape = table.shape[1:]
         width = math.prod(shape)
         recv, sizes = comm.neighbor_alltoallv(graph, table[self.send], self.send_counts * width)
-        if self.recv_counts is None:
-            self.recv_counts = sizes // width
         wrong = np.flatnonzero(sizes != self.recv_counts * width)
         if len(wrong):
             k = wrong[0]
@@ -221,8 +226,8 @@ class DistributedFmm:
     graph: np.ndarray             # sorted neighbor ranks: adjacent subdomains
     near_ghosts: NearFieldGhosts
     near_plan: NearFieldPlan      # the near-field sweep's blocks
-    u_halo: Halo                  # point rows served, leaf by leaf in key order
-    v_halo: Halo                  # store.u_all rows of the V boxes served
+    u_halo: Halo                  # point rows shared, leaf by leaf in key order
+    v_halo: Halo                  # store.u_all rows of the occupied V boxes shared
     v_ghost_keys: np.ndarray      # sorted keys of all V ghost boxes
     v_recv_rows: np.ndarray       # store.u_all ghost rows v_halo's rows fill
     v_plan: VListPlan
@@ -296,33 +301,16 @@ def _global_cube(comm, points, margin):
     return morton.fit_domain(np.stack([lo, hi]), margin)
 
 
-def _served_rows(tree, keys, per_nbr):
-    """The halo of the point rows of the leaves served, leaf by leaf; the
-    leaf ``keys`` come neighbor by neighbor, ``per_nbr`` of them each."""
-    starts, ends = tree.leaf_ranges[tree.index_of(tree.leaf_level, keys)].T
-    nbr = np.repeat(np.arange(len(per_nbr)), per_nbr)
-    per_nbr_rows = np.bincount(nbr, weights=ends - starts, minlength=len(per_nbr))
-    return Halo(_ranges(starts, ends - starts), per_nbr_rows.astype(np.int64), None)
-
-
-def _served_boxes(graph, layout, boxes, members):
-    """The boxes of ours that the lists of each neighbor in ``graph`` hold:
-    all of them, neighbor by neighbor, and how many each neighbor gets.
-
-    ``members[i]`` is a remote list member of the occupied own box
-    ``boxes[i]``. By the symmetry of U and V, a neighbor's lists hold our
-    box exactly when that box's lists hold one of the neighbor's boxes,
-    so the neighbor is served the sorted, unique boxes with a member it
-    owns. One sort over (neighbor, box) pairs groups them all.
-    """
-    owners = layout.owner_of_boxes(members)
-    nbr = np.searchsorted(graph, owners)
-    assert (nbr < len(graph)).all() and (graph[nbr] == owners).all(), "list member outside halo"
-    order = np.lexsort((boxes, nbr))
-    nbr, boxes = nbr[order], boxes[order]
-    first = np.ones(len(boxes), dtype=bool)
-    first[1:] = (nbr[1:] != nbr[:-1]) | (boxes[1:] != boxes[:-1])
-    return boxes[first], np.bincount(nbr[first], minlength=len(graph))
+def _shared(nbr, keys, kind):
+    """The distinct (neighbor, key) entries of the pairs ``nbr[i]``,
+    ``keys[i]`` of ``kind[i]`` (0 for U, 1 for V), in (neighbor, key)
+    order: the index of a pair giving each entry, and per kind whether a
+    pair of that kind gives it."""
+    order = np.lexsort((keys, nbr))
+    first = _changes(nbr[order]) | _changes(keys[order])
+    reached = np.zeros((2, np.count_nonzero(first)), dtype=bool)
+    reached[kind[order], np.cumsum(first) - 1] = True
+    return order[first], *reached
 
 
 def setup(comm, points, charges, config):
@@ -373,45 +361,64 @@ def setup(comm, points, charges, config):
         lists = build_interaction_lists(tree)
 
     with _phase(timings, "u_list"):
-        per_leaf = np.diff(lists.u_member_ptr)
+        # The (own box, remote member) pairs of the U lists and of the V
+        # lists of the levels below the roots (the root level's are the
+        # nominated rank's), each with its own box's point count and its
+        # kind. The V lists are planned in v_list and dropped.
+        v_pairs = {level: _v_members_with_vectors(tree.level_keys[level], level)
+                   for level in range(config.global_depth + 1, leaf_level + 1)}
+        box_points = {leaf_level: np.diff(tree.leaf_ranges, axis=1)[:, 0]}
+        for level in range(leaf_level - 1, config.global_depth, -1):
+            box_points[level] = box_points[level + 1].reshape(-1, 8).sum(axis=1)
+
+        def pairs(level, pos, mkeys, remote, kind):
+            pos = pos[remote]
+            return (tree.level_keys[level][pos], box_points[level][pos], mkeys[remote],
+                    np.full(len(pos), kind))
+
+        def per_nbr(nbrs, weights=None):
+            return np.bincount(nbrs, weights, len(graph)).astype(np.int64)
+
         found = morton.find_keys(tree.leaves, lists.u_member_keys)
-        remote = ~found[1]
-        pick = remote & np.repeat(tree.level_nonempty[leaf_level], per_leaf)
-        u_leaves, u_per_nbr = _served_boxes(
-            graph, layout, np.repeat(tree.leaves, per_leaf)[pick], lists.u_member_keys[pick]
-        )
-        # Ship the points and charges of every leaf we serve, leaf by leaf in
+        leaf_of = np.repeat(np.arange(len(tree.leaves)), np.diff(lists.u_member_ptr))
+        own, own_points, member, kind = map(np.concatenate, zip(
+            pairs(leaf_level, leaf_of, lists.u_member_keys, ~found[1], 0),
+            *(pairs(level, tgt, mkeys, ~tree.contains(level, mkeys), 1)
+              for level, (tgt, mkeys, _) in v_pairs.items())))
+        owners = layout.owner_of_boxes(member)
+        nbr = np.searchsorted(graph, owners)
+        assert (nbr < len(graph)).all() and (graph[nbr] == owners).all(), "list member outside halo"
+        # By the symmetry of U and V, the own boxes a neighbor's lists hold
+        # are those with a member it owns, and the boxes of its that this
+        # rank's lists hold are the ones it finds the same way, in the same
+        # key order. Each side sends the point count of every box it shares.
+        out, out_u, out_v = _shared(nbr, own, kind)
+        into, in_u, in_v = _shared(nbr, member, kind)
+        out_nbr, out_keys, in_nbr, in_keys = nbr[out], own[out], nbr[into], member[into]
+        counts = Halo(out, per_nbr(out_nbr), per_nbr(in_nbr)).exchange(comm, graph, own_points)
+
+        # Ship the points and charges of every shared leaf, leaf by leaf in
         # key order. The graph is in rank order and ranks own rank-ordered
-        # Morton runs, so the rows received, taken in graph order, are sorted
-        # by leaf key: the point's key, from the same bits in the same cube.
-        u_halo = _served_rows(tree, u_leaves, u_per_nbr)
+        # Morton runs, so the shared-in boxes, and the rows received, taken
+        # in graph order, are sorted by key.
+        starts, ends = tree.leaf_ranges[tree.index_of(leaf_level, out_keys[out_u])].T
+        u_halo = Halo(_ranges(starts, ends - starts), per_nbr(out_nbr[out_u], ends - starts),
+                      per_nbr(in_nbr[in_u], counts[in_u]))
         table = np.concatenate([tree.points, chg[:, None]], axis=1)
         got = u_halo.exchange(comm, graph, table)
-        coords = np.ascontiguousarray(got[:, :3])
-        ghost_leaves = morton.encode_points(coords, leaf_level, cube)
-        remote_keys = sorted_unique(lists.u_member_keys[remote])
-        absent = remote_keys[~morton.find_keys(ghost_leaves, remote_keys)[1]]
-        near = NearFieldGhosts(ghost_leaves, coords, got[:, 3].copy(), absent)
+        near = NearFieldGhosts(np.repeat(in_keys[in_u], counts[in_u]),
+                               np.ascontiguousarray(got[:, :3]), got[:, 3].copy(),
+                               in_keys[in_u & (counts == 0)])
         near_plan = near_field_plan(tree, lists, near, found)
 
     with _phase(timings, "v_list"):
-        # The V lists of the levels below the roots, used here and dropped:
-        # the root level's are the nominated rank's.
-        v_pairs = {level: _v_members_with_vectors(tree.level_keys[level], level)
-                   for level in range(config.global_depth + 1, leaf_level + 1)}
-        held = []
-        for level, (tgt, mkeys, _) in v_pairs.items():
-            pick = tree.level_nonempty[level][tgt] & ~tree.contains(level, mkeys)
-            held.append((tree.level_keys[level][tgt[pick]], mkeys[pick]))
-        boxes, members = (np.concatenate(parts) for parts in zip(*held))
-        send_keys, v_per_nbr = _served_boxes(graph, layout, boxes, members)
-        # The key exchange fixes the V halo's message lengths; its rows then
-        # become the store rows of the same boxes.
-        v_halo = Halo(np.arange(len(send_keys)), v_per_nbr, None)
-        recv_keys = v_halo.exchange(comm, graph, send_keys)
-        ghost_keys = sorted_unique(recv_keys)
+        # The V halo sends each neighbor the expansions of the occupied
+        # boxes it shares, and lands those it receives in the ghost rows.
+        send = out_v & (own_points[out] > 0)
+        ghost = in_v & (counts > 0)
+        ghost_keys = in_keys[ghost]
         store = ExpansionStore(tree.level_keys, ghost_keys)
-        v_halo = replace(v_halo, send=store.rows_of(send_keys)[0])
+        v_halo = Halo(store.rows_of(out_keys[send])[0], per_nbr(out_nbr[send]), per_nbr(in_nbr[ghost]))
         n_coeff = expansion_length(config.order)
         v_plan = _v_plan(store, v_pairs, n_coeff)
 
@@ -448,7 +455,7 @@ def setup(comm, points, charges, config):
         u_halo=u_halo,
         v_halo=v_halo,
         v_ghost_keys=ghost_keys,
-        v_recv_rows=store.rows_of(recv_keys)[0],
+        v_recv_rows=store.rows_of(ghost_keys)[0],
         v_plan=v_plan,
         top_store=top_store,
         global_plan=global_plan,
@@ -539,7 +546,8 @@ def evaluate(state):
 
 def update_charges(state, new_charges):
     """Swap source densities on the same point set: re-runs only the
-    near-field data exchange and clears the expansion state.
+    near-field data exchange; the next :func:`evaluate` resets the
+    expansions, as every evaluation does.
 
     ``new_charges[i]`` is the charge of ``state.points[i]``: the rank's
     points in tree order, after setup's sort moved points between ranks
@@ -558,7 +566,6 @@ def update_charges(state, new_charges):
     state.charges = new_charges
     # Charges arrive in the order the point rows did at setup.
     state.near_ghosts.charges = state.u_halo.exchange(state.comm, state.graph, new_charges)
-    state.store.reset()
     return state
 
 

@@ -319,11 +319,10 @@ class NearFieldGhosts:
     Row ``i`` is a point of leaf ``keys[i]`` at ``coords[i]`` with charge
     ``charges[i]``; rows are sorted by leaf key, so each ghost leaf is one
     run of rows. ``confirmed_absent`` holds, sorted, every remote U-list
-    leaf for which setup's exchange brought no rows. Setup trusts each
-    owner to serve every occupied leaf that a neighbor's lists hold, so a
-    leaf its owner never serves also reads as empty here; the halo's
-    length check covers only the exchanges after setup's. A remote member
-    in neither is unresolved.
+    leaf whose owner's point count in setup's count exchange is zero. The
+    counts fix how many rows each owner's message holds, so an owner that
+    withholds a row fails setup's exchange. A remote member in neither is
+    unresolved.
     """
 
     keys: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint64))

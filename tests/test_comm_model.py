@@ -6,13 +6,14 @@ its block of roots: per level ``d_g + k`` the boxes within 2 of the block
 (the children of its parent-level neighborhood) and, at the leaf level,
 the leaves within 1 of it, less the rank's own boxes. The shells grow as
 the block's surface, 12 * 4^d_l boxes to leading order, not its volume.
+The root expansions' gather and scatter carry each rank's share once.
 """
 
 import numpy as np
 import pytest
 from conftest import distributed_run
 
-from unifmm.distributed import FmmConfig
+from unifmm.distributed import FmmConfig, global_message_size
 from unifmm.morton import anchor_lattice
 from unifmm.operators import expansion_length
 
@@ -46,6 +47,8 @@ def test_ghosts_and_bytes_match_the_clipped_shells(global_depth, local_depth):
     P = 8 ** global_depth
     config = FmmConfig(global_depth=global_depth, local_depth=local_depth, order=ORDER, seed=0)
     _, states, evals = distributed_run(points, charges, P, config)
+    # Root expansions go to rank 0 and back, each rank's share once.
+    own = [global_message_size(state.n_local_roots, ORDER, 64) for state in states]
     interior = []
     for state, runs in zip(states, evals):
         # The rank's roots fill one aligned block of the root level.
@@ -62,6 +65,12 @@ def test_ghosts_and_bytes_match_the_clipped_shells(global_depth, local_depth):
         assert len(state.near_ghosts.confirmed_absent) == 0
         got = runs[0].stats["neighbor_alltoallv"]["bytes_recv"]
         assert got == 8 * expansion_length(ORDER) * v_boxes, state.rank
+        gather, scatter = runs[0].stats["gatherv"], runs[0].stats["scatterv"]
+        assert gather["payload_bytes"] == scatter["payload_bytes"] == own[state.rank]
+        if state.rank == 0:
+            assert gather["bytes_recv"] == scatter["bytes_sent"] == sum(own) - own[0]
+        else:
+            assert gather["bytes_sent"] == scatter["bytes_recv"] == own[state.rank]
         if np.all(lo > 0) and np.all(hi < 1 << global_depth):
             interior.append((v_boxes, u_leaves))
     if P == 64:

@@ -162,9 +162,8 @@ def test_setup_collective_schedule():
     # Each owner pushes what its neighbors' lists need, so setup makes no
     # query round trip, and every rank derives the layout from the
     # splitters it holds. Per rank: one allgather (bounding cube), one
-    # all-to-all (point, charge and key rows) and two neighbor exchanges (U
-    # point rows, from which the receiver derives the leaf keys, and V
-    # keys).
+    # all-to-all (point, charge and key rows) and two neighbor exchanges
+    # (the point counts of the shared boxes, then the U point rows).
     pts, chg = raw_instance(4096, seed=4)
     for P, config in ((8, cfg(local_depth=1)), (64, cfg(global_depth=2, local_depth=1))):
         _, states, _ = distributed_run(pts, chg, P, config, evaluate_runs=0)
@@ -176,9 +175,10 @@ def test_setup_collective_schedule():
 
 @pytest.mark.parametrize("mode", ["roots", "sampled"])
 def test_setup_encodes_each_point_once(monkeypatch, mode):
-    # Each rank encodes its own input points (the keys then travel with
-    # their rows through the sort) and the ghost rows it receives: two
-    # calls, none in sort_local or build_tree.
+    # Each rank encodes its own input points, and nothing else: the keys
+    # travel with their rows through the sort, and the ghost rows' leaf
+    # keys come from the shared leaves and their counts. One call, none in
+    # sort_local or build_tree.
     calls = Counter()
     encode = morton.encode_points
 
@@ -190,7 +190,7 @@ def test_setup_encodes_each_point_once(monkeypatch, mode):
     pts, chg = raw_instance(4096, seed=4)
     config = cfg(global_depth=2, local_depth=1, balance_mode=mode, samples_per_rank=32)
     distributed_run(pts, chg, 8, config, evaluate_runs=0)
-    assert calls == {f"fmm-rank-{r}": 2 for r in range(8)}
+    assert calls == {f"fmm-rank-{r}": 1 for r in range(8)}
 
 
 @st.composite
@@ -755,6 +755,28 @@ def test_wrong_length_halo_message_names_its_sender(name, delta):
 
     with pytest.raises(UnresolvedDependencyError, match="rank 5 sent [0-9]+ rows where setup"):
         run_spmd(world, program)
+
+
+@pytest.mark.parametrize("message", ["counts", "points"])
+def test_short_setup_message_fails_setup_naming_its_sender(monkeypatch, message):
+    # Rank 3 sends its first neighbor one count (the count exchange) or one
+    # point row of its first shared leaf (the U exchange) too few. Both
+    # lengths are fixed before the exchange runs, so the receiver fails
+    # setup and names rank 3, rather than reading a leaf as empty or short.
+    exchange = distributed.Halo.exchange
+    ndim = {"counts": 1, "points": 2}[message]
+
+    def shortened(self, comm, graph, table):
+        if comm.rank == 3 and table.ndim == ndim:
+            self = resized_message(self, -1)
+        return exchange(self, comm, graph, table)
+
+    monkeypatch.setattr(distributed.Halo, "exchange", shortened)
+    pts, chg = raw_instance(4096, seed=4)
+    with pytest.raises(UnresolvedDependencyError,
+                       match=r"^\[u_list\] unresolved dependency: rank 3 sent \d+ rows "
+                             r"where setup fixed \d+$"):
+        distributed_run(pts, chg, 8, cfg(order=6), evaluate_runs=0)
 
 
 def test_neighbor_exchanges_all_go_through_the_halo():
