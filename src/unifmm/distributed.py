@@ -395,6 +395,9 @@ def setup(comm, points, charges, config):
         out, out_u, out_v = _shared(nbr, own, kind)
         into, in_u, in_v = _shared(nbr, member, kind)
         out_nbr, out_keys, in_nbr, in_keys = nbr[out], own[out], nbr[into], member[into]
+        # Ranks wait for each other in the exchanges below; drop the per-pair
+        # arrays first, so that ranks sharing a process do not hold them all.
+        del own, member, nbr, owners, kind
         counts = Halo(out, per_nbr(out_nbr), per_nbr(in_nbr)).exchange(comm, graph, own_points)
 
         # Ship the points and charges of every shared leaf, leaf by leaf in
