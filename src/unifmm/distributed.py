@@ -12,19 +12,21 @@ tree build checks each against its point and lays out the per-point
 rows S2U and D2T read (:class:`tree.UniformTree`). Setup also plans both
 sweeps of an evaluation: the near-field blocks over the local points and
 the ghost table (:func:`kernels.near_field_plan`), and the M2L products
-of the V lists (:func:`operators.plan_m2l`, which also fixes whether setup
-builds the orthant M2L matrices), so an evaluation builds nothing and
-only runs them. The lists are sets: no plan reads the order of the
-members within a leaf or box. The state keeps the U lists; the V lists
-are built in setup's ``u_list`` phase, where the count exchange reads
-them, and planned and dropped in its ``v_list`` phase. The
-far-field ghost rows live in the expansion store right after each
-level's own rows, so the V-list kernels read remote sources as they
-read local ones. The store
-alone lays out its rows and maps keys to them: setup asks it for the
-rows each neighbor is sent, the rows its messages land in, and the
-member rows of the V plans. The nominated rank's store of the top levels
-is built the same way, once, and its V plan by the same builder.
+of the V lists (:meth:`operators.VLattice.plan`, whose plan kinds also
+fix whether setup builds the orthant M2L matrices), so an evaluation
+builds nothing and only runs them. The lists are sets: no plan reads the
+order of the members within a leaf or box. The state keeps the U lists.
+The V lists of each level below the roots are a box lattice
+(:class:`operators.VLattice`), never a list of member keys: setup's
+``u_list`` phase builds it, and reads from it the remote boxes the lists
+reach, one key and one owner lookup per box, for the count exchange; its
+``v_list`` phase gives the occupied ones their ghost rows, plans the
+level and drops the lattice. The far-field ghost rows live in the
+expansion store right after each level's own rows, in key order, so the
+V-list kernels read remote sources as they read local ones, and setup
+knows each shared box's row from its position in its level. The
+nominated rank's store of the top levels is built the same way, once,
+and its V plan from lattices over whole levels.
 
 No rank asks another which boxes exist. The layout is replicated, and U
 and V are symmetric relations (``A`` is in ``V(B)`` exactly when ``B`` is
@@ -33,8 +35,8 @@ shares with a neighbor from its own lists alone: the boxes it shares out
 are its own boxes whose lists hold a box of that neighbor, and the boxes
 it shares in are the neighbor's boxes its lists hold, which the neighbor
 finds as its shared-out ones, in the same key order. Each rank sends each
-neighbor the point count of every box it shares out, one message per
-neighbor. The counts it receives tell it, before anything else moves,
+neighbor the point count (int32) of every box it shares out, one message
+per neighbor. The counts it receives tell it, before anything else moves,
 which shared-in boxes are occupied and how many rows each later message
 holds: the point rows of the occupied shared leaves, which, taken in graph
 order, form the near-field ghost table sorted by leaf key, and the
@@ -96,13 +98,14 @@ from .kernels import (
     sorted_unique,
 )
 from .operators import (
+    EMPTY,
     ExpansionStore,
+    VLattice,
     VListPlan,
     d2t,
     ensure_orthant_m2l,
     expansion_length,
     get_operator_set,
-    plan_m2l,
     template_rows,
     u2u_pass,
     upward_pass,
@@ -117,7 +120,7 @@ from .partition import (
     sort_local,
 )
 from .transport import stats_delta, transport_backend
-from .tree import _v_members_with_vectors, build_interaction_lists, build_tree
+from .tree import build_interaction_lists, build_tree
 
 NOMINATED_RANK = 0
 
@@ -304,13 +307,24 @@ def _global_cube(comm, points, margin):
 def _shared(nbr, keys, kind):
     """The distinct (neighbor, key) entries of the pairs ``nbr[i]``,
     ``keys[i]`` of ``kind[i]`` (0 for U, 1 for V), in (neighbor, key)
-    order: the index of a pair giving each entry, and per kind whether a
-    pair of that kind gives it."""
+    order: the index of a pair giving each entry, the entry of each pair,
+    and per kind whether a pair of that kind gives it."""
     order = np.lexsort((keys, nbr))
     first = _changes(nbr[order]) | _changes(keys[order])
+    entry = np.empty(len(order), dtype=np.int64)
+    entry[order] = np.cumsum(first) - 1
     reached = np.zeros((2, np.count_nonzero(first)), dtype=bool)
-    reached[kind[order], np.cumsum(first) - 1] = True
-    return order[first], *reached
+    reached[kind, entry] = True
+    return order[first], entry, *reached
+
+
+def _int32_counts(counts):
+    """The point counts of shared boxes as the count exchange sends them,
+    int32; raises ValueError for a box of more points than int32 holds."""
+    if len(counts) and counts.max() > np.iinfo(np.int32).max:
+        raise ValueError(f"a shared box holds {counts.max()} points, more than the "
+                         f"count exchange's int32 counts hold")
+    return counts.astype(np.int32)
 
 
 def setup(comm, points, charges, config):
@@ -361,50 +375,77 @@ def setup(comm, points, charges, config):
         lists = build_interaction_lists(tree)
 
     with _phase(timings, "u_list"):
-        # The (own box, remote member) pairs of the U lists and of the V
-        # lists of the levels below the roots (the root level's are the
-        # nominated rank's), each with its own box's point count and its
-        # kind. The V lists are planned in v_list and dropped.
-        v_pairs = {level: _v_members_with_vectors(tree.level_keys[level], level)
-                   for level in range(config.global_depth + 1, leaf_level + 1)}
+        # The V lists of the levels below the roots (the root level's are the
+        # nominated rank's), one box lattice per level; v_list plans them.
+        d_g = config.global_depth
+        lattices = {
+            level: VLattice(morton.descendant_anchors(tree.local_roots, d_g, level - d_g), level)
+            for level in range(d_g + 1, leaf_level + 1)
+        }
         box_points = {leaf_level: np.diff(tree.leaf_ranges, axis=1)[:, 0]}
-        for level in range(leaf_level - 1, config.global_depth, -1):
+        for level in range(leaf_level - 1, d_g, -1):
             box_points[level] = box_points[level + 1].reshape(-1, 8).sum(axis=1)
 
-        def pairs(level, pos, mkeys, remote, kind):
-            pos = pos[remote]
-            return (tree.level_keys[level][pos], box_points[level][pos], mkeys[remote],
-                    np.full(len(pos), kind))
+        def graph_pos(keys):
+            owners = layout.owner_of_boxes(keys)
+            nbr = np.searchsorted(graph, owners)
+            assert (nbr < len(graph)).all() and (graph[nbr] == owners).all(), \
+                "list member outside halo"
+            return nbr
+
+        def own(level, kind, nbr, box):
+            return (nbr, tree.level_keys[level][box], box_points[level][box], box,
+                    np.full(len(box), kind))
 
         def per_nbr(nbrs, weights=None):
             return np.bincount(nbrs, weights, len(graph)).astype(np.int64)
 
+        def v_own(level, lattice, cell_nbr):
+            # One per own box and neighbor owning a remote box of its list.
+            tgt, cell = lattice.remote_pairs()
+            holds = np.zeros((len(graph), lattice.n_boxes), dtype=bool)
+            holds[cell_nbr[cell], tgt] = True
+            return own(level, 1, *np.nonzero(holds))
+
+        # What the lists share with each neighbor, by kind (0 for U, 1 for
+        # V). The members the neighbor owns, with their keys: per U pair,
+        # then per remote box each V lattice reaches. The own boxes, with
+        # their keys, point counts and positions in their levels: per U
+        # pair, then per V lattice one per box and neighbor owning a box of
+        # its list.
         found = morton.find_keys(tree.leaves, lists.u_member_keys)
         leaf_of = np.repeat(np.arange(len(tree.leaves)), np.diff(lists.u_member_ptr))
-        own, own_points, member, kind = map(np.concatenate, zip(
-            pairs(leaf_level, leaf_of, lists.u_member_keys, ~found[1], 0),
-            *(pairs(level, tgt, mkeys, ~tree.contains(level, mkeys), 1)
-              for level, (tgt, mkeys, _) in v_pairs.items())))
-        owners = layout.owner_of_boxes(member)
-        nbr = np.searchsorted(graph, owners)
-        assert (nbr < len(graph)).all() and (graph[nbr] == owners).all(), "list member outside halo"
+        members = [lists.u_member_keys[~found[1]]] + [lat.remote_keys for lat in lattices.values()]
+        bounds = np.cumsum([0] + [len(keys) for keys in members]).tolist()
+        n_u, cells = bounds[1], [slice(a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
+        in_keys = np.concatenate(members)
+        in_nbr = graph_pos(in_keys)
+        in_kind = np.repeat([0, 1], [n_u, len(in_keys) - n_u])
+        out_nbr, out_keys, out_points, out_box, out_kind = map(np.concatenate, zip(
+            own(leaf_level, 0, in_nbr[:n_u], leaf_of[~found[1]]),
+            *(v_own(level, lat, in_nbr[at]) for (level, lat), at in zip(lattices.items(), cells))))
         # By the symmetry of U and V, the own boxes a neighbor's lists hold
         # are those with a member it owns, and the boxes of its that this
         # rank's lists hold are the ones it finds the same way, in the same
         # key order. Each side sends the point count of every box it shares.
-        out, out_u, out_v = _shared(nbr, own, kind)
-        into, in_u, in_v = _shared(nbr, member, kind)
-        out_nbr, out_keys, in_nbr, in_keys = nbr[out], own[out], nbr[into], member[into]
+        out, _, out_u, out_v = _shared(out_nbr, out_keys, out_kind)
+        into, entry, in_u, in_v = _shared(in_nbr, in_keys, in_kind)
+        # Per level, the shared-in entry of each remote box its lattice reaches.
+        cell_entry = {level: entry[at] for level, at in zip(lattices, cells)}
+        out_nbr, out_keys, out_box, in_nbr, in_keys = (
+            out_nbr[out], out_keys[out], out_box[out], in_nbr[into], in_keys[into])
         # Ranks wait for each other in the exchanges below; drop the per-pair
         # arrays first, so that ranks sharing a process do not hold them all.
-        del own, member, nbr, owners, kind
-        counts = Halo(out, per_nbr(out_nbr), per_nbr(in_nbr)).exchange(comm, graph, own_points)
+        del leaf_of, members, out_kind, in_kind, into
+        counts = Halo(out, per_nbr(out_nbr), per_nbr(in_nbr)).exchange(
+            comm, graph, _int32_counts(out_points))
+        out_points = out_points[out]
 
         # Ship the points and charges of every shared leaf, leaf by leaf in
         # key order. The graph is in rank order and ranks own rank-ordered
         # Morton runs, so the shared-in boxes, and the rows received, taken
         # in graph order, are sorted by key.
-        starts, ends = tree.leaf_ranges[tree.index_of(leaf_level, out_keys[out_u])].T
+        starts, ends = tree.leaf_ranges[out_box[out_u]].T
         u_halo = Halo(_ranges(starts, ends - starts), per_nbr(out_nbr[out_u], ends - starts),
                       per_nbr(in_nbr[in_u], counts[in_u]))
         table = np.concatenate([tree.points, chg[:, None]], axis=1)
@@ -416,23 +457,35 @@ def setup(comm, points, charges, config):
 
     with _phase(timings, "v_list"):
         # The V halo sends each neighbor the expansions of the occupied
-        # boxes it shares, and lands those it receives in the ghost rows.
-        send = out_v & (own_points[out] > 0)
+        # boxes it shares, and lands those it receives in the ghost rows,
+        # which follow each level's own rows in key order.
+        send = out_v & (out_points > 0)
         ghost = in_v & (counts > 0)
         ghost_keys = in_keys[ghost]
         store = ExpansionStore(tree.level_keys, ghost_keys)
-        v_halo = Halo(store.rows_of(out_keys[send])[0], per_nbr(out_nbr[send]), per_nbr(in_nbr[ghost]))
+        level_start = np.zeros(leaf_level + 1, dtype=np.int64)
+        level_start[list(store.row_start)] = list(store.row_start.values())
+        # Each ghost's row in its level's rows: after the own ones, in key
+        # order; the lattices read them.
+        in_level = morton.key_level(in_keys)
+        in_row = np.full(len(in_keys), EMPTY, dtype=np.int32)
+        for level, lattice in lattices.items():
+            mine = ghost & (in_level == level)
+            in_row[mine] = lattice.n_boxes + np.arange(np.count_nonzero(mine))
+            lattice.resolve(in_row[cell_entry[level]])
+        v_halo = Halo(level_start[morton.key_level(out_keys[send])] + out_box[send],
+                      per_nbr(out_nbr[send]), per_nbr(in_nbr[ghost]))
         n_coeff = expansion_length(config.order)
-        v_plan = _v_plan(store, v_pairs, n_coeff)
+        v_plan = VListPlan(grouped={lvl: lat.plan(n_coeff) for lvl, lat in lattices.items()})
 
         # The nominated rank holds every box of the top levels 1 .. d_g.
         top_store = global_plan = None
         if comm.rank == NOMINATED_RANK:
-            top_keys = {lvl: morton.all_keys(lvl) for lvl in range(1, config.global_depth + 1)}
-            top_store = ExpansionStore(top_keys)
-            global_plan = _v_plan(top_store, {
-                lvl: _v_members_with_vectors(keys, lvl) for lvl, keys in top_keys.items() if lvl > 1
-            }, n_coeff)
+            top_store = ExpansionStore({lvl: morton.all_keys(lvl) for lvl in range(1, d_g + 1)})
+            global_plan = VListPlan(grouped={
+                lvl: VLattice(morton.level_anchors(lvl), lvl).plan(n_coeff)
+                for lvl in range(2, d_g + 1)
+            })
 
     ops = get_operator_set(config.order, config.dtype)
     if v_plan.tiled or (global_plan is not None and global_plan.tiled):
@@ -458,26 +511,12 @@ def setup(comm, points, charges, config):
         u_halo=u_halo,
         v_halo=v_halo,
         v_ghost_keys=ghost_keys,
-        v_recv_rows=store.rows_of(ghost_keys)[0],
+        v_recv_rows=level_start[in_level[ghost]] + in_row[ghost],
         v_plan=v_plan,
         top_store=top_store,
         global_plan=global_plan,
         timings=timings,
     )
-
-
-def _v_plan(store, pairs, n_coeff):
-    """V-list plan over ``store`` of the per-level (target index, member
-    key, transfer index) ``pairs`` of ``n_coeff``-long expansions: members
-    by row of the level's own and ghost rows; members the store lacks are
-    dropped (an absent box holds no sources)."""
-    grouped = {}
-    for level, (tgt, mkeys, tv_idx) in pairs.items():
-        rows, keep = store.rows_of(mkeys)
-        grouped[level] = plan_m2l(
-            tgt[keep], rows[keep] - store.row_start[level], tv_idx[keep], n_coeff
-        )
-    return VListPlan(grouped=grouped)
 
 
 def _global_stage(state, gathered):

@@ -1,6 +1,11 @@
-"""Per-rank uniform linear octrees and U/V interaction lists. A list is a
-set: its members come leaf by leaf or box by box, in an order within a
-leaf or box that nothing reads.
+"""Per-rank uniform linear octrees, U interaction lists and the V-list
+stencil. A list is a set: its members come leaf by leaf or box by box, in
+an order within a leaf or box that nothing reads. The U list of a leaf is
+its in-lattice 27-cell neighborhood, kept as member keys. The V list of a
+box is a fixed stencil, the 189 of the 316 :data:`TRANSFER_VECTORS` that
+its octant in its parent admits (:data:`V_ADMITS`), cut to the lattice;
+setup enumerates it on a lattice of box rows
+(:class:`operators.VLattice`), never as member keys.
 
 A rank's tree is the union of fully refined subtrees hanging under its
 local roots (level ``global_depth``), refined uniformly for another
@@ -17,20 +22,7 @@ import numpy as np
 
 from . import morton
 from .kernels import _changes, point_operand, sorted_unique
-from .morton import (
-    HALO_OFFSETS,
-    MAX_DEPTH,
-    ancestor_at,
-    anchor_lattice,
-    descendant_anchors,
-    descendants,
-    make_key,
-)
-
-# (ox, oy, oz) for octant o, x in the least significant interleave slot.
-_OCTANT_OFFSETS = np.array(
-    [[(o >> 0) & 1, (o >> 1) & 1, (o >> 2) & 1] for o in range(8)], dtype=np.int64
-)
+from .morton import MAX_DEPTH, ancestor_at, descendant_anchors, descendants
 
 
 def transfer_vectors():
@@ -50,10 +42,13 @@ def transfer_vectors():
 
 TRANSFER_VECTORS = transfer_vectors()
 
-# (7,7,7) lookup from offset+3 to compact transfer-vector index, -1 if near.
-TRANSFER_INDEX = np.full((7, 7, 7), -1, dtype=np.int64)
-for _i, (_tx, _ty, _tz) in enumerate(TRANSFER_VECTORS):
-    TRANSFER_INDEX[_tx + 3, _ty + 3, _tz + 3] = _i
+# Per octant ``o`` of a box in its parent (bit a for axis a), whether each
+# transfer vector ``t`` is in its V list, (8, 316), 189 per octant: the box
+# ``t`` reaches is not adjacent (every vector's is not), and its parent is
+# adjacent to or equal to the box's own, which holds when ``-2 <= o_a + t_a
+# <= 3`` on every axis. Members outside the lattice are not in the list.
+_REACH = ((np.arange(8)[:, None] >> np.arange(3)) & 1)[:, None] + TRANSFER_VECTORS
+V_ADMITS = np.all((_REACH >= -2) & (_REACH <= 3), axis=2)
 
 
 @dataclass
@@ -208,54 +203,13 @@ def build_tree(points, cube, global_depth, local_depth, local_roots=None, keys=N
     )
 
 
-def _v_templates():
-    """Per octant of a box in its parent, the transfer-vector index of each
-    child octant of each cell of the parent's 27-cell neighborhood (in
-    :data:`morton.HALO_OFFSETS` order), -1 for a child adjacent to the
-    box: (8, 27, 8)."""
-    child = HALO_OFFSETS[:, None, :] * 2 + _OCTANT_OFFSETS
-    offsets = child - _OCTANT_OFFSETS[:, None, None, :]
-    return TRANSFER_INDEX[tuple(np.moveaxis(offsets + 3, -1, 0))]
-
-
-V_TRANSFER = _v_templates()
-
-
-def _v_members_with_vectors(box_keys, level):
-    """Vectorized V-list enumeration for same-level ``box_keys``: the
-    children of each box's parent-level neighborhood, cut to the lattice,
-    that its octant's :data:`V_TRANSFER` template admits.
-
-    Returns (owner_box_positions, member_keys, transfer_index) flattened
-    over all boxes, box by box in ``box_keys`` order; within a box the
-    members come in (parent cell, child octant) order, which nothing
-    reads: each list is a set.
-    """
-    coords = anchor_lattice(box_keys)
-    octant = (coords & 1) @ np.array([1, 2, 4])
-    # A cell outside the lattice takes the key of the cell it clips to;
-    # none of its children is kept.
-    cells = (coords >> 1)[:, None, :] + HALO_OFFSETS
-    top = (1 << (level - 1)) - 1
-    inside = np.all((cells >= 0) & (cells <= top), axis=2)
-    cell_keys = make_key(*np.clip(cells, 0, top).transpose(2, 0, 1), level - 1)
-    tv = V_TRANSFER[octant]
-    keep = (tv >= 0) & inside[:, :, None]
-    box_pos, cell, child = np.nonzero(keep)
-    # A child's key is its parent's with the level one higher and the
-    # octant below the parent's anchor bits.
-    slot = np.uint64(3 * (MAX_DEPTH - level) + morton.LEVEL_BITS)
-    keys = (cell_keys[box_pos, cell] + np.uint64(1)) | (child.astype(np.uint64) << slot)
-    # np.nonzero returns views into one (members, 3) array; keep a copy.
-    return box_pos.copy(), keys, tv[keep]
-
-
 @dataclass
 class InteractionLists:
     """A tree's U lists: ``u_member_keys``/``u_member_ptr`` form a CSR
     layout over the leaves in tree order, each leaf's members in no
-    particular order. The V lists exist only while setup plans them
-    (:func:`_v_members_with_vectors`)."""
+    particular order. The V lists are no member lists: setup builds them
+    per level on a box lattice (:class:`operators.VLattice`) and keeps
+    only their M2L plans."""
 
     u_member_keys: np.ndarray
     u_member_ptr: np.ndarray

@@ -2,15 +2,68 @@
 children, one leaf's U list and one box's V list, the transfer vector of
 two boxes, and the scalar Laplace kernel. The library works on key
 arrays and interaction lists built for a whole tree at once; these
-answer the same questions for one key or one pair of points. Also a
-dense truncated pseudo-inverse, for reference operators built from one
-level's real geometry."""
+answer the same questions for one key or one pair of points. Also the V
+oracle, which enumerates the V lists of many boxes by their members'
+Morton keys, the check on the library's box lattice
+(:class:`unifmm.operators.VLattice`), and a dense truncated
+pseudo-inverse, for reference operators built from one level's real
+geometry."""
 
 import numpy as np
 
 from unifmm import morton
+from unifmm.morton import HALO_OFFSETS, LEVEL_BITS, MAX_DEPTH, anchor_lattice, make_key
 from unifmm.operators import OperatorFactorizationError
-from unifmm.tree import _v_members_with_vectors
+from unifmm.tree import TRANSFER_VECTORS
+
+# (7,7,7) lookup from offset+3 to compact transfer-vector index, -1 if near.
+TRANSFER_INDEX = np.full((7, 7, 7), -1, dtype=np.int64)
+TRANSFER_INDEX[tuple((TRANSFER_VECTORS + 3).T)] = np.arange(len(TRANSFER_VECTORS))
+
+# (ox, oy, oz) for octant o, x in the least significant interleave slot.
+_OCTANT_OFFSETS = (np.arange(8)[:, None] >> np.arange(3)) & 1
+
+
+def _v_templates():
+    """Per octant of a box in its parent, the transfer-vector index of each
+    child octant of each cell of the parent's 27-cell neighborhood (in
+    :data:`morton.HALO_OFFSETS` order), -1 for a child adjacent to the
+    box: (8, 27, 8)."""
+    child = HALO_OFFSETS[:, None, :] * 2 + _OCTANT_OFFSETS
+    offsets = child - _OCTANT_OFFSETS[:, None, None, :]
+    return TRANSFER_INDEX[tuple(np.moveaxis(offsets + 3, -1, 0))]
+
+
+V_TRANSFER = _v_templates()
+
+
+def v_members_with_vectors(box_keys, level):
+    """The V oracle: vectorized V-list enumeration for same-level
+    ``box_keys`` by Morton keys, the children of each box's parent-level
+    neighborhood, cut to the lattice, that its octant's
+    :data:`V_TRANSFER` template admits.
+
+    Returns (owner_box_positions, member_keys, transfer_index) flattened
+    over all boxes, box by box in ``box_keys`` order; within a box the
+    members come in (parent cell, child octant) order.
+    """
+    coords = anchor_lattice(box_keys)
+    octant = (coords & 1) @ np.array([1, 2, 4])
+    # A cell outside the lattice takes the key of the cell it clips to;
+    # none of its children is kept.
+    cells = (coords >> 1)[:, None, :] + HALO_OFFSETS
+    top = (1 << (level - 1)) - 1
+    inside = np.all((cells >= 0) & (cells <= top), axis=2)
+    cell_keys = make_key(*np.clip(cells, 0, top).transpose(2, 0, 1), level - 1)
+    tv = V_TRANSFER[octant]
+    keep = (tv >= 0) & inside[:, :, None]
+    box_pos, cell, child = np.nonzero(keep)
+    # A child's key is its parent's with the level one higher and the
+    # octant below the parent's anchor bits.
+    slot = np.uint64(3 * (MAX_DEPTH - level) + LEVEL_BITS)
+    keys = (cell_keys[box_pos, cell] + np.uint64(1)) | (child.astype(np.uint64) << slot)
+    # np.nonzero returns views into one (members, 3) array; keep a copy.
+    return box_pos.copy(), keys, tv[keep]
 
 
 def box_center(key, cube):
@@ -51,7 +104,7 @@ def compute_v_list(tree, box):
     level = morton.key_level(box)
     if level < 2:
         return np.empty(0, dtype=np.uint64)
-    _, keys, _ = _v_members_with_vectors(np.reshape(np.uint64(box), 1), level)
+    _, keys, _ = v_members_with_vectors(np.reshape(np.uint64(box), 1), level)
     return np.sort(keys)
 
 

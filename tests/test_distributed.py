@@ -21,6 +21,7 @@ from conftest import (
     rel_l2,
     subtraction_inverse_distances,
 )
+from reference import v_members_with_vectors
 
 from unifmm import distributed, kernels, morton, operators, tree
 from unifmm.cli import generate_charges, generate_points
@@ -36,7 +37,6 @@ from unifmm.kernels import UnresolvedDependencyError, direct_sum
 from unifmm.operators import ClassPlan, TiledPlan, frozen_eps, leaf_check_sums
 from unifmm.partition import build_layout, equal_root_runs
 from unifmm.transport import create_world, run_spmd
-from unifmm.tree import _v_members_with_vectors
 
 
 def cfg(**kw):
@@ -395,7 +395,7 @@ def test_ghost_sufficiency_and_minimality():
         # Same for V ghosts, per level.
         v_needed = set()
         for level in range(tree.global_depth + 1, tree.leaf_level + 1):
-            _, mkeys, _ = _v_members_with_vectors(tree.level_keys[level], level)
+            _, mkeys, _ = v_members_with_vectors(tree.level_keys[level], level)
             local = tree.contains(level, mkeys)
             v_needed |= {int(k) for k in mkeys[~local]}
         v_held = {int(k) for k in state.v_ghost_keys}
@@ -455,7 +455,7 @@ def test_plans_ignore_member_order_within_a_leaf_or_box(case, order, seed):
                        kernels.near_field_plan(tree, lists, ghosts))
     n_coeff = operators.expansion_length(order)
     for level in range(tree.global_depth + 1, tree.leaf_level + 1):
-        tgt, keys, tv = _v_members_with_vectors(tree.level_keys[level], level)
+        tgt, keys, tv = v_members_with_vectors(tree.level_keys[level], level)
         rows = np.searchsorted(kernels.sorted_unique(keys), keys)
         perm = shuffled(tgt)
         for planner in (operators.group_pairs_by_class, operators.group_pairs_by_transfer):
@@ -547,6 +547,86 @@ def test_store_rows_of_maps_keys_to_their_rows():
         assert not store.rows_of(lacks)[1].any()
 
 
+def _oracle_v_state(states, state):
+    """The V state of ``state`` rebuilt from the V oracle's pairs and the
+    owners' trees: per level the :func:`operators.plan_m2l` plan of the
+    pairs whose member has a row, over a store laid out from the oracle's
+    ghosts; the V halo; the ghost keys and rows; rank 0's global plan."""
+    tree, layout, n_coeff = state.tree, state.layout, state.ops.n_coeff
+    levels = range(tree.global_depth + 1, tree.leaf_level + 1)
+    pairs, shared, ghost_keys = {}, [], []
+    for level in levels:
+        tgt, keys, tv = v_members_with_vectors(tree.level_keys[level], level)
+        pairs[level] = tgt, keys, tv
+        remote = ~tree.contains(level, keys)
+        owner = layout.owner_of_boxes(keys[remote])
+        occupied = np.isin(keys[remote], np.concatenate(
+            [s.tree.level_keys[level][s.tree.level_nonempty[level]] for s in states]))
+        ghost_keys.append(np.unique(keys[remote][occupied]))
+        # The occupied own boxes whose lists hold a box of each neighbor.
+        sent = tree.level_nonempty[level][tgt[remote]]
+        shared += set(zip(owner[sent].tolist(), tree.level_keys[level][tgt[remote][sent]].tolist()))
+    ghost_keys = np.sort(np.concatenate(ghost_keys))
+    store = operators.ExpansionStore(tree.level_keys, ghost_keys)
+    assert np.array_equal(store.row_keys, state.store.row_keys)
+    grouped = {}
+    for level, (tgt, keys, tv) in pairs.items():
+        rows, found = store.rows_of(keys)
+        grouped[level] = operators.plan_m2l(tgt[found], rows[found] - store.row_start[level],
+                                            tv[found], n_coeff)
+    owner, keys = np.array(sorted(shared), dtype=np.uint64).reshape(-1, 2).T
+    nbr = np.searchsorted(state.graph, owner.astype(np.int64))
+    v_halo = distributed.Halo(
+        store.rows_of(keys)[0], np.bincount(nbr, minlength=len(state.graph)),
+        np.bincount(np.searchsorted(state.graph, layout.owner_of_boxes(ghost_keys)),
+                    minlength=len(state.graph)))
+    global_plan = None
+    if state.global_plan is not None:
+        global_plan = {}
+        for level in range(2, tree.global_depth + 1):
+            keys = morton.all_keys(level)
+            tgt, members, tv = v_members_with_vectors(keys, level)
+            global_plan[level] = operators.plan_m2l(tgt, np.searchsorted(keys, members), tv,
+                                                    n_coeff)
+    return grouped, v_halo, ghost_keys, store.rows_of(ghost_keys)[0], global_plan
+
+
+@pytest.mark.parametrize("n, sphere, P, config", [
+    (4096, False, 1, cfg(local_depth=2, order=6)),
+    (4096, True, 8, cfg(local_depth=2, order=4)),
+    (2048, False, 64, cfg(global_depth=2, local_depth=1, order=2)),
+    (2048, False, 27, cfg(global_depth=2, local_depth=2, order=2)),
+    (2048, False, 8, cfg(global_depth=2, local_depth=1, order=2)),
+    (1024, False, 8, cfg(global_depth=3, local_depth=1, order=2)),
+], ids=["cube-p1", "sphere-p8", "cube-p64-dg2", "cube-p27-dg2", "cube-p8-dg2-64-boxes",
+        "cube-p8-dg3"])
+def test_lattice_v_state_matches_plans_of_the_oracle_pairs(n, sphere, P, config):
+    # The V plans, rank 0's global plan, the V halo's send rows and counts,
+    # v_recv_rows and v_ghost_keys that setup builds from the box lattice
+    # are byte for byte those built from the oracle's per-pair Morton keys:
+    # full tiled levels (P=1), empty boxes and absent ghosts (the sphere),
+    # 26 neighbors, unaligned root runs whose 64-box tiles are no lattice
+    # blocks (P=27), 64 own boxes on a tiled level, and rank 0's levels 2
+    # and 3 (d_g=3).
+    pts, chg = raw_instance(n, seed=23, sphere=sphere)
+    _, states, _ = distributed_run(pts, chg, P, config, evaluate_runs=0)
+    kinds = set()
+    for state in states:
+        grouped, v_halo, ghost_keys, recv_rows, global_plan = _oracle_v_state(states, state)
+        _assert_same_bytes(list(state.v_plan.grouped.items()), list(grouped.items()))
+        _assert_same_bytes(list(vars(state.v_halo).values()), list(vars(v_halo).values()))
+        _assert_same_bytes(state.v_ghost_keys, ghost_keys)
+        _assert_same_bytes(state.v_recv_rows, recv_rows)
+        if global_plan is not None:
+            _assert_same_bytes(list(state.global_plan.grouped.items()), list(global_plan.items()))
+        kinds |= {(type(g), len(g.products) if type(g) is TiledPlan else 0)
+                  for g in grouped.values()}
+    if P == 27:
+        assert any(kind is TiledPlan and n_tiles > 1 for kind, n_tiles in kinds)
+    if sphere:
+        assert any(len(s.near_ghosts.confirmed_absent) for s in states)
+
+
 def test_v_ghost_plans_agree_across_ranks():
     # What rank r gathers for neighbor j is, in order, what j scatters from
     # r: the keys behind r's send rows are the keys behind j's receive
@@ -628,9 +708,10 @@ def test_evaluate_replays_the_setup_plans(monkeypatch):
     def forbid_planning():
         for module, name in [(kernels, "find_keys"), (kernels, "near_field_plan"),
                              (distributed, "near_field_plan"),
-                             (operators, "group_pairs_by_transfer"),
+                             (operators, "VLattice"), (distributed, "VLattice"),
+                             (operators, "group_pairs_by_transfer"), (operators, "_tiled_plan"),
                              (operators, "group_pairs_by_class"), (operators, "_orthant_m2l"),
-                             (morton, "anchor_lattice"), (tree, "anchor_lattice"),
+                             (morton, "anchor_lattice"),
                              (morton, "descendant_anchors"), (tree, "descendant_anchors"),
                              (kernels, "point_operand"), (tree, "point_operand"),
                              (tree, "leaf_pieces")]:
@@ -777,6 +858,31 @@ def test_short_setup_message_fails_setup_naming_its_sender(monkeypatch, message)
                        match=r"^\[u_list\] unresolved dependency: rank 3 sent \d+ rows "
                              r"where setup fixed \d+$"):
         distributed_run(pts, chg, 8, cfg(order=6), evaluate_runs=0)
+
+
+def test_count_exchange_sends_int32_counts(monkeypatch):
+    # Setup sends the point count of each shared box as 4 bytes, and a
+    # count past int32 fails setup before anything is sent, not wrapped.
+    exchange = distributed.Halo.exchange
+    sent = []
+
+    def recording(self, comm, graph, table):
+        stats = comm.stats().by_kind["neighbor_alltoallv"]
+        before = stats.bytes_sent
+        got = exchange(self, comm, graph, table)
+        sent.append((table.dtype, len(self.send), stats.bytes_sent - before))
+        return got
+
+    monkeypatch.setattr(distributed.Halo, "exchange", recording)
+    pts, chg = raw_instance(4096, seed=4)
+    distributed_run(pts, chg, 8, cfg(local_depth=1), evaluate_runs=0)
+    counts = [(dtype, n, nbytes) for dtype, n, nbytes in sent if dtype != np.float64]
+    assert len(counts) == 8
+    assert all(dtype == np.int32 and nbytes == 4 * n > 0 for dtype, n, nbytes in counts)
+    assert np.array_equal(distributed._int32_counts(np.array([0, 7, 2**31 - 1])),
+                          np.array([0, 7, 2**31 - 1], dtype=np.int32))
+    with pytest.raises(ValueError, match="2147483648 points"):
+        distributed._int32_counts(np.array([3, 2**31]))
 
 
 def test_neighbor_exchanges_all_go_through_the_halo():

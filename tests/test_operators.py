@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import distributed_run, raw_instance, rel_l2, sorted_instance
-from reference import box_center, children, tsvd_pinv
+from reference import box_center, children, tsvd_pinv, v_members_with_vectors
 
 from unifmm import morton, operators
 from unifmm.distributed import FmmConfig, evaluate, update_charges
@@ -46,7 +46,7 @@ from unifmm.operators import (
     u2u_level,
     upward_pass,
 )
-from unifmm.tree import TRANSFER_VECTORS, _v_members_with_vectors, build_tree
+from unifmm.tree import TRANSFER_VECTORS, build_tree
 
 UNIT = BoundingCube(origin=(0.0, 0.0, 0.0), side=1.0)
 
@@ -727,7 +727,7 @@ def test_apply_m2l_tiles_match_one_tile_per_level(monkeypatch):
     # the level: the same sums, up to the GEMMs' rounding.
     ops = ensure_orthant_m2l(get_operator_set(6))
     keys = morton.all_keys(3)
-    tgt, members, tv = _v_members_with_vectors(keys, 3)
+    tgt, members, tv = v_members_with_vectors(keys, 3)
     u = np.random.default_rng(37).standard_normal((len(keys), ops.n_coeff))
     tiled = group_pairs_by_transfer(tgt, np.searchsorted(keys, members), tv, ops.n_coeff)
     monkeypatch.setattr(operators, "M2L_TILE_TARGETS", len(keys))
@@ -745,7 +745,7 @@ def test_tiled_plan_runs_one_product_per_stored_matrix_per_tile(level, order):
     # products read strictly increasing stored matrices and cover its pairs
     # contiguously, each product exactly the tile's pairs of its matrix.
     keys = morton.all_keys(level)
-    tgt, members, tv = _v_members_with_vectors(keys, level)
+    tgt, members, tv = v_members_with_vectors(keys, level)
     src = np.searchsorted(keys, members)
     plan = plan_m2l(tgt, src, tv, expansion_length(order))
     assert type(plan) is TiledPlan
@@ -783,7 +783,7 @@ def test_apply_m2l_memory_stays_near_its_frames():
     # peaks near 17.7 MB.
     ops = ensure_orthant_m2l(get_operator_set(6))
     keys = morton.all_keys(3)
-    tgt, members, tv = _v_members_with_vectors(keys, 3)
+    tgt, members, tv = v_members_with_vectors(keys, 3)
     grouped = group_pairs_by_transfer(tgt, np.searchsorted(keys, members), tv, ops.n_coeff)
     u = np.random.default_rng(41).standard_normal((len(keys), ops.n_coeff))
     d = np.zeros_like(u)
@@ -800,7 +800,7 @@ def test_class_apply_memory_stays_near_its_chunk_buffers():
     # (1700 x 152 coefficients, 2 MiB per buffer). Measured: 835 KiB.
     ops = get_operator_set(6)
     keys = morton.all_keys(3)
-    tgt, members, tv = _v_members_with_vectors(keys, 3)
+    tgt, members, tv = v_members_with_vectors(keys, 3)
     pick = np.sort(np.random.default_rng(53).choice(len(tgt), 1700, replace=False))
     src = np.searchsorted(keys, members[pick])
     plan = group_pairs_by_class(tgt[pick], src, tv[pick], ops.n_coeff)

@@ -7,14 +7,17 @@ import pytest
 
 from unifmm import morton
 from unifmm.morton import BoundingCube, anchor_lattice, key_level, make_key
-from unifmm.tree import (
-    TRANSFER_VECTORS,
-    _v_members_with_vectors,
-    build_interaction_lists,
-    build_tree,
-)
+from unifmm.tree import TRANSFER_VECTORS, V_ADMITS, build_interaction_lists, build_tree
 
-from reference import children, compute_u_list, compute_v_list, parent, transfer_vector
+from reference import (
+    V_TRANSFER,
+    children,
+    compute_u_list,
+    compute_v_list,
+    parent,
+    transfer_vector,
+    v_members_with_vectors,
+)
 
 UNIT = BoundingCube(origin=(0.0, 0.0, 0.0), side=1.0)
 
@@ -200,7 +203,7 @@ def test_v_templates_match_definition_per_box(keys):
     # Per box, as a set: the children of the parent's in-lattice 27-cell
     # neighborhood that are not adjacent, and their vectors.
     level = int(key_level(keys[0]))
-    box_pos, members, tv_idx = _v_members_with_vectors(keys, level)
+    box_pos, members, tv_idx = v_members_with_vectors(keys, level)
     assert np.all(np.diff(box_pos) >= 0)
     index = {tuple(v): i for i, v in enumerate(TRANSFER_VECTORS.tolist())}
     ptr = np.searchsorted(box_pos, np.arange(len(keys) + 1))
@@ -212,6 +215,16 @@ def test_v_templates_match_definition_per_box(keys):
         )
         got = sorted(zip(members[ptr[i] : ptr[i + 1]].tolist(), tv_idx[ptr[i] : ptr[i + 1]].tolist()))
         assert got == want
+
+
+def test_v_admits_match_the_oracle_templates():
+    # Per octant, the vectors the lattice lists are those the oracle's
+    # (parent cell, child octant) template reaches: 189 of the 316.
+    for octant, template in enumerate(V_TRANSFER):
+        want = np.zeros(len(TRANSFER_VECTORS), dtype=bool)
+        want[template[template >= 0]] = True
+        assert np.array_equal(V_ADMITS[octant], want)
+    assert (V_ADMITS.sum(axis=1) == 189).all()
 
 
 def lexsorted_v_members(box_keys, level):
@@ -240,7 +253,7 @@ def test_v_members_match_lexsort_order(level):
     # (box, key) order of one lexsort over all members, on full levels
     # whose faces, edges and corners cut the lists.
     keys = full_level_keys(level)
-    got = _v_members_with_vectors(keys, level)
+    got = v_members_with_vectors(keys, level)
     want = lexsorted_v_members(keys, level)
     assert np.all(np.diff(got[0]) >= 0)
     order = np.lexsort((got[1], got[0]))
@@ -322,9 +335,9 @@ def test_interaction_lists_match_per_box_ops():
         leaf = tree.leaves[pos]
         got = np.sort(lists.u_members(pos))
         assert np.array_equal(got, compute_u_list(tree, int(leaf)))
-    # The V lists of the levels below the roots, as setup enumerates them.
+    # The oracle's V lists of the levels below the roots.
     for level in range(tree.global_depth + 1, tree.leaf_level + 1):
-        tgt, keys, tv_idx = _v_members_with_vectors(tree.level_keys[level], level)
+        tgt, keys, tv_idx = v_members_with_vectors(tree.level_keys[level], level)
         for pos in (0, len(tree.level_keys[level]) // 2):
             mine = np.sort(keys[tgt == pos])
             assert np.array_equal(mine, compute_v_list(tree, int(tree.level_keys[level][pos])))
