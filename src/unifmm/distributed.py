@@ -12,16 +12,21 @@ tree build checks each against its point and lays out the per-point
 rows S2U and D2T read (:class:`tree.UniformTree`). Setup also plans both
 sweeps of an evaluation: the near-field blocks over the local points and
 the ghost table (:func:`kernels.near_field_plan`), and the M2L products
-of the V lists (:meth:`operators.VLattice.plan`, whose plan kinds also
+of the V lists (:func:`operators.plan_lattice`, whose plan kinds also
 fix whether setup builds the orthant M2L matrices), so an evaluation
 builds nothing and only runs them. The lists are sets: no plan reads the
-order of the members within a leaf or box. The state keeps the U lists.
-The V lists of each level below the roots are a box lattice
-(:class:`operators.VLattice`), never a list of member keys: setup's
-``u_list`` phase builds it, and reads from it the remote boxes the lists
-reach, one key and one owner lookup per box, for the count exchange; its
-``v_list`` phase gives the occupied ones their ghost rows, plans the
-level and drops the lattice. The far-field ghost rows live in the
+order of the members within a leaf or box. Every list is read on one box
+lattice per level below the roots (:class:`lattice.BoxLattice`), never
+as member keys. Setup's ``communicators`` phase builds the leaf level's,
+which gives each leaf its U list as local leaf rows and numbered remote
+cells (:class:`tree.InteractionLists`, which the state keeps), and
+finds the owner of each remote cell it reaches: those owners are the
+neighbor graph. Its ``u_list`` phase builds the other levels' lattices,
+reads from each the remote boxes its lists reach, one key and one owner
+per cell, for the count exchange, and resolves the near-field members
+once per remote cell against the ghost table; its ``v_list`` phase gives
+the occupied V boxes their ghost rows, plans each level and drops the
+lattices. The far-field ghost rows live in the
 expansion store right after each level's own rows, in key order, so the
 V-list kernels read remote sources as they read local ones, and setup
 knows each shared box's row from its position in its level. The
@@ -66,7 +71,9 @@ the near-field halo, with charges for point rows, and keep both plans.
 Local V lists only ever reference boxes below the root level, whose
 owners are adjacent subdomains, so the one communication graph, shared
 by the U and V exchanges, joins each rank to the owners of the roots
-adjacent to its own. When each rank's roots form one aligned box (``roots``
+adjacent to its own: the owners of the leaf lattice's remote cells, since
+a boundary leaf's U list reaches into every adjacent root and no list
+reaches past them. When each rank's roots form one aligned box (``roots``
 mode with P = 8^k ranks, k <= d_g) those owners are at most the 26
 neighbor subdomains, no matter how many ranks run. Other contiguous Morton
 runs can border more: in ``roots`` mode the largest degree measured from
@@ -97,15 +104,15 @@ from .kernels import (
     p2p_uli,
     sorted_unique,
 )
+from .lattice import EMPTY, BoxLattice
 from .operators import (
-    EMPTY,
     ExpansionStore,
-    VLattice,
     VListPlan,
     d2t,
     ensure_orthant_m2l,
     expansion_length,
     get_operator_set,
+    plan_lattice,
     template_rows,
     u2u_pass,
     upward_pass,
@@ -307,15 +314,15 @@ def _global_cube(comm, points, margin):
 def _shared(nbr, keys, kind):
     """The distinct (neighbor, key) entries of the pairs ``nbr[i]``,
     ``keys[i]`` of ``kind[i]`` (0 for U, 1 for V), in (neighbor, key)
-    order: the index of a pair giving each entry, the entry of each pair,
-    and per kind whether a pair of that kind gives it."""
+    order: the index of a pair giving each entry, and per kind whether a
+    pair of that kind gives it."""
     order = np.lexsort((keys, nbr))
     first = _changes(nbr[order]) | _changes(keys[order])
     entry = np.empty(len(order), dtype=np.int64)
     entry[order] = np.cumsum(first) - 1
     reached = np.zeros((2, np.count_nonzero(first)), dtype=bool)
     reached[kind, entry] = True
-    return order[first], entry, *reached
+    return order[first], *reached
 
 
 def _int32_counts(counts):
@@ -370,17 +377,21 @@ def setup(comm, points, charges, config):
                           piece_rows=template_rows(expansion_length(config.order)))
 
     with _phase(timings, "communicators"):
-        owners = sorted_unique(layout.owner_of_roots(morton.neighbors(my_roots)))
-        graph = owners[owners != comm.rank]
-        lists = build_interaction_lists(tree)
+        # The leaf level's box lattice and the U lists read on it. The graph
+        # is the owners of the remote cells it reaches: the boxes of the roots
+        # adjacent to this rank's, which every list below the roots stays in.
+        leaf_lattice, lists = build_interaction_lists(tree)
+        leaf_owners = layout.owner_of_boxes(leaf_lattice.remote_keys)
+        graph = sorted_unique(leaf_owners)
 
     with _phase(timings, "u_list"):
-        # The V lists of the levels below the roots (the root level's are the
-        # nominated rank's), one box lattice per level; v_list plans them.
+        # One box lattice per level below the roots (the root level's V lists
+        # are the nominated rank's), and the graph position of the owner of
+        # each remote cell they reach; v_list plans their V lists.
         d_g = config.global_depth
         lattices = {
-            level: VLattice(morton.descendant_anchors(tree.local_roots, d_g, level - d_g), level)
-            for level in range(d_g + 1, leaf_level + 1)
+            level: BoxLattice(morton.descendant_anchors(tree.local_roots, d_g, level - d_g), level)
+            for level in range(d_g + 1, leaf_level)
         }
         box_points = {leaf_level: np.diff(tree.leaf_ranges, axis=1)[:, 0]}
         for level in range(leaf_level - 1, d_g, -1):
@@ -393,50 +404,48 @@ def setup(comm, points, charges, config):
                 "list member outside halo"
             return nbr
 
-        def own(level, kind, nbr, box):
-            return (nbr, tree.level_keys[level][box], box_points[level][box], box,
-                    np.full(len(box), kind))
+        cell_nbr = {level: graph_pos(lat.remote_keys) for level, lat in lattices.items()}
+        lattices[leaf_level] = leaf_lattice
+        cell_nbr[leaf_level] = np.searchsorted(graph, leaf_owners)
 
         def per_nbr(nbrs, weights=None):
             return np.bincount(nbrs, weights, len(graph)).astype(np.int64)
 
-        def v_own(level, lattice, cell_nbr):
-            # One per own box and neighbor owning a remote box of its list.
-            tgt, cell = lattice.remote_pairs()
-            holds = np.zeros((len(graph), lattice.n_boxes), dtype=bool)
-            holds[cell_nbr[cell], tgt] = True
-            return own(level, 1, *np.nonzero(holds))
+        def held(level, kind, tgt, cell):
+            # One per own box and neighbor owning a remote cell of its list,
+            # with its key, point count and position in its level.
+            holds = np.zeros((len(graph), lattices[level].n_boxes), dtype=bool)
+            holds[cell_nbr[level][cell], tgt] = True
+            nbr, box = np.nonzero(holds)
+            return (nbr, tree.level_keys[level][box], box_points[level][box], box,
+                    np.full(len(box), kind))
 
         # What the lists share with each neighbor, by kind (0 for U, 1 for
-        # V). The members the neighbor owns, with their keys: per U pair,
-        # then per remote box each V lattice reaches. The own boxes, with
-        # their keys, point counts and positions in their levels: per U
-        # pair, then per V lattice one per box and neighbor owning a box of
-        # its list.
-        found = morton.find_keys(tree.leaves, lists.u_member_keys)
-        leaf_of = np.repeat(np.arange(len(tree.leaves)), np.diff(lists.u_member_ptr))
-        members = [lists.u_member_keys[~found[1]]] + [lat.remote_keys for lat in lattices.values()]
-        bounds = np.cumsum([0] + [len(keys) for keys in members]).tolist()
-        n_u, cells = bounds[1], [slice(a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
-        in_keys = np.concatenate(members)
-        in_nbr = graph_pos(in_keys)
-        in_kind = np.repeat([0, 1], [n_u, len(in_keys) - n_u])
+        # V). The remote cells, each once, with its key and which lists reach
+        # it, in (neighbor, key) order; per level the entry of each cell. The
+        # own boxes a neighbor's lists hold, per kind and level.
+        in_keys = np.concatenate([lat.remote_keys for lat in lattices.values()])
+        in_nbr = np.concatenate(list(cell_nbr.values()))
+        into = np.lexsort((in_keys, in_nbr))
+        entry = np.empty(len(into), dtype=np.int64)
+        entry[into] = np.arange(len(into))
+        bounds = np.cumsum([0] + [len(lat.remote_keys) for lat in lattices.values()]).tolist()
+        cell_entry = {level: entry[a:b] for level, a, b in zip(lattices, bounds, bounds[1:])}
+        in_keys, in_nbr = in_keys[into], in_nbr[into]
+        in_u = np.concatenate([lat.u_reached for lat in lattices.values()])[into]
+        in_v = np.concatenate([lat.v_reached for lat in lattices.values()])[into]
         out_nbr, out_keys, out_points, out_box, out_kind = map(np.concatenate, zip(
-            own(leaf_level, 0, in_nbr[:n_u], leaf_of[~found[1]]),
-            *(v_own(level, lat, in_nbr[at]) for (level, lat), at in zip(lattices.items(), cells))))
+            held(leaf_level, 0, *lists.remote_members()),
+            *(held(level, 1, *lat.remote_pairs()) for level, lat in lattices.items())))
         # By the symmetry of U and V, the own boxes a neighbor's lists hold
         # are those with a member it owns, and the boxes of its that this
         # rank's lists hold are the ones it finds the same way, in the same
         # key order. Each side sends the point count of every box it shares.
-        out, _, out_u, out_v = _shared(out_nbr, out_keys, out_kind)
-        into, entry, in_u, in_v = _shared(in_nbr, in_keys, in_kind)
-        # Per level, the shared-in entry of each remote box its lattice reaches.
-        cell_entry = {level: entry[at] for level, at in zip(lattices, cells)}
-        out_nbr, out_keys, out_box, in_nbr, in_keys = (
-            out_nbr[out], out_keys[out], out_box[out], in_nbr[into], in_keys[into])
+        out, out_u, out_v = _shared(out_nbr, out_keys, out_kind)
+        out_nbr, out_keys, out_box = out_nbr[out], out_keys[out], out_box[out]
         # Ranks wait for each other in the exchanges below; drop the per-pair
         # arrays first, so that ranks sharing a process do not hold them all.
-        del leaf_of, members, out_kind, in_kind, into
+        del out_kind, into
         counts = Halo(out, per_nbr(out_nbr), per_nbr(in_nbr)).exchange(
             comm, graph, _int32_counts(out_points))
         out_points = out_points[out]
@@ -453,7 +462,7 @@ def setup(comm, points, charges, config):
         near = NearFieldGhosts(np.repeat(in_keys[in_u], counts[in_u]),
                                np.ascontiguousarray(got[:, :3]), got[:, 3].copy(),
                                in_keys[in_u & (counts == 0)])
-        near_plan = near_field_plan(tree, lists, near, found)
+        near_plan = near_field_plan(tree, lists, near)
 
     with _phase(timings, "v_list"):
         # The V halo sends each neighbor the expansions of the occupied
@@ -476,14 +485,15 @@ def setup(comm, points, charges, config):
         v_halo = Halo(level_start[morton.key_level(out_keys[send])] + out_box[send],
                       per_nbr(out_nbr[send]), per_nbr(in_nbr[ghost]))
         n_coeff = expansion_length(config.order)
-        v_plan = VListPlan(grouped={lvl: lat.plan(n_coeff) for lvl, lat in lattices.items()})
+        v_plan = VListPlan(grouped={lvl: plan_lattice(lattice, n_coeff)
+                                    for lvl, lattice in lattices.items()})
 
         # The nominated rank holds every box of the top levels 1 .. d_g.
         top_store = global_plan = None
         if comm.rank == NOMINATED_RANK:
             top_store = ExpansionStore({lvl: morton.all_keys(lvl) for lvl in range(1, d_g + 1)})
             global_plan = VListPlan(grouped={
-                lvl: VLattice(morton.level_anchors(lvl), lvl).plan(n_coeff)
+                lvl: plan_lattice(BoxLattice(morton.level_anchors(lvl), lvl), n_coeff)
                 for lvl in range(2, d_g + 1)
             })
 

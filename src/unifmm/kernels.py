@@ -367,17 +367,18 @@ class NearFieldPlan:
     work_entries: int             # scratch entries the largest piece needs
 
 
-def near_field_plan(tree, lists, ghosts=None, found=None):
+def near_field_plan(tree, lists, ghosts=None):
     """Plan the near-field sweep of every local target leaf with all
     existing members of its U list (local and ghost): resolve the members,
     group the leaves and fix every group's block, all groups at once; see
     the module docstring.
 
-    ``found`` is ``morton.find_keys(tree.leaves, lists.u_member_keys)``
-    when the caller has it already. Raises ``ValueError`` for a ghost
-    table whose columns differ in length or whose keys are not sorted, and
-    :class:`UnresolvedDependencyError` for a member that is neither local
-    nor covered by ghost data.
+    ``lists`` are the tree's :class:`tree.InteractionLists`: a member is a
+    local leaf's row or a remote cell, and each remote cell the lists reach
+    is resolved once against the ghost table. Raises ``ValueError`` for a
+    ghost table whose columns differ in length or whose keys are not
+    sorted, and :class:`UnresolvedDependencyError` for a member that is
+    neither local nor covered by ghost data.
     """
     if ghosts is None:
         ghosts = NearFieldGhosts()
@@ -389,23 +390,22 @@ def near_field_plan(tree, lists, ghosts=None, found=None):
     points, n_local = tree.points, tree.n_points
     n_rows = n_local + len(ghost_keys)
 
-    # Resolve every U member, in leaf order, to a segment [a, b) of the
-    # sources: a local leaf, else its run of ghost rows. Empty and
-    # confirmed-absent members get an empty segment; any other member is
-    # unresolved.
-    keys = lists.u_member_keys
-    pos, local = find_keys(tree.leaves, keys) if found is None else found
-    g0 = ghost_keys.searchsorted(keys, side="left")
-    g1 = ghost_keys.searchsorted(keys, side="right")
-    missing = keys[~local & (g1 == g0)]
+    # Resolve every U member to a segment [a, b) of the sources: a local
+    # leaf, else its remote cell's run of ghost rows, found once per cell.
+    # Members outside the domain and confirmed-absent cells get an empty
+    # segment; any other remote cell is unresolved.
+    remote = lists.remote_keys
+    g0 = ghost_keys.searchsorted(remote, side="left")
+    g1 = ghost_keys.searchsorted(remote, side="right")
+    missing = remote[lists.u_reached & (g1 == g0)]
     unresolved = missing[~find_keys(ghosts.confirmed_absent, missing)[1]]
     if len(unresolved):
         raise UnresolvedDependencyError(
             f"unresolved dependency: no ghost data for U-list box {int(unresolved[0]):#x}"
         )
     lo, hi = tree.leaf_ranges.T
-    a = np.where(local, lo[pos], n_local + g0)
-    b = np.where(local, hi[pos], n_local + g1)
+    a = lists.member_values(lo, n_local + g0).reshape(-1)
+    b = lists.member_values(hi, n_local + g1).reshape(-1)
 
     # The nonempty members of the nonempty leaves, each with its leaf's
     # position in leaves (every nonempty leaf is in its own U list), and per
@@ -414,8 +414,7 @@ def near_field_plan(tree, lists, ghosts=None, found=None):
     leaves = rows.nonzero()[0]
     at = np.full(len(lo), -1)
     at[leaves] = np.arange(len(leaves))
-    ptr = lists.u_member_ptr
-    slot, length = np.repeat(at, ptr[1:] - ptr[:-1]), b - a
+    slot, length = np.repeat(at, lists.u_cells.shape[1]), b - a
     keep = (length > 0) & (slot >= 0)
     slot, a, length = slot[keep], a[keep], length[keep]
     leaf_lo = lo[leaves]

@@ -17,7 +17,6 @@ depends on numpy's type promotion rules.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +31,6 @@ DEFAULT_MARGIN = 1e-6
 
 # Side assigned to a degenerate (zero-extent) point cloud.
 SMALL_SIDE_FLOOR = 1.0
-
-# Lattice offsets of a box's 27-cell neighborhood, itself included, in
-# lexicographic (dx, dy, dz) order.
-HALO_OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
 
 _LEVEL_SHIFT = np.uint64(LEVEL_BITS)
 _AXES = np.arange(3, dtype=np.uint64)  # interleave slots of x, y and z
@@ -240,25 +235,6 @@ def descendant_anchors(key, level, depth):
     index = _u64(key).reshape(-1) >> np.uint64(LEVEL_BITS + 3 * (MAX_DEPTH - level))
     coarse = level_anchors(level)[index] << depth
     return (coarse[:, None, :] + level_anchors(depth)).reshape(-1, 3)
-
-
-def halo(key):
-    """The in-lattice cells of each key's 27-cell neighborhood, the key
-    itself included: their keys and, for each, the position of its key in
-    the flattened input. Cells come per key in ``HALO_OFFSETS`` order."""
-    key = _u64(key).reshape(-1)
-    level = key_level(key)
-    cand = anchor_lattice(key)[:, None, :] + HALO_OFFSETS
-    inside = np.all((cand >= 0) & (cand < (1 << level)[:, None, None]), axis=2)
-    pos, off = np.nonzero(inside)
-    return make_key(*cand[pos, off].T, level[pos]), pos
-
-
-def neighbors(key):
-    """Same-level keys adjacent to each of ``key`` (up to 26 each; fewer on
-    the boundary), as one flat array."""
-    cells, pos = halo(key)
-    return cells[cells != _u64(key).reshape(-1)[pos]]
 
 
 def find_keys(sorted_keys, keys):

@@ -108,9 +108,10 @@ one of two ways, chosen per level by its pair count (:func:`plan_m2l`):
   relative L2 on a 4096-point cube; bit-identical at the other orders).
   The rows each product reads and adds to are planned once per set of
   pairs. Setup plans a level's V pairs from its box lattice
-  (:class:`VLattice`), which gives them already in this order, so a
-  dense level's plan takes no sort; :func:`plan_m2l` plans any pairs
-  given, and the tests check the lattice's plans against it.
+  (:class:`lattice.BoxLattice`, :func:`plan_lattice`), which gives them
+  already in this order, so a dense level's plan takes no sort;
+  :func:`plan_m2l` plans any pairs given, and the tests check the
+  lattice's plans against it.
 
 The two ways form the same products and sum each target's in another
 order, so they agree to rounding (about 1e-15 relative). The class path
@@ -187,16 +188,14 @@ from .kernels import (
     template_inverse_distances,
     template_operand,
 )
-from .tree import TRANSFER_VECTORS, V_ADMITS
-
-# The 56 transfer vectors with no negative component, sorted; per transfer
-# vector the row of its absolute value here and the bit mask of its
-# negative axes (bit a for axis a).
-ORTHANT_VECTORS, TRANSFER_ORTHANT = np.unique(
-    np.abs(TRANSFER_VECTORS), axis=0, return_inverse=True
+from .lattice import (
+    M2L_TILE_TARGETS,
+    ORTHANT_VECTORS,
+    TRANSFER_FLIP,
+    TRANSFER_ORTHANT,
+    TRANSFER_VECTORS,
+    V_SLOTS,
 )
-TRANSFER_ORTHANT = TRANSFER_ORTHANT.reshape(-1)
-TRANSFER_FLIP = (TRANSFER_VECTORS < 0) @ np.array([1, 2, 4])
 
 # The 48 symmetries of the cube, index ``perm * 8 + flip``: the sign flip of
 # the axes in the bits of ``flip``, then the axis permutation
@@ -781,15 +780,6 @@ def leaf_s2u_all(tree, ops, charges, out):
 
 _OCTANTS = np.arange(8)[:, None]
 
-# Targets per M2L tile, a power of two so that tiles split every full level
-# of 64 boxes or more evenly. Its accumulator of 8 flips by 64 targets by
-# n_e coefficients is 0.6 MB at order 6 and 1.2 MB at order 8, inside a
-# 2 MB L2; see apply_m2l. A count of targets rather than of entries: each
-# tile reads every stored matrix again, and 64-128 targets ran fastest at
-# every order from 5 to 8 (an entry budget that gives 64 at order 6 gives
-# 32 at order 8, 10% slower than no tiles).
-M2L_TILE_TARGETS = 64
-
 # Pairs up to which a level's M2L runs through the 16 class matrices rather
 # than the 56 orthant ones, 32 pairs per orthant matrix on average; see the
 # module docstring for the crossover it sits in.
@@ -920,9 +910,9 @@ def group_pairs_by_class(tgt_idx, src_rows, tv_idx, n_coeff):
     ``n_coeff``-long expansions, run with the 16 class matrices. Pairs are
     sorted by (class, symmetry), stably, so by (class, symmetry, target)
     when each vector's targets come in ascending order, as a box lattice
-    gives them (:class:`VLattice`); a (class, symmetry) fixes the vector,
-    which a target meets at most once, so the order of one target's pairs
-    is never read. They are cut into chunks of at most
+    gives them (:class:`lattice.BoxLattice`); a (class, symmetry) fixes the
+    vector, which a target meets at most once, so the order of one
+    target's pairs is never read. They are cut into chunks of at most
     ``rows = CLASS_CHUNK_ENTRIES // n_coeff`` pairs: whole classes while
     they fit, a class of more than ``rows`` pairs cut at multiples of
     ``rows`` from its start. Returns a :class:`ClassPlan`; per chunk
@@ -971,110 +961,26 @@ def group_pairs_by_class(tgt_idx, src_rows, tv_idx, n_coeff):
     )
 
 
-# A lattice cell's value where no source box is: outside the domain, or a
-# remote box that is no ghost; and where a remote box is whose row setup has
-# not yet fixed (:class:`VLattice`).
-EMPTY, REMOTE = -1, -2
-
-# The transfer vectors in the order of a tiled plan's products, by (orthant
-# matrix, flip): per slot of that order its vector, and its flip; the first
-# slot of each orthant matrix; and per slot whether a box of each octant
-# leaves it out of its V list (:data:`tree.V_ADMITS`), with a ninth octant
-# that lists none.
-V_SLOTS = np.lexsort((TRANSFER_FLIP, TRANSFER_ORTHANT))
+# Per slot of :data:`lattice.V_SLOTS` its flip, and the first slot of each
+# orthant matrix.
 _SLOT_FLIP = TRANSFER_FLIP[V_SLOTS]
 _MATRIX_SLOTS = np.searchsorted(TRANSFER_ORTHANT[V_SLOTS], np.arange(len(ORTHANT_VECTORS)))
-_SLOT_UNLISTED = ~np.concatenate([V_ADMITS, np.zeros((1, len(V_SLOTS)), bool)])[:, V_SLOTS].T
-_SLOT_OFFSETS = TRANSFER_VECTORS[V_SLOTS][:, None, :]
 
 
-class VLattice:
-    """The V lists of one level's boxes on a lattice of box rows, as pairs
-    in the order of their M2L plan (:meth:`plan`).
-
-    A grid covers the boxes' bounding box padded by 3 boxes, the reach of
-    a V list. Each cell holds the row in the level's
-    :attr:`ExpansionStore.u_rows` of the box there: the ``i``-th box's is
-    ``i``; a box of another rank's is ``REMOTE`` until :meth:`resolve`
-    fixes it; a cell outside the domain is ``EMPTY``. Each transfer vector
-    is one flat offset into the grid. The candidates are laid out (tile of
-    ``M2L_TILE_TARGETS`` boxes, vector in :data:`V_SLOTS` order, box), a
-    box's lane padded to ``w = min(M2L_TILE_TARGETS, n_boxes)``, and one
-    gather gives each the value of the cell its vector reaches, or
-    ``EMPTY`` where the box's octant does not list the vector. The pairs
-    are the candidates that hold a row, so they come out sorted as a
-    :class:`TiledPlan` sorts them, and by (vector, target) within a tile.
-
-    The remote boxes the lists reach are ``remote_keys``; until
-    :meth:`resolve`, a candidate that reaches the ``j``-th holds ``-3 -
-    j``. ``anchors`` are the boxes' lattice coordinates at ``level``, in
-    row order.
-    """
-
-    def __init__(self, anchors, level):
-        self.n_boxes = len(anchors)
-        self.width = min(M2L_TILE_TARGETS, self.n_boxes)
-        self.n_tiles = -(-self.n_boxes // self.width)
-        lo = anchors.min(axis=0) - 3
-        shape = anchors.max(axis=0) + 4 - lo
-        a, b = np.maximum(-lo, 0), np.minimum((1 << level) - lo, shape)
-        # The cells, and one more, EMPTY, that the unlisted candidates read.
-        grid = np.full(shape.prod() + 1, EMPTY, dtype=np.int32)
-        grid[:-1].reshape(shape)[a[0] : b[0], a[1] : b[1], a[2] : b[2]] = REMOTE
-        strides = np.array([shape[1] * shape[2], shape[2], 1])
-        at = (anchors - lo) @ strides
-        grid[at] = np.arange(self.n_boxes)
-        # Padding lanes take the first box's cell and an octant that lists none.
-        lanes = np.full((2, self.n_tiles * self.width), [[at[0]], [8]])
-        lanes[:, : self.n_boxes] = at, (anchors & 1) @ np.array([1, 2, 4])
-        cells = lanes[0].reshape(self.n_tiles, 1, self.width) + _SLOT_OFFSETS @ strides
-        unlisted = _SLOT_UNLISTED[:, lanes[1]].reshape(len(V_SLOTS), self.n_tiles, self.width)
-        np.copyto(cells, len(grid) - 1, where=unlisted.swapaxes(0, 1))
-        cells = cells.reshape(-1)
-        self.cand = grid[cells]
-        self._remote = np.flatnonzero(self.cand == REMOTE)
-        reached = cells[self._remote]
-        # Mark the remote cells reached, then number them.
-        grid[reached] = REMOTE - 1
-        numbered = np.flatnonzero(grid == REMOTE - 1)
-        grid[numbered] = REMOTE - 1 - np.arange(len(numbered))
-        self.cand[self._remote] = grid[reached]
-        coords = np.stack(np.unravel_index(numbered, shape)) + lo[:, None]
-        self.remote_keys = morton.make_key(*coords, level)
-
-    def _targets(self, pos):
-        """The target, its lane in its tile and the vector slot of each
-        candidate position. (numpy divides integers by a scalar several
-        times faster than it takes their remainder.)"""
-        row = pos // self.width
-        tile = row // len(V_SLOTS)
-        lane = pos - row * self.width
-        return tile * self.width + lane, lane, row - tile * len(V_SLOTS)
-
-    def remote_pairs(self):
-        """Per candidate reaching a remote box, before :meth:`resolve`: its
-        target and the position of the box in ``remote_keys``."""
-        return self._targets(self._remote)[0], REMOTE - 1 - self.cand[self._remote]
-
-    def resolve(self, rows):
-        """Give each candidate reaching the ``j``-th remote box ``rows[j]``:
-        the box's ghost row, or ``EMPTY`` for a box without one."""
-        self.cand[self._remote] = rows[REMOTE - 1 - self.cand[self._remote]]
-        self._remote = self._remote[:0]
-
-    def plan(self, n_coeff):
-        """The :func:`plan_m2l` plan of the pairs: a :class:`ClassPlan`
-        (:func:`group_pairs_by_class`) for at most :data:`SPARSE_PAIRS`
-        pairs, else a :class:`TiledPlan`, the pairs in their order with
-        products counted per (tile, orthant matrix)."""
-        keep = self.cand >= 0
-        pos = np.flatnonzero(keep)
-        (tgt, lane, slot), src = self._targets(pos), self.cand[pos].astype(np.int64)
-        if len(pos) <= SPARSE_PAIRS:
-            return group_pairs_by_class(tgt, src, V_SLOTS[slot], n_coeff)
-        counts = keep.reshape(self.n_tiles, len(V_SLOTS), self.width).sum(axis=2)
-        counts = np.add.reduceat(counts, _MATRIX_SLOTS, axis=1)
-        return _tiled_plan(tgt, lane, src, _SLOT_FLIP[slot], counts)
+def plan_lattice(lattice, n_coeff):
+    """The :func:`plan_m2l` plan of the V pairs of a
+    :class:`lattice.BoxLattice` whose remote cells are resolved: a
+    :class:`ClassPlan` (:func:`group_pairs_by_class`) for at most
+    :data:`SPARSE_PAIRS` pairs, else a :class:`TiledPlan`, the pairs in
+    their order with products counted per (tile, orthant matrix)."""
+    keep = lattice.cand >= 0
+    pos = np.flatnonzero(keep)
+    (tgt, lane, slot), src = lattice.targets(pos), lattice.cand[pos].astype(np.int64)
+    if len(pos) <= SPARSE_PAIRS:
+        return group_pairs_by_class(tgt, src, V_SLOTS[slot], n_coeff)
+    counts = keep.reshape(lattice.n_tiles, len(V_SLOTS), lattice.width).sum(axis=2)
+    counts = np.add.reduceat(counts, _MATRIX_SLOTS, axis=1)
+    return _tiled_plan(tgt, lane, src, _SLOT_FLIP[slot], counts)
 
 
 def apply_m2l(ops, grouped, u_rows, d):

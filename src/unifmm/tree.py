@@ -1,54 +1,30 @@
-"""Per-rank uniform linear octrees, U interaction lists and the V-list
-stencil. A list is a set: its members come leaf by leaf or box by box, in
-an order within a leaf or box that nothing reads. The U list of a leaf is
-its in-lattice 27-cell neighborhood, kept as member keys. The V list of a
-box is a fixed stencil, the 189 of the 316 :data:`TRANSFER_VECTORS` that
-its octant in its parent admits (:data:`V_ADMITS`), cut to the lattice;
-setup enumerates it on a lattice of box rows
-(:class:`operators.VLattice`), never as member keys.
+"""Per-rank uniform linear octrees and their U interaction lists.
 
 A rank's tree is the union of fully refined subtrees hanging under its
 local roots (level ``global_depth``), refined uniformly for another
 ``local_depth`` levels. All boxes are kept whether or not they contain
 points; occupancy is tracked with a flag so interactions with empty
 boxes can be skipped or resolved against remote ranks at runtime.
+
+The interaction lists are stencils read on one box lattice per level
+(:class:`lattice.BoxLattice`). The U list of a leaf is its in-lattice
+27-cell neighborhood, kept as the cells the leaf lattice gives it: a
+local leaf's row or a numbered remote cell, never a member key. A list is
+a set: nothing reads the order of the members within a leaf or box. The
+V lists are no member lists: setup plans them on each level's lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import morton
 from .kernels import _changes, point_operand, sorted_unique
+from .lattice import EMPTY, REMOTE, BoxLattice
 from .morton import MAX_DEPTH, ancestor_at, descendant_anchors, descendants
-
-
-def transfer_vectors():
-    """The 316 admissible V-list lattice offsets, sorted lexicographically."""
-    t = np.array(
-        [
-            (tx, ty, tz)
-            for tx in range(-3, 4)
-            for ty in range(-3, 4)
-            for tz in range(-3, 4)
-            if max(abs(tx), abs(ty), abs(tz)) >= 2
-        ],
-        dtype=np.int64,
-    )
-    return t
-
-
-TRANSFER_VECTORS = transfer_vectors()
-
-# Per octant ``o`` of a box in its parent (bit a for axis a), whether each
-# transfer vector ``t`` is in its V list, (8, 316), 189 per octant: the box
-# ``t`` reaches is not adjacent (every vector's is not), and its parent is
-# adjacent to or equal to the box's own, which holds when ``-2 <= o_a + t_a
-# <= 3`` on every axis. Members outside the lattice are not in the list.
-_REACH = ((np.arange(8)[:, None] >> np.arange(3)) & 1)[:, None] + TRANSFER_VECTORS
-V_ADMITS = np.all((_REACH >= -2) & (_REACH <= 3), axis=2)
 
 
 @dataclass
@@ -205,22 +181,50 @@ def build_tree(points, cube, global_depth, local_depth, local_roots=None, keys=N
 
 @dataclass
 class InteractionLists:
-    """A tree's U lists: ``u_member_keys``/``u_member_ptr`` form a CSR
-    layout over the leaves in tree order, each leaf's members in no
-    particular order. The V lists are no member lists: setup builds them
-    per level on a box lattice (:class:`operators.VLattice`) and keeps
-    only their M2L plans."""
+    """A tree's U lists, read on its leaf lattice
+    (:class:`lattice.BoxLattice`). ``u_cells[i]`` holds, per cell of leaf
+    ``i``'s 27-cell neighborhood, the row of the local leaf there, ``EMPTY``
+    outside the domain, or ``REMOTE - 1 - j`` for the lattice's ``j``-th
+    remote cell, whose key is ``remote_keys[j]``; ``u_reached[j]`` says
+    whether a U list reaches that cell. ``u_member_keys``/``u_member_ptr``,
+    the members' keys as a CSR layout over the leaves in tree order, are
+    derived on first read; setup reads neither."""
 
-    u_member_keys: np.ndarray
-    u_member_ptr: np.ndarray
+    leaves: np.ndarray = field(repr=False)
+    u_cells: np.ndarray = field(repr=False)
+    remote_keys: np.ndarray = field(repr=False)
+    u_reached: np.ndarray = field(repr=False)
+
+    def member_values(self, own, remote, empty=0):
+        """Per cell of every leaf's U list, (n_leaves, 27): ``own[i]`` for
+        the ``i``-th local leaf, ``remote[j]`` for the ``j``-th remote cell
+        and ``empty`` outside the domain."""
+        table = np.concatenate([remote[::-1], np.full(2, empty, remote.dtype), own])
+        return table[self.u_cells + (len(remote) + 2)]
+
+    def remote_members(self):
+        """Per U member in a remote cell: its leaf and the cell's number."""
+        remote = self.u_cells < REMOTE
+        return np.nonzero(remote)[0], REMOTE - 1 - self.u_cells[remote]
+
+    @cached_property
+    def u_member_keys(self):
+        return self.member_values(self.leaves, self.remote_keys)[self.u_cells != EMPTY]
+
+    @cached_property
+    def u_member_ptr(self):
+        ptr = np.zeros(len(self.leaves) + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(self.u_cells != EMPTY, axis=1), out=ptr[1:])
+        return ptr
 
     def u_members(self, leaf_pos):
         return self.u_member_keys[self.u_member_ptr[leaf_pos] : self.u_member_ptr[leaf_pos + 1]]
 
 
 def build_interaction_lists(tree):
-    """The U list of every leaf: its in-lattice 27-cell neighborhood."""
-    keys, leaf_pos = morton.halo(tree.leaves)
-    ptr = np.zeros(len(tree.leaves) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(leaf_pos, minlength=len(tree.leaves)), out=ptr[1:])
-    return InteractionLists(u_member_keys=keys, u_member_ptr=ptr)
+    """The leaf level's box lattice, its V lists unresolved, and the U list
+    of every leaf read on it (:class:`InteractionLists`)."""
+    anchors = descendant_anchors(tree.local_roots, tree.global_depth, tree.local_depth)
+    lattice = BoxLattice(anchors, tree.leaf_level, u_lists=True)
+    return lattice, InteractionLists(tree.leaves, lattice.u_cells, lattice.remote_keys,
+                                     lattice.u_reached)

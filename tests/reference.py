@@ -1,20 +1,26 @@
 """Single-key helpers that only the tests use: a box's center, parent and
-children, one leaf's U list and one box's V list, the transfer vector of
-two boxes, and the scalar Laplace kernel. The library works on key
-arrays and interaction lists built for a whole tree at once; these
-answer the same questions for one key or one pair of points. Also the V
-oracle, which enumerates the V lists of many boxes by their members'
-Morton keys, the check on the library's box lattice
-(:class:`unifmm.operators.VLattice`), and a dense truncated
-pseudo-inverse, for reference operators built from one level's real
-geometry."""
+children, its 27-cell neighborhood and its neighbors, one leaf's U list
+and one box's V list, the transfer vector of two boxes, and the scalar
+Laplace kernel. The library works on key arrays and interaction lists
+built for a whole tree at once; these answer the same questions for one
+key or one pair of points. Also the U and V oracles, which enumerate
+the lists of many boxes by their members' Morton keys, the check on the
+library's box lattice (:class:`unifmm.lattice.BoxLattice`), and a dense
+truncated pseudo-inverse, for reference operators built from one level's
+real geometry."""
+
+import itertools
 
 import numpy as np
 
 from unifmm import morton
-from unifmm.morton import HALO_OFFSETS, LEVEL_BITS, MAX_DEPTH, anchor_lattice, make_key
+from unifmm.lattice import TRANSFER_VECTORS
+from unifmm.morton import LEVEL_BITS, MAX_DEPTH, anchor_lattice, key_level, make_key
 from unifmm.operators import OperatorFactorizationError
-from unifmm.tree import TRANSFER_VECTORS
+
+# Lattice offsets of a box's 27-cell neighborhood, itself included, in
+# lexicographic (dx, dy, dz) order.
+HALO_OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
 
 # (7,7,7) lookup from offset+3 to compact transfer-vector index, -1 if near.
 TRANSFER_INDEX = np.full((7, 7, 7), -1, dtype=np.int64)
@@ -27,7 +33,7 @@ _OCTANT_OFFSETS = (np.arange(8)[:, None] >> np.arange(3)) & 1
 def _v_templates():
     """Per octant of a box in its parent, the transfer-vector index of each
     child octant of each cell of the parent's 27-cell neighborhood (in
-    :data:`morton.HALO_OFFSETS` order), -1 for a child adjacent to the
+    :data:`HALO_OFFSETS` order), -1 for a child adjacent to the
     box: (8, 27, 8)."""
     child = HALO_OFFSETS[:, None, :] * 2 + _OCTANT_OFFSETS
     offsets = child - _OCTANT_OFFSETS[:, None, None, :]
@@ -66,6 +72,26 @@ def v_members_with_vectors(box_keys, level):
     return box_pos.copy(), keys, tv[keep]
 
 
+def halo(key):
+    """The U oracle: the in-lattice cells of each key's 27-cell
+    neighborhood, the key itself included, by Morton keys: their keys and,
+    for each, the position of its key in the flattened input. Cells come
+    per key in ``HALO_OFFSETS`` order."""
+    key = np.asarray(key, dtype=np.uint64).reshape(-1)
+    level = key_level(key)
+    cand = anchor_lattice(key)[:, None, :] + HALO_OFFSETS
+    inside = np.all((cand >= 0) & (cand < (1 << level)[:, None, None]), axis=2)
+    pos, off = np.nonzero(inside)
+    return make_key(*cand[pos, off].T, level[pos]), pos
+
+
+def neighbors(key):
+    """Same-level keys adjacent to each of ``key`` (up to 26 each; fewer on
+    the boundary), as one flat array."""
+    cells, pos = halo(key)
+    return cells[cells != np.asarray(key, dtype=np.uint64).reshape(-1)[pos]]
+
+
 def box_center(key, cube):
     anchor, side = morton.decode(key, cube)
     return anchor + 0.5 * side[..., None]
@@ -92,7 +118,7 @@ def compute_u_list(tree, leaf):
     """
     if morton.key_level(leaf) != tree.leaf_level:
         raise ValueError("u_list is defined for leaf boxes only")
-    return np.sort(morton.halo(leaf)[0])
+    return np.sort(halo(leaf)[0])
 
 
 def compute_v_list(tree, box):

@@ -21,9 +21,9 @@ from conftest import (
     rel_l2,
     subtraction_inverse_distances,
 )
-from reference import v_members_with_vectors
+from reference import compute_u_list, neighbors, v_members_with_vectors
 
-from unifmm import distributed, kernels, morton, operators, tree
+from unifmm import distributed, kernels, lattice, morton, operators, tree
 from unifmm.cli import generate_charges, generate_points
 from unifmm.distributed import (
     FmmConfig,
@@ -437,9 +437,10 @@ def _assert_same_bytes(got, want):
 @given(case=st.sampled_from(["cube-p1", "sphere-p1", "cube-p8-rank"]),
        order=st.sampled_from([2, 8]), seed=st.integers(0, 2**32 - 1))
 def test_plans_ignore_member_order_within_a_leaf_or_box(case, order, seed):
-    # The lists are sets: members permuted within each leaf of the U CSR
-    # and within each box of every V level give the near-field plan and
-    # both M2L planners' plans byte for byte.
+    # The lists are sets: member rows and remote cells permuted within each
+    # leaf's U cells, and members permuted within each box of every V
+    # level, give the near-field plan and both M2L planners' plans byte for
+    # byte.
     tree, lists, ghosts = _order_case(case)
     rng = np.random.default_rng(seed)
 
@@ -448,9 +449,9 @@ def test_plans_ignore_member_order_within_a_leaf_or_box(case, order, seed):
         assert not np.array_equal(perm, np.arange(len(owner)))
         return perm
 
-    ptr = lists.u_member_ptr
-    perm = shuffled(np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)))
-    moved = replace(lists, u_member_keys=lists.u_member_keys[perm])
+    n_leaves, n_cells = lists.u_cells.shape
+    perm = shuffled(np.repeat(np.arange(n_leaves), n_cells))
+    moved = replace(lists, u_cells=lists.u_cells.reshape(-1)[perm].reshape(n_leaves, n_cells))
     _assert_same_bytes(kernels.near_field_plan(tree, moved, ghosts),
                        kernels.near_field_plan(tree, lists, ghosts))
     n_coeff = operators.expansion_length(order)
@@ -708,7 +709,11 @@ def test_evaluate_replays_the_setup_plans(monkeypatch):
     def forbid_planning():
         for module, name in [(kernels, "find_keys"), (kernels, "near_field_plan"),
                              (distributed, "near_field_plan"),
-                             (operators, "VLattice"), (distributed, "VLattice"),
+                             (tree, "build_interaction_lists"),
+                             (distributed, "build_interaction_lists"),
+                             (lattice, "BoxLattice"), (tree, "BoxLattice"),
+                             (distributed, "BoxLattice"), (operators, "plan_lattice"),
+                             (distributed, "plan_lattice"),
                              (operators, "group_pairs_by_transfer"), (operators, "_tiled_plan"),
                              (operators, "group_pairs_by_class"), (operators, "_orthant_m2l"),
                              (morton, "anchor_lattice"),
@@ -944,28 +949,63 @@ def test_near_field_pairs_counted_exactly_once():
     assert len(cover) == want
 
 
-def test_comm_graph_confined_to_adjacent_subdomains():
-    pts, chg = raw_instance(8192, seed=22)
-    config = cfg(global_depth=2, local_depth=1)
-    _, states, _ = distributed_run(pts, chg, 64, config)
+@pytest.mark.parametrize("n, P, config", [
+    (8192, 64, cfg(global_depth=2, local_depth=1)),
+    (4096, 27, cfg(global_depth=2, local_depth=1)),
+    (4096, 8, cfg(global_depth=2, local_depth=1)),
+    (4096, 8, cfg(global_depth=2, local_depth=1, balance_mode="sampled", samples_per_rank=64)),
+], ids=["p64-dg2", "p27-dg2-unaligned", "p8-dg2-8-roots", "p8-dg2-sampled"])
+def test_comm_graph_confined_to_adjacent_subdomains(n, P, config):
+    # Setup finds the graph from the leaf lattice's remote cells; it is the
+    # owners of the roots adjacent to each rank's own, found here by Morton
+    # keys: one root per rank, unaligned runs, 8 roots per rank and the
+    # uneven runs of sampled splitters.
+    pts, chg = raw_instance(n, seed=22)
+    _, states, _ = distributed_run(pts, chg, P, config, evaluate_runs=0)
     layout = states[0].layout
+    if config.balance_mode == "sampled":
+        assert len({s.n_local_roots for s in states}) > 1
     for state in states:
         adjacent = set()
         for root in state.tree.local_roots:
-            owners = layout.owner_of_roots(morton.neighbors(int(root)))
+            owners = layout.owner_of_roots(neighbors(int(root)))
             adjacent |= {int(o) for o in owners if o != state.rank}
         assert set(state.graph.tolist()) == adjacent
         assert state.u_graph is state.graph and state.v_graph is state.graph
 
 
+@pytest.mark.parametrize("anchor", [(1, 1, 1), (1, 2, 0), (0, 0, 0)],
+                         ids=["interior", "face", "corner"])
+def test_u_members_match_the_oracle_per_leaf(anchor):
+    # The U lists setup reads on the leaf lattice hold, per nonempty leaf
+    # and as a key set, the oracle's 27-cell neighborhood cut to the
+    # domain: local leaves and remote cells alike. The member keys are
+    # derived on first read, so setup never forms them.
+    pts, chg = raw_instance(256, seed=24)
+    _, states, _ = distributed_run(pts, chg, 64, cfg(global_depth=2, local_depth=1),
+                                   evaluate_runs=0)
+    state = states[int(states[0].layout.owner_of_roots(morton.make_key(*anchor, 2)))]
+    tree, lists = state.tree, state.lists
+    assert "u_member_keys" not in vars(lists) and "u_member_ptr" not in vars(lists)
+    nonempty = np.flatnonzero(tree.level_nonempty[tree.leaf_level])
+    assert 0 < len(nonempty) < len(tree.leaves)
+    n_remote = 0
+    for pos in nonempty:
+        got = lists.u_members(pos)
+        want = compute_u_list(tree, int(tree.leaves[pos]))
+        assert len(got) == len(want) and np.array_equal(np.sort(got), want)
+        n_remote += np.count_nonzero(~tree.contains(tree.leaf_level, got))
+    assert n_remote > 0
+
+
 def layout_degrees(global_depth, size):
-    """Per rank of ``roots`` mode, its neighbor-graph degree as setup derives
-    it: the owners of the roots adjacent to its own, from the layout alone
-    (no setup runs and no rank thread starts)."""
+    """Per rank of ``roots`` mode, its neighbor-graph degree: the owners of
+    the roots adjacent to its own, from the layout alone (no setup runs and
+    no rank thread starts)."""
     layout = build_layout(global_depth, equal_root_runs(global_depth, size))
     degrees = []
     for rank in range(size):
-        owners = np.unique(layout.owner_of_roots(morton.neighbors(layout.roots_of(rank))))
+        owners = np.unique(layout.owner_of_roots(neighbors(layout.roots_of(rank))))
         degrees.append(np.count_nonzero(owners != rank))
     return np.array(degrees)
 

@@ -145,7 +145,7 @@ def _center_point_tree(cells, level, d_g, d_l):
 
 def test_p2p_uli_two_adjacent_leaves():
     tree, _ = _center_point_tree([[0, 0, 0], [1, 0, 0]], 2, 1, 1)
-    lists = build_interaction_lists(tree)
+    _, lists = build_interaction_lists(tree)
     charges = np.ones(2)
     f = p2p_uli(near_field_plan(tree, lists), charges)
     r = 0.25  # cell centers one cell apart
@@ -155,7 +155,7 @@ def test_p2p_uli_two_adjacent_leaves():
 def test_p2p_uli_isolated_leaf_sees_only_itself():
     # Two points in one leaf, far cells empty: contribution only internal.
     tree, _ = _center_point_tree([[0, 0, 0], [0, 0, 0]], 2, 1, 1)
-    lists = build_interaction_lists(tree)
+    _, lists = build_interaction_lists(tree)
     pts = tree.points.copy()
     pts[1] += 0.01
     tree.points[:] = pts
@@ -174,7 +174,7 @@ def test_p2p_uli_matches_direct_sum_on_dense_small_domain():
     pts = pts[order]
     roots = morton.descendants(morton.make_key(0, 0, 0, 0), 1)
     tree = build_tree(pts, UNIT, 1, 1, local_roots=np.sort(roots))
-    lists = build_interaction_lists(tree)
+    _, lists = build_interaction_lists(tree)
     charges = rng.random(64)
     # Only the points in octant 0 interact fully; all lie there by scaling.
     f = p2p_uli(near_field_plan(tree, lists), charges)
@@ -189,7 +189,7 @@ def test_p2p_uli_unresolved_dependency():
     keys = morton.encode_points(pts, 2, UNIT)
     root = morton.ancestor_at(int(keys[0]), 1)
     tree = build_tree(pts, UNIT, 1, 1, local_roots=[root])
-    lists = build_interaction_lists(tree)
+    _, lists = build_interaction_lists(tree)
     with pytest.raises(UnresolvedDependencyError, match="unresolved dependency"):
         near_field_plan(tree, lists)
 
@@ -214,7 +214,7 @@ def _corner_point_tree():
     keys = morton.encode_points(pts, 2, UNIT)
     root = morton.ancestor_at(int(keys[0]), 1)
     tree = build_tree(pts, UNIT, 1, 1, local_roots=[root])
-    lists = build_interaction_lists(tree)
+    _, lists = build_interaction_lists(tree)
     remote = [int(k) for k in lists.u_members(tree.index_of(2, keys)[0])
               if not tree.contains(2, np.asarray([k], dtype=np.uint64))[0]]
     return tree, lists, remote
@@ -397,7 +397,7 @@ def test_p2p_uli_matches_direct_sum_on_clustered_leaves_with_ghost():
     keys = morton.encode_points(pts, 2, UNIT)
     pts = pts[np.argsort(keys, kind="stable")]
     tree = build_tree(pts, UNIT, 1, 1, local_roots=[morton.make_key(0, 0, 0, 1)])
-    lists = build_interaction_lists(tree)
+    _, lists = build_interaction_lists(tree)
     assert (~tree.level_nonempty[2]).sum() == 4
 
     gkey = int(morton.make_key(2, 1, 1, 2))
@@ -451,7 +451,7 @@ def test_p2p_uli_mutual_matches_one_way_per_leaf_oracle():
     pts = np.concatenate([pts, pts[:3], pts[:1]])
     pts = pts[np.argsort(morton.encode_points(pts, level, UNIT), kind="stable")]
     tree = build_tree(pts, UNIT, 1, 2, local_roots=roots)
-    lists = build_interaction_lists(tree)
+    _, lists = build_interaction_lists(tree)
     assert (~tree.level_nonempty[level]).sum() > 20
 
     remote = sorted({int(k) for k in lists.u_member_keys
@@ -489,7 +489,7 @@ def _lattice_tree(counts, rng, coincide):
         pts[1::40] = pts[::40][: len(pts[1::40])]
     pts = pts[np.argsort(morton.encode_points(pts, level, UNIT), kind="stable")]
     tree = build_tree(pts, UNIT, 1, 2, local_roots=roots)
-    lists = build_interaction_lists(tree)
+    _, lists = build_interaction_lists(tree)
     remote = sorted({int(k) for k in lists.u_member_keys
                      if not tree.contains(level, np.asarray([k], dtype=np.uint64))[0]})
     return tree, lists, remote

@@ -17,10 +17,9 @@ from unifmm.morton import (
     fit_domain,
     key_level,
     make_key,
-    neighbors,
 )
 
-from reference import children, parent
+from reference import children, neighbors, parent
 
 UNIT = BoundingCube(origin=(0.0, 0.0, 0.0), side=1.0)
 

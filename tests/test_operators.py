@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import distributed_run, raw_instance, rel_l2, sorted_instance
-from reference import box_center, children, tsvd_pinv, v_members_with_vectors
+from reference import box_center, children, neighbors, tsvd_pinv, v_members_with_vectors
 
 from unifmm import morton, operators
 from unifmm.distributed import FmmConfig, evaluate, update_charges
@@ -46,7 +46,8 @@ from unifmm.operators import (
     u2u_level,
     upward_pass,
 )
-from unifmm.tree import TRANSFER_VECTORS, build_tree
+from unifmm.lattice import TRANSFER_VECTORS
+from unifmm.tree import build_tree
 
 UNIT = BoundingCube(origin=(0.0, 0.0, 0.0), side=1.0)
 
@@ -846,7 +847,7 @@ def test_d_depends_only_on_points_outside_halo():
     # Perturb charges inside the box's colleague halo (including itself).
     pos = 100
     box = int(tree.level_keys[3][pos])
-    halo = {box} | {int(k) for k in morton.neighbors(box)}
+    halo = {box} | {int(k) for k in neighbors(box)}
     pkeys = morton.encode_points(tree.points, 3, tree.cube)
     in_halo = np.isin(pkeys, np.asarray(sorted(halo), dtype=np.uint64))
     assert in_halo.any()

@@ -7,13 +7,15 @@ import pytest
 
 from unifmm import morton
 from unifmm.morton import BoundingCube, anchor_lattice, key_level, make_key
-from unifmm.tree import TRANSFER_VECTORS, V_ADMITS, build_interaction_lists, build_tree
+from unifmm.lattice import TRANSFER_VECTORS, V_ADMITS, BoxLattice
+from unifmm.tree import build_interaction_lists, build_tree
 
 from reference import (
     V_TRANSFER,
     children,
     compute_u_list,
     compute_v_list,
+    halo,
     parent,
     transfer_vector,
     v_members_with_vectors,
@@ -208,7 +210,7 @@ def test_v_templates_match_definition_per_box(keys):
     index = {tuple(v): i for i, v in enumerate(TRANSFER_VECTORS.tolist())}
     ptr = np.searchsorted(box_pos, np.arange(len(keys) + 1))
     for i, box in enumerate(keys):
-        cand = children(morton.halo(parent(box))[0])
+        cand = children(halo(parent(box))[0])
         offsets = (anchor_lattice(cand) - anchor_lattice(box)).tolist()
         want = sorted(
             (int(k), index[tuple(o)]) for k, o in zip(cand, offsets) if max(map(abs, o)) >= 2
@@ -330,7 +332,7 @@ def test_near_far_partition_counts_each_leaf_once():
 
 def test_interaction_lists_match_per_box_ops():
     tree = build_tree(sorted_points_at_cell_centers(3), UNIT, 1, 2)
-    lists = build_interaction_lists(tree)
+    _, lists = build_interaction_lists(tree)
     for pos in (0, 17, 301, 511):
         leaf = tree.leaves[pos]
         got = np.sort(lists.u_members(pos))
@@ -345,6 +347,14 @@ def test_interaction_lists_match_per_box_ops():
         src = anchor_lattice(keys)
         dst = anchor_lattice(tree.level_keys[level][tgt])
         assert np.array_equal(vec, src - dst)
+
+
+def test_box_lattice_rejects_a_grid_past_int32():
+    # A lattice's cell indices are int32. Two level-11 boxes at opposite
+    # corners of the domain span a grid of 2054^3 cells, past int32: the
+    # lattice says so before it allocates anything.
+    with pytest.raises(ValueError, match=r"level-11 box lattice of 8665653465 cells.*int32"):
+        BoxLattice(np.array([[0, 0, 0], [2047, 2047, 2047]]), 11)
 
 
 def test_key_to_index_and_index_of_agree():
